@@ -78,7 +78,7 @@ def _projection_idempotence(spaces) -> CheckResult:
     return CheckResult("projection_idempotence", err < 1e-10, err, 1e-10)
 
 
-def _skew_symmetry(spaces, ops) -> list[CheckResult]:
+def _skew_symmetry(spaces) -> list[CheckResult]:
     worst1 = worst2 = 0.0
     for seed in range(20):
         u = project_velocity(spaces, random_trig(3 * seed + 1, 2))
@@ -107,9 +107,9 @@ def _gap_identity(spaces) -> CheckResult:
     return CheckResult("gap_increment_identity", err < 1e-12, err, 1e-12)
 
 
-def _energy_identity(spaces, ops) -> CheckResult:
+def _energy_identity(spaces) -> CheckResult:
     cfg = SchemeConfig(scheme="CN", case=1, nu=0.5, T=0.25, N=2)
-    traj = run(cfg, spaces, ops, tg_like())
+    traj = run(cfg, spaces, tg_like())
     worst = 0.0
     for m in (1, 2):
         z = traj.midpoint(m)
@@ -122,16 +122,16 @@ def _energy_identity(spaces, ops) -> CheckResult:
                        worst, 1e-10 * scale)
 
 
-def _divergence_bound(spaces, ops) -> CheckResult:
+def _divergence_bound(spaces) -> CheckResult:
     cfg = SchemeConfig(scheme="CN", case=1, nu=0.5, T=0.25, N=2)
-    traj = run(cfg, spaces, ops, tg_like())
-    worst = max(forms.divergence_norm(spaces, ops, traj.u[m])
+    traj = run(cfg, spaces, tg_like())
+    worst = max(forms.divergence_norm(spaces, traj.u[m])
                 / max(1e-300, velocity_h1(spaces, traj.u[m]))
                 for m in range(cfg.N + 1))
     return CheckResult("discrete_divergence", worst < 1e-9, worst, 1e-9)
 
 
-def _gradient_div_duality(spaces, ops) -> CheckResult:
+def _gradient_div_duality(spaces) -> CheckResult:
     """(grad q, w) must equal -(q, div w) exactly at this quadrature."""
     rng = np.random.default_rng(3)
     q = rng.standard_normal(spaces.pressure.dim)
@@ -139,7 +139,7 @@ def _gradient_div_duality(spaces, ops) -> CheckResult:
     from .fespace import pressure_gradients, velocity_values, quad_integral
     lhs = quad_integral(spaces, (pressure_gradients(spaces, q)
                                  * velocity_values(spaces, w)).sum(-1))
-    rhs = -float(q @ (ops.B @ w))
+    rhs = -float(q @ (spaces.ops.B @ w))
     err = abs(lhs - rhs) / max(1.0, abs(rhs))
     return CheckResult("gradient_divergence_duality", err < 1e-12, err, 1e-12)
 
@@ -147,17 +147,16 @@ def _gradient_div_duality(spaces, ops) -> CheckResult:
 def run_checks(verbose: bool = True) -> list[CheckResult]:
     mesh = build_torus_mesh(2)
     spaces = build_spaces(mesh)
-    ops = forms.assemble_operators(spaces)
     results = [
         _rule_exactness(),
         _mesh_volume(),
         _mesh_conformity(),
         _projection_idempotence(spaces),
-        *_skew_symmetry(spaces, ops),
+        *_skew_symmetry(spaces),
         _gap_identity(spaces),
-        _energy_identity(spaces, ops),
-        _divergence_bound(spaces, ops),
-        _gradient_div_duality(spaces, ops),
+        _energy_identity(spaces),
+        _divergence_bound(spaces),
+        _gradient_div_duality(spaces),
     ]
     if verbose:
         for r in results:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__, forms
+from . import __version__
 from .checks import run_checks
 from .diagnostics import build_report, energy_residuals
 from .fespace import build_spaces, velocity_h1_semi, velocity_l2, pressure_l2
@@ -44,7 +44,6 @@ EXIT_SOLVER = 2
 EXIT_CHECK = 3
 
 CSV_COLUMNS = ("step", "t", "u_l2", "grad_mid_l2", "p_l2", "energy_residual")
-THREADS_ENV = "TORUSNS_THREADS"
 
 
 @dataclass
@@ -202,10 +201,9 @@ def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
     t0 = time.time()
     mesh = build_torus_mesh(spec.n_cells)
     spaces = build_spaces(mesh)
-    ops = forms.assemble_operators(spaces)
     config = spec.scheme_config()
-    trajectory = run(config, spaces, ops, datum)
-    report = build_report(trajectory, spaces, ops, u0_norm=datum.l2_norm(),
+    trajectory = run(config, spaces, datum)
+    report = build_report(trajectory, spaces, u0_norm=datum.l2_norm(),
                           with_local_energy=spec.with_local_energy,
                           cn_threshold=spec.cn_threshold)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), trajectory, spaces)
@@ -218,8 +216,7 @@ def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
              picard_iters=trajectory.picard_iters,
              residuals=trajectory.residuals)
     meta = {"version": f"torusns-{__version__}",
-            "wall_time_s": f"{time.time() - t0:.3f}",
-            "threads": os.environ.get(THREADS_ENV, "default")}
+            "wall_time_s": f"{time.time() - t0:.3f}"}
     with open(os.path.join(out_dir, "runmeta.ini"), "w") as fh:
         fh.write(emit_config(spec, study, meta))
     return report
@@ -264,7 +261,8 @@ def run_study(study: StudySpec, out_dir):
         "local_energy_floor_nonincreasing":
             all(a >= b for a, b in zip(eps, eps[1:])),
         "increment_bound_decreasing": all(
-            a.gap_l2 > b.gap_l2 for a, b in zip(reports, reports[1:])),
+            a.increment_sum > b.increment_sum
+            for a, b in zip(reports, reports[1:])),
     }
     with open(os.path.join(out_dir, "study_verdicts.txt"), "w") as fh:
         for k, v in verdicts.items():
@@ -275,17 +273,16 @@ def run_study(study: StudySpec, out_dir):
 def rerender_report(traj_dir, out_dir):
     """Rebuild diagnostics from a stored trajectory dump."""
     spec, study = parse_config(os.path.join(traj_dir, "runmeta.ini"))
-    data = np.load(os.path.join(traj_dir, "trajectory.npz"))
     mesh = build_torus_mesh(spec.n_cells)
     spaces = build_spaces(mesh)
-    ops = forms.assemble_operators(spaces)
     from .steppers import DiscreteTrajectory
-    trajectory = DiscreteTrajectory(
-        config=spec.scheme_config(), h=spaces.h, times=data["times"],
-        u=data["u"], p=data["p"], picard_iters=data["picard_iters"],
-        residuals=data["residuals"])
+    with np.load(os.path.join(traj_dir, "trajectory.npz")) as data:
+        trajectory = DiscreteTrajectory(
+            config=spec.scheme_config(), h=spaces.h, times=data["times"],
+            u=data["u"], p=data["p"], picard_iters=data["picard_iters"],
+            residuals=data["residuals"])
     datum = preset_field(spec.datum, spec.seed, spec.degree)
-    report = build_report(trajectory, spaces, ops, u0_norm=datum.l2_norm(),
+    report = build_report(trajectory, spaces, u0_norm=datum.l2_norm(),
                           with_local_energy=spec.with_local_energy,
                           cn_threshold=spec.cn_threshold)
     os.makedirs(out_dir, exist_ok=True)
@@ -303,10 +300,6 @@ def rerender_report(traj_dir, out_dir):
 def _build_parser():
     ap = argparse.ArgumentParser(prog="torusns",
                                  description=__doc__.split("\n")[0])
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads for assembly reductions (results "
-                         "are identical for any value); the %s environment "
-                         "variable takes precedence" % THREADS_ENV)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="single trajectory with diagnostics")
@@ -334,8 +327,6 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None and THREADS_ENV not in os.environ:
-        os.environ[THREADS_ENV] = str(args.threads)
     try:
         if args.command == "run":
             spec, _ = parse_config(args.config)

@@ -207,11 +207,6 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     return out
 
 
-def local_energy_residual(trajectory: DiscreteTrajectory, spaces,
-                          test: SpaceTimeTest) -> float:
-    return float(local_energy_residuals(trajectory, spaces, [test])[0])
-
-
 # ---------------------------------------------------------------------------
 # explicit-scheme monitors
 # ---------------------------------------------------------------------------
@@ -382,7 +377,7 @@ class DiagnosticsReport:
         return json.dumps(self.to_json_dict(), indent=1, sort_keys=True)
 
 
-def build_report(trajectory: DiscreteTrajectory, spaces, ops,
+def build_report(trajectory: DiscreteTrajectory, spaces,
                  u0_norm: float | None = None,
                  with_local_energy: bool = True,
                  cn_threshold: float = 1.0) -> DiagnosticsReport:
@@ -401,7 +396,7 @@ def build_report(trajectory: DiscreteTrajectory, spaces, ops,
         scale = velocity_h1(spaces, um)
         if scale > 0:
             div_rel = max(div_rel,
-                          forms.divergence_norm(spaces, ops, um) / scale)
+                          forms.divergence_norm(spaces, um) / scale)
 
     u0_disc = velocity_l2(spaces, trajectory.u[0])
     local = None

@@ -99,15 +99,16 @@ class PressureSpace:
     dofmap: np.ndarray  # (E, 4)
 
 
-class ProjectionOperators:
-    """Mass operators, mean functionals and their factorizations."""
+class Operators:
+    """Structural operators of the pair and their mass factorizations."""
 
-    def __init__(self, M_s, A_s, Mp, int_s, int_p):
-        self.M_s = M_s
-        self.A_s = A_s
-        self.Mp = Mp
-        self.int_s = int_s
-        self.int_p = int_p
+    def __init__(self, M_s, A_s, Mp, B, int_s, int_p):
+        self.M_s = M_s       # scalar mass (velocity component block)
+        self.A_s = A_s       # scalar stiffness
+        self.Mp = Mp         # pressure mass
+        self.B = B           # (q, div v): pressure tests x velocity dofs
+        self.int_s = int_s   # integral of each scalar velocity basis fn
+        self.int_p = int_p   # integral of each pressure basis fn
         self.lu_Ms = spla.splu(M_s.tocsc())
         self.lu_Mp = spla.splu(Mp.tocsc())
         self.lu_Ms_mean = spla.splu(_augment_with_mean(M_s, int_s))
@@ -119,8 +120,16 @@ def _augment_with_mean(M, integral):
     return sp.bmat([[M, col], [col.T, None]], format="csc")
 
 
+def _scatter(loc, row_dof, col_dof, shape) -> sp.csr_matrix:
+    """Sum element matrices loc[e, a, b] into the global entries
+    (row_dof[e, a], col_dof[e, b])."""
+    rows = np.repeat(row_dof, col_dof.shape[1], axis=1).ravel()
+    cols = np.tile(col_dof, (1, row_dof.shape[1])).ravel()
+    return sp.coo_matrix((np.ravel(loc), (rows, cols)), shape=shape).tocsr()
+
+
 class FESpacePair:
-    """Velocity/pressure pair with shared tables and projections."""
+    """Velocity/pressure pair with shared tables and its operators (`ops`)."""
 
     def __init__(self, mesh: PeriodicMesh, degree: int = DEFAULT_DEGREE):
         self.mesh = mesh
@@ -131,7 +140,7 @@ class FESpacePair:
             [mesh.tetrahedra, (nv + np.arange(nt))[:, None]], axis=1)
         self.velocity = VelocitySpace(mesh, n_s, 3 * n_s, dof_v)
         self.pressure = PressureSpace(mesh, nv, mesh.tetrahedra)
-        self.ops = ProjectionOperators(*self._assemble_structural())
+        self.ops = Operators(*self._assemble_structural())
 
     # convenience ------------------------------------------------------
     @property
@@ -144,37 +153,36 @@ class FESpacePair:
 
     def _assemble_structural(self):
         t = self.tables
-        mesh = self.mesh
-        E = mesh.n_tets
-        n_s = self.velocity.n_scalar
+        E = self.mesh.n_tets
+        n_s, n_p = self.velocity.n_scalar, self.pressure.dim
         dof = self.velocity.dofmap
+        dof_p = self.pressure.dofmap
 
         M_loc = np.einsum("q,qa,qb->ab", t.w_phys, t.N, t.N)
         A_loc = np.einsum("q,tqac,tqbc->tab", t.w_phys, t.grad, t.grad)
-        rows = np.repeat(dof, N_LOCAL, axis=1).ravel()
-        cols = np.tile(dof, (1, N_LOCAL)).ravel()
-        M_s = sp.coo_matrix(
-            (np.tile(M_loc.ravel(), E), (rows, cols)),
-            shape=(n_s, n_s)).tocsr()
-        A_s = sp.coo_matrix(
-            (A_loc[mesh.tet_type].ravel(), (rows, cols)),
-            shape=(n_s, n_s)).tocsr()
+        M_s = _scatter(np.broadcast_to(M_loc, (E,) + M_loc.shape), dof, dof,
+                       (n_s, n_s))
+        A_s = _scatter(A_loc[self.mesh.tet_type], dof, dof, (n_s, n_s))
 
-        dof_p = self.pressure.dofmap
         Mp_loc = np.einsum("q,qa,qb->ab", t.w_phys, t.N[:, :4], t.N[:, :4])
-        rows_p = np.repeat(dof_p, N_LOCAL_P, axis=1).ravel()
-        cols_p = np.tile(dof_p, (1, N_LOCAL_P)).ravel()
-        Mp = sp.coo_matrix(
-            (np.tile(Mp_loc.ravel(), E), (rows_p, cols_p)),
-            shape=(self.pressure.dim, self.pressure.dim)).tocsr()
+        Mp = _scatter(np.broadcast_to(Mp_loc, (E,) + Mp_loc.shape),
+                      dof_p, dof_p, (n_p, n_p))
+
+        # B[j, c*n_s + a] = (psi_j, d_c N_a); one directional block at a time.
+        blocks = []
+        for c in range(3):
+            loc = np.einsum("q,qj,eqac->eja", t.w_phys, t.N[:, :4],
+                            t.grad_per_elem[:, :, :, c:c + 1])
+            blocks.append(_scatter(loc, dof_p, dof, (n_p, n_s)))
+        B = sp.hstack(blocks, format="csr")
 
         int_loc = t.w_phys @ t.N
         int_s = np.zeros(n_s)
         np.add.at(int_s, dof, np.broadcast_to(int_loc, dof.shape))
-        int_p = np.zeros(self.pressure.dim)
+        int_p = np.zeros(n_p)
         np.add.at(int_p, dof_p,
                   np.broadcast_to(int_loc[:4], dof_p.shape))
-        return M_s, A_s, Mp, int_s, int_p
+        return M_s, A_s, Mp, B, int_s, int_p
 
 
 def build_spaces(mesh: PeriodicMesh, degree: int = DEFAULT_DEGREE) -> FESpacePair:
@@ -320,37 +328,19 @@ def project_pressure_values(spaces, pointwise):
 # measured structural constants
 # ---------------------------------------------------------------------------
 
-def _pressure_gradient_coupling(spaces):
-    """G_c[a, j] = (N_a, d_c psi_j), one sparse matrix per direction."""
-    t = spaces.tables
-    mesh = spaces.mesh
-    n_s = spaces.n_scalar
-    dof = spaces.velocity.dofmap
-    dof_p = spaces.pressure.dofmap
-    rows = np.repeat(dof, N_LOCAL_P, axis=1).ravel()
-    cols = np.tile(dof_p, (1, N_LOCAL)).ravel()
-    out = []
-    for c in range(3):
-        loc = np.einsum("q,qa,eqjc->eaj", t.w_phys, t.N,
-                        t.grad_per_elem[:, :, :4, c:c + 1])
-        out.append(sp.coo_matrix(
-            (loc.ravel(), (rows, cols)),
-            shape=(n_s, spaces.pressure.dim)).tocsr())
-    return out
-
-
 def inf_sup_constant(spaces, constrain_mean: bool = True) -> float:
     """Smallest ratio |pi_h(grad q)|_2 / |q|_2 over the pressure space.
 
     Computed as the square root of the smallest eigenvalue of the dense
-    pencil (G^T M^-1 G, Mp) reduced to the zero-mean subspace.  With the
-    constant direction kept in, the minimum is zero.
+    pencil (B_c M^-1 B_c^T summed over directions c, Mp) reduced to the
+    zero-mean subspace, with B_c the c-th velocity block of B (by parts,
+    (N_a, d_c psi_j) = -B_c[j, a]).  With the constant direction kept
+    in, the minimum is zero.
     """
-    G = _pressure_gradient_coupling(spaces)
-    n_p = spaces.pressure.dim
+    n_s, n_p = spaces.n_scalar, spaces.pressure.dim
     K = np.zeros((n_p, n_p))
-    for Gc in G:
-        dense = Gc.toarray()
+    for c in range(3):
+        dense = spaces.ops.B[:, c * n_s:(c + 1) * n_s].T.toarray()
         K += dense.T @ spaces.ops.lu_Ms.solve(dense)
     K = 0.5 * (K + K.T)
     Mp = spaces.ops.Mp.toarray()
@@ -456,8 +446,6 @@ def _weighted_scalar_matrix(spaces, weight, grad_left=False, grad_right=False,
     """Assemble (D_l(N_a w), D_r N_b) with optional gradients; `weight`
     and `weight_grad` are pointwise samples of w and its gradient."""
     t = spaces.tables
-    n_s = spaces.n_scalar
-    dof = spaces.velocity.dofmap
     Nv = np.broadcast_to(t.N, (spaces.mesh.n_tets,) + t.N.shape)
     g = t.grad_per_elem
     if grad_left:
@@ -470,10 +458,8 @@ def _weighted_scalar_matrix(spaces, weight, grad_left=False, grad_right=False,
         loc = np.einsum("q,eqac,eqbc->eab", t.w_phys, left, g)
     else:
         loc = np.einsum("q,eqa,eqb->eab", t.w_phys, left, Nv)
-    rows = np.repeat(dof, N_LOCAL, axis=1).ravel()
-    cols = np.tile(dof, (1, N_LOCAL)).ravel()
-    return sp.coo_matrix((loc.ravel(), (rows, cols)),
-                         shape=(n_s, n_s)).tocsr()
+    dof = spaces.velocity.dofmap
+    return _scatter(loc, dof, dof, (spaces.n_scalar,) * 2)
 
 
 def _largest_eigenvalue(apply_q, H) -> float:
@@ -539,11 +525,7 @@ def _gram_of_products(spaces, pv, pg):
                  + Nv[..., None] * pg[:, :, None, :])
     loc = np.einsum("q,eqac,eqbc->eab", t.w_phys, prod_grad, prod_grad)
     dof = spaces.velocity.dofmap
-    n_s = spaces.n_scalar
-    rows = np.repeat(dof, N_LOCAL, axis=1).ravel()
-    cols = np.tile(dof, (1, N_LOCAL)).ravel()
-    return sp.coo_matrix((loc.ravel(), (rows, cols)),
-                         shape=(n_s, n_s)).tocsr()
+    return _scatter(loc, dof, dof, (spaces.n_scalar,) * 2)
 
 
 def pressure_commutator_constant(spaces, phi) -> float:
@@ -552,15 +534,11 @@ def pressure_commutator_constant(spaces, phi) -> float:
     pts = t.quad_points
     pv = phi.value(pts)
     dof = spaces.pressure.dofmap
-    n_p = spaces.pressure.dim
     Np = np.broadcast_to(t.N[:, :4], (spaces.mesh.n_tets, t.N.shape[0], 4))
-    rows = np.repeat(dof, N_LOCAL_P, axis=1).ravel()
-    cols = np.tile(dof, (1, N_LOCAL_P)).ravel()
 
     def weighted(w):
         loc = np.einsum("q,eqa,eqb->eab", t.w_phys, Np * w[..., None], Np)
-        return sp.coo_matrix((loc.ravel(), (rows, cols)),
-                             shape=(n_p, n_p)).tocsr()
+        return _scatter(loc, dof, dof, (spaces.pressure.dim,) * 2)
 
     W = weighted(pv)
     W2 = weighted(pv ** 2)
@@ -573,16 +551,3 @@ def pressure_commutator_constant(spaces, phi) -> float:
 
     lam = _largest_eigenvalue(apply_q, spaces.h ** 2 * spaces.ops.Mp)
     return float(np.sqrt(max(lam, 0.0)) / phi.wkinf_norm(1))
-
-
-# ---------------------------------------------------------------------------
-# debugging export
-# ---------------------------------------------------------------------------
-
-def write_coo_text(matrix, path) -> None:
-    """Triplet dump: header 'COO nrows ncols nnz', then 'row col value'."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write("COO %d %d %d\n" % (coo.shape[0], coo.shape[1], coo.nnz))
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write("%d %d %.17g\n" % (r, c, v))

@@ -1,4 +1,4 @@
-"""Bilinear operators and the three discrete convective forms.
+"""Convection operators and the three discrete convective forms.
 
 The convective trilinear form comes in three flavours:
 
@@ -13,21 +13,18 @@ The convective trilinear form comes in three flavours:
   gradient 0.5 grad K(v.u); the gradient pairing is evaluated through
   integration by parts as -0.5 (K(v.u), div w), exact on the torus.
 
-The divergence coupling B maps velocity coefficients to pressure-test
-values (q, div v).  Testing against constants gives exactly zero, so B
+The divergence coupling B (`spaces.ops.B`, assembled with the spaces)
+maps velocity coefficients to pressure-test values (q, div v).  Testing against constants gives exactly zero, so B
 annihilates the constant pressure direction by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import (N_LOCAL, N_LOCAL_P, FESpacePair, pressure_values,
-                      project_pressure_values, quad_integral,
+from .fespace import (_scatter, project_pressure_values, quad_integral,
                       velocity_gradients, velocity_h1_semi, velocity_l2,
                       velocity_values)
 
@@ -36,49 +33,6 @@ from .fespace import (N_LOCAL, N_LOCAL_P, FESpacePair, pressure_values,
 _EPS = np.zeros((3, 3, 3))
 _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
-
-
-@dataclass
-class AssembledOperators:
-    """Sparse operators shared by the steppers and diagnostics."""
-
-    M_s: sp.csr_matrix       # scalar mass (velocity component block)
-    A_s: sp.csr_matrix       # scalar stiffness
-    Mp: sp.csr_matrix        # pressure mass
-    B: sp.csr_matrix         # (q, div v): pressure tests x velocity dofs
-    int_s: np.ndarray        # integral of each scalar velocity basis fn
-    int_p: np.ndarray        # integral of each pressure basis fn
-
-    def mass_apply(self, coeffs):
-        c = np.asarray(coeffs).reshape(3, -1)
-        return (self.M_s @ c.T).T.ravel()
-
-    def stiffness_apply(self, coeffs):
-        c = np.asarray(coeffs).reshape(3, -1)
-        return (self.A_s @ c.T).T.ravel()
-
-
-def assemble_operators(spaces: FESpacePair) -> AssembledOperators:
-    t = spaces.tables
-    mesh = spaces.mesh
-    n_s = spaces.n_scalar
-    dof_v = spaces.velocity.dofmap
-    dof_p = spaces.pressure.dofmap
-
-    # B[j, c*n_s + a] = (psi_j, d_c N_a); one directional block at a time.
-    blocks = []
-    rows = np.repeat(dof_p, N_LOCAL, axis=1).ravel()
-    cols = np.tile(dof_v, (1, N_LOCAL_P)).ravel()
-    for c in range(3):
-        loc = np.einsum("q,qj,eqac->eja", t.w_phys, t.N[:, :4],
-                        t.grad_per_elem[:, :, :, c:c + 1])
-        blocks.append(sp.coo_matrix(
-            (loc.ravel(), (rows, cols)),
-            shape=(spaces.pressure.dim, n_s)).tocsr())
-    B = sp.hstack(blocks, format="csr")
-    return AssembledOperators(M_s=spaces.ops.M_s, A_s=spaces.ops.A_s,
-                              Mp=spaces.ops.Mp, B=B,
-                              int_s=spaces.ops.int_s, int_p=spaces.ops.int_p)
 
 
 # ---------------------------------------------------------------------------
@@ -93,34 +47,26 @@ def transport_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
     velocity component independently.
     """
     t = spaces.tables
-    n_s = spaces.n_scalar
     dof = spaces.velocity.dofmap
     uvals = velocity_values(spaces, advect_coeffs)           # (E, Q, 3)
     udotgrad = np.einsum("eqc,eqbc->eqb", uvals, t.grad_per_elem)
     term = np.einsum("q,qa,eqb->eab", t.w_phys, t.N, udotgrad)
     loc = 0.5 * (term - term.transpose(0, 2, 1))
-    rows = np.repeat(dof, N_LOCAL, axis=1).ravel()
-    cols = np.tile(dof, (1, N_LOCAL)).ravel()
-    return sp.coo_matrix((loc.ravel(), (rows, cols)),
-                         shape=(n_s, n_s)).tocsr()
+    return _scatter(loc, dof, dof, (spaces.n_scalar,) * 2)
 
 
 def curl_weighted_mass(spaces, advect_coeffs):
     """W_k[a, b] = ((curl u)_k N_a, N_b) for k = 0, 1, 2."""
     t = spaces.tables
-    n_s = spaces.n_scalar
     dof = spaces.velocity.dofmap
     g = velocity_gradients(spaces, advect_coeffs)            # (E, Q, i, j)
     curl = np.stack([g[..., 2, 1] - g[..., 1, 2],
                      g[..., 0, 2] - g[..., 2, 0],
                      g[..., 1, 0] - g[..., 0, 1]], axis=-1)  # (E, Q, 3)
-    rows = np.repeat(dof, N_LOCAL, axis=1).ravel()
-    cols = np.tile(dof, (1, N_LOCAL)).ravel()
     out = []
     for k in range(3):
         loc = np.einsum("q,eq,qa,qb->eab", t.w_phys, curl[..., k], t.N, t.N)
-        out.append(sp.coo_matrix((loc.ravel(), (rows, cols)),
-                                 shape=(n_s, n_s)).tocsr())
+        out.append(_scatter(loc, dof, dof, (spaces.n_scalar,) * 2))
     return out
 
 
@@ -160,19 +106,14 @@ def convection_matrix(spaces, case: int, advect_coeffs) -> sp.csr_matrix:
 def bernoulli_rhs_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
     """R[j, (c, a)] = (psi_j, N_a u_c): projects z.u into the pressure space."""
     t = spaces.tables
-    n_s = spaces.n_scalar
-    dof_v = spaces.velocity.dofmap
-    dof_p = spaces.pressure.dofmap
+    shape = (spaces.pressure.dim, spaces.n_scalar)
     uvals = velocity_values(spaces, advect_coeffs)
-    rows = np.repeat(dof_p, N_LOCAL, axis=1).ravel()
-    cols = np.tile(dof_v, (1, N_LOCAL_P)).ravel()
     blocks = []
     for c in range(3):
         loc = np.einsum("q,qj,qa,eq->eja", t.w_phys, t.N[:, :4], t.N,
                         uvals[:, :, c])
-        blocks.append(sp.coo_matrix(
-            (loc.ravel(), (rows, cols)),
-            shape=(spaces.pressure.dim, n_s)).tocsr())
+        blocks.append(_scatter(loc, spaces.pressure.dofmap,
+                               spaces.velocity.dofmap, shape))
     return sp.hstack(blocks, format="csr")
 
 
@@ -213,27 +154,28 @@ def bernoulli_projection(spaces, u, v):
     return project_pressure_values(spaces, (uvals * vvals).sum(-1))
 
 
-def b_case3(spaces, ops: AssembledOperators, u, v, w) -> float:
+def b_case3(spaces, u, v, w) -> float:
     """Rotational form plus projected dynamic-pressure gradient.
 
     The gradient pairing 0.5 (grad K(u.v), w) is evaluated by parts as
     -0.5 (K(u.v), div w), which the quadrature reproduces exactly.
     """
     kh = bernoulli_projection(spaces, u, v)
-    return b_case2(spaces, u, v, w) - 0.5 * float(kh @ (ops.B @ np.asarray(w)))
+    B = spaces.ops.B
+    return b_case2(spaces, u, v, w) - 0.5 * float(kh @ (B @ np.asarray(w)))
 
 
-def b_form(spaces, ops, case, u, v, w) -> float:
+def b_form(spaces, case, u, v, w) -> float:
     if case == 1:
         return b_case1(spaces, u, v, w)
     if case == 2:
         return b_case2(spaces, u, v, w)
     if case == 3:
-        return b_case3(spaces, ops, u, v, w)
+        return b_case3(spaces, u, v, w)
     raise ValueError(f"unknown convective case {case}")
 
 
-def convection_rhs(spaces, ops, case, u) -> np.ndarray:
+def convection_rhs(spaces, case, u) -> np.ndarray:
     """Vector of b_h(u, u, phi_i) over all velocity test functions."""
     u = np.asarray(u)
     if case == 1:
@@ -242,11 +184,11 @@ def convection_rhs(spaces, ops, case, u) -> np.ndarray:
     out = rotation_matrix(spaces, u) @ u
     if case == 3:
         kh = bernoulli_projection(spaces, u, u)
-        out = out - 0.5 * (ops.B.T @ kh)
+        out = out - 0.5 * (spaces.ops.B.T @ kh)
     return out
 
 
-def estimate_constants(spaces, ops, case, samples) -> float:
+def estimate_constants(spaces, case, samples) -> float:
     """Largest |b(u,v,w)| / (|grad u| |grad v| |w|^0.5 |grad w|^0.5).
 
     Null samples (any factor of the denominator zero) are skipped; an
@@ -259,7 +201,7 @@ def estimate_constants(spaces, ops, case, samples) -> float:
                  * np.sqrt(velocity_h1_semi(spaces, w)))
         if denom == 0.0:
             continue
-        ratio = abs(b_form(spaces, ops, case, u, v, w)) / denom
+        ratio = abs(b_form(spaces, case, u, v, w)) / denom
         best = ratio if best is None else max(best, ratio)
     if best is None:
         raise ValueError("all samples have a vanishing denominator")
@@ -270,19 +212,20 @@ def estimate_constants(spaces, ops, case, samples) -> float:
 # divergence handling
 # ---------------------------------------------------------------------------
 
-def divergence_norm(spaces, ops: AssembledOperators, u) -> float:
+def divergence_norm(spaces, u) -> float:
     """Largest |(div u, q)| / |q|_2 over the pressure space."""
-    r = ops.B @ np.asarray(u)
+    r = spaces.ops.B @ np.asarray(u)
     return float(np.sqrt(max(0.0, r @ spaces.ops.lu_Mp.solve(r))))
 
 
-def project_div_free(spaces, ops: AssembledOperators, coeffs) -> np.ndarray:
+def project_div_free(spaces, coeffs) -> np.ndarray:
     """Mass-orthogonal projection onto the discretely divergence-free,
     componentwise zero-mean velocity subspace."""
+    ops = spaces.ops
     n_u = 3 * spaces.n_scalar
     n_p = spaces.pressure.dim
-    M = sp.kron(sp.identity(3), spaces.ops.M_s, format="csr")
-    Cu = sp.kron(sp.identity(3), sp.csr_matrix(spaces.ops.int_s[None, :]),
+    M = sp.kron(sp.identity(3), ops.M_s, format="csr")
+    Cu = sp.kron(sp.identity(3), sp.csr_matrix(ops.int_s[None, :]),
                  format="csr")
     K = sp.bmat([[M, ops.B.T, Cu.T],
                  [ops.B, None, None],

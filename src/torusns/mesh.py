@@ -167,11 +167,6 @@ def build_torus_mesh(n_cells: int) -> PeriodicMesh:
                         tet_corner=tet_corner, tet_type=tet_type)
 
 
-def mesh_size(mesh: PeriodicMesh) -> float:
-    """Maximum element diameter; sqrt(3) * 2*pi / n for this family."""
-    return mesh.h
-
-
 def conformity_ok(mesh: PeriodicMesh) -> bool:
     """Every face shared by exactly two elements.
 

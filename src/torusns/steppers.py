@@ -114,9 +114,9 @@ class StepResult:
 class _Workspace:
     """Constant blocks shared by every step of one trajectory."""
 
-    def __init__(self, spaces, ops, config):
+    def __init__(self, spaces, config):
+        ops = spaces.ops
         self.spaces = spaces
-        self.ops = ops
         self.config = config
         n_s = spaces.n_scalar
         dt, nu = config.dt, config.nu
@@ -136,7 +136,7 @@ class _Workspace:
     def assemble(self, conv=None, conv_factor=0.0, R=None, rhs_u=None,
                  rhs_kappa=None) -> SaddleSystem:
         """Blocks: [u, p, (kappa), alpha, beta]."""
-        ops = self.ops
+        ops = self.spaces.ops
         F = self.F0 if conv is None else (self.F0 + conv_factor * conv).tocsr()
         with_kappa = R is not None
         rows = [[F, -ops.B.T] + ([-0.5 * ops.B.T] if with_kappa else [])
@@ -186,10 +186,10 @@ def _system_for_frozen_advection(ws: _Workspace, case, advect, weight, u_prev):
 # single steps
 # ---------------------------------------------------------------------------
 
-def step_cn(u_prev, config, spaces, ops, step_index=None,
+def step_cn(u_prev, config, spaces, step_index=None,
             ws: _Workspace | None = None) -> StepResult:
     """One implicit-midpoint step, Picard iteration on the midpoint."""
-    ws = ws or _Workspace(spaces, ops, config)
+    ws = ws or _Workspace(spaces, config)
     u_prev = np.asarray(u_prev, dtype=float)
     scale = max(1.0, velocity_l2(spaces, u_prev))
     w = u_prev.copy()
@@ -220,10 +220,10 @@ def step_cn(u_prev, config, spaces, ops, step_index=None,
                       residual=float(resid))
 
 
-def step_cnle(u_prev, u_prev2, config, spaces, ops, step_index=None,
+def step_cnle(u_prev, u_prev2, config, spaces, step_index=None,
               ws: _Workspace | None = None) -> StepResult:
     """One linearly-implicit step with extrapolated advecting field."""
-    ws = ws or _Workspace(spaces, ops, config)
+    ws = ws or _Workspace(spaces, config)
     advect = 3.0 * np.asarray(u_prev) - np.asarray(u_prev2)
     system = _system_for_frozen_advection(ws, 1, advect, 0.5, u_prev)
     sol = solve_saddle(system)
@@ -232,7 +232,7 @@ def step_cnle(u_prev, u_prev2, config, spaces, ops, step_index=None,
                       / max(1.0, float(np.linalg.norm(system.rhs))))
 
 
-def step_cnab(u_prev, u_prev2, config, spaces, ops, step_index=None,
+def step_cnab(u_prev, u_prev2, config, spaces, step_index=None,
               factor: Factorization | None = None,
               ws: _Workspace | None = None) -> StepResult:
     """One step with explicit two-level convection.
@@ -240,9 +240,9 @@ def step_cnab(u_prev, u_prev2, config, spaces, ops, step_index=None,
     The matrix does not depend on the history, so callers advancing a
     trajectory pass a cached `factor`.
     """
-    ws = ws or _Workspace(spaces, ops, config)
-    conv = (1.5 * forms.convection_rhs(spaces, ops, config.case, u_prev)
-            - 0.5 * forms.convection_rhs(spaces, ops, config.case, u_prev2))
+    ws = ws or _Workspace(spaces, config)
+    conv = (1.5 * forms.convection_rhs(spaces, config.case, u_prev)
+            - 0.5 * forms.convection_rhs(spaces, config.case, u_prev2))
     rhs_u = ws.base_rhs_u(np.asarray(u_prev)) - conv
     system = ws.assemble(rhs_u=rhs_u)
     sol = solve_saddle(system, factor=factor)
@@ -251,9 +251,9 @@ def step_cnab(u_prev, u_prev2, config, spaces, ops, step_index=None,
                       / max(1.0, float(np.linalg.norm(system.rhs))))
 
 
-def cnab_factorization(config, spaces, ops,
+def cnab_factorization(config, spaces,
                        ws: _Workspace | None = None) -> Factorization:
-    ws = ws or _Workspace(spaces, ops, config)
+    ws = ws or _Workspace(spaces, config)
     return ws.assemble(rhs_u=np.zeros(3 * spaces.n_scalar)).factorize()
 
 
@@ -261,7 +261,7 @@ def cnab_factorization(config, spaces, ops,
 # trajectories
 # ---------------------------------------------------------------------------
 
-def run(config: SchemeConfig, spaces, ops, u0) -> DiscreteTrajectory:
+def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     """Advance a full trajectory from the datum u0.
 
     `u0` may be a smooth field (anything `project_velocity` accepts) or a
@@ -274,7 +274,7 @@ def run(config: SchemeConfig, spaces, ops, u0) -> DiscreteTrajectory:
         coeffs = np.asarray(u0, dtype=float)
     else:
         coeffs = project_velocity(spaces, u0)
-    start = forms.project_div_free(spaces, ops, coeffs)
+    start = forms.project_div_free(spaces, coeffs)
 
     N = config.N
     u = np.zeros((N + 1, 3 * spaces.n_scalar))
@@ -282,21 +282,19 @@ def run(config: SchemeConfig, spaces, ops, u0) -> DiscreteTrajectory:
     iters = np.zeros(N, dtype=int)
     resids = np.zeros(N)
     u[0] = start
-    ws = _Workspace(spaces, ops, config)
+    ws = _Workspace(spaces, config)
     cnab_factor = None
     for m in range(1, N + 1):
         try:
             if m == 1 or config.scheme == "CN":
-                res = step_cn(u[m - 1], config, spaces, ops, step_index=m,
-                              ws=ws)
+                res = step_cn(u[m - 1], config, spaces, step_index=m, ws=ws)
             elif config.scheme == "CNLE":
-                res = step_cnle(u[m - 1], u[m - 2], config, spaces, ops,
+                res = step_cnle(u[m - 1], u[m - 2], config, spaces,
                                 step_index=m, ws=ws)
             else:
                 if cnab_factor is None:
-                    cnab_factor = cnab_factorization(config, spaces, ops,
-                                                     ws=ws)
-                res = step_cnab(u[m - 1], u[m - 2], config, spaces, ops,
+                    cnab_factor = cnab_factorization(config, spaces, ws=ws)
+                res = step_cnab(u[m - 1], u[m - 2], config, spaces,
                                 step_index=m, factor=cnab_factor, ws=ws)
         except StepperError:
             raise

@@ -166,12 +166,6 @@ class TrigVector:
             f[1].diff(0) - f[0].diff(1),
         ))
 
-    def dot(self, other: "TrigVector") -> TrigPoly:
-        out = TrigPoly()
-        for a, b in zip(self.components, other.components):
-            out = out + a * b
-        return out
-
     def l2_norm_sq(self) -> float:
         return sum(c.l2_norm_sq() for c in self.components)
 

@@ -3,7 +3,6 @@ import pytest
 
 from torusns.diagnostics import build_report
 from torusns.fespace import build_spaces
-from torusns.forms import assemble_operators
 from torusns.mesh import build_torus_mesh
 from torusns.steppers import SchemeConfig, run
 from torusns.trig import sine_shear, tg_like
@@ -11,13 +10,13 @@ from torusns.trig import sine_shear, tg_like
 
 @pytest.fixture(scope="session")
 def level():
-    """Shared (spaces, operators) per mesh level; built once per session."""
+    """Shared spaces (with their operators) per mesh level; built once
+    per session."""
     cache = {}
 
     def get(n):
         if n not in cache:
-            spaces = build_spaces(build_torus_mesh(n))
-            cache[n] = (spaces, assemble_operators(spaces))
+            cache[n] = build_spaces(build_torus_mesh(n))
         return cache[n]
 
     return get
@@ -26,19 +25,19 @@ def level():
 @pytest.fixture(scope="session")
 def cn_runs(level):
     """Midpoint-scheme trajectories for all three convective cases."""
-    spaces, ops = level(3)
+    spaces = level(3)
     out = {}
     for case in (1, 2, 3):
         cfg = SchemeConfig(scheme="CN", case=case, nu=0.1, T=1.0, N=16)
-        out[case] = run(cfg, spaces, ops, tg_like())
+        out[case] = run(cfg, spaces, tg_like())
     return out
 
 
 @pytest.fixture(scope="session")
 def cnle_run(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     cfg = SchemeConfig(scheme="CNLE", case=1, nu=0.1, T=1.0, N=16)
-    return run(cfg, spaces, ops, tg_like())
+    return run(cfg, spaces, tg_like())
 
 
 @pytest.fixture(scope="session")
@@ -48,13 +47,13 @@ def cnab_runs(level):
     The step sizes differ by a factor 100 at fixed mesh; the large one
     overflows on purpose, so arithmetic warnings are silenced.
     """
-    spaces, ops = level(3)
+    spaces = level(3)
     out = {}
     with np.errstate(all="ignore"):
         for tag, dt in (("stable", 0.02), ("unstable", 2.0)):
             cfg = SchemeConfig(scheme="CNAB", case=1, nu=0.005, T=dt * 64,
                                N=64, c1=5.0)
-            out[tag] = run(cfg, spaces, ops, tg_like())
+            out[tag] = run(cfg, spaces, tg_like())
     return out
 
 
@@ -69,12 +68,12 @@ def shear_study(level):
     C = STUDY_DT2 / h2 ** STUDY_ALPHA
     rows = []
     for n in (2, 3, 4):
-        spaces, ops = level(n)
+        spaces = level(n)
         dt_target = C * spaces.h ** STUDY_ALPHA
         N = int(np.ceil(1.0 / dt_target))
         cfg = SchemeConfig(scheme="CN", case=1, nu=0.1, T=1.0, N=N)
-        traj = run(cfg, spaces, ops, sine_shear())
-        report = build_report(traj, spaces, ops,
+        traj = run(cfg, spaces, sine_shear())
+        report = build_report(traj, spaces,
                               u0_norm=sine_shear().l2_norm())
-        rows.append((n, spaces, ops, traj, report))
+        rows.append((n, spaces, traj, report))
     return rows

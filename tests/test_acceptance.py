@@ -34,7 +34,7 @@ def verdict(num, name, passed, detail):
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_skew_symmetry(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     worst = {"case1": 0.0, "case2": 0.0, "case3": 0.0}
     for seed in range(20):
         u = project_velocity(spaces, random_trig(3 * seed + 1, 2))
@@ -44,10 +44,10 @@ def test_criterion_1_skew_symmetry(level):
                              abs(b_case1(spaces, u, v, v)) / scale)
         worst["case2"] = max(worst["case2"],
                              abs(b_case2(spaces, u, v, v)) / scale)
-        vdf = project_div_free(spaces, ops, v)
+        vdf = project_div_free(spaces, v)
         scale3 = velocity_h1(spaces, u) * velocity_h1(spaces, vdf) ** 2
         worst["case3"] = max(worst["case3"],
-                             abs(b_case3(spaces, ops, u, vdf, vdf)) / scale3)
+                             abs(b_case3(spaces, u, vdf, vdf)) / scale3)
     ok = all(w <= 1e-10 for w in worst.values())
     assert verdict(1, "skew-symmetry", ok,
                    ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
@@ -58,7 +58,7 @@ def test_criterion_1_skew_symmetry(level):
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_cn_energy_equality(cn_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     ok = True
     details = []
     for case, traj in sorted(cn_runs.items()):
@@ -75,7 +75,7 @@ def test_criterion_2_cn_energy_equality(cn_runs, level):
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_cnle_energy_equality(cnle_run, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     res = np.abs(energy_residuals(cnle_run, spaces)).max()
     tol = 1e-9 * max(1.0, velocity_l2(spaces, cnle_run.u[0]) ** 2)
     assert verdict(3, "CNLE energy equality", res <= tol,
@@ -88,11 +88,11 @@ def test_criterion_3_cnle_energy_equality(cnle_run, level):
 
 def test_criterion_4_gap_identity(cn_runs, cnle_run, cnab_runs, shear_study,
                                   level):
-    spaces3, _ = level(3)
+    spaces3 = level(3)
     trajectories = [(spaces3, t) for t in cn_runs.values()]
     trajectories.append((spaces3, cnle_run))
     trajectories.append((spaces3, cnab_runs["stable"]))
-    trajectories += [(s, t) for _, s, _, t, _ in shear_study]
+    trajectories += [(s, t) for _, s, t, _ in shear_study]
     worst = 0.0
     for spaces, traj in trajectories:
         iset = InterpolantSet(traj, spaces)
@@ -122,7 +122,7 @@ def test_criterion_4_gap_identity(cn_runs, cnle_run, cnab_runs, shear_study,
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_gap_decay_under_coupling(shear_study):
-    gaps = [rep.gap_l2 for _, _, _, _, rep in shear_study]
+    gaps = [rep.gap_l2 for _, _, _, rep in shear_study]
     ok = all(a > b for a, b in zip(gaps, gaps[1:]))
     assert verdict(5, "coupled gap decay", ok,
                    "gaps " + " > ".join(f"{g:.5f}" for g in gaps))
@@ -133,8 +133,8 @@ def test_criterion_5_gap_decay_under_coupling(shear_study):
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_stability_constants(level):
-    infsup = [inf_sup_constant(level(n)[0]) for n in (2, 3, 4)]
-    invh = [inverse_constant(level(n)[0]) for n in (2, 3, 4)]
+    infsup = [inf_sup_constant(level(n)) for n in (2, 3, 4)]
+    invh = [inverse_constant(level(n)) for n in (2, 3, 4)]
     spread_is = (max(infsup) - min(infsup)) / min(infsup)
     spread_inv = (max(invh) - min(invh)) / min(invh)
     ok = spread_is < 0.5 and spread_inv < 0.25
@@ -175,7 +175,7 @@ def test_criterion_7_commutator_ratio_stability(level):
     phi = TrigPoly.constant(2.0) + TrigPoly.cosine((1, 0, 0))
     consts, samples = {}, {}
     for n in range(2, 9):
-        spaces, _ = level(n)
+        spaces = level(n)
         consts[n] = (spaces.h, commutator_constant(spaces, phi),
                      pressure_commutator_constant(spaces, phi))
         if n <= 6:
@@ -211,7 +211,7 @@ def test_criterion_7_commutator_ratio_stability(level):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_cnab_dichotomy(cnab_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     with np.errstate(all="ignore"):
         stable = cnab_monitor(cnab_runs["stable"], spaces, c1=5.0)
         unstable = cnab_monitor(cnab_runs["unstable"], spaces, c1=5.0)
@@ -235,7 +235,7 @@ def test_criterion_8_cnab_dichotomy(cnab_runs, level):
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_local_energy_trend(shear_study):
-    mins = [rep.local_energy_min for _, _, _, _, rep in shear_study]
+    mins = [rep.local_energy_min for _, _, _, rep in shear_study]
     eps = [max(0.0, -m) for m in mins]
     ok = all(a >= b for a, b in zip(eps, eps[1:]))
     assert verdict(9, "local energy floor", ok,
@@ -248,20 +248,20 @@ def test_criterion_9_local_energy_trend(shear_study):
 
 def test_criterion_10_divergence_everywhere(cn_runs, cnle_run, cnab_runs,
                                             shear_study, level):
-    spaces3, ops3 = level(3)
-    bundles = [(spaces3, ops3, t) for t in cn_runs.values()]
-    bundles.append((spaces3, ops3, cnle_run))
-    bundles += [(spaces3, ops3, cnab_runs[k]) for k in ("stable", "unstable")]
-    bundles += [(s, o, t) for _, s, o, t, _ in shear_study]
+    spaces3 = level(3)
+    bundles = [(spaces3, t) for t in cn_runs.values()]
+    bundles.append((spaces3, cnle_run))
+    bundles += [(spaces3, cnab_runs[k]) for k in ("stable", "unstable")]
+    bundles += [(s, t) for _, s, t, _ in shear_study]
     worst = 0.0
     checked = skipped = 0
-    for spaces, ops, traj in bundles:
+    for spaces, traj in bundles:
         for m in range(traj.n_steps + 1):
             u = traj.u[m]
             with np.errstate(over="ignore", invalid="ignore"):
                 if np.all(np.isfinite(u)):
                     scale = velocity_h1(spaces, u)
-                    ratio = (divergence_norm(spaces, ops, u) / scale
+                    ratio = (divergence_norm(spaces, u) / scale
                              if scale > 0.0 else 0.0)
                 else:
                     ratio = np.nan

@@ -1,12 +1,15 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import torusns.cli
 from torusns.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                          CSV_COLUMNS, RunSpec, StudySpec, emit_config, main,
-                         parse_config, run_single, run_study)
+                         parse_config, rerender_report, run_single,
+                         run_study)
 from torusns.steppers import ConfigError
 
 
@@ -160,11 +163,37 @@ def test_check_command():
     assert main(["check"]) == EXIT_OK
 
 
-def test_threads_flag_accepted(tmp_path, monkeypatch):
-    monkeypatch.delenv("TORUSNS_THREADS", raising=False)
-    cfg = write_cfg(tmp_path, BASE_CFG.replace("sine-shear", "zero"))
+def test_increment_verdict_reads_increment_sum(tmp_path, monkeypatch):
+    # gap_l2 falls while increment_sum grows: only the gap verdict holds
+    fake = iter([(0.4, 1.0), (0.2, 3.0)])
+
+    def run_single_stub(spec, out_dir, study=None):
+        gap, inc = next(fake)
+        return SimpleNamespace(
+            h=1.0, dt=0.1, gap_l2=gap, increment_sum=inc,
+            local_energy_min=0.0, pressure_ratio_max=0.0,
+            coupling=dict(cn_ratio=0.0, cn_pass=True, cnle_pass=True,
+                          cnab_dt_pass=True))
+
+    monkeypatch.setattr(torusns.cli, "run_single", run_single_stub)
+    study = StudySpec(base=RunSpec(datum="sine-shear"), levels=(2, 3))
+    _, verdicts = run_study(study, str(tmp_path / "st"))
+    assert verdicts["gap_strictly_decreasing"] is True
+    assert verdicts["increment_bound_decreasing"] is False
+
+
+def test_rerender_closes_trajectory_file(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, BASE_CFG)
     out = tmp_path / "out"
-    assert main(["--threads", "2", "run", "--config", cfg,
-                 "--out", str(out)]) == EXIT_OK
-    meta = (out / "runmeta.ini").read_text()
-    assert "threads = 2" in meta
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    opened = []
+    real_load = np.load
+
+    def load_spy(*args, **kwargs):
+        opened.append(real_load(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(torusns.cli.np, "load", load_spy)
+    rerender_report(str(out), str(tmp_path / "re"))
+    assert len(opened) == 1
+    assert opened[0].fid is None  # NpzFile.close() drops the file handle

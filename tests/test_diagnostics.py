@@ -6,8 +6,8 @@ import pytest
 from torusns.diagnostics import (SpaceTimeTest, TimeBump, build_report,
                                  cnab_first_step_check, cnab_monitor,
                                  default_test_family, energy_residuals,
-                                 global_energy_defect, local_energy_residual,
-                                 local_energy_residuals, pressure_ratios)
+                                 global_energy_defect, local_energy_residuals,
+                                 pressure_ratios)
 from torusns.fespace import velocity_h1_semi, velocity_l2
 from torusns.steppers import SchemeConfig, run
 from torusns.trig import TrigPoly, preset_field, tg_like
@@ -18,13 +18,13 @@ GAUSS_W = 0.5 * np.array([5.0, 8.0, 5.0]) / 9.0
 
 @pytest.fixture(scope="module")
 def zero_run(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     cfg = SchemeConfig(scheme="CNAB", case=1, nu=0.3, T=0.5, N=4, c1=1.0)
-    return run(cfg, spaces, ops, preset_field("zero"))
+    return run(cfg, spaces, preset_field("zero"))
 
 
 def test_zero_trajectory_metrics(zero_run, level):
-    spaces, ops = level(2)
+    spaces = level(2)
     assert np.abs(energy_residuals(zero_run, spaces)).max() == 0.0
     assert global_energy_defect(zero_run, spaces) == 0.0
     assert np.abs(pressure_ratios(zero_run, spaces)).max() == 0.0
@@ -38,7 +38,7 @@ def test_zero_trajectory_metrics(zero_run, level):
 
 
 def test_cn_energy_residuals_small(cn_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     for traj in cn_runs.values():
         res = energy_residuals(traj, spaces)
         scale = max(1.0, velocity_l2(spaces, traj.u[0]) ** 2)
@@ -46,16 +46,16 @@ def test_cn_energy_residuals_small(cn_runs, level):
 
 
 def test_cnab_residuals_are_reported_raw(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     cfg = SchemeConfig(scheme="CNAB", case=1, nu=0.1, T=0.5, N=8)
-    traj = run(cfg, spaces, ops, tg_like())
+    traj = run(cfg, spaces, tg_like())
     res = energy_residuals(traj, spaces)
     assert np.all(np.isfinite(res))
     assert np.abs(res).max() > 1e-8  # no balance identity for this scheme
 
 
 def test_global_defect_signs(cn_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     traj = cn_runs[1]
     cfg = traj.config
     scale = max(1.0, velocity_l2(spaces, traj.u[0]) ** 2)
@@ -70,27 +70,27 @@ def test_global_defect_signs(cn_runs, level):
 def test_pressure_ratios_bounded_across_levels(level):
     worst = 0.0
     for n in (2, 3, 4):
-        spaces, ops = level(n)
+        spaces = level(n)
         cfg = SchemeConfig(scheme="CN", case=1, nu=0.1, T=0.5, N=8)
-        traj = run(cfg, spaces, ops, tg_like())
+        traj = run(cfg, spaces, tg_like())
         worst = max(worst, pressure_ratios(traj, spaces).max())
     assert worst < 0.5
 
 
 def test_pressure_ratios_vanish_for_shear(shear_study):
-    for n, spaces, ops, traj, report in shear_study:
+    for n, spaces, traj, report in shear_study:
         assert report.pressure_ratio_max < 1e-10
 
 
 def test_local_energy_constant_factor_reduction(cn_runs, level):
     # a spatially constant test function reduces the localized balance
     # to the time-weighted global one; recompute that independently
-    spaces, _ = level(3)
+    spaces = level(3)
     traj = cn_runs[1]
     cfg = traj.config
     bump = TimeBump(cfg.T, 2)
     test = SpaceTimeTest("const", TrigPoly.constant(1.0), bump)
-    got = local_energy_residual(traj, spaces, test)
+    got = local_energy_residuals(traj, spaces, [test])[0]
     indep = 0.0
     for m in range(1, cfg.N + 1):
         t_nodes = (m - 1 + GAUSS_X) * cfg.dt
@@ -103,16 +103,16 @@ def test_local_energy_constant_factor_reduction(cn_runs, level):
 
 
 def test_local_energy_rejects_sign_changing_factor(cn_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     traj = cn_runs[1]
     bad = SpaceTimeTest("bad", TrigPoly.cosine((1, 0, 0)),
                         TimeBump(traj.config.T, 2))
     with pytest.raises(ValueError):
-        local_energy_residual(traj, spaces, bad)
+        local_energy_residuals(traj, spaces, [bad])
 
 
 def test_default_family_size_and_positivity(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     tests = default_test_family(1.0)
     assert len(tests) == 12
     pts = spaces.tables.quad_points
@@ -122,14 +122,14 @@ def test_default_family_size_and_positivity(level):
 
 
 def test_cnab_monitor_validation(zero_run, level):
-    spaces, _ = level(2)
+    spaces = level(2)
     with pytest.raises(ValueError):
         cnab_monitor(zero_run, spaces, c1=0.0)
 
 
 def test_first_step_check_scaling(cnab_runs, level):
     import dataclasses
-    spaces, _ = level(3)
+    spaces = level(3)
     traj = cnab_runs["stable"]
     base = cnab_first_step_check(traj, spaces, traj.h)
     doubled = dataclasses.replace(traj, u=2.0 * traj.u)
@@ -139,15 +139,15 @@ def test_first_step_check_scaling(cnab_runs, level):
 
 
 def test_first_step_check_nonpositive_on_stable_run(cnab_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     chk = cnab_first_step_check(cnab_runs["stable"], spaces,
                                 cnab_runs["stable"].h)
     assert chk.value <= 1e-10 * abs(chk.rhs)
 
 
 def test_report_serialization(cn_runs, level):
-    spaces, ops = level(3)
-    rep = build_report(cn_runs[1], spaces, ops,
+    spaces = level(3)
+    rep = build_report(cn_runs[1], spaces,
                        u0_norm=tg_like().l2_norm())
     text = rep.to_tab_text()
     for line in text.strip().splitlines():
@@ -160,9 +160,9 @@ def test_report_serialization(cn_runs, level):
 
 
 def test_report_cnab_sections(cnab_runs, level):
-    spaces, ops = level(3)
+    spaces = level(3)
     with np.errstate(all="ignore"):
-        rep = build_report(cnab_runs["stable"], spaces, ops,
+        rep = build_report(cnab_runs["stable"], spaces,
                            with_local_energy=False)
     assert rep.cnab is not None
     assert rep.first_step_check is not None

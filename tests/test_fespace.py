@@ -11,19 +11,19 @@ from torusns.fespace import (_gram_of_products, _weighted_scalar_matrix,
                              pressure_mean, pressure_values,
                              project_pressure, project_velocity,
                              quad_integral, velocity_l2, velocity_mean,
-                             velocity_values, write_coo_text)
+                             velocity_values)
 from torusns.mesh import build_torus_mesh
 from torusns.trig import BOX_VOLUME, TrigPoly, sine_shear, tg_like
 
 
 def test_project_zero_field(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     c = project_velocity(spaces, lambda pts: np.zeros(pts.shape))
     assert np.abs(c).max() == 0.0
 
 
 def test_projection_idempotent_on_members(level):
-    spaces, _ = level(3)
+    spaces = level(3)
     rng = np.random.default_rng(5)
     c = remove_mean(spaces, rng.standard_normal(3 * spaces.n_scalar))
     vals = velocity_values(spaces, c)
@@ -34,7 +34,7 @@ def test_projection_idempotent_on_members(level):
 def test_shear_projection_energy_monotone(level):
     energies = []
     for n in (2, 3, 4):
-        spaces, _ = level(n)
+        spaces = level(n)
         c = project_velocity(spaces, sine_shear())
         energies.append(velocity_l2(spaces, c) ** 2)
     target = BOX_VOLUME / 2.0
@@ -44,7 +44,7 @@ def test_shear_projection_energy_monotone(level):
 def test_projection_energy_against_independent_rule(level):
     # the coefficient norm must equal a quadrature of the represented
     # field under a finer, independently generated rule
-    spaces, _ = level(2)
+    spaces = level(2)
     c = project_velocity(spaces, sine_shear())
     fine = build_spaces(build_torus_mesh(2), degree=13)
     vals = velocity_values(fine, c)
@@ -53,7 +53,7 @@ def test_projection_energy_against_independent_rule(level):
 
 
 def test_projection_orthogonality(level):
-    spaces, _ = level(3)
+    spaces = level(3)
     from torusns.fespace import _scalar_load
     f = tg_like()
     c = project_velocity(spaces, f)
@@ -69,7 +69,7 @@ def test_projection_orthogonality(level):
 
 
 def test_projection_is_contraction(level):
-    spaces, _ = level(3)
+    spaces = level(3)
     for f in (sine_shear(), tg_like()):
         c = project_velocity(spaces, f)
         fnorm_sq = quad_integral(spaces,
@@ -79,7 +79,7 @@ def test_projection_is_contraction(level):
 
 
 def test_zero_mean_of_projections(level):
-    spaces, _ = level(3)
+    spaces = level(3)
     c = project_velocity(spaces, tg_like())
     assert np.abs(velocity_mean(spaces, c)).max() < 1e-10
     q = project_pressure(spaces, TrigPoly.cosine((1, 0, 0)))
@@ -87,7 +87,7 @@ def test_zero_mean_of_projections(level):
 
 
 def test_pressure_projection(level):
-    spaces, _ = level(3)
+    spaces = level(3)
     assert np.abs(project_pressure(spaces,
                                    lambda pts: np.zeros(pts.shape[:2]))).max() == 0.0
     # members reproduce themselves
@@ -106,7 +106,7 @@ def test_pressure_energy_from_below(level):
     # alignment and climbs cleanly
     cos_e, sin_e = [], []
     for n in (2, 3, 4):
-        spaces, _ = level(n)
+        spaces = level(n)
         qc = project_pressure(spaces, TrigPoly.cosine((1, 0, 0)))
         qs = project_pressure(spaces, TrigPoly.sine((1, 0, 0)))
         cos_e.append(pressure_l2(spaces, qc) ** 2)
@@ -118,18 +118,18 @@ def test_pressure_energy_from_below(level):
 
 
 def test_inf_sup_constant(level):
-    vals = [inf_sup_constant(level(n)[0]) for n in (2, 3, 4)]
+    vals = [inf_sup_constant(level(n)) for n in (2, 3, 4)]
     assert min(vals) > 0.1
     assert abs(vals[1] - vals[0]) / vals[0] < 0.5
     # the constant-pressure direction collapses the minimum
-    assert inf_sup_constant(level(2)[0], constrain_mean=False) < 1e-6
+    assert inf_sup_constant(level(2), constrain_mean=False) < 1e-6
 
 
 def test_inverse_constant(level):
-    prods = [inverse_constant(level(n)[0]) for n in (2, 3, 4)]
+    prods = [inverse_constant(level(n)) for n in (2, 3, 4)]
     assert (max(prods) - min(prods)) / max(prods) < 0.25
-    ratio_2 = prods[0] / level(2)[0].h
-    ratio_4 = prods[2] / level(4)[0].h
+    ratio_2 = prods[0] / level(2).h
+    ratio_4 = prods[2] / level(4).h
     assert 1.5 < ratio_4 / ratio_2 < 2.5
 
 
@@ -137,7 +137,7 @@ PHI = TrigPoly.constant(2.0) + TrigPoly.cosine((1, 0, 0))
 
 
 def test_commutator_trivial_cases(level):
-    spaces, _ = level(3)
+    spaces = level(3)
     v = project_velocity(spaces, sine_shear())
     flat = commutator_defect(spaces, v, TrigPoly.constant(1.0), l=1)
     assert flat.defect < 1e-9
@@ -153,7 +153,7 @@ def test_commutator_ratios_bounded(level):
     # ratio of this smooth q decays roughly like h, so only boundedness
     # is asserted here
     for n in (2, 3, 4):
-        spaces, _ = level(n)
+        spaces = level(n)
         v = project_velocity(spaces, sine_shear())
         r = commutator_defect(spaces, v, PHI, l=1)
         assert 0.0 < r.ratios[1] < 1.0
@@ -167,7 +167,7 @@ def test_commutator_constant_bounded(level):
     # levels, but uniformly small against the O(1) scale of the bound
     # (criterion 7 checks its growth and the per-field ratios against it)
     for n in (2, 3, 4):
-        spaces, _ = level(n)
+        spaces = level(n)
         assert 0.0 < commutator_constant(spaces, PHI) < 1.0
         assert 0.0 < pressure_commutator_constant(spaces, PHI) < 1.0
 
@@ -197,7 +197,7 @@ def _dense_commutator_constants(spaces, phi):
 
 def test_commutator_constants_match_dense_reference(level):
     for n in (2, 3):
-        spaces, _ = level(n)
+        spaces = level(n)
         ref_v, ref_p = _dense_commutator_constants(spaces, PHI)
         c_v = commutator_constant(spaces, PHI)
         c_p = pressure_commutator_constant(spaces, PHI)
@@ -206,15 +206,3 @@ def test_commutator_constants_match_dense_reference(level):
         assert commutator_constant(spaces, PHI) == c_v
         assert pressure_commutator_constant(spaces, PHI) == c_p
 
-
-def test_coo_export(level, tmp_path):
-    spaces, _ = level(2)
-    path = tmp_path / "mass.txt"
-    write_coo_text(spaces.ops.M_s, path)
-    lines = path.read_text().splitlines()
-    head = lines[0].split()
-    assert head[0] == "COO"
-    assert int(head[1]) == spaces.n_scalar
-    assert len(lines) == 1 + int(head[3])
-    r, c, v = lines[1].split()
-    assert float(v) != 0.0

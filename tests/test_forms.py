@@ -25,14 +25,15 @@ def rand_coeffs(spaces, seed):
 # ---------------------------------------------------------------------------
 
 def test_stiffness_kills_constants(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     const = np.zeros(spaces.n_scalar)
     const[:spaces.mesh.n_vertices] = 1.0
-    assert np.abs(ops.A_s @ const).max() < 1e-12 * np.abs(ops.A_s).max()
+    A_s = spaces.ops.A_s
+    assert np.abs(A_s @ const).max() < 1e-12 * np.abs(A_s).max()
 
 
 def test_mass_matches_independent_quadrature(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     c = rand_coeffs(spaces, 1)
     fine = build_spaces(build_torus_mesh(2), degree=13)
     vals = velocity_values(fine, c)
@@ -47,12 +48,12 @@ def test_divergence_operator_on_solenoidal_projection(level):
     shear_norms, generic_norms = [], []
     field = random_trig(77, 2, norm=10.0)
     for n in (2, 3, 4):
-        spaces, ops = level(n)
+        spaces = level(n)
         c = project_velocity(spaces, sine_shear())
-        shear_norms.append(divergence_norm(spaces, ops, c)
+        shear_norms.append(divergence_norm(spaces, c)
                            / velocity_h1(spaces, c))
         g = project_velocity(spaces, field)
-        generic_norms.append(divergence_norm(spaces, ops, g)
+        generic_norms.append(divergence_norm(spaces, g)
                              / velocity_h1(spaces, g))
     assert max(shear_norms) < 1e-12
     # parity resonance of the integer modes makes the decay non-monotone
@@ -61,20 +62,21 @@ def test_divergence_operator_on_solenoidal_projection(level):
 
 
 def test_constant_pressure_tests_vanish(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     w = rand_coeffs(spaces, 2)
     ones = np.ones(spaces.pressure.dim)
-    assert abs(ones @ (ops.B @ w)) < 1e-12 * np.abs(ops.B @ w).max()
+    Bw = spaces.ops.B @ w
+    assert abs(ones @ Bw) < 1e-12 * np.abs(Bw).max()
 
 
 def test_gradient_divergence_duality(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     rng = np.random.default_rng(3)
     q = rng.standard_normal(spaces.pressure.dim)
     w = rng.standard_normal(3 * spaces.n_scalar)
     lhs = quad_integral(spaces, (pressure_gradients(spaces, q)
                                  * velocity_values(spaces, w)).sum(-1))
-    rhs = -float(q @ (ops.B @ w))
+    rhs = -float(q @ (spaces.ops.B @ w))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
@@ -84,7 +86,7 @@ def test_gradient_divergence_duality(level):
 
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_trilinearity(level, case):
-    spaces, ops = level(2)
+    spaces = level(2)
     a, b, u, v, w = (rand_coeffs(spaces, s) for s in (10, 11, 12, 13, 14))
     alpha = 0.7310529
     for slot in range(3):
@@ -94,15 +96,15 @@ def test_trilinearity(level, case):
         args1[slot] = a
         args2 = [u, v, w]
         args2[slot] = b
-        lhs = b_form(spaces, ops, case, *combo)
-        rhs = (alpha * b_form(spaces, ops, case, *args1)
-               + b_form(spaces, ops, case, *args2))
+        lhs = b_form(spaces, case, *combo)
+        rhs = (alpha * b_form(spaces, case, *args1)
+               + b_form(spaces, case, *args2))
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) < 1e-12 * scale, f"slot {slot}"
 
 
 def test_skew_symmetry_cases_1_2(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     for seed in range(5):
         u = project_velocity(spaces, random_trig(2 * seed, 2))
         v = project_velocity(spaces, random_trig(2 * seed + 1, 2))
@@ -112,18 +114,18 @@ def test_skew_symmetry_cases_1_2(level):
 
 
 def test_case3_skew_on_div_free(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     u = project_velocity(spaces, random_trig(31, 2))
-    v = project_div_free(spaces, ops,
+    v = project_div_free(spaces,
                          project_velocity(spaces, random_trig(32, 2)))
     scale = velocity_h1(spaces, u) * velocity_h1(spaces, v) ** 2
-    assert abs(b_case3(spaces, ops, u, v, v)) <= 1e-10 * scale
+    assert abs(b_case3(spaces, u, v, v)) <= 1e-10 * scale
 
 
 def test_case1_matches_symmetrized_integrand(level):
     # the antisymmetric split equals the literal symmetrized quadrature
     # because the rule integrates the degree-11 integrands exactly
-    spaces, _ = level(2)
+    spaces = level(2)
     u, v, w = (rand_coeffs(spaces, s) for s in (20, 21, 22))
     uv = velocity_values(spaces, u)
     vg = velocity_gradients(spaces, v)
@@ -149,7 +151,7 @@ def test_case1_value_converges(level):
     target = BOX_VOLUME / 4.0  # integral of cos^2(x) sin^2(y)
     errs = []
     for n in (2, 3, 4):
-        spaces, _ = level(n)
+        spaces = level(n)
         cu, cv, cw = (project_velocity(spaces, f)
                       for f in (U_CASE1, V_CASE1, W_CASE1))
         errs.append(abs(b_case1(spaces, cu, cv, cw) - target))
@@ -166,7 +168,7 @@ def test_case2_value_converges(level):
     target = BOX_VOLUME / 4.0
     errs = []
     for n in (2, 3, 4):
-        spaces, _ = level(n)
+        spaces = level(n)
         cu, cv, cw = (project_velocity(spaces, f)
                       for f in (U_CASE1, V_CASE1, W_CASE2))
         errs.append(abs(b_case2(spaces, cu, cv, cw) - target))
@@ -186,7 +188,7 @@ def test_case2_vanishes_for_curl_free_advection(level):
     wf = random_trig(42, 1, norm=10.0)
     rels = []
     for n in (2, 3, 4):
-        spaces, _ = level(n)
+        spaces = level(n)
         u = project_velocity(spaces, GRAD_FIELD)
         v = project_velocity(spaces, vf)
         w = project_velocity(spaces, wf)
@@ -198,25 +200,25 @@ def test_case2_vanishes_for_curl_free_advection(level):
 
 
 def test_case3_reduces_to_case2_for_constant_product(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     n_s = spaces.n_scalar
     const = np.zeros(3 * n_s)
     for comp, val in enumerate((0.4, -1.2, 0.7)):
         const[comp * n_s:comp * n_s + spaces.mesh.n_vertices] = val
     w = rand_coeffs(spaces, 33)
     b2 = b_case2(spaces, const, const, w)
-    b3 = b_case3(spaces, ops, const, const, w)
+    b3 = b_case3(spaces, const, const, w)
     assert abs(b3 - b2) < 1e-12 * max(1.0, abs(b2))
 
 
 def test_case3_gradient_term_against_direct_form(level):
     # difference case3 - case2 must match +1/2 (grad K(u.v), w) with the
     # gradient evaluated pointwise, not through integration by parts
-    spaces, ops = level(3)
+    spaces = level(3)
     u = project_velocity(spaces, sine_shear())
     wfield = TrigVector((P(), P.cosine((0, 1, 0)), P()))
     w = project_velocity(spaces, wfield)
-    delta = (b_case3(spaces, ops, u, u, w) - b_case2(spaces, u, u, w))
+    delta = (b_case3(spaces, u, u, w) - b_case2(spaces, u, u, w))
     kh = bernoulli_projection(spaces, u, u)
     direct = 0.5 * quad_integral(
         spaces, (pressure_gradients(spaces, kh)
@@ -225,13 +227,13 @@ def test_case3_gradient_term_against_direct_form(level):
 
 
 def test_case3_extra_term_vanishes_on_div_free_tests(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     u = project_velocity(spaces, random_trig(51, 2))
     v = project_velocity(spaces, random_trig(52, 2))
-    w = project_div_free(spaces, ops,
+    w = project_div_free(spaces,
                          project_velocity(spaces, random_trig(53, 2)))
     b2 = b_case2(spaces, u, v, w)
-    b3 = b_case3(spaces, ops, u, v, w)
+    b3 = b_case3(spaces, u, v, w)
     assert abs(b3 - b2) < 1e-10 * max(1.0, abs(b2))
 
 
@@ -240,43 +242,43 @@ def test_cases_converge_to_common_value(level):
     wf = random_trig(33, 1, norm=10.0)
     spreads = []
     for n in (2, 3, 4):
-        spaces, ops = level(n)
+        spaces = level(n)
         u = project_velocity(spaces, uf)
-        w = project_div_free(spaces, ops, project_velocity(spaces, wf))
-        vals = [b_form(spaces, ops, case, u, u, w) for case in (1, 2, 3)]
+        w = project_div_free(spaces, project_velocity(spaces, wf))
+        vals = [b_form(spaces, case, u, u, w) for case in (1, 2, 3)]
         spreads.append(max(vals) - min(vals))
     assert spreads[0] > spreads[1] > spreads[2]
 
 
 def test_transport_matrix_antisymmetric(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     S = transport_matrix(spaces, rand_coeffs(spaces, 60))
     asym = (S + S.T)
     assert np.abs(asym.toarray()).max() < 1e-14 * np.abs(S.toarray()).max()
 
 
 def test_convection_rhs_two_level_combination(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     u = rand_coeffs(spaces, 61)
-    n_full = convection_rhs(spaces, ops, 1, u)
+    n_full = convection_rhs(spaces, 1, u)
     combo = 1.5 * n_full - 0.5 * n_full
     assert np.allclose(combo, n_full, rtol=0, atol=1e-14 * np.abs(n_full).max())
 
 
 def test_estimate_constants(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     u = project_velocity(spaces, random_trig(71, 2))
     v = project_velocity(spaces, random_trig(72, 2))
-    assert estimate_constants(spaces, ops, 1, [(u, v, v)]) < 1e-12
+    assert estimate_constants(spaces, 1, [(u, v, v)]) < 1e-12
     samples = [tuple(project_velocity(spaces, random_trig(80 + 3 * s + k, 2,
                                                           norm=10.0))
                      for k in range(3)) for s in range(4)]
     for case in (1, 2, 3):
-        val = estimate_constants(spaces, ops, case, samples)
+        val = estimate_constants(spaces, case, samples)
         assert np.isfinite(val) and val > 0.0
     zero = np.zeros(3 * spaces.n_scalar)
     with pytest.raises(ValueError):
-        estimate_constants(spaces, ops, 1, [(zero, zero, zero)])
+        estimate_constants(spaces, 1, [(zero, zero, zero)])
 
 
 def test_estimate_constants_stable_under_refinement(level):
@@ -284,26 +286,26 @@ def test_estimate_constants_stable_under_refinement(level):
     # spread over these very coarse levels stays under 60 percent of max
     vals = []
     for n in (2, 3, 4):
-        spaces, ops = level(n)
+        spaces = level(n)
         samples = [tuple(project_velocity(spaces,
                                           random_trig(200 + 3 * s + k, 2,
                                                       norm=10.0))
                          for k in range(3)) for s in range(6)]
-        vals.append(estimate_constants(spaces, ops, 1, samples))
+        vals.append(estimate_constants(spaces, 1, samples))
     assert (max(vals) - min(vals)) / max(vals) < 0.6
 
 
 def test_project_div_free(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     c = project_velocity(spaces, tg_like())
-    d = project_div_free(spaces, ops, c)
-    assert divergence_norm(spaces, ops, d) < 1e-10 * velocity_h1(spaces, d)
-    again = project_div_free(spaces, ops, d)
+    d = project_div_free(spaces, c)
+    assert divergence_norm(spaces, d) < 1e-10 * velocity_h1(spaces, d)
+    again = project_div_free(spaces, d)
     assert np.abs(again - d).max() < 1e-10 * np.abs(d).max()
 
 
 def test_unknown_case_rejected(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     u = rand_coeffs(spaces, 90)
     with pytest.raises(ValueError):
-        b_form(spaces, ops, 4, u, u, u)
+        b_form(spaces, 4, u, u, u)

@@ -18,7 +18,7 @@ def synthetic_trajectory(spaces, states, dt):
 
 
 def test_node_and_midpoint_values(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     rng = np.random.default_rng(0)
     states = rng.standard_normal((4, 3 * spaces.n_scalar))
     iset = InterpolantSet(synthetic_trajectory(spaces, states, 0.25), spaces)
@@ -30,7 +30,7 @@ def test_node_and_midpoint_values(level):
 
 
 def test_final_time_conventions(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     rng = np.random.default_rng(1)
     states = rng.standard_normal((3, 3 * spaces.n_scalar))
     traj = synthetic_trajectory(spaces, states, 0.5)
@@ -50,7 +50,7 @@ def test_final_time_conventions(level):
 
 
 def test_constant_trajectory(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     state = np.random.default_rng(2).standard_normal(3 * spaces.n_scalar)
     states = np.tile(state, (5, 1))
     iset = InterpolantSet(synthetic_trajectory(spaces, states, 0.1), spaces)
@@ -64,7 +64,7 @@ def test_constant_trajectory(level):
 def test_two_state_gap_value(level):
     # one step of length 0.1 with squared increment 4 integrates the
     # squared reconstruction gap to 0.1 * 4 / 12
-    spaces, _ = level(2)
+    spaces = level(2)
     rng = np.random.default_rng(3)
     d = rng.standard_normal(3 * spaces.n_scalar)
     d *= 2.0 / velocity_l2(spaces, d)
@@ -75,7 +75,7 @@ def test_two_state_gap_value(level):
 
 
 def test_single_step_increment_is_mass_norm(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     rng = np.random.default_rng(4)
     d = rng.standard_normal(3 * spaces.n_scalar)
     states = np.stack([np.zeros_like(d), d])
@@ -88,7 +88,7 @@ def test_single_step_increment_is_mass_norm(level):
 def test_gap_identity_against_quadrature_oracle(level):
     # independent check: two interior Gauss nodes per subinterval
     # integrate the quadratic gap profile exactly
-    spaces, _ = level(2)
+    spaces = level(2)
     rng = np.random.default_rng(5)
     states = rng.standard_normal((11, 3 * spaces.n_scalar))
     dt = 0.07
@@ -106,7 +106,7 @@ def test_gap_identity_against_quadrature_oracle(level):
 
 
 def test_endpoint_energy_matches_final_state(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     rng = np.random.default_rng(6)
     states = rng.standard_normal((6, 3 * spaces.n_scalar))
     iset = InterpolantSet(synthetic_trajectory(spaces, states, 0.2), spaces)

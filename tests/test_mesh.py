@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torusns.mesh import (MeshError, build_torus_mesh, conformity_ok,
-                          load_mesh, mesh_size)
+                          load_mesh)
 from torusns.trig import TWO_PI
 
 
@@ -24,10 +24,10 @@ def test_volume_partition(n):
 
 
 def test_mesh_size_values():
-    assert abs(mesh_size(build_torus_mesh(2)) - np.sqrt(3.0) * np.pi) < 1e-14
-    assert abs(mesh_size(build_torus_mesh(4)) - np.sqrt(3.0) * np.pi / 2) < 1e-14
+    assert abs(build_torus_mesh(2).h - np.sqrt(3.0) * np.pi) < 1e-14
+    assert abs(build_torus_mesh(4).h - np.sqrt(3.0) * np.pi / 2) < 1e-14
     # halving the cell size halves the diameter exactly
-    assert mesh_size(build_torus_mesh(2)) == 2.0 * mesh_size(build_torus_mesh(4))
+    assert build_torus_mesh(2).h == 2.0 * build_torus_mesh(4).h
 
 
 def test_quasi_uniformity():

@@ -46,16 +46,16 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_zero_datum_gives_zero_trajectory(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     for scheme in ("CN", "CNLE", "CNAB"):
         cfg = SchemeConfig(scheme=scheme, case=1, nu=0.3, T=0.5, N=4)
-        traj = run(cfg, spaces, ops, preset_field("zero"))
+        traj = run(cfg, spaces, preset_field("zero"))
         assert np.abs(traj.u).max() == 0.0
         assert np.abs(traj.p).max() == 0.0
 
 
 def test_cn_energy_identity_all_cases(cn_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     for case, traj in cn_runs.items():
         tol = 10.0 * traj.config.picard_tol * scale_of(spaces, traj)
         for m in range(1, traj.n_steps + 1):
@@ -64,50 +64,50 @@ def test_cn_energy_identity_all_cases(cn_runs, level):
 
 
 def test_cn_energy_decreases(cn_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     traj = cn_runs[1]
     norms = [velocity_l2(spaces, traj.u[m]) for m in range(traj.n_steps + 1)]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
 
 
 def test_midpoint_self_convection_vanishes(cn_runs, level):
-    spaces, ops = level(3)
+    spaces = level(3)
     for case in (1, 2):
         traj = cn_runs[case]
         z = traj.midpoint(3)
         scale = velocity_h1(spaces, z) ** 3
-        assert abs(b_form(spaces, ops, case, z, z, z)) <= 1e-10 * scale
+        assert abs(b_form(spaces, case, z, z, z)) <= 1e-10 * scale
 
 
 def test_divergence_free_states(cn_runs, cnle_run, level):
-    spaces, ops = level(3)
+    spaces = level(3)
     for traj in list(cn_runs.values()) + [cnle_run]:
         for m in range(traj.n_steps + 1):
-            assert divergence_norm(spaces, ops, traj.u[m]) \
+            assert divergence_norm(spaces, traj.u[m]) \
                 <= 1e-9 * max(1e-300, velocity_h1(spaces, traj.u[m]))
 
 
 def test_cnle_energy_identity(cnle_run, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     tol = 1e-9 * scale_of(spaces, cnle_run)
     for m in range(1, cnle_run.n_steps + 1):
         assert abs(energy_residual(spaces, cnle_run, m)) <= tol
 
 
 def test_two_level_schemes_start_with_cn(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     u0 = tg_like()
     a = run(SchemeConfig(scheme="CN", case=1, nu=0.2, T=0.125, N=1),
-            spaces, ops, u0)
+            spaces, u0)
     for scheme in ("CNLE", "CNAB"):
         b = run(SchemeConfig(scheme=scheme, case=1, nu=0.2, T=0.125, N=1),
-                spaces, ops, u0)
+                spaces, u0)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.p, b.p)
 
 
 def test_extrapolated_advection_is_linear(level):
-    spaces, _ = level(2)
+    spaces = level(2)
     rng = np.random.default_rng(6)
     u = rng.standard_normal(3 * spaces.n_scalar)
     S1 = transport_matrix(spaces, u).toarray()
@@ -119,21 +119,21 @@ def test_cnab_two_level_weights(level):
     # equal history states reduce the 3/2, -1/2 combination to a single
     # convection evaluation; the step must then agree with a CNLE step
     # whose extrapolated field is that same state
-    spaces, ops = level(2)
+    spaces = level(2)
     cfg = SchemeConfig(scheme="CNAB", case=1, nu=0.3, T=0.5, N=4)
-    u = project_div_free(spaces, ops, project_velocity(spaces, tg_like()))
+    u = project_div_free(spaces, project_velocity(spaces, tg_like()))
     from torusns.steppers import step_cnab
-    res = step_cnab(u, u, cfg, spaces, ops)
+    res = step_cnab(u, u, cfg, spaces)
     assert np.all(np.isfinite(res.u))
     # direct check of the combination on the right-hand side
     from torusns.forms import convection_rhs
-    n1 = convection_rhs(spaces, ops, 1, u)
+    n1 = convection_rhs(spaces, 1, u)
     combo = 1.5 * n1 - 0.5 * n1
     assert np.allclose(combo, n1, atol=1e-14 * np.abs(n1).max())
 
 
 def test_global_energy_telescopes(cn_runs, level):
-    spaces, _ = level(3)
+    spaces = level(3)
     traj = cn_runs[1]
     cfg = traj.config
     lhs = 0.5 * velocity_l2(spaces, traj.u[-1]) ** 2 + cfg.nu * cfg.dt * sum(
@@ -145,10 +145,10 @@ def test_global_energy_telescopes(cn_runs, level):
 
 
 def test_determinism(level):
-    spaces, ops = level(2)
+    spaces = level(2)
     cfg = SchemeConfig(scheme="CN", case=1, nu=0.2, T=0.5, N=4)
-    a = run(cfg, spaces, ops, tg_like())
-    b = run(cfg, spaces, ops, tg_like())
+    a = run(cfg, spaces, tg_like())
+    b = run(cfg, spaces, tg_like())
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.p, b.p)
 
@@ -156,25 +156,25 @@ def test_determinism(level):
 def test_second_order_in_time(level):
     # fixed space, shrinking step: errors against a fine reference drop
     # by about four per halving
-    spaces, ops = level(2)
-    u0 = project_div_free(spaces, ops, project_velocity(spaces, sine_shear()))
+    spaces = level(2)
+    u0 = project_div_free(spaces, project_velocity(spaces, sine_shear()))
     ref = run(SchemeConfig(scheme="CN", case=1, nu=0.5, T=1.0, N=1024),
-              spaces, ops, u0)
+              spaces, u0)
     errs = [velocity_l2(spaces,
                         run(SchemeConfig(scheme="CN", case=1, nu=0.5,
                                          T=1.0, N=N),
-                            spaces, ops, u0).u[-1] - ref.u[-1])
+                            spaces, u0).u[-1] - ref.u[-1])
             for N in (16, 32, 64)]
     for a, b in zip(errs, errs[1:]):
         assert 3.0 < a / b < 5.0
 
 
 def test_picard_divergence_raises(level):
-    spaces, ops = level(3)
+    spaces = level(3)
     cfg = SchemeConfig(scheme="CN", case=1, nu=1e-3, T=400.0, N=2,
                        picard_max_iters=12)
     with pytest.raises(StepperError) as err:
-        run(cfg, spaces, ops, tg_like())
+        run(cfg, spaces, tg_like())
     assert err.value.step == 1
     assert len(err.value.history) == 12
 
