@@ -75,7 +75,10 @@ class RunSpec:
         if self.n_cells < 2:
             raise ConfigError("n_cells must be >= 2")
         self.scheme_config()
-        field = preset_field(self.datum, self.seed, self.degree)
+        try:
+            field = preset_field(self.datum, self.seed, self.degree)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         div = field.divergence()
         if div.modes and max(abs(c) for c in div.modes.values()) > 1e-12:
             raise ConfigError(f"datum {self.datum} is not divergence-free")
@@ -109,44 +112,49 @@ class StudySpec:
 # configuration files
 # ---------------------------------------------------------------------------
 
-_BOOL_KEYS = {"with_local_energy", "strict_coupling"}
-
-
-def _coerce(key, value, target_type):
-    if target_type is bool or key in _BOOL_KEYS:
+def _coerce(value, target_type):
+    if target_type is bool:
         return str(value).strip().lower() in ("1", "true", "yes", "on")
-    return target_type(value)
+    try:
+        return target_type(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad {target_type.__name__} value "
+                          f"{value!r}") from exc
 
 
 def parse_config(path) -> tuple[RunSpec, StudySpec | None]:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive (T vs t)
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        # dict() reads, and so interpolates, every value inside the try
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    if "run" not in cp:
+    if "run" not in sections:
         raise ConfigError("config needs a [run] section")
     kwargs = {}
     types = {f.name: f.type for f in fields(RunSpec)}
-    for key, value in cp["run"].items():
+    for key, value in sections["run"].items():
         if key not in types:
             raise ConfigError(f"unknown [run] key: {key}")
         target = {"int": int, "float": float, "str": str,
                   "bool": bool}[types[key]]
-        kwargs[key] = _coerce(key, value, target)
+        kwargs[key] = _coerce(value, target)
     spec = RunSpec(**kwargs)
     study = None
-    if "study" in cp:
+    if "study" in sections:
         skw = {}
-        for key, value in cp["study"].items():
+        for key, value in sections["study"].items():
             if key == "levels":
-                skw["levels"] = tuple(int(v) for v in value.split(","))
-            elif key == "alpha":
-                skw["alpha"] = float(value)
-            elif key == "coupling_c":
-                skw["coupling_c"] = float(value)
+                skw["levels"] = tuple(_coerce(v, int)
+                                      for v in value.split(","))
+            elif key in ("alpha", "coupling_c"):
+                skw[key] = _coerce(value, float)
             elif key == "strict_coupling":
-                skw["strict_coupling"] = _coerce(key, value, bool)
+                skw["strict_coupling"] = _coerce(value, bool)
             else:
                 raise ConfigError(f"unknown [study] key: {key}")
         study = StudySpec(base=spec, **skw)
@@ -182,16 +190,15 @@ def _fmt(x) -> str:
 
 
 def write_summary_csv(path, trajectory, spaces) -> None:
-    res = energy_residuals(trajectory, spaces)
+    u = trajectory.u
+    columns = zip(trajectory.times[1:], velocity_l2(spaces, u[1:]),
+                  velocity_h1_semi(spaces, 0.5 * (u[1:] + u[:-1])),
+                  pressure_l2(spaces, trajectory.p),
+                  energy_residuals(trajectory, spaces))
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for m in range(1, trajectory.n_steps + 1):
-            row = (str(m), _fmt(trajectory.times[m]),
-                   _fmt(velocity_l2(spaces, trajectory.u[m])),
-                   _fmt(velocity_h1_semi(spaces, trajectory.midpoint(m))),
-                   _fmt(pressure_l2(spaces, trajectory.p[m - 1])),
-                   _fmt(res[m - 1]))
-            fh.write(",".join(row) + "\n")
+        for m, values in enumerate(columns, start=1):
+            fh.write(",".join([str(m)] + [_fmt(v) for v in values]) + "\n")
 
 
 def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
@@ -273,6 +280,7 @@ def run_study(study: StudySpec, out_dir):
 def rerender_report(traj_dir, out_dir):
     """Rebuild diagnostics from a stored trajectory dump."""
     spec, study = parse_config(os.path.join(traj_dir, "runmeta.ini"))
+    datum = spec.validate()
     mesh = build_torus_mesh(spec.n_cells)
     spaces = build_spaces(mesh)
     from .steppers import DiscreteTrajectory
@@ -281,7 +289,6 @@ def rerender_report(traj_dir, out_dir):
             config=spec.scheme_config(), h=spaces.h, times=data["times"],
             u=data["u"], p=data["p"], picard_iters=data["picard_iters"],
             residuals=data["residuals"])
-    datum = preset_field(spec.datum, spec.seed, spec.degree)
     report = build_report(trajectory, spaces, u0_norm=datum.l2_norm(),
                           with_local_energy=spec.with_local_energy,
                           cn_threshold=spec.cn_threshold)
@@ -339,7 +346,7 @@ def main(argv=None) -> int:
                 study = StudySpec(base=spec)
             if args.levels is not None:
                 study = replace(study, levels=tuple(
-                    int(v) for v in args.levels.split(",")))
+                    _coerce(v, int) for v in args.levels.split(",")))
             if args.alpha is not None:
                 study = replace(study, alpha=args.alpha)
             if args.seed is not None:
@@ -352,7 +359,7 @@ def main(argv=None) -> int:
                 return EXIT_CHECK
         elif args.command == "report":
             rerender_report(args.traj, args.out)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StepperError, LinearSolveError) as exc:

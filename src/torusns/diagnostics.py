@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms
-from .fespace import (pressure_l2, pressure_values, quad_integral,
-                      velocity_gradients, velocity_h1, velocity_h1_semi,
-                      velocity_l2, velocity_l3, velocity_values)
+from .fespace import (pressure_l2, pressure_values, velocity_gradients,
+                      velocity_h1, velocity_h1_semi, velocity_l2, velocity_l3,
+                      velocity_values)
 from .interpolants import InterpolantSet, gap_l2, increment_sum
-from .steppers import DiscreteTrajectory, check_coupling
+from .steppers import DiscreteTrajectory, StepperError, check_coupling
 from .trig import TrigPoly
 
 #: 3-point Gauss-Legendre nodes/weights on [0, 1].
@@ -47,21 +47,18 @@ def energy_residuals(trajectory: DiscreteTrajectory, spaces) -> np.ndarray:
     scheme the values are reported raw (no identity holds).
     """
     cfg = trajectory.config
-    out = np.empty(trajectory.n_steps)
-    for m in range(1, trajectory.n_steps + 1):
-        z = trajectory.midpoint(m)
-        out[m - 1] = (0.5 * (velocity_l2(spaces, trajectory.u[m]) ** 2
-                             - velocity_l2(spaces, trajectory.u[m - 1]) ** 2)
-                      + cfg.nu * cfg.dt * velocity_h1_semi(spaces, z) ** 2)
-    return out
+    u = trajectory.u
+    return (0.5 * np.diff(velocity_l2(spaces, u) ** 2)
+            + cfg.nu * cfg.dt
+            * velocity_h1_semi(spaces, 0.5 * (u[1:] + u[:-1])) ** 2)
 
 
 def dissipation_integral(trajectory: DiscreteTrajectory, spaces) -> float:
     """nu * integral over [0,T] of |grad u|^2 for the midpoint field."""
     cfg = trajectory.config
-    return cfg.nu * cfg.dt * sum(
-        velocity_h1_semi(spaces, trajectory.midpoint(m)) ** 2
-        for m in range(1, trajectory.n_steps + 1))
+    u = trajectory.u
+    return cfg.nu * cfg.dt * float(
+        (velocity_h1_semi(spaces, 0.5 * (u[1:] + u[:-1])) ** 2).sum())
 
 
 def global_energy_defect(trajectory: DiscreteTrajectory, spaces,
@@ -69,9 +66,9 @@ def global_energy_defect(trajectory: DiscreteTrajectory, spaces,
     """|v(T)|^2/2 + dissipation - |u0|^2/2; nonpositive when the global
     balance holds.  `u0_norm_sq` defaults to the discrete initial energy,
     in which case the midpoint schemes return a roundoff-size value."""
+    first, final = velocity_l2(spaces, trajectory.u[[0, -1]]) ** 2
     if u0_norm_sq is None:
-        u0_norm_sq = velocity_l2(spaces, trajectory.u[0]) ** 2
-    final = velocity_l2(spaces, trajectory.u[-1]) ** 2
+        u0_norm_sq = first
     return float(0.5 * final + dissipation_integral(trajectory, spaces)
                  - 0.5 * u0_norm_sq)
 
@@ -82,20 +79,16 @@ def global_energy_defect(trajectory: DiscreteTrajectory, spaces,
 
 def pressure_ratios(trajectory: DiscreteTrajectory, spaces) -> np.ndarray:
     """|p^m|_2 / (|u^{m,1/2}|_H1 + |u^{m,1/2}|_3 |u^{m,1/2}|_H1) per step."""
-    out = np.empty(trajectory.n_steps)
-    for m in range(1, trajectory.n_steps + 1):
-        z = trajectory.midpoint(m)
-        h1 = velocity_h1(spaces, z)
-        denom = h1 + velocity_l3(spaces, z) * h1
-        p = pressure_l2(spaces, trajectory.p[m - 1])
-        if denom == 0.0:
-            if p > 0.0:
-                raise ValueError(f"nonzero pressure with zero velocity "
-                                 f"at step {m}")
-            out[m - 1] = 0.0
-        else:
-            out[m - 1] = p / denom
-    return out
+    u = trajectory.u
+    mid = 0.5 * (u[1:] + u[:-1])
+    h1 = velocity_h1(spaces, mid)
+    denom = h1 + np.array([velocity_l3(spaces, z) for z in mid]) * h1
+    p = pressure_l2(spaces, trajectory.p)
+    unbalanced = (denom == 0.0) & (p > 0.0)
+    if unbalanced.any():
+        raise StepperError("nonzero pressure with zero velocity",
+                           step=int(np.argmax(unbalanced)) + 1)
+    return np.divide(p, denom, out=np.zeros_like(p), where=denom != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +164,21 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     cfg = trajectory.config
     nu, dt, N = cfg.nu, cfg.dt, trajectory.n_steps
     pts = spaces.tables.quad_points
+    w = spaces.tables.w_phys
 
-    cache = []
-    for test in tests:
+    # weighted by the quadrature rule: one product integrates all tests
+    psi_w = np.empty((len(tests),) + pts.shape[:2])
+    lap_w = np.empty_like(psi_w)
+    grad_w = np.empty((len(tests),) + pts.shape)
+    for i, test in enumerate(tests):
         psi_v = test.psi.value(pts)
         if psi_v.min() < 0.0:
             raise ValueError(f"test {test.name}: spatial factor is negative")
-        cache.append((psi_v, test.psi.laplacian().value(pts),
-                      test.psi.grad(pts)))
+        np.multiply(psi_v, w, out=psi_w[i])
+        np.multiply(test.psi.laplacian().value(pts), w, out=lap_w[i])
+        np.multiply(test.psi.grad(pts), w[:, None], out=grad_w[i])
+    psi_w, lap_w, grad_w = (a.reshape(len(tests), -1)
+                            for a in (psi_w, lap_w, grad_w))
     t_nodes = (np.arange(N)[:, None] + _GAUSS3_X[None, :]) * dt
     eta_int = np.empty((len(tests), N))
     deta_int = np.empty((len(tests), N))
@@ -196,14 +196,13 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
         zg = velocity_gradients(spaces, z)
         pv = pressure_values(spaces, trajectory.p[m - 1])
         ke = 0.5 * (zv ** 2).sum(-1)
-        gradsq = (zg ** 2).sum((-1, -2))
-        for i, (psi_v, psi_lap, psi_grad) in enumerate(cache):
-            flux = ((ke + pv)[..., None] * zv * psi_grad).sum(-1)
-            rhs_t = quad_integral(spaces, ke * psi_v) * deta_int[i, m - 1]
-            rhs_x = (nu * quad_integral(spaces, ke * psi_lap)
-                     + quad_integral(spaces, flux)) * eta_int[i, m - 1]
-            lhs = nu * quad_integral(spaces, gradsq * psi_v) * eta_int[i, m - 1]
-            out[i] += rhs_t + rhs_x - lhs
+        gradsq = (zg ** 2).sum((-1, -2)).ravel()
+        flux = ((ke + pv)[..., None] * zv).ravel()
+        ke = ke.ravel()
+        rhs_t = (psi_w @ ke) * deta_int[:, m - 1]
+        rhs_x = (nu * (lap_w @ ke) + grad_w @ flux) * eta_int[:, m - 1]
+        lhs = nu * (psi_w @ gradsq) * eta_int[:, m - 1]
+        out += rhs_t + rhs_x - lhs
     return out
 
 
@@ -228,20 +227,16 @@ def cnab_monitor(trajectory: DiscreteTrajectory, spaces,
     if not c1 > 0:
         raise ValueError("c1 must be positive")
     cfg = trajectory.config
-    N = trajectory.n_steps
-    norms_sq = np.array([velocity_l2(spaces, trajectory.u[m]) ** 2
-                         for m in range(N + 1)])
-    incr_sq = np.array([velocity_l2(spaces, trajectory.increment(m)) ** 2
-                        for m in range(1, N + 1)])
+    norms_sq = velocity_l2(spaces, trajectory.u) ** 2
+    incr_sq = velocity_l2(spaces, np.diff(trajectory.u, axis=0)) ** 2
     xi = norms_sq[1:] + 0.25 * incr_sq
     growth = 1.0 + cfg.dt / (2.0 * c1 ** 2)
 
     def first_bad(factor):
-        for m in range(2, N + 1):
-            a, b = factor * xi[m - 1], xi[m - 2]
-            if not np.isfinite(a) or not np.isfinite(b) or a > b * (1 + 1e-12):
-                return m
-        return None
+        # step m compares factor * xi^m with xi^{m-1}, for m = 2..N
+        a, b = factor * xi[1:], xi[:-1]
+        bad = ~np.isfinite(a) | ~np.isfinite(b) | (a > b * (1 + 1e-12))
+        return int(np.argmax(bad)) + 2 if bad.any() else None
 
     v_plain = first_bad(1.0)
     v_weighted = first_bad(growth)
@@ -270,11 +265,10 @@ def cnab_first_step_check(trajectory: DiscreteTrajectory, spaces,
     """First-step bound |u^1|^2/2 + (nu dt/4)|grad u^1|^2 against
     (1/2 + nu dt/(4 h^2)) |u^0|^2; nonpositive for a stable start."""
     cfg = trajectory.config
-    lhs = (0.5 * velocity_l2(spaces, trajectory.u[1]) ** 2
-           + 0.25 * cfg.nu * cfg.dt
+    l2_sq = velocity_l2(spaces, trajectory.u[:2]) ** 2
+    lhs = (0.5 * l2_sq[1] + 0.25 * cfg.nu * cfg.dt
            * velocity_h1_semi(spaces, trajectory.u[1]) ** 2)
-    rhs = ((0.5 + cfg.nu * cfg.dt / (4.0 * h ** 2))
-           * velocity_l2(spaces, trajectory.u[0]) ** 2)
+    rhs = (0.5 + cfg.nu * cfg.dt / (4.0 * h ** 2)) * l2_sq[0]
     return FirstStepCheck(lhs=float(lhs), rhs=float(rhs))
 
 
@@ -387,16 +381,13 @@ def build_report(trajectory: DiscreteTrajectory, spaces,
     res = energy_residuals(trajectory, spaces)
     pr = pressure_ratios(trajectory, spaces)
     inc = increment_sum(iset)
-    div_rel = 0.0
-    for m in range(trajectory.n_steps + 1):
-        um = trajectory.u[m]
-        if not np.all(np.isfinite(um)):
-            div_rel = np.inf
-            continue
-        scale = velocity_h1(spaces, um)
-        if scale > 0:
-            div_rel = max(div_rel,
-                          forms.divergence_norm(spaces, um) / scale)
+    div_rel = np.inf
+    if np.all(np.isfinite(trajectory.u)):
+        scale = velocity_h1(spaces, trajectory.u)
+        div = forms.divergence_norm(spaces, trajectory.u)
+        # fmax skips the NaN of a norm that overflowed (inf / inf)
+        div_rel = np.fmax.reduce(div[scale > 0] / scale[scale > 0],
+                                 initial=0.0)
 
     u0_disc = velocity_l2(spaces, trajectory.u[0])
     local = None

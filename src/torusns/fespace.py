@@ -81,7 +81,7 @@ class ElementTables:
             self.unit_pts[t] = off[0] + rule.points @ jhat.T
         self.quad_points = a * (mesh.tet_corner[:, None, :]
                                 + self.unit_pts[mesh.tet_type])
-        self.grad_per_elem = self.grad[mesh.tet_type]   # (E, Q, 5, 3) view
+        self.grad_per_elem = self.grad[mesh.tet_type]   # (E, Q, 5, 3) copy
 
 
 @dataclass
@@ -224,27 +224,32 @@ def quad_integral(spaces, values):
 
 
 # ---------------------------------------------------------------------------
-# norms
+# norms: of one coefficient vector, or per row of a stack of them
 # ---------------------------------------------------------------------------
 
 def _scalar_quadform(matrix, coeffs, n_s):
-    c = np.asarray(coeffs).reshape(-1, n_s)
-    return float(sum(row @ (matrix @ row) for row in c))
+    """Sum of c_k . (matrix c_k) over the length-n_s blocks c_k of a vector,
+    or per row of a stack (one sparse product; contiguous rows keep each
+    row's dot product bit-identical to the single-vector call)."""
+    c = np.asarray(coeffs)
+    blocks = c.reshape(-1, n_s)
+    images = np.ascontiguousarray((matrix @ blocks.T).T)
+    return np.vecdot(blocks, images).reshape(c.shape[:-1] + (-1,)).sum(-1)
 
 
-def velocity_l2(spaces, coeffs) -> float:
-    return np.sqrt(max(0.0, _scalar_quadform(spaces.ops.M_s, coeffs,
-                                             spaces.n_scalar)))
+def velocity_l2(spaces, coeffs):
+    return np.sqrt(np.maximum(0.0, _scalar_quadform(
+        spaces.ops.M_s, coeffs, spaces.n_scalar)))
 
 
-def velocity_h1_semi(spaces, coeffs) -> float:
-    return np.sqrt(max(0.0, _scalar_quadform(spaces.ops.A_s, coeffs,
-                                             spaces.n_scalar)))
+def velocity_h1_semi(spaces, coeffs):
+    return np.sqrt(np.maximum(0.0, _scalar_quadform(
+        spaces.ops.A_s, coeffs, spaces.n_scalar)))
 
 
-def velocity_h1(spaces, coeffs) -> float:
-    return float(np.hypot(velocity_l2(spaces, coeffs),
-                          velocity_h1_semi(spaces, coeffs)))
+def velocity_h1(spaces, coeffs):
+    return np.hypot(velocity_l2(spaces, coeffs),
+                    velocity_h1_semi(spaces, coeffs))
 
 
 def velocity_l3(spaces, coeffs) -> float:
@@ -253,9 +258,9 @@ def velocity_l3(spaces, coeffs) -> float:
     return quad_integral(spaces, mag ** 3) ** (1.0 / 3.0)
 
 
-def pressure_l2(spaces, coeffs) -> float:
-    c = np.asarray(coeffs)
-    return float(np.sqrt(max(0.0, c @ (spaces.ops.Mp @ c))))
+def pressure_l2(spaces, coeffs):
+    return np.sqrt(np.maximum(0.0, _scalar_quadform(
+        spaces.ops.Mp, coeffs, spaces.pressure.dim)))
 
 
 def velocity_mean(spaces, coeffs):

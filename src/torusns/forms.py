@@ -212,10 +212,13 @@ def estimate_constants(spaces, case, samples) -> float:
 # divergence handling
 # ---------------------------------------------------------------------------
 
-def divergence_norm(spaces, u) -> float:
-    """Largest |(div u, q)| / |q|_2 over the pressure space."""
-    r = spaces.ops.B @ np.asarray(u)
-    return float(np.sqrt(max(0.0, r @ spaces.ops.lu_Mp.solve(r))))
+def divergence_norm(spaces, u):
+    """Largest |(div u, q)| / |q|_2 over the pressure space, for one
+    velocity vector or per row of a stack (one solve for all rows)."""
+    r = spaces.ops.B @ np.asarray(u).T
+    s = spaces.ops.lu_Mp.solve(r)
+    return np.sqrt(np.maximum(0.0, np.vecdot(np.ascontiguousarray(r.T),
+                                             np.ascontiguousarray(s.T))))
 
 
 def project_div_free(spaces, coeffs) -> np.ndarray:

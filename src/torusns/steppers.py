@@ -71,6 +71,10 @@ class SchemeConfig:
             raise ConfigError("need at least one step")
         if self.picard_max_iters < 1:
             raise ConfigError("picard_max_iters must be >= 1")
+        if not self.c1 > 0:
+            raise ConfigError("c1 must be positive")
+        if not self.C_cnle > 0:
+            raise ConfigError("C_cnle must be positive")
 
     @property
     def dt(self) -> float:
@@ -94,9 +98,6 @@ class DiscreteTrajectory:
     def midpoint(self, m: int) -> np.ndarray:
         """u^{m,1/2} = (u^m + u^{m-1}) / 2 for m = 1..N."""
         return 0.5 * (self.u[m] + self.u[m - 1])
-
-    def increment(self, m: int) -> np.ndarray:
-        return self.u[m] - self.u[m - 1]
 
 
 @dataclass

@@ -10,7 +10,7 @@ from torusns.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                          CSV_COLUMNS, RunSpec, StudySpec, emit_config, main,
                          parse_config, rerender_report, run_single,
                          run_study)
-from torusns.steppers import ConfigError
+from torusns.steppers import ConfigError, DiscreteTrajectory
 
 
 def write_cfg(tmp_path, body, name="cfg.ini"):
@@ -197,3 +197,53 @@ def test_rerender_closes_trajectory_file(tmp_path, monkeypatch):
     rerender_report(str(out), str(tmp_path / "re"))
     assert len(opened) == 1
     assert opened[0].fid is None  # NpzFile.close() drops the file handle
+
+
+@pytest.mark.parametrize("extra", ["C_cnle = 0\n",
+                                   "scheme = CNAB\nc1 = -1\n"],
+                         ids=["CN-C_cnle-zero", "CNAB-c1-negative"])
+def test_bad_step_constant_rejected_before_solve(tmp_path, extra):
+    body = BASE_CFG.replace("scheme = CN\n", "") + extra
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", [
+    BASE_CFG.replace("[run]\n", ""),             # no section header
+    BASE_CFG + "steps = 8\n",                    # duplicate key
+    BASE_CFG.replace("steps = 4", "steps = four"),
+    BASE_CFG.replace("sine-shear", "vortex-ring"),
+    BASE_CFG.replace("sine-shear", "sine%shear"),  # bad interpolation
+    BASE_CFG + "\n[study]\nlevels = 2,x\n",
+], ids=["no-section", "duplicate-key", "bad-int", "unknown-datum",
+        "bad-interpolation", "bad-levels"])
+def test_config_faults_exit_with_config_code(tmp_path, body):
+    cfg = write_cfg(tmp_path, body)
+    command = "study" if "[study]" in body else "run"
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+def test_bad_levels_flag_exits_with_config_code(tmp_path):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "x"),
+                 "--levels", "2,three"]) == EXIT_CONFIG
+
+
+def test_pressure_without_velocity_is_a_solver_failure(tmp_path, capsys,
+                                                       monkeypatch):
+    def run_stub(config, spaces, datum):
+        N = config.N
+        return DiscreteTrajectory(
+            config=config, h=spaces.h, times=config.dt * np.arange(N + 1),
+            u=np.zeros((N + 1, 3 * spaces.n_scalar)),
+            p=np.ones((N, spaces.pressure.dim)),
+            picard_iters=np.zeros(N, dtype=int), residuals=np.zeros(N))
+
+    monkeypatch.setattr(torusns.cli, "run", run_stub)
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    assert main(["run", "--config", cfg, "--out",
+                 str(tmp_path / "x")]) == EXIT_SOLVER
+    assert "at step 1" in capsys.readouterr().err

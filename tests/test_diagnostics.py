@@ -8,7 +8,9 @@ from torusns.diagnostics import (SpaceTimeTest, TimeBump, build_report,
                                  default_test_family, energy_residuals,
                                  global_energy_defect, local_energy_residuals,
                                  pressure_ratios)
-from torusns.fespace import velocity_h1_semi, velocity_l2
+from torusns.fespace import (pressure_values, quad_integral,
+                             velocity_gradients, velocity_h1_semi,
+                             velocity_l2, velocity_values)
 from torusns.steppers import SchemeConfig, run
 from torusns.trig import TrigPoly, preset_field, tg_like
 
@@ -100,6 +102,54 @@ def test_local_energy_constant_factor_reduction(cn_runs, level):
         indep += (0.5 * velocity_l2(spaces, z) ** 2 * int_deta
                   - cfg.nu * velocity_h1_semi(spaces, z) ** 2 * int_eta)
     assert abs(got - indep) < 1e-9 * max(1.0, abs(indep))
+
+
+def local_energy_reference(traj, spaces, tests):
+    """The localized balance integrated one test and one step at a time."""
+    cfg = traj.config
+    pts = spaces.tables.quad_points
+    out = np.zeros(len(tests))
+    for m in range(1, cfg.N + 1):
+        t_nodes = (m - 1 + GAUSS_X) * cfg.dt
+        z = traj.midpoint(m)
+        zv = velocity_values(spaces, z)
+        zg = velocity_gradients(spaces, z)
+        pv = pressure_values(spaces, traj.p[m - 1])
+        ke = 0.5 * (zv ** 2).sum(-1)
+        gradsq = (zg ** 2).sum((-1, -2))
+        for i, test in enumerate(tests):
+            int_eta = cfg.dt * GAUSS_W @ test.eta.value(t_nodes)
+            int_deta = cfg.dt * GAUSS_W @ test.eta.dvalue(t_nodes)
+            psi_v = test.psi.value(pts)
+            psi_lap = test.psi.laplacian().value(pts)
+            flux = ((ke + pv)[..., None] * zv * test.psi.grad(pts)).sum(-1)
+            rhs_t = quad_integral(spaces, ke * psi_v) * int_deta
+            rhs_x = (cfg.nu * quad_integral(spaces, ke * psi_lap)
+                     + quad_integral(spaces, flux)) * int_eta
+            lhs = cfg.nu * quad_integral(spaces, gradsq * psi_v) * int_eta
+            out[i] += rhs_t + rhs_x - lhs
+    return out
+
+
+@pytest.mark.parametrize("which", ["cn_case1", "cnab_stable"])
+def test_local_energy_matches_per_test_loop(which, cn_runs, cnab_runs,
+                                            level):
+    spaces = level(3)
+    traj = cn_runs[1] if which == "cn_case1" else cnab_runs["stable"]
+    tests = default_test_family(traj.config.T)
+    got = local_energy_residuals(traj, spaces, tests)
+    want = local_energy_reference(traj, spaces, tests)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_divergence_scan_infinite_after_blow_up(cnab_runs, level):
+    # the overdriven run has finite states whose norms overflow, then
+    # non-finite states; the scan must report inf, not skip them
+    traj = cnab_runs["unstable"]
+    assert not np.all(np.isfinite(traj.u))
+    with np.errstate(all="ignore"):
+        rep = build_report(traj, level(3), with_local_energy=False)
+    assert rep.divergence_max_rel == np.inf
 
 
 def test_local_energy_rejects_sign_changing_factor(cn_runs, level):

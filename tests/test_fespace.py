@@ -10,10 +10,25 @@ from torusns.fespace import (_gram_of_products, _weighted_scalar_matrix,
                              pressure_commutator_defect, pressure_l2,
                              pressure_mean, pressure_values,
                              project_pressure, project_velocity,
-                             quad_integral, velocity_l2, velocity_mean,
-                             velocity_values)
+                             quad_integral, velocity_h1, velocity_h1_semi,
+                             velocity_l2, velocity_mean, velocity_values)
+from torusns.forms import divergence_norm
 from torusns.mesh import build_torus_mesh
 from torusns.trig import BOX_VOLUME, TrigPoly, sine_shear, tg_like
+
+
+def test_norms_of_a_stack_match_row_by_row(level):
+    spaces = level(3)
+    rng = np.random.default_rng(9)
+    U = rng.standard_normal((5, 3 * spaces.n_scalar))
+    P = rng.standard_normal((4, spaces.pressure.dim))
+    for norm, stack in ((velocity_l2, U), (velocity_h1_semi, U),
+                        (velocity_h1, U), (divergence_norm, U),
+                        (pressure_l2, P)):
+        got = norm(spaces, stack)
+        want = np.array([norm(spaces, row) for row in stack])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), norm
 
 
 def test_project_zero_field(level):

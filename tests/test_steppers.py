@@ -37,6 +37,10 @@ def test_config_validation():
         SchemeConfig(N=0)
     with pytest.raises(ConfigError):
         SchemeConfig(scheme="CNAB", case=2)
+    with pytest.raises(ConfigError):
+        SchemeConfig(scheme="CNAB", c1=-1.0)
+    with pytest.raises(ConfigError):
+        SchemeConfig(scheme="CNLE", C_cnle=0.0)
     cfg = SchemeConfig(T=2.0, N=8)
     assert cfg.dt == 0.25
 
