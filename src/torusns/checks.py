@@ -107,18 +107,14 @@ def _gap_identity(spaces) -> CheckResult:
     return CheckResult("gap_increment_identity", err < 1e-12, err, 1e-12)
 
 
-def _energy_identity(spaces) -> CheckResult:
-    cfg = SchemeConfig(scheme="CN", case=1, nu=0.5, T=0.25, N=2)
-    traj = run(cfg, spaces, tg_like())
+def _energy_identity(spaces, traj) -> CheckResult:
     worst = float(np.abs(energy_residuals(traj, spaces)).max())
     scale = max(1.0, velocity_l2(spaces, traj.u[0]) ** 2)
     return CheckResult("cn_energy_identity", worst < 1e-10 * scale,
                        worst, 1e-10 * scale)
 
 
-def _divergence_bound(spaces) -> CheckResult:
-    cfg = SchemeConfig(scheme="CN", case=1, nu=0.5, T=0.25, N=2)
-    traj = run(cfg, spaces, tg_like())
+def _divergence_bound(spaces, traj) -> CheckResult:
     worst = float((forms.divergence_norm(spaces, traj.u)
                    / np.maximum(1e-300, velocity_h1(spaces, traj.u))).max())
     return CheckResult("discrete_divergence", worst < 1e-9, worst, 1e-9)
@@ -140,6 +136,8 @@ def _gradient_div_duality(spaces) -> CheckResult:
 def run_checks(verbose: bool = True) -> list[CheckResult]:
     mesh = build_torus_mesh(2)
     spaces = build_spaces(mesh)
+    cn_traj = run(SchemeConfig(scheme="CN", case=1, nu=0.5, T=0.25, N=2),
+                  spaces, tg_like())
     results = [
         _rule_exactness(),
         _mesh_volume(),
@@ -147,8 +145,8 @@ def run_checks(verbose: bool = True) -> list[CheckResult]:
         _projection_idempotence(spaces),
         *_skew_symmetry(spaces),
         _gap_identity(spaces),
-        _energy_identity(spaces),
-        _divergence_bound(spaces),
+        _energy_identity(spaces, cn_traj),
+        _divergence_bound(spaces, cn_traj),
         _gradient_div_duality(spaces),
     ]
     if verbose:

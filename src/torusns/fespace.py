@@ -27,6 +27,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .linsolve import Factorization
 from .mesh import KUHN_OFFSETS, PeriodicMesh
 from .quadrature import DEFAULT_DEGREE, TetRule, tet_rule
 
@@ -104,15 +105,16 @@ class Operators:
 
     def __init__(self, M_s, A_s, Mp, B, int_s, int_p):
         self.M_s = M_s       # scalar mass (velocity component block)
+        self.M = sp.kron(sp.identity(3), M_s, format="csr")  # vector mass
         self.A_s = A_s       # scalar stiffness
         self.Mp = Mp         # pressure mass
         self.B = B           # (q, div v): pressure tests x velocity dofs
         self.int_s = int_s   # integral of each scalar velocity basis fn
         self.int_p = int_p   # integral of each pressure basis fn
-        self.lu_Ms = spla.splu(M_s.tocsc())
-        self.lu_Mp = spla.splu(Mp.tocsc())
-        self.lu_Ms_mean = spla.splu(_augment_with_mean(M_s, int_s))
-        self.lu_Mp_mean = spla.splu(_augment_with_mean(Mp, int_p))
+        self.lu_Ms = Factorization(M_s)
+        self.lu_Mp = Factorization(Mp)
+        self.lu_Ms_mean = Factorization(_augment_with_mean(M_s, int_s))
+        self.lu_Mp_mean = Factorization(_augment_with_mean(Mp, int_p))
 
 
 def _augment_with_mean(M, integral):
@@ -303,24 +305,15 @@ def project_velocity(spaces, f):
     vals = _field_values(spaces, f)
     if vals.shape != spaces.tables.quad_points.shape:
         raise FESpaceError("field returned wrong shape %s" % (vals.shape,))
-    out = np.empty(3 * spaces.n_scalar)
+    rhs = np.zeros((spaces.n_scalar + 1, 3))
     for c in range(3):
-        rhs = np.append(_scalar_load(spaces, vals[:, :, c]), 0.0)
-        sol = spaces.ops.lu_Ms_mean.solve(rhs)
-        if not np.all(np.isfinite(sol)):
-            raise FESpaceError("velocity mass solve failed")
-        out[c * spaces.n_scalar:(c + 1) * spaces.n_scalar] = sol[:-1]
-    return out
+        rhs[:-1, c] = _scalar_load(spaces, vals[:, :, c])
+    return spaces.ops.lu_Ms_mean.solve(rhs)[:-1].T.ravel()
 
 
 def project_pressure(spaces, g):
     """Best L2 approximation of a scalar field in the zero-mean space."""
-    vals = _field_values(spaces, g)
-    rhs = np.append(_scalar_load(spaces, vals, n_funcs=N_LOCAL_P), 0.0)
-    sol = spaces.ops.lu_Mp_mean.solve(rhs)
-    if not np.all(np.isfinite(sol)):
-        raise FESpaceError("pressure mass solve failed")
-    return sol[:-1]
+    return project_pressure_values(spaces, _field_values(spaces, g))
 
 
 def project_pressure_values(spaces, pointwise):
@@ -362,12 +355,12 @@ def inverse_constant(spaces) -> float:
     """h times the largest H1/L2 ratio over the velocity space.
 
     The ratio is the same for every vector component, so the eigenvalue
-    problem is solved on the scalar space.  The returned product stays
-    bounded under refinement on this quasi-uniform family.
+    problem is solved on the scalar space: the largest eigenvalue of the
+    pencil (M_s + A_s, M_s), by sparse Lanczos.  The returned product
+    stays bounded under refinement on this quasi-uniform family.
     """
-    M = spaces.ops.M_s.toarray()
-    A = spaces.ops.A_s.toarray()
-    lam_max = float(sla.eigvalsh(M + A, M)[-1])
+    MA = (spaces.ops.M_s + spaces.ops.A_s).tocsr()
+    lam_max = _largest_eigenvalue(lambda x: MA @ np.ravel(x), spaces.ops.M_s)
     return float(np.sqrt(lam_max) * spaces.h)
 
 
@@ -396,7 +389,6 @@ def commutator_defect(spaces, v_coeffs, phi, l: int = 1) -> CommutatorDefect:
     if l not in (0, 1):
         raise ValueError("l must be 0 or 1")
     t = spaces.tables
-    n_s = spaces.n_scalar
     vvals = velocity_values(spaces, v_coeffs)
     vgrads = velocity_gradients(spaces, v_coeffs)
     pts = t.quad_points
@@ -407,10 +399,9 @@ def commutator_defect(spaces, v_coeffs, phi, l: int = 1) -> CommutatorDefect:
     fgrads = vgrads * pvals[..., None, None] \
         + vvals[..., :, None] * pgrads[..., None, :]
 
-    proj = np.empty(3 * n_s)
-    for c in range(3):
-        rhs = _scalar_load(spaces, fvals[:, :, c])
-        proj[c * n_s:(c + 1) * n_s] = spaces.ops.lu_Ms.solve(rhs)
+    loads = np.stack([_scalar_load(spaces, fvals[:, :, c]) for c in range(3)],
+                     axis=1)
+    proj = spaces.ops.lu_Ms.solve(loads).T.ravel()
     dvals = fvals - velocity_values(spaces, proj)
     dgrads = fgrads - velocity_gradients(spaces, proj)
 
@@ -475,7 +466,7 @@ def _largest_eigenvalue(apply_q, H) -> float:
     a fixed start vector, so reruns give the same value.
     """
     n = H.shape[0]
-    lu_H = spla.splu(H.tocsc())
+    lu_H = Factorization(H)
     Q = spla.LinearOperator((n, n), matvec=apply_q, dtype=float)
     H_inv = spla.LinearOperator((n, n), matvec=lu_H.solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)

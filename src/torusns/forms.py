@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fespace import (_scatter, project_pressure_values, quad_integral,
                       velocity_gradients, velocity_h1_semi, velocity_l2,
                       velocity_values)
+from .linsolve import saddle_system, solve_saddle
 
 #: signs of the cross-product coupling between vector components:
 #: block (i, j) of the rotational operator is -eps_{ijk} W_k.
@@ -223,16 +223,7 @@ def divergence_norm(spaces, u):
 
 def project_div_free(spaces, coeffs) -> np.ndarray:
     """Mass-orthogonal projection onto the discretely divergence-free,
-    componentwise zero-mean velocity subspace."""
-    ops = spaces.ops
-    n_u = 3 * spaces.n_scalar
-    n_p = spaces.pressure.dim
-    M = sp.kron(sp.identity(3), ops.M_s, format="csr")
-    Cu = sp.kron(sp.identity(3), sp.csr_matrix(ops.int_s[None, :]),
-                 format="csr")
-    K = sp.bmat([[M, ops.B.T, Cu.T],
-                 [ops.B, None, None],
-                 [Cu, None, None]], format="csc")
-    rhs = np.concatenate([M @ np.asarray(coeffs), np.zeros(n_p + 3)])
-    sol = spla.splu(K).solve(rhs)
-    return sol[:n_u]
+    componentwise zero-mean velocity subspace: the step's saddle system
+    with the vector mass matrix as velocity block."""
+    M = spaces.ops.M
+    return solve_saddle(saddle_system(spaces, M, M @ np.asarray(coeffs)))["u"]

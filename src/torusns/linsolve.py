@@ -1,15 +1,17 @@
-"""Sparse direct solution of the per-step constrained saddle systems.
+"""Sparse direct solves: every LU factorization, its residual guard, and
+the block layout of the constrained saddle systems.
 
 Every time step reduces to one (or, inside a Picard loop, a few) solves
 with a block matrix coupling velocity, pressure, optionally a projected
-dynamic-pressure variable, and the scalar mean multipliers.  Systems are
+dynamic-pressure variable, and the scalar mean multipliers; the
+divergence-free projection solves the same layout.  Systems are
 factorized monolithically: the identities the test-suite checks live at
 the 1e-10 level and would be polluted by iterative-solver tolerances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +22,12 @@ RESIDUAL_REL_TOL = 1e-11
 
 class LinearSolveError(RuntimeError):
     pass
+
+
+def _column_norms(a):
+    """Euclidean norm of a vector, or of each column of a stack."""
+    a = np.ascontiguousarray(np.asarray(a).T)
+    return np.sqrt(np.vecdot(a, a))
 
 
 class Factorization:
@@ -33,7 +41,28 @@ class Factorization:
             raise LinearSolveError(f"factorization failed: {exc}") from exc
 
     def solve(self, rhs):
-        return self._lu.solve(rhs)
+        """Solve for one right-hand side or a column stack of them.
+
+        Guarded: the solution must be finite and each column's residual
+        |Ax - b| must not exceed RESIDUAL_REL_TOL * |b|; a violation
+        signals a (numerically) singular matrix and raises
+        LinearSolveError.  Columns whose right-hand side is not finite
+        are passed through.  The residual norms are kept in `residual`.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        x = self._lu.solve(rhs)
+        resid = _column_norms(self.matrix @ x - rhs)
+        norm_rhs = _column_norms(rhs)
+        if np.any(~np.all(np.isfinite(x), axis=0)
+                  & np.all(np.isfinite(rhs), axis=0)):
+            raise LinearSolveError("solution is not finite")
+        bad = np.isfinite(norm_rhs) & (
+            resid > RESIDUAL_REL_TOL * np.maximum(norm_rhs, 1e-300))
+        if np.any(bad):
+            raise LinearSolveError(f"residual {np.max(resid[bad]):.3e} "
+                                   f"exceeds {RESIDUAL_REL_TOL:.0e} * |rhs|")
+        self.residual = resid
+        return x
 
 
 @dataclass
@@ -42,10 +71,46 @@ class SaddleSystem:
 
     matrix: sp.spmatrix
     rhs: np.ndarray
-    slices: dict = field(default_factory=dict)
+    slices: dict
 
-    def factorize(self) -> Factorization:
-        return Factorization(self.matrix)
+
+def saddle_system(spaces, F, rhs_u, R=None, rhs_kappa=None) -> SaddleSystem:
+    """Velocity block F constrained to the discretely divergence-free,
+    componentwise mean-free fields; blocks [u, p, (kappa), alpha, beta].
+
+    alpha are the velocity-mean multipliers and beta the pressure-mean
+    multiplier, which removes the constant pressure (B annihilates it)
+    from the kernel.  Passing R adds the projected dynamic pressure
+    kappa of the case-3 form: Mp kappa = 0.5 R u + rhs_kappa, entering
+    the momentum rows as -0.5 B^T kappa.
+    """
+    ops = spaces.ops
+    Cu = sp.csr_matrix((np.tile(ops.int_s, 3), np.arange(3 * ops.int_s.size),
+                        ops.int_s.size * np.arange(4)))  # row c: means of u_c
+    mp_col = sp.csc_matrix(ops.int_p[:, None])
+    with_kappa = R is not None
+    kappa_gap = [None] if with_kappa else []
+    rows = [[F, -ops.B.T] + ([-0.5 * ops.B.T] if with_kappa else [])
+            + [Cu.T, None],
+            [ops.B, None] + kappa_gap + [None, mp_col]]
+    if with_kappa:
+        rows.append([-0.5 * R, None, ops.Mp, None, None])
+    rows.append([Cu, None] + kappa_gap + [None, None])
+    rows.append([None, mp_col.T] + kappa_gap + [None, None])
+    matrix = sp.bmat(rows, format="csc")
+    n_u, n_p = F.shape[0], spaces.pressure.dim
+    slices = {"u": slice(0, n_u), "p": slice(n_u, n_u + n_p)}
+    off = n_u + n_p
+    if with_kappa:
+        slices["kappa"] = slice(off, off + n_p)
+        off += n_p
+    slices["alpha"] = slice(off, off + 3)
+    slices["beta"] = slice(off + 3, off + 4)
+    rhs = np.zeros(matrix.shape[0])
+    rhs[slices["u"]] = rhs_u
+    if with_kappa:
+        rhs[slices["kappa"]] = rhs_kappa
+    return SaddleSystem(matrix=matrix, rhs=rhs, slices=slices)
 
 
 @dataclass
@@ -60,20 +125,10 @@ class SaddleSolution:
 
 def solve_saddle(system: SaddleSystem,
                  factor: Factorization | None = None) -> SaddleSolution:
-    """Direct solve with a relative-residual guard.
-
-    The residual |Ax - b| must not exceed RESIDUAL_REL_TOL * |b|; a
-    violation signals a (numerically) singular system and aborts.
-    """
+    """Guarded direct solve (see `Factorization.solve`); `factor` is a
+    factorization of `system.matrix` to reuse."""
     if factor is None:
-        factor = system.factorize()
+        factor = Factorization(system.matrix)
     x = factor.solve(system.rhs)
-    norm_rhs = float(np.linalg.norm(system.rhs))
-    resid = float(np.linalg.norm(factor.matrix @ x - system.rhs))
-    if not np.all(np.isfinite(x)) and np.all(np.isfinite(system.rhs)):
-        raise LinearSolveError("solution is not finite")
-    if np.isfinite(norm_rhs) and resid > RESIDUAL_REL_TOL * max(norm_rhs, 1e-300):
-        raise LinearSolveError(
-            f"residual {resid:.3e} exceeds {RESIDUAL_REL_TOL:.0e} * |rhs| "
-            f"({norm_rhs:.3e})")
-    return SaddleSolution(x=x, residual=resid, slices=system.slices)
+    return SaddleSolution(x=x, residual=float(factor.residual),
+                          slices=system.slices)

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from . import forms
 from .fespace import project_velocity, velocity_l2
-from .linsolve import Factorization, SaddleSystem, solve_saddle
+from .linsolve import Factorization, saddle_system, solve_saddle
 
 SCHEMES = ("CN", "CNLE", "CNAB")
 
@@ -116,54 +116,16 @@ class _Workspace:
     """Constant blocks shared by every step of one trajectory."""
 
     def __init__(self, spaces, config):
-        ops = spaces.ops
         self.spaces = spaces
         self.config = config
-        n_s = spaces.n_scalar
         dt, nu = config.dt, config.nu
-        self.M = sp.kron(sp.identity(3), ops.M_s, format="csr")
-        self.A = sp.kron(sp.identity(3), ops.A_s, format="csr")
-        self.F0 = ((1.0 / dt) * self.M + 0.5 * nu * self.A).tocsr()
-        self.Cu = sp.kron(sp.identity(3),
-                          sp.csr_matrix(ops.int_s[None, :]), format="csr")
-        self.mp_col = sp.csc_matrix(ops.int_p[:, None])
-        self.n_u = 3 * n_s
-        self.n_p = spaces.pressure.dim
+        self.A = sp.kron(sp.identity(3), spaces.ops.A_s, format="csr")
+        self.F0 = ((1.0 / dt) * spaces.ops.M + 0.5 * nu * self.A).tocsr()
 
     def base_rhs_u(self, u_prev):
         dt, nu = self.config.dt, self.config.nu
-        return (1.0 / dt) * (self.M @ u_prev) - 0.5 * nu * (self.A @ u_prev)
-
-    def assemble(self, conv=None, conv_factor=0.0, R=None, rhs_u=None,
-                 rhs_kappa=None) -> SaddleSystem:
-        """Blocks: [u, p, (kappa), alpha, beta]."""
-        ops = self.spaces.ops
-        F = self.F0 if conv is None else (self.F0 + conv_factor * conv).tocsr()
-        with_kappa = R is not None
-        rows = [[F, -ops.B.T] + ([-0.5 * ops.B.T] if with_kappa else [])
-                + [self.Cu.T, None],
-                [ops.B, None] + ([None] if with_kappa else [])
-                + [None, self.mp_col]]
-        if with_kappa:
-            rows.append([-0.5 * R, None, ops.Mp, None, None])
-        rows.append([self.Cu, None] + ([None] if with_kappa else [])
-                    + [None, None])
-        rows.append([None, self.mp_col.T] + ([None] if with_kappa else [])
-                    + [None, None])
-        matrix = sp.bmat(rows, format="csc")
-        n_u, n_p = self.n_u, self.n_p
-        slices = {"u": slice(0, n_u), "p": slice(n_u, n_u + n_p)}
-        off = n_u + n_p
-        if with_kappa:
-            slices["kappa"] = slice(off, off + n_p)
-            off += n_p
-        slices["alpha"] = slice(off, off + 3)
-        slices["beta"] = slice(off + 3, off + 4)
-        rhs = np.zeros(matrix.shape[0])
-        rhs[slices["u"]] = rhs_u
-        if with_kappa and rhs_kappa is not None:
-            rhs[slices["kappa"]] = rhs_kappa
-        return SaddleSystem(matrix=matrix, rhs=rhs, slices=slices)
+        return ((1.0 / dt) * (self.spaces.ops.M @ u_prev)
+                - 0.5 * nu * (self.A @ u_prev))
 
 
 def _system_for_frozen_advection(ws: _Workspace, case, advect, weight, u_prev):
@@ -174,13 +136,13 @@ def _system_for_frozen_advection(ws: _Workspace, case, advect, weight, u_prev):
     through the midpoint, hence the factor weight/2 on the matrix side.
     """
     conv = forms.convection_matrix(ws.spaces, case, advect)
+    F = (ws.F0 + 0.5 * weight * conv).tocsr()
     rhs_u = ws.base_rhs_u(u_prev) - 0.5 * weight * (conv @ u_prev)
     if case == 3:
         R = weight * forms.bernoulli_rhs_matrix(ws.spaces, advect)
-        rhs_k = 0.5 * (R @ u_prev)
-        return ws.assemble(conv=conv, conv_factor=0.5 * weight, R=R,
-                           rhs_u=rhs_u, rhs_kappa=rhs_k)
-    return ws.assemble(conv=conv, conv_factor=0.5 * weight, rhs_u=rhs_u)
+        return saddle_system(ws.spaces, F, rhs_u, R=R,
+                             rhs_kappa=0.5 * (R @ u_prev))
+    return saddle_system(ws.spaces, F, rhs_u)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +207,7 @@ def step_cnab(u_prev, u_prev2, config, spaces, step_index=None,
     conv = (1.5 * forms.convection_rhs(spaces, config.case, u_prev)
             - 0.5 * forms.convection_rhs(spaces, config.case, u_prev2))
     rhs_u = ws.base_rhs_u(np.asarray(u_prev)) - conv
-    system = ws.assemble(rhs_u=rhs_u)
+    system = saddle_system(spaces, ws.F0, rhs_u)
     sol = solve_saddle(system, factor=factor)
     return StepResult(u=sol["u"], p=sol["p"], iterations=1,
                       residual=sol.residual
@@ -255,7 +217,7 @@ def step_cnab(u_prev, u_prev2, config, spaces, step_index=None,
 def cnab_factorization(config, spaces,
                        ws: _Workspace | None = None) -> Factorization:
     ws = ws or _Workspace(spaces, config)
-    return ws.assemble(rhs_u=np.zeros(3 * spaces.n_scalar)).factorize()
+    return Factorization(saddle_system(spaces, ws.F0, 0.0).matrix)
 
 
 # ---------------------------------------------------------------------------

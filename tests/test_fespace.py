@@ -146,6 +146,11 @@ def test_inverse_constant(level):
     ratio_2 = prods[0] / level(2).h
     ratio_4 = prods[2] / level(4).h
     assert 1.5 < ratio_4 / ratio_2 < 2.5
+    # dense reference for the Lanczos value
+    for n, prod in zip((2, 3), prods):
+        M, A = level(n).ops.M_s.toarray(), level(n).ops.A_s.toarray()
+        ref = np.sqrt(sla.eigvalsh(M + A, M)[-1]) * level(n).h
+        assert abs(prod - ref) <= 1e-13 * ref
 
 
 PHI = TrigPoly.constant(2.0) + TrigPoly.cosine((1, 0, 0))

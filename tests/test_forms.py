@@ -296,12 +296,17 @@ def test_estimate_constants_stable_under_refinement(level):
 
 
 def test_project_div_free(level):
-    spaces = level(3)
-    c = project_velocity(spaces, tg_like())
-    d = project_div_free(spaces, c)
-    assert divergence_norm(spaces, d) < 1e-10 * velocity_h1(spaces, d)
-    again = project_div_free(spaces, d)
-    assert np.abs(again - d).max() < 1e-10 * np.abs(d).max()
+    for n in (3, 5):
+        spaces = level(n)
+        c = project_velocity(spaces, tg_like())
+        d = project_div_free(spaces, c)
+        assert divergence_norm(spaces, d) < 1e-10 * velocity_h1(spaces, d)
+        again = project_div_free(spaces, d)
+        assert np.abs(again - d).max() < 1e-10 * np.abs(d).max()
+        # c - Pc is mass-orthogonal to every divergence-free field
+        w = project_div_free(spaces, rand_coeffs(spaces, 5))
+        assert abs(w @ (spaces.ops.M @ (c - d))) <= (
+            1e-13 * velocity_l2(spaces, c) * velocity_l2(spaces, w))
 
 
 def test_unknown_case_rejected(level):

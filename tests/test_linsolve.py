@@ -1,12 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from torusns.fespace import pressure_l2, project_velocity, velocity_l2
+from torusns.fespace import (build_spaces, commutator_constant,
+                             inverse_constant, pressure_l2, project_velocity,
+                             velocity_l2)
 from torusns.forms import project_div_free
-from torusns.linsolve import (LinearSolveError, SaddleSystem, solve_saddle)
-from torusns.steppers import SchemeConfig, _Workspace
-from torusns.trig import sine_shear
+from torusns.linsolve import (Factorization, LinearSolveError, saddle_system,
+                              solve_saddle)
+from torusns.mesh import build_torus_mesh
+from torusns.steppers import SchemeConfig, _Workspace, run
+from torusns.trig import TrigPoly, sine_shear, tg_like
 
 
 def make_workspace(level, n, dt=0.125, nu=0.5):
@@ -17,7 +24,7 @@ def make_workspace(level, n, dt=0.125, nu=0.5):
 
 def test_zero_rhs_gives_zero(level):
     spaces, ws = make_workspace(level, 2)
-    system = ws.assemble(rhs_u=np.zeros(3 * spaces.n_scalar))
+    system = saddle_system(spaces, ws.F0, np.zeros(3 * spaces.n_scalar))
     sol = solve_saddle(system)
     assert np.abs(sol.x).max() == 0.0
 
@@ -30,7 +37,8 @@ def test_manufactured_solution_recovery(level):
     p_star = rng.standard_normal(spaces.pressure.dim)
     p_star -= ((spaces.ops.int_p @ p_star) / (2 * np.pi) ** 3
                * np.ones(spaces.pressure.dim))
-    system = ws.assemble(rhs_u=ws.F0 @ u_star - spaces.ops.B.T @ p_star)
+    system = saddle_system(spaces, ws.F0,
+                           ws.F0 @ u_star - spaces.ops.B.T @ p_star)
     sol = solve_saddle(system)
     scale_u = max(1.0, np.abs(u_star).max())
     assert np.abs(sol["u"] - u_star).max() < 1e-10 * scale_u
@@ -42,18 +50,56 @@ def test_solution_is_discretely_divergence_free(level):
     from torusns.forms import divergence_norm
     spaces, ws = make_workspace(level, 2)
     rng = np.random.default_rng(9)
-    system = ws.assemble(rhs_u=rng.standard_normal(3 * spaces.n_scalar))
+    system = saddle_system(spaces, ws.F0,
+                           rng.standard_normal(3 * spaces.n_scalar))
     sol = solve_saddle(system)
     from torusns.fespace import velocity_h1
     assert divergence_norm(spaces, sol["u"]) \
         <= 1e-9 * velocity_h1(spaces, sol["u"])
 
 
-def test_singular_matrix_aborts():
-    bad = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+def test_singular_matrix_aborts(level):
+    # a zero velocity block leaves most velocity directions unconstrained
+    spaces = level(2)
+    n_u = 3 * spaces.n_scalar
+    rhs = np.random.default_rng(2).standard_normal(n_u)
     with pytest.raises(LinearSolveError):
-        solve_saddle(SaddleSystem(matrix=bad, rhs=np.ones(2),
-                                  slices={"u": slice(0, 2)}))
+        solve_saddle(saddle_system(spaces, sp.csr_matrix((n_u, n_u)), rhs))
+
+
+def test_column_stack_with_one_bad_column_raises():
+    # nearly singular: the second pivot is -5.6e-17, so a right-hand side
+    # off the range gets a solution of size 1e16 and an O(1) residual
+    factor = Factorization(sp.csc_matrix(np.array([[0.1, 0.3], [0.3, 0.9]])))
+    good = np.array([[0.4, 0.1], [1.2, 0.3]])
+    factor.solve(good)
+    assert np.all(factor.residual <= 1e-11 * np.linalg.norm(good, axis=0))
+    with pytest.raises(LinearSolveError, match="residual"):
+        factor.solve(np.column_stack([good, [1.0, 0.0]]))
+
+
+def test_every_factorization_goes_through_factorization(monkeypatch):
+    callers = []
+    splu = spla.splu
+
+    def spy(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((type(frame.f_locals.get("self")).__name__,
+                        frame.f_code.co_name))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    spaces = build_spaces(build_torus_mesh(2))
+    for scheme in ("CN", "CNAB"):
+        run(SchemeConfig(scheme=scheme, case=1, nu=0.5, T=0.25, N=3),
+            spaces, tg_like())
+    project_div_free(spaces, np.random.default_rng(3).standard_normal(
+        3 * spaces.n_scalar))
+    commutator_constant(spaces, TrigPoly.constant(2.0)
+                        + TrigPoly.cosine((1, 0, 0)))
+    inverse_constant(spaces)
+    assert len(callers) >= 10
+    assert set(callers) == {("Factorization", "__init__")}
 
 
 def test_stokes_pressure_decays_under_refinement(level):
@@ -64,7 +110,8 @@ def test_stokes_pressure_decays_under_refinement(level):
         ws = _Workspace(spaces, cfg)
         u0 = project_div_free(spaces,
                               project_velocity(spaces, sine_shear()))
-        system = ws.assemble(rhs_u=ws.base_rhs_u(u0))  # viscous step only
+        system = saddle_system(spaces, ws.F0,
+                               ws.base_rhs_u(u0))  # viscous step only
         sol = solve_saddle(system)
         norms.append(pressure_l2(spaces, sol["p"])
                      / max(1e-300, velocity_l2(spaces, sol["u"])))
@@ -75,6 +122,6 @@ def test_determinism(level):
     spaces, ws = make_workspace(level, 2)
     rng = np.random.default_rng(17)
     rhs = rng.standard_normal(3 * spaces.n_scalar)
-    a = solve_saddle(ws.assemble(rhs_u=rhs)).x
-    b = solve_saddle(ws.assemble(rhs_u=rhs)).x
+    a = solve_saddle(saddle_system(spaces, ws.F0, rhs)).x
+    b = solve_saddle(saddle_system(spaces, ws.F0, rhs)).x
     assert np.array_equal(a, b)
