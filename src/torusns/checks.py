@@ -14,7 +14,8 @@ import numpy as np
 
 from . import forms
 from .diagnostics import energy_residuals
-from .fespace import build_spaces, project_velocity, velocity_h1, velocity_l2
+from .fespace import (build_spaces, pressure_gradients, project_velocity,
+                      quad_integral, velocity_h1, velocity_l2, velocity_values)
 from .interpolants import InterpolantSet, gap_l2, increment_sum
 from .mesh import build_torus_mesh, conformity_ok
 from .quadrature import monomial_integral, tet_rule
@@ -71,7 +72,6 @@ def remove_mean(spaces, coeffs):
 def _projection_idempotence(spaces) -> CheckResult:
     rng = np.random.default_rng(42)
     c = remove_mean(spaces, rng.standard_normal(3 * spaces.n_scalar))
-    from .fespace import velocity_values
     vals = velocity_values(spaces, c)
     again = project_velocity(spaces, lambda pts: vals)
     err = np.abs(again - c).max() / max(1.0, np.abs(c).max())
@@ -125,7 +125,6 @@ def _gradient_div_duality(spaces) -> CheckResult:
     rng = np.random.default_rng(3)
     q = rng.standard_normal(spaces.pressure.dim)
     w = rng.standard_normal(3 * spaces.n_scalar)
-    from .fespace import pressure_gradients, velocity_values, quad_integral
     lhs = quad_integral(spaces, (pressure_gradients(spaces, q)
                                  * velocity_values(spaces, w)).sum(-1))
     rhs = -float(q @ (spaces.ops.B @ w))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import os
 import sys
 import time
@@ -35,7 +36,8 @@ from .diagnostics import build_report, energy_residuals
 from .fespace import build_spaces, velocity_h1_semi, velocity_l2, pressure_l2
 from .linsolve import LinearSolveError
 from .mesh import build_torus_mesh
-from .steppers import ConfigError, SchemeConfig, StepperError, run
+from .steppers import (ConfigError, DiscreteTrajectory, SchemeConfig,
+                       StepperError, run)
 from .trig import preset_field
 
 EXIT_OK = 0
@@ -175,7 +177,6 @@ def emit_config(spec: RunSpec, study: StudySpec | None = None,
         }
     if extra_meta:
         cp["meta"] = {k: str(v) for k, v in extra_meta.items()}
-    import io
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -279,11 +280,10 @@ def run_study(study: StudySpec, out_dir):
 
 def rerender_report(traj_dir, out_dir):
     """Rebuild diagnostics from a stored trajectory dump."""
-    spec, study = parse_config(os.path.join(traj_dir, "runmeta.ini"))
+    spec, _ = parse_config(os.path.join(traj_dir, "runmeta.ini"))
     datum = spec.validate()
     mesh = build_torus_mesh(spec.n_cells)
     spaces = build_spaces(mesh)
-    from .steppers import DiscreteTrajectory
     with np.load(os.path.join(traj_dir, "trajectory.npz")) as data:
         trajectory = DiscreteTrajectory(
             config=spec.scheme_config(), h=spaces.h, times=data["times"],

@@ -326,14 +326,15 @@ def project_pressure_values(spaces, pointwise):
 # measured structural constants
 # ---------------------------------------------------------------------------
 
-def inf_sup_constant(spaces, constrain_mean: bool = True) -> float:
-    """Smallest ratio |pi_h(grad q)|_2 / |q|_2 over the pressure space.
+def inf_sup_constant(spaces) -> float:
+    """Smallest ratio |pi_h(grad q)|_2 / |q|_2 over the zero-mean
+    pressure space.
 
     Computed as the square root of the smallest eigenvalue of the dense
     pencil (B_c M^-1 B_c^T summed over directions c, Mp) reduced to the
     zero-mean subspace, with B_c the c-th velocity block of B (by parts,
-    (N_a, d_c psi_j) = -B_c[j, a]).  With the constant direction kept
-    in, the minimum is zero.
+    (N_a, d_c psi_j) = -B_c[j, a]).  The constant pressure is left out:
+    B annihilates it, so it would make the minimum zero.
     """
     n_s, n_p = spaces.n_scalar, spaces.pressure.dim
     K = np.zeros((n_p, n_p))
@@ -342,12 +343,8 @@ def inf_sup_constant(spaces, constrain_mean: bool = True) -> float:
         K += dense.T @ spaces.ops.lu_Ms.solve(dense)
     K = 0.5 * (K + K.T)
     Mp = spaces.ops.Mp.toarray()
-    if constrain_mean:
-        Z = sla.null_space(spaces.ops.int_p[None, :])
-        vals = sla.eigvalsh(Z.T @ K @ Z, Z.T @ Mp @ Z)
-    else:
-        vals = sla.eigvalsh(K, Mp)
-    lam = float(vals[0])
+    Z = sla.null_space(spaces.ops.int_p[None, :])
+    lam = float(sla.eigvalsh(Z.T @ K @ Z, Z.T @ Mp @ Z)[0])
     return float(np.sqrt(max(lam, 0.0)))
 
 

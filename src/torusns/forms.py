@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .fespace import (_scatter, project_pressure_values, quad_integral,
                       velocity_gradients, velocity_h1_semi, velocity_l2,
                       velocity_values)
-from .linsolve import saddle_system, solve_saddle
+from .linsolve import SaddleSystem
 
 #: signs of the cross-product coupling between vector components:
 #: block (i, j) of the rotational operator is -eps_{ijk} W_k.
@@ -226,4 +226,5 @@ def project_div_free(spaces, coeffs) -> np.ndarray:
     componentwise zero-mean velocity subspace: the step's saddle system
     with the vector mass matrix as velocity block."""
     M = spaces.ops.M
-    return solve_saddle(saddle_system(spaces, M, M @ np.asarray(coeffs)))["u"]
+    system = SaddleSystem(spaces, M)
+    return system.solve(system.rhs(M @ np.asarray(coeffs)))["u"]

@@ -1,12 +1,14 @@
 """Sparse direct solves: every LU factorization, its residual guard, and
-the block layout of the constrained saddle systems.
+the constrained saddle system.
 
 Every time step reduces to one (or, inside a Picard loop, a few) solves
 with a block matrix coupling velocity, pressure, optionally a projected
 dynamic-pressure variable, and the scalar mean multipliers; the
-divergence-free projection solves the same layout.  Systems are
-factorized monolithically: the identities the test-suite checks live at
-the 1e-10 level and would be polluted by iterative-solver tolerances.
+divergence-free projection solves the same layout.  `SaddleSystem` is
+the only owner of that layout: it builds the matrix, packs right-hand
+sides and keeps its factorization.  Systems are factorized
+monolithically: the identities the test-suite checks live at the 1e-10
+level and would be polluted by iterative-solver tolerances.
 """
 
 from __future__ import annotations
@@ -66,15 +68,16 @@ class Factorization:
 
 
 @dataclass
-class SaddleSystem:
-    """Block system with named unknown slices (u, p, and friends)."""
-
-    matrix: sp.spmatrix
-    rhs: np.ndarray
+class SaddleSolution:
+    x: np.ndarray
+    residual: float     # |Ax - b| / max(1, |b|)
     slices: dict
 
+    def __getitem__(self, name):
+        return self.x[self.slices[name]]
 
-def saddle_system(spaces, F, rhs_u, R=None, rhs_kappa=None) -> SaddleSystem:
+
+class SaddleSystem:
     """Velocity block F constrained to the discretely divergence-free,
     componentwise mean-free fields; blocks [u, p, (kappa), alpha, beta].
 
@@ -82,53 +85,52 @@ def saddle_system(spaces, F, rhs_u, R=None, rhs_kappa=None) -> SaddleSystem:
     multiplier, which removes the constant pressure (B annihilates it)
     from the kernel.  Passing R adds the projected dynamic pressure
     kappa of the case-3 form: Mp kappa = 0.5 R u + rhs_kappa, entering
-    the momentum rows as -0.5 B^T kappa.
+    the momentum rows as -0.5 B^T kappa.  The matrix is factorized on
+    the first solve and the factor is reused by every later one.
     """
-    ops = spaces.ops
-    Cu = sp.csr_matrix((np.tile(ops.int_s, 3), np.arange(3 * ops.int_s.size),
-                        ops.int_s.size * np.arange(4)))  # row c: means of u_c
-    mp_col = sp.csc_matrix(ops.int_p[:, None])
-    with_kappa = R is not None
-    kappa_gap = [None] if with_kappa else []
-    rows = [[F, -ops.B.T] + ([-0.5 * ops.B.T] if with_kappa else [])
-            + [Cu.T, None],
-            [ops.B, None] + kappa_gap + [None, mp_col]]
-    if with_kappa:
-        rows.append([-0.5 * R, None, ops.Mp, None, None])
-    rows.append([Cu, None] + kappa_gap + [None, None])
-    rows.append([None, mp_col.T] + kappa_gap + [None, None])
-    matrix = sp.bmat(rows, format="csc")
-    n_u, n_p = F.shape[0], spaces.pressure.dim
-    slices = {"u": slice(0, n_u), "p": slice(n_u, n_u + n_p)}
-    off = n_u + n_p
-    if with_kappa:
-        slices["kappa"] = slice(off, off + n_p)
-        off += n_p
-    slices["alpha"] = slice(off, off + 3)
-    slices["beta"] = slice(off + 3, off + 4)
-    rhs = np.zeros(matrix.shape[0])
-    rhs[slices["u"]] = rhs_u
-    if with_kappa:
-        rhs[slices["kappa"]] = rhs_kappa
-    return SaddleSystem(matrix=matrix, rhs=rhs, slices=slices)
 
+    def __init__(self, spaces, F, R=None):
+        ops = spaces.ops
+        Cu = sp.csr_matrix((np.tile(ops.int_s, 3),
+                            np.arange(3 * ops.int_s.size),
+                            ops.int_s.size * np.arange(4)))  # means of u_c
+        mp_col = sp.csc_matrix(ops.int_p[:, None])
+        with_kappa = R is not None
+        kappa_gap = [None] if with_kappa else []
+        rows = [[F, -ops.B.T] + ([-0.5 * ops.B.T] if with_kappa else [])
+                + [Cu.T, None],
+                [ops.B, None] + kappa_gap + [None, mp_col]]
+        if with_kappa:
+            rows.append([-0.5 * R, None, ops.Mp, None, None])
+        rows.append([Cu, None] + kappa_gap + [None, None])
+        rows.append([None, mp_col.T] + kappa_gap + [None, None])
+        self.matrix = sp.bmat(rows, format="csc")
+        n_u, n_p = F.shape[0], spaces.pressure.dim
+        self.slices = {"u": slice(0, n_u), "p": slice(n_u, n_u + n_p)}
+        off = n_u + n_p
+        if with_kappa:
+            self.slices["kappa"] = slice(off, off + n_p)
+            off += n_p
+        self.slices["alpha"] = slice(off, off + 3)
+        self.slices["beta"] = slice(off + 3, off + 4)
+        self._factor = None
 
-@dataclass
-class SaddleSolution:
-    x: np.ndarray
-    residual: float
-    slices: dict
+    def rhs(self, rhs_u, rhs_kappa=None) -> np.ndarray:
+        """The full right-hand side: rhs_u on the momentum rows,
+        rhs_kappa on the kappa rows, zero on the constraint rows."""
+        rhs = np.zeros(self.matrix.shape[0])
+        rhs[self.slices["u"]] = rhs_u
+        if rhs_kappa is not None:
+            rhs[self.slices["kappa"]] = rhs_kappa
+        return rhs
 
-    def __getitem__(self, name):
-        return self.x[self.slices[name]]
-
-
-def solve_saddle(system: SaddleSystem,
-                 factor: Factorization | None = None) -> SaddleSolution:
-    """Guarded direct solve (see `Factorization.solve`); `factor` is a
-    factorization of `system.matrix` to reuse."""
-    if factor is None:
-        factor = Factorization(system.matrix)
-    x = factor.solve(system.rhs)
-    return SaddleSolution(x=x, residual=float(factor.residual),
-                          slices=system.slices)
+    def solve(self, rhs) -> SaddleSolution:
+        """Guarded direct solve (see `Factorization.solve`) for a full
+        right-hand side built by `rhs`."""
+        if self._factor is None:
+            self._factor = Factorization(self.matrix)
+        x = self._factor.solve(rhs)
+        return SaddleSolution(
+            x=x, slices=self.slices,
+            residual=float(self._factor.residual)
+            / max(1.0, float(np.linalg.norm(rhs))))

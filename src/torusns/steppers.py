@@ -21,13 +21,14 @@ mean-free, enforced through the constraint rows of the saddle system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import forms
 from .fespace import project_velocity, velocity_l2
-from .linsolve import Factorization, saddle_system, solve_saddle
+from .linsolve import SaddleSolution, SaddleSystem
 
 SCHEMES = ("CN", "CNLE", "CNAB")
 
@@ -109,11 +110,14 @@ class StepResult:
 
 
 # ---------------------------------------------------------------------------
-# saddle-system assembly
+# the midpoint saddle system of a trajectory
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """Constant blocks shared by every step of one trajectory."""
+class StepOperator:
+    """The parts of the midpoint step shared by every step of one
+    trajectory: F0 = M/dt + nu A/2, the explicit right-hand side, the
+    systems with frozen advection, and the history-independent CNAB
+    system."""
 
     def __init__(self, spaces, config):
         self.spaces = spaces
@@ -122,45 +126,58 @@ class _Workspace:
         self.A = sp.kron(sp.identity(3), spaces.ops.A_s, format="csr")
         self.F0 = ((1.0 / dt) * spaces.ops.M + 0.5 * nu * self.A).tocsr()
 
-    def base_rhs_u(self, u_prev):
+    def explicit_rhs(self, u_prev):
+        """M u/dt - nu A u/2: the momentum right-hand side without
+        convection."""
         dt, nu = self.config.dt, self.config.nu
         return ((1.0 / dt) * (self.spaces.ops.M @ u_prev)
                 - 0.5 * nu * (self.A @ u_prev))
 
+    def frozen_system(self, case, advect, weight, u_prev):
+        """Midpoint step with the advecting field frozen: its system and
+        full right-hand side.
 
-def _system_for_frozen_advection(ws: _Workspace, case, advect, weight, u_prev):
-    """Midpoint step with the advecting field frozen.
+        `weight` multiplies the convective form: 1 for plain midpoint
+        convection, 1/2 for the extrapolated variant.  The unknown enters
+        through the midpoint, hence the factor weight/2 on the matrix side.
+        """
+        conv = forms.convection_matrix(self.spaces, case, advect)
+        F = (self.F0 + 0.5 * weight * conv).tocsr()
+        rhs_u = self.explicit_rhs(u_prev) - 0.5 * weight * (conv @ u_prev)
+        R = rhs_kappa = None
+        if case == 3:
+            R = weight * forms.bernoulli_rhs_matrix(self.spaces, advect)
+            rhs_kappa = 0.5 * (R @ u_prev)
+        system = SaddleSystem(self.spaces, F, R=R)
+        return system, system.rhs(rhs_u, rhs_kappa)
 
-    `weight` multiplies the convective form: 1 for plain midpoint
-    convection, 1/2 for the extrapolated variant.  The unknown enters
-    through the midpoint, hence the factor weight/2 on the matrix side.
-    """
-    conv = forms.convection_matrix(ws.spaces, case, advect)
-    F = (ws.F0 + 0.5 * weight * conv).tocsr()
-    rhs_u = ws.base_rhs_u(u_prev) - 0.5 * weight * (conv @ u_prev)
-    if case == 3:
-        R = weight * forms.bernoulli_rhs_matrix(ws.spaces, advect)
-        return saddle_system(ws.spaces, F, rhs_u, R=R,
-                             rhs_kappa=0.5 * (R @ u_prev))
-    return saddle_system(ws.spaces, F, rhs_u)
+    def solve_frozen(self, case, advect, weight, u_prev) -> SaddleSolution:
+        """Solve `frozen_system` once.  Its factorization is freed on
+        return, before the next Picard iterate assembles its system."""
+        system, rhs = self.frozen_system(case, advect, weight, u_prev)
+        return system.solve(rhs)
+
+    @cached_property
+    def explicit_system(self) -> SaddleSystem:
+        """The CNAB system: its matrix does not depend on the history, so
+        it is built and factorized once per trajectory."""
+        return SaddleSystem(self.spaces, self.F0)
 
 
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
 
-def step_cn(u_prev, config, spaces, step_index=None,
-            ws: _Workspace | None = None) -> StepResult:
+def step_cn(op: StepOperator, u_prev, step_index=None) -> StepResult:
     """One implicit-midpoint step, Picard iteration on the midpoint."""
-    ws = ws or _Workspace(spaces, config)
+    config, spaces = op.config, op.spaces
     u_prev = np.asarray(u_prev, dtype=float)
     scale = max(1.0, velocity_l2(spaces, u_prev))
     w = u_prev.copy()
     history = []
     converged = False
     for _ in range(config.picard_max_iters):
-        system = _system_for_frozen_advection(ws, config.case, w, 1.0, u_prev)
-        sol = solve_saddle(system)
+        sol = op.solve_frozen(config.case, w, 1.0, u_prev)
         u_new = sol["u"]
         z = 0.5 * (u_new + u_prev)
         delta = velocity_l2(spaces, z - w)
@@ -176,48 +193,31 @@ def step_cn(u_prev, config, spaces, step_index=None,
             f"(last increments {history[-3:]})",
             step=step_index, history=history)
     # residual of the nonlinear system at the returned state
-    system = _system_for_frozen_advection(ws, config.case, w, 1.0, u_prev)
-    resid = np.linalg.norm(system.matrix @ sol.x - system.rhs)
-    resid /= max(1.0, np.linalg.norm(system.rhs))
+    system, rhs = op.frozen_system(config.case, w, 1.0, u_prev)
+    resid = np.linalg.norm(system.matrix @ sol.x - rhs)
+    resid /= max(1.0, np.linalg.norm(rhs))
     return StepResult(u=u_new, p=sol["p"], iterations=len(history),
                       residual=float(resid))
 
 
-def step_cnle(u_prev, u_prev2, config, spaces, step_index=None,
-              ws: _Workspace | None = None) -> StepResult:
+def step_cnle(op: StepOperator, u_prev, u_prev2) -> StepResult:
     """One linearly-implicit step with extrapolated advecting field."""
-    ws = ws or _Workspace(spaces, config)
     advect = 3.0 * np.asarray(u_prev) - np.asarray(u_prev2)
-    system = _system_for_frozen_advection(ws, 1, advect, 0.5, u_prev)
-    sol = solve_saddle(system)
+    sol = op.solve_frozen(1, advect, 0.5, u_prev)
     return StepResult(u=sol["u"], p=sol["p"], iterations=1,
-                      residual=sol.residual
-                      / max(1.0, float(np.linalg.norm(system.rhs))))
+                      residual=sol.residual)
 
 
-def step_cnab(u_prev, u_prev2, config, spaces, step_index=None,
-              factor: Factorization | None = None,
-              ws: _Workspace | None = None) -> StepResult:
-    """One step with explicit two-level convection.
-
-    The matrix does not depend on the history, so callers advancing a
-    trajectory pass a cached `factor`.
-    """
-    ws = ws or _Workspace(spaces, config)
-    conv = (1.5 * forms.convection_rhs(spaces, config.case, u_prev)
-            - 0.5 * forms.convection_rhs(spaces, config.case, u_prev2))
-    rhs_u = ws.base_rhs_u(np.asarray(u_prev)) - conv
-    system = saddle_system(spaces, ws.F0, rhs_u)
-    sol = solve_saddle(system, factor=factor)
+def step_cnab(op: StepOperator, u_prev, u_prev2) -> StepResult:
+    """One step with explicit two-level convection, solved with the
+    trajectory's one factorization of `op.explicit_system`."""
+    spaces, case = op.spaces, op.config.case
+    conv = (1.5 * forms.convection_rhs(spaces, case, u_prev)
+            - 0.5 * forms.convection_rhs(spaces, case, u_prev2))
+    system = op.explicit_system
+    sol = system.solve(system.rhs(op.explicit_rhs(np.asarray(u_prev)) - conv))
     return StepResult(u=sol["u"], p=sol["p"], iterations=1,
-                      residual=sol.residual
-                      / max(1.0, float(np.linalg.norm(system.rhs))))
-
-
-def cnab_factorization(config, spaces,
-                       ws: _Workspace | None = None) -> Factorization:
-    ws = ws or _Workspace(spaces, config)
-    return Factorization(saddle_system(spaces, ws.F0, 0.0).matrix)
+                      residual=sol.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +245,15 @@ def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     iters = np.zeros(N, dtype=int)
     resids = np.zeros(N)
     u[0] = start
-    ws = _Workspace(spaces, config)
-    cnab_factor = None
+    op = StepOperator(spaces, config)
     for m in range(1, N + 1):
         try:
             if m == 1 or config.scheme == "CN":
-                res = step_cn(u[m - 1], config, spaces, step_index=m, ws=ws)
+                res = step_cn(op, u[m - 1], step_index=m)
             elif config.scheme == "CNLE":
-                res = step_cnle(u[m - 1], u[m - 2], config, spaces,
-                                step_index=m, ws=ws)
+                res = step_cnle(op, u[m - 1], u[m - 2])
             else:
-                if cnab_factor is None:
-                    cnab_factor = cnab_factorization(config, spaces, ws=ws)
-                res = step_cnab(u[m - 1], u[m - 2], config, spaces,
-                                step_index=m, factor=cnab_factor, ws=ws)
+                res = step_cnab(op, u[m - 1], u[m - 2])
         except StepperError:
             raise
         except Exception as exc:

@@ -136,8 +136,6 @@ def test_inf_sup_constant(level):
     vals = [inf_sup_constant(level(n)) for n in (2, 3, 4)]
     assert min(vals) > 0.1
     assert abs(vals[1] - vals[0]) / vals[0] < 0.5
-    # the constant-pressure direction collapses the minimum
-    assert inf_sup_constant(level(2), constrain_mean=False) < 1e-6
 
 
 def test_inverse_constant(level):

@@ -9,37 +9,38 @@ from torusns.fespace import (build_spaces, commutator_constant,
                              inverse_constant, pressure_l2, project_velocity,
                              velocity_l2)
 from torusns.forms import project_div_free
-from torusns.linsolve import (Factorization, LinearSolveError, saddle_system,
-                              solve_saddle)
+from torusns.linsolve import Factorization, LinearSolveError, SaddleSystem
 from torusns.mesh import build_torus_mesh
-from torusns.steppers import SchemeConfig, _Workspace, run
+from torusns.steppers import SchemeConfig, StepOperator, run
 from torusns.trig import TrigPoly, sine_shear, tg_like
 
 
-def make_workspace(level, n, dt=0.125, nu=0.5):
+def make_operator(level, n, dt=0.125, nu=0.5):
     spaces = level(n)
     cfg = SchemeConfig(scheme="CN", case=1, nu=nu, T=dt, N=1)
-    return spaces, _Workspace(spaces, cfg)
+    return spaces, StepOperator(spaces, cfg)
+
+
+def solve(spaces, F, rhs_u):
+    system = SaddleSystem(spaces, F)
+    return system.solve(system.rhs(rhs_u))
 
 
 def test_zero_rhs_gives_zero(level):
-    spaces, ws = make_workspace(level, 2)
-    system = saddle_system(spaces, ws.F0, np.zeros(3 * spaces.n_scalar))
-    sol = solve_saddle(system)
+    spaces, op = make_operator(level, 2)
+    sol = solve(spaces, op.F0, np.zeros(3 * spaces.n_scalar))
     assert np.abs(sol.x).max() == 0.0
 
 
 def test_manufactured_solution_recovery(level):
-    spaces, ws = make_workspace(level, 3)
+    spaces, op = make_operator(level, 3)
     rng = np.random.default_rng(4)
     u_star = project_div_free(spaces,
                               rng.standard_normal(3 * spaces.n_scalar))
     p_star = rng.standard_normal(spaces.pressure.dim)
     p_star -= ((spaces.ops.int_p @ p_star) / (2 * np.pi) ** 3
                * np.ones(spaces.pressure.dim))
-    system = saddle_system(spaces, ws.F0,
-                           ws.F0 @ u_star - spaces.ops.B.T @ p_star)
-    sol = solve_saddle(system)
+    sol = solve(spaces, op.F0, op.F0 @ u_star - spaces.ops.B.T @ p_star)
     scale_u = max(1.0, np.abs(u_star).max())
     assert np.abs(sol["u"] - u_star).max() < 1e-10 * scale_u
     assert np.abs(sol["p"] - p_star).max() < 1e-9 * max(1.0,
@@ -48,11 +49,9 @@ def test_manufactured_solution_recovery(level):
 
 def test_solution_is_discretely_divergence_free(level):
     from torusns.forms import divergence_norm
-    spaces, ws = make_workspace(level, 2)
+    spaces, op = make_operator(level, 2)
     rng = np.random.default_rng(9)
-    system = saddle_system(spaces, ws.F0,
-                           rng.standard_normal(3 * spaces.n_scalar))
-    sol = solve_saddle(system)
+    sol = solve(spaces, op.F0, rng.standard_normal(3 * spaces.n_scalar))
     from torusns.fespace import velocity_h1
     assert divergence_norm(spaces, sol["u"]) \
         <= 1e-9 * velocity_h1(spaces, sol["u"])
@@ -64,7 +63,7 @@ def test_singular_matrix_aborts(level):
     n_u = 3 * spaces.n_scalar
     rhs = np.random.default_rng(2).standard_normal(n_u)
     with pytest.raises(LinearSolveError):
-        solve_saddle(saddle_system(spaces, sp.csr_matrix((n_u, n_u)), rhs))
+        solve(spaces, sp.csr_matrix((n_u, n_u)), rhs)
 
 
 def test_column_stack_with_one_bad_column_raises():
@@ -107,21 +106,19 @@ def test_stokes_pressure_decays_under_refinement(level):
     for n in (2, 3, 4):
         spaces = level(n)
         cfg = SchemeConfig(scheme="CN", case=1, nu=1.0, T=0.125, N=1)
-        ws = _Workspace(spaces, cfg)
+        op = StepOperator(spaces, cfg)
         u0 = project_div_free(spaces,
                               project_velocity(spaces, sine_shear()))
-        system = saddle_system(spaces, ws.F0,
-                               ws.base_rhs_u(u0))  # viscous step only
-        sol = solve_saddle(system)
+        sol = solve(spaces, op.F0, op.explicit_rhs(u0))  # viscous step only
         norms.append(pressure_l2(spaces, sol["p"])
                      / max(1e-300, velocity_l2(spaces, sol["u"])))
     assert norms[0] > norms[1] > norms[2] or max(norms) < 1e-10
 
 
 def test_determinism(level):
-    spaces, ws = make_workspace(level, 2)
+    spaces, op = make_operator(level, 2)
     rng = np.random.default_rng(17)
     rhs = rng.standard_normal(3 * spaces.n_scalar)
-    a = solve_saddle(saddle_system(spaces, ws.F0, rhs)).x
-    b = solve_saddle(saddle_system(spaces, ws.F0, rhs)).x
+    a = solve(spaces, op.F0, rhs).x
+    b = solve(spaces, op.F0, rhs).x
     assert np.array_equal(a, b)

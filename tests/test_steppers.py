@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from torusns.fespace import (project_velocity, velocity_h1, velocity_h1_semi,
                              velocity_l2)
-from torusns.forms import (b_form, divergence_norm, project_div_free,
-                           transport_matrix)
-from torusns.steppers import (ConfigError, SchemeConfig, StepperError,
-                              check_coupling, run)
-from torusns.trig import preset_field, sine_shear, tg_like
+from torusns.forms import (b_form, convection_rhs, divergence_norm,
+                           project_div_free, transport_matrix)
+from torusns.linsolve import SaddleSystem
+from torusns.steppers import (ConfigError, SchemeConfig, StepOperator,
+                              StepperError, check_coupling, run, step_cnab)
+from torusns.trig import preset_field, random_trig, sine_shear, tg_like
 
 
 def scale_of(spaces, traj):
@@ -120,20 +122,50 @@ def test_extrapolated_advection_is_linear(level):
 
 
 def test_cnab_two_level_weights(level):
-    # equal history states reduce the 3/2, -1/2 combination to a single
-    # convection evaluation; the step must then agree with a CNLE step
-    # whose extrapolated field is that same state
+    # with distinct history states the step solves its momentum equation
+    #   M (u^m - u^{m-1}) / dt + nu A (u^m + u^{m-1}) / 2
+    #     + 3/2 N(u^{m-1}) - 1/2 N(u^{m-2}) - B^T p = Cu^T alpha,
+    # alpha the velocity-mean multipliers; swapped weights or a single
+    # convection evaluation leave a defect of the size of the terms
     spaces = level(2)
     cfg = SchemeConfig(scheme="CNAB", case=1, nu=0.3, T=0.5, N=4)
-    u = project_div_free(spaces, project_velocity(spaces, tg_like()))
-    from torusns.steppers import step_cnab
-    res = step_cnab(u, u, cfg, spaces)
-    assert np.all(np.isfinite(res.u))
-    # direct check of the combination on the right-hand side
-    from torusns.forms import convection_rhs
-    n1 = convection_rhs(spaces, 1, u)
-    combo = 1.5 * n1 - 0.5 * n1
-    assert np.allclose(combo, n1, atol=1e-14 * np.abs(n1).max())
+    u_prev = project_div_free(spaces, project_velocity(spaces, tg_like()))
+    u_prev2 = project_div_free(spaces,
+                               project_velocity(spaces, random_trig(5)))
+    res = step_cnab(StepOperator(spaces, cfg), u_prev, u_prev2)
+    ops = spaces.ops
+    A = sp.kron(sp.identity(3), ops.A_s)
+    terms = [ops.M @ (res.u - u_prev) / cfg.dt,
+             0.5 * cfg.nu * (A @ (res.u + u_prev)),
+             1.5 * convection_rhs(spaces, 1, u_prev),
+             -0.5 * convection_rhs(spaces, 1, u_prev2),
+             -(ops.B.T @ res.p)]
+    defect = sum(terms)
+    Cu_T = sp.kron(sp.identity(3), ops.int_s[:, None]).toarray()
+    alpha = np.linalg.lstsq(Cu_T, defect, rcond=None)[0]
+    scale = max(np.abs(t).max() for t in terms)
+    assert np.abs(defect - Cu_T @ alpha).max() <= 1e-12 * scale
+
+
+def test_cnab_builds_its_saddle_matrix_once(level, monkeypatch):
+    # the CNAB matrix does not depend on the history: a run of twice the
+    # steps at the same dt builds no more saddle matrices
+    spaces = level(2)
+    built = []
+    init = SaddleSystem.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SaddleSystem, "__init__", spy)
+    counts = []
+    for N in (3, 6):
+        built.clear()
+        run(SchemeConfig(scheme="CNAB", case=1, nu=0.3, T=N / 8, N=N),
+            spaces, tg_like())
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_global_energy_telescopes(cn_runs, level):
