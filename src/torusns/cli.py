@@ -114,9 +114,16 @@ class StudySpec:
 # configuration files
 # ---------------------------------------------------------------------------
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce(value, target_type):
     if target_type is bool:
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
+        try:
+            return _BOOLEANS[str(value).strip().lower()]
+        except KeyError:
+            raise ConfigError(f"bad bool value {value!r}") from None
     try:
         return target_type(value)
     except ValueError as exc:

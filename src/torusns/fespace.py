@@ -14,8 +14,8 @@ algebraic identities the solver is tested against hold at roundoff and
 cannot drift apart between modules using different rules.
 
 Element tables are computed once per Kuhn type (there are only six
-element shapes up to translation) and gathered per element, which keeps
-assembly fully vectorized.
+element shapes up to translation) and contracted per Kuhn type: field
+values and element matrices take one matmul per type's stride-6 slice.
 """
 
 from __future__ import annotations
@@ -61,16 +61,20 @@ def _reference_basis(points):
 
 
 class ElementTables:
-    """Per-Kuhn-type basis tables for one mesh and one quadrature rule."""
+    """Per-Kuhn-type basis tables for one mesh and one quadrature rule:
+    values `N` (the same for every type) and gradients `grad`, (6, Q, 5, K)
+    with K = 1 and 3.  Element e uses table e % 6 (the mesh layout)."""
 
     def __init__(self, mesh: PeriodicMesh, rule: TetRule):
-        self.rule = rule
+        if not np.array_equal(mesh.tet_type, np.arange(mesh.n_tets) % 6):
+            raise FESpaceError("elements must be stored as 6 * cube + "
+                               "Kuhn type")
         a = mesh.cell_size
-        self.w_ref = rule.weights
         self.w_phys = a ** 3 * rule.weights          # |det J| = a^3, all types
-        self.N, dN = _reference_basis(rule.points)
+        vals, dN = _reference_basis(rule.points)
+        self.N = np.broadcast_to(vals[:, :, None], (6,) + vals.shape + (1,))
         self.grad = np.empty((6, rule.n_points, N_LOCAL, 3))
-        self.unit_pts = np.empty((6, rule.n_points, 3))
+        unit_pts = np.empty((6, rule.n_points, 3))
         for t in range(6):
             off = KUHN_OFFSETS[t]
             jhat = (off[1:] - off[0]).T
@@ -78,11 +82,51 @@ class ElementTables:
             if not np.isclose(det, 1.0):
                 raise FESpaceError("element type %d is not positively "
                                    "oriented (det %.3f)" % (t, det))
-            self.grad[t] = np.einsum("qad,dc->qac", dN, np.linalg.inv(jhat)) / a
-            self.unit_pts[t] = off[0] + rule.points @ jhat.T
+            self.grad[t] = dN @ np.linalg.inv(jhat) / a
+            unit_pts[t] = off[0] + rule.points @ jhat.T
         self.quad_points = a * (mesh.tet_corner[:, None, :]
-                                + self.unit_pts[mesh.tet_type])
-        self.grad_per_elem = self.grad[mesh.tet_type]   # (E, Q, 5, 3) copy
+                                + unit_pts[mesh.tet_type])
+
+
+def _evaluate(nodal, table):
+    """out[e, q, c, k] = sum_a nodal[e, c, a] table[e % 6, q, a, k] over
+    the table's first A functions (pressure: the vertex part), one matmul
+    per Kuhn type written straight into its stride-6 slice of `out`."""
+    E, C, A = nodal.shape
+    _, Q, _, K = table.shape
+    out = np.empty((E, Q, C, K))
+    for t in range(6):
+        prod = nodal[t::6] @ table[t, :, :A].transpose(1, 0, 2).reshape(A, -1)
+        out[t::6] = prod.reshape(-1, C, Q, K).transpose(0, 2, 1, 3)
+    return out
+
+
+def _local_matrices(spaces, left, right):
+    """Element matrices loc[e, a, b] = sum_q w_q sum_k left[.., q, a, k]
+    right[.., q, b, k], one matmul per Kuhn type.
+
+    Each side is either sampled per point, (E, Q, A, K), or a per-type
+    table (6, Q, A, K) used for every cube.
+    """
+    E = spaces.mesh.n_tets
+    weights = np.repeat(spaces.tables.w_phys, left.shape[3])  # (q, k) axis
+
+    def rows(side, t):                                  # (n, A, Q*K)
+        s = side[t::6] if len(side) == E else side[t:t + 1]
+        return s.transpose(0, 2, 1, 3).reshape(len(s), s.shape[2], -1)
+
+    loc = np.empty((E, left.shape[2], right.shape[2]))
+    for t in range(6):
+        loc[t::6] = rows(left, t) @ (rows(right, t) * weights).transpose(
+            0, 2, 1)
+    return loc
+
+
+def _product_table(left, right):
+    """(6, Q, A*B, K) table of the products left[.., a, k] right[.., b, k]
+    of two per-type tables, local index B*a + b (K may broadcast)."""
+    prod = left[:, :, :, None] * right[:, :, None]
+    return prod.reshape(prod.shape[:2] + (-1, prod.shape[-1]))
 
 
 @dataclass
@@ -91,6 +135,12 @@ class VelocitySpace:
     n_scalar: int
     dim: int
     dofmap: np.ndarray  # (E, 5)
+
+    @property
+    def vector_dofmap(self) -> np.ndarray:
+        """(E, 15) dofs of the vector basis N_a e_c, local index 5 c + a."""
+        return np.concatenate([self.dofmap + c * self.n_scalar
+                               for c in range(3)], axis=1)
 
 
 @dataclass
@@ -118,16 +168,20 @@ class Operators:
 
 
 def _augment_with_mean(M, integral):
-    col = sp.csc_matrix(integral[:, None])
-    return sp.bmat([[M, col], [col.T, None]], format="csc")
+    """[[M, i], [i^T, 0]] with i the integrals of the basis functions."""
+    C, n = M.tocoo(), len(integral)
+    ends, k = np.full(n, n), np.arange(n)
+    return sp.csc_matrix((np.r_[C.data, integral, integral],
+                          (np.r_[C.row, k, ends], np.r_[C.col, ends, k])))
 
 
-def _scatter(loc, row_dof, col_dof, shape) -> sp.csr_matrix:
+def _scatter(loc, row_dof, col_dof) -> sp.csr_matrix:
     """Sum element matrices loc[e, a, b] into the global entries
-    (row_dof[e, a], col_dof[e, b])."""
+    (row_dof[e, a], col_dof[e, b]); every dof occurs in its dofmap, so
+    the largest ones fix the shape."""
     rows = np.repeat(row_dof, col_dof.shape[1], axis=1).ravel()
     cols = np.tile(col_dof, (1, row_dof.shape[1])).ravel()
-    return sp.coo_matrix((np.ravel(loc), (rows, cols)), shape=shape).tocsr()
+    return sp.coo_matrix((np.ravel(loc), (rows, cols))).tocsr()
 
 
 class FESpacePair:
@@ -155,35 +209,21 @@ class FESpacePair:
 
     def _assemble_structural(self):
         t = self.tables
-        E = self.mesh.n_tets
-        n_s, n_p = self.velocity.n_scalar, self.pressure.dim
         dof = self.velocity.dofmap
         dof_p = self.pressure.dofmap
 
-        M_loc = np.einsum("q,qa,qb->ab", t.w_phys, t.N, t.N)
-        A_loc = np.einsum("q,tqac,tqbc->tab", t.w_phys, t.grad, t.grad)
-        M_s = _scatter(np.broadcast_to(M_loc, (E,) + M_loc.shape), dof, dof,
-                       (n_s, n_s))
-        A_s = _scatter(A_loc[self.mesh.tet_type], dof, dof, (n_s, n_s))
+        M_s = _scatter(_local_matrices(self, t.N, t.N), dof, dof)
+        A_s = _scatter(_local_matrices(self, t.grad, t.grad), dof, dof)
+        Np = t.N[:, :, :N_LOCAL_P]
+        Mp = _scatter(_local_matrices(self, Np, Np), dof_p, dof_p)
+        # B[j, c*n_s + a] = (psi_j, d_c N_a)
+        d_c_N_a = t.grad.transpose(0, 1, 3, 2).reshape(6, -1, 3 * N_LOCAL, 1)
+        B = _scatter(_local_matrices(self, Np, d_c_N_a), dof_p,
+                     self.velocity.vector_dofmap)
 
-        Mp_loc = np.einsum("q,qa,qb->ab", t.w_phys, t.N[:, :4], t.N[:, :4])
-        Mp = _scatter(np.broadcast_to(Mp_loc, (E,) + Mp_loc.shape),
-                      dof_p, dof_p, (n_p, n_p))
-
-        # B[j, c*n_s + a] = (psi_j, d_c N_a); one directional block at a time.
-        blocks = []
-        for c in range(3):
-            loc = np.einsum("q,qj,eqac->eja", t.w_phys, t.N[:, :4],
-                            t.grad_per_elem[:, :, :, c:c + 1])
-            blocks.append(_scatter(loc, dof_p, dof, (n_p, n_s)))
-        B = sp.hstack(blocks, format="csr")
-
-        int_loc = t.w_phys @ t.N
-        int_s = np.zeros(n_s)
-        np.add.at(int_s, dof, np.broadcast_to(int_loc, dof.shape))
-        int_p = np.zeros(n_p)
-        np.add.at(int_p, dof_p,
-                  np.broadcast_to(int_loc[:4], dof_p.shape))
+        ones = np.ones(t.quad_points.shape[:2])
+        int_s = _scalar_load(self, ones)
+        int_p = _scalar_load(self, ones, n_funcs=N_LOCAL_P)
         return M_s, A_s, Mp, B, int_s, int_p
 
 
@@ -197,27 +237,27 @@ def build_spaces(mesh: PeriodicMesh, degree: int = DEFAULT_DEGREE) -> FESpacePai
 
 def velocity_values(spaces, coeffs):
     """(E, Q, 3) values of a velocity coefficient vector."""
-    c = np.asarray(coeffs).reshape(3, spaces.n_scalar)
-    nodal = c[:, spaces.velocity.dofmap]                    # (3, E, 5)
-    return np.einsum("iea,qa->eqi", nodal, spaces.tables.N)
+    return _evaluate(_velocity_nodal(spaces, coeffs), spaces.tables.N)[..., 0]
 
 
 def velocity_gradients(spaces, coeffs):
     """(E, Q, 3, 3) with [..., i, j] = d_j u_i."""
+    return _evaluate(_velocity_nodal(spaces, coeffs), spaces.tables.grad)
+
+
+def _velocity_nodal(spaces, coeffs):
     c = np.asarray(coeffs).reshape(3, spaces.n_scalar)
-    nodal = c[:, spaces.velocity.dofmap]
-    return np.einsum("iea,eqac->eqic", nodal, spaces.tables.grad_per_elem)
+    return c[:, spaces.velocity.dofmap].transpose(1, 0, 2)  # (E, 3, 5)
 
 
 def pressure_values(spaces, coeffs):
-    nodal = np.asarray(coeffs)[spaces.pressure.dofmap]      # (E, 4)
-    return np.einsum("ea,qa->eq", nodal, spaces.tables.N[:, :4])
+    nodal = np.asarray(coeffs)[spaces.pressure.dofmap][:, None]
+    return _evaluate(nodal, spaces.tables.N)[:, :, 0, 0]
 
 
 def pressure_gradients(spaces, coeffs):
-    nodal = np.asarray(coeffs)[spaces.pressure.dofmap]
-    return np.einsum("ea,eqac->eqc", nodal,
-                     spaces.tables.grad_per_elem[:, :, :4, :])
+    nodal = np.asarray(coeffs)[spaces.pressure.dofmap][:, None]
+    return _evaluate(nodal, spaces.tables.grad)[:, :, 0]
 
 
 def quad_integral(spaces, values):
@@ -285,14 +325,17 @@ def _field_values(spaces, f):
 
 
 def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
-    """Load vector (f, N_a) from pointwise samples (E, Q)."""
-    t = spaces.tables
-    loc = np.einsum("q,eq,qa->ea", t.w_phys, pointwise, t.N[:, :n_funcs])
-    dof = (spaces.velocity.dofmap if n_funcs == N_LOCAL
-           else spaces.pressure.dofmap)
-    out = np.zeros(spaces.n_scalar if n_funcs == N_LOCAL
-                   else spaces.pressure.dim)
-    np.add.at(out, dof, loc)
+    """Load vectors (f_c, N_a) from pointwise samples (E, Q) or (E, Q, C):
+    shape (n,) or (n, C)."""
+    f = np.asarray(pointwise)
+    samples = f.reshape(f.shape[:2] + (-1, 1))               # (E, Q, C, 1)
+    loc = _local_matrices(spaces, samples,
+                          spaces.tables.N[:, :, :n_funcs])   # (E, C, A)
+    dof, n = ((spaces.velocity.dofmap, spaces.n_scalar) if n_funcs == N_LOCAL
+              else (spaces.pressure.dofmap, spaces.pressure.dim))
+    out = np.zeros((n,) + f.shape[2:])
+    np.add.at(out, dof,
+              loc.transpose(0, 2, 1).reshape(dof.shape + f.shape[2:]))
     return out
 
 
@@ -305,9 +348,7 @@ def project_velocity(spaces, f):
     vals = _field_values(spaces, f)
     if vals.shape != spaces.tables.quad_points.shape:
         raise FESpaceError("field returned wrong shape %s" % (vals.shape,))
-    rhs = np.zeros((spaces.n_scalar + 1, 3))
-    for c in range(3):
-        rhs[:-1, c] = _scalar_load(spaces, vals[:, :, c])
+    rhs = np.append(_scalar_load(spaces, vals), np.zeros((1, 3)), axis=0)
     return spaces.ops.lu_Ms_mean.solve(rhs)[:-1].T.ravel()
 
 
@@ -396,9 +437,7 @@ def commutator_defect(spaces, v_coeffs, phi, l: int = 1) -> CommutatorDefect:
     fgrads = vgrads * pvals[..., None, None] \
         + vvals[..., :, None] * pgrads[..., None, :]
 
-    loads = np.stack([_scalar_load(spaces, fvals[:, :, c]) for c in range(3)],
-                     axis=1)
-    proj = spaces.ops.lu_Ms.solve(loads).T.ravel()
+    proj = spaces.ops.lu_Ms.solve(_scalar_load(spaces, fvals)).T.ravel()
     dvals = fvals - velocity_values(spaces, proj)
     dgrads = fgrads - velocity_gradients(spaces, proj)
 
@@ -434,27 +473,6 @@ def pressure_commutator_defect(spaces, q_coeffs, phi):
     return CommutatorDefect(defect=defect, order=0, ratios={0: ratio})
 
 
-def _weighted_scalar_matrix(spaces, weight, grad_left=False, grad_right=False,
-                            weight_grad=None):
-    """Assemble (D_l(N_a w), D_r N_b) with optional gradients; `weight`
-    and `weight_grad` are pointwise samples of w and its gradient."""
-    t = spaces.tables
-    Nv = np.broadcast_to(t.N, (spaces.mesh.n_tets,) + t.N.shape)
-    g = t.grad_per_elem
-    if grad_left:
-        left = g * weight[..., None, None]
-        if weight_grad is not None:
-            left = left + Nv[..., None] * weight_grad[:, :, None, :]
-    else:
-        left = Nv * weight[..., None]
-    if grad_right:
-        loc = np.einsum("q,eqac,eqbc->eab", t.w_phys, left, g)
-    else:
-        loc = np.einsum("q,eqa,eqb->eab", t.w_phys, left, Nv)
-    dof = spaces.velocity.dofmap
-    return _scatter(loc, dof, dof, (spaces.n_scalar,) * 2)
-
-
 def _largest_eigenvalue(apply_q, H) -> float:
     """Largest eigenvalue of the pencil (Q, H) for symmetric Q given by
     its action and sparse symmetric positive definite H.
@@ -484,17 +502,21 @@ def commutator_constant(spaces, phi) -> float:
     through sparse operators and two mass solves, never formed densely.
     """
     t = spaces.tables
-    pts = t.quad_points
-    pv = phi.value(pts)
-    pg = phi.grad(pts)
+    pv = phi.value(t.quad_points)
+    pg = phi.grad(t.quad_points)
     M = spaces.ops.M_s
     A = spaces.ops.A_s
     lu_M = spaces.ops.lu_Ms
-    W = _weighted_scalar_matrix(spaces, pv)                      # (Na phi, Nb)
-    W2 = _weighted_scalar_matrix(spaces, pv ** 2)
-    V = _weighted_scalar_matrix(spaces, pv, grad_left=True,
-                                grad_right=True, weight_grad=pg)
-    G2d = _gram_of_products(spaces, pv, pg)
+    E, Q = pv.shape
+    pv4 = pv[..., None, None]
+    # grad(N_a phi), with the per-type gradient table broadcast over cubes
+    grad_N_phi = ((t.grad * pv.reshape(-1, 6, Q, 1, 1)).reshape(E, Q, -1, 3)
+                  + t.N[0] * pg[:, :, None, :])
+    dof = spaces.velocity.dofmap
+    W, W2, V, G2d = (
+        _scatter(_local_matrices(spaces, left, right), dof, dof)
+        for left, right in ((t.N[0] * pv4, t.N), (t.N[0] * pv4 ** 2, t.N),
+                            (grad_N_phi, t.grad), (grad_N_phi, grad_N_phi)))
     WT, VT = W.T.tocsr(), V.T.tocsr()
     WV = (W + V).tocsr()
 
@@ -510,31 +532,14 @@ def commutator_constant(spaces, phi) -> float:
     return float(np.sqrt(max(lam, 0.0)) / phi.wkinf_norm(2))
 
 
-def _gram_of_products(spaces, pv, pg):
-    """Gram matrix of gradients of N_a*phi (pointwise samples)."""
-    t = spaces.tables
-    Nv = np.broadcast_to(t.N, (spaces.mesh.n_tets,) + t.N.shape)
-    prod_grad = (t.grad_per_elem * pv[..., None, None]
-                 + Nv[..., None] * pg[:, :, None, :])
-    loc = np.einsum("q,eqac,eqbc->eab", t.w_phys, prod_grad, prod_grad)
-    dof = spaces.velocity.dofmap
-    return _scatter(loc, dof, dof, (spaces.n_scalar,) * 2)
-
-
 def pressure_commutator_constant(spaces, phi) -> float:
     """Worst-case L2 ratio |q phi - K(q phi)|_2 / (h |q|_2 |phi|_W1inf)."""
     t = spaces.tables
-    pts = t.quad_points
-    pv = phi.value(pts)
+    pv = phi.value(t.quad_points)[..., None, None]
+    Np = t.N[:, :, :N_LOCAL_P]
     dof = spaces.pressure.dofmap
-    Np = np.broadcast_to(t.N[:, :4], (spaces.mesh.n_tets, t.N.shape[0], 4))
-
-    def weighted(w):
-        loc = np.einsum("q,eqa,eqb->eab", t.w_phys, Np * w[..., None], Np)
-        return _scatter(loc, dof, dof, (spaces.pressure.dim,) * 2)
-
-    W = weighted(pv)
-    W2 = weighted(pv ** 2)
+    W, W2 = (_scatter(_local_matrices(spaces, Np[0] * w, Np), dof, dof)
+             for w in (pv, pv ** 2))
     WT = W.T.tocsr()
 
     def apply_q(x):

@@ -23,16 +23,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import (_scatter, project_pressure_values, quad_integral,
+from .fespace import (N_LOCAL, N_LOCAL_P, _evaluate, _local_matrices,
+                      _product_table, _scatter, _velocity_nodal,
+                      project_pressure_values, quad_integral,
                       velocity_gradients, velocity_h1_semi, velocity_l2,
                       velocity_values)
 from .linsolve import SaddleSystem
 
-#: signs of the cross-product coupling between vector components:
-#: block (i, j) of the rotational operator is -eps_{ijk} W_k.
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
+#: Levi-Civita symbol, eps_{ijk} = (e_i x e_j)_k
+_EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -48,44 +47,33 @@ def transport_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
     """
     t = spaces.tables
     dof = spaces.velocity.dofmap
-    uvals = velocity_values(spaces, advect_coeffs)           # (E, Q, 3)
-    udotgrad = np.einsum("eqc,eqbc->eqb", uvals, t.grad_per_elem)
-    term = np.einsum("q,qa,eqb->eab", t.w_phys, t.N, udotgrad)
+    uvals = velocity_values(spaces, advect_coeffs)[:, :, None, :]
+    term = _local_matrices(spaces, uvals, _product_table(t.N, t.grad))
+    term = term.reshape(-1, N_LOCAL, N_LOCAL)               # (u.grad N_b, N_a)
     loc = 0.5 * (term - term.transpose(0, 2, 1))
-    return _scatter(loc, dof, dof, (spaces.n_scalar,) * 2)
+    return _scatter(loc, dof, dof)
 
 
-def curl_weighted_mass(spaces, advect_coeffs):
-    """W_k[a, b] = ((curl u)_k N_a, N_b) for k = 0, 1, 2."""
-    t = spaces.tables
-    dof = spaces.velocity.dofmap
-    g = velocity_gradients(spaces, advect_coeffs)            # (E, Q, i, j)
-    curl = np.stack([g[..., 2, 1] - g[..., 1, 2],
-                     g[..., 0, 2] - g[..., 2, 0],
-                     g[..., 1, 0] - g[..., 0, 1]], axis=-1)  # (E, Q, 3)
-    out = []
-    for k in range(3):
-        loc = np.einsum("q,eq,qa,qb->eab", t.w_phys, curl[..., k], t.N, t.N)
-        out.append(_scatter(loc, dof, dof, (spaces.n_scalar,) * 2))
-    return out
+def _curl(spaces, coeffs):
+    """(E, Q, 3) curl of a velocity field at the quadrature points, from
+    the table (curl N_a e_j)_m = eps_{mij} d_i N_a."""
+    curl_N = np.einsum("mij,tqai->tqjam", _EPS, spaces.tables.grad)
+    nodal = _velocity_nodal(spaces, coeffs).reshape(-1, 1, 3 * N_LOCAL)
+    return _evaluate(nodal, curl_N.reshape(6, -1, 3 * N_LOCAL, 3))[:, :, 0]
 
 
 def rotation_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
-    """Full rotational operator ((curl u) x ., .) on vector coefficients."""
-    W = curl_weighted_mass(spaces, advect_coeffs)
-    n_s = spaces.n_scalar
-    grid = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if _EPS[i, j, k] != 0.0:
-                    blk = -_EPS[i, j, k] * W[k]
-                    grid[i][j] = blk if grid[i][j] is None else grid[i][j] + blk
-    for i in range(3):
-        for j in range(3):
-            if grid[i][j] is None and i == j:
-                grid[i][j] = sp.csr_matrix((n_s, n_s))
-    return sp.bmat(grid, format="csr")
+    """Full rotational operator ((curl u) x ., .) on vector coefficients.
+
+    Entry ((i, a), (j, b)) is eps_{imj} (w_m N_b, N_a) with w = curl u.
+    """
+    t = spaces.tables
+    curl = _curl(spaces, advect_coeffs)[..., None]
+    W = _local_matrices(spaces, curl, _product_table(t.N, t.N))  # [m, (a, b)]
+    loc = np.einsum("imj,emab->eiajb", _EPS,
+                    W.reshape(-1, 3, N_LOCAL, N_LOCAL))
+    dof = spaces.velocity.vector_dofmap
+    return _scatter(loc, dof, dof)
 
 
 def convection_matrix(spaces, case: int, advect_coeffs) -> sp.csr_matrix:
@@ -106,15 +94,12 @@ def convection_matrix(spaces, case: int, advect_coeffs) -> sp.csr_matrix:
 def bernoulli_rhs_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
     """R[j, (c, a)] = (psi_j, N_a u_c): projects z.u into the pressure space."""
     t = spaces.tables
-    shape = (spaces.pressure.dim, spaces.n_scalar)
-    uvals = velocity_values(spaces, advect_coeffs)
-    blocks = []
-    for c in range(3):
-        loc = np.einsum("q,qj,qa,eq->eja", t.w_phys, t.N[:, :4], t.N,
-                        uvals[:, :, c])
-        blocks.append(_scatter(loc, spaces.pressure.dofmap,
-                               spaces.velocity.dofmap, shape))
-    return sp.hstack(blocks, format="csr")
+    uvals = velocity_values(spaces, advect_coeffs)[..., None]
+    loc = _local_matrices(spaces, uvals,
+                          _product_table(t.N[:, :, :N_LOCAL_P], t.N))
+    loc = loc.reshape(-1, 3, N_LOCAL_P, N_LOCAL).transpose(0, 2, 1, 3)
+    return _scatter(loc, spaces.pressure.dofmap,
+                    spaces.velocity.vector_dofmap)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +108,6 @@ def bernoulli_rhs_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
 
 def b_case1(spaces, u, v, w) -> float:
     """Symmetrized transport form, antisymmetric-split evaluation."""
-    t = spaces.tables
     uvals = velocity_values(spaces, u)
     vvals = velocity_values(spaces, v)
     wvals = velocity_values(spaces, w)
@@ -137,10 +121,7 @@ def b_case1(spaces, u, v, w) -> float:
 
 def b_case2(spaces, u, v, w) -> float:
     """Rotational form ((curl u) x v, w)."""
-    g = velocity_gradients(spaces, u)
-    curl = np.stack([g[..., 2, 1] - g[..., 1, 2],
-                     g[..., 0, 2] - g[..., 2, 0],
-                     g[..., 1, 0] - g[..., 0, 1]], axis=-1)
+    curl = _curl(spaces, u)
     vvals = velocity_values(spaces, v)
     wvals = velocity_values(spaces, w)
     integrand = (np.cross(curl, vvals) * wvals).sum(-1)

@@ -11,6 +11,10 @@ Because vertices wrap around, element geometry cannot be recovered from
 the stored vertex coordinates alone.  Each tetrahedron therefore records
 its cube corner and its Kuhn type, from which unwrapped physical
 coordinates are reconstructed on demand.
+
+Layout invariant: element e is Kuhn type e % 6 of cube e // 6.  The
+finite element kernels contract each stride-6 slice of elements with
+its type's tables and reject meshes stored in any other order.
 """
 
 from __future__ import annotations

@@ -64,10 +64,12 @@ class SchemeConfig:
         if self.scheme != "CN" and self.case != 1:
             raise ConfigError(f"{self.scheme} is defined with the "
                               "symmetrized convective form (case 1)")
-        if not self.nu > 0:
-            raise ConfigError("viscosity must be positive")
-        if not self.T > 0:
-            raise ConfigError("final time must be positive")
+        if not 0 < self.nu < np.inf:
+            raise ConfigError("viscosity must be positive and finite")
+        if not 0 < self.T < np.inf:
+            raise ConfigError("final time must be positive and finite")
+        if not 0 < self.picard_tol < np.inf:
+            raise ConfigError("picard_tol must be positive and finite")
         if self.N < 1:
             raise ConfigError("need at least one step")
         if self.picard_max_iters < 1:

@@ -217,8 +217,13 @@ def test_bad_step_constant_rejected_before_solve(tmp_path, extra):
     BASE_CFG.replace("sine-shear", "vortex-ring"),
     BASE_CFG.replace("sine-shear", "sine%shear"),  # bad interpolation
     BASE_CFG + "\n[study]\nlevels = 2,x\n",
+    BASE_CFG.replace("T = 0.5", "T = inf"),
+    BASE_CFG.replace("nu = 0.2", "nu = inf"),
+    BASE_CFG + "picard_tol = 0\n",
+    BASE_CFG.replace("local_energy = true", "local_energy = flase"),
 ], ids=["no-section", "duplicate-key", "bad-int", "unknown-datum",
-        "bad-interpolation", "bad-levels"])
+        "bad-interpolation", "bad-levels", "T-inf", "nu-inf",
+        "picard-tol-zero", "bad-bool"])
 def test_config_faults_exit_with_config_code(tmp_path, body):
     cfg = write_cfg(tmp_path, body)
     command = "study" if "[study]" in body else "run"

@@ -1,17 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from torusns.checks import remove_mean
-from torusns.fespace import (_gram_of_products, _weighted_scalar_matrix,
-                             build_spaces, commutator_defect,
-                             commutator_constant, inf_sup_constant,
-                             inverse_constant, pressure_commutator_constant,
-                             pressure_commutator_defect, pressure_l2,
-                             pressure_mean, pressure_values,
+from torusns.fespace import (FESpaceError, _scatter, build_spaces,
+                             commutator_defect, commutator_constant,
+                             inf_sup_constant, inverse_constant,
+                             pressure_commutator_constant,
+                             pressure_commutator_defect, pressure_gradients,
+                             pressure_l2, pressure_mean, pressure_values,
                              project_pressure, project_velocity,
-                             quad_integral, velocity_h1, velocity_h1_semi,
-                             velocity_l2, velocity_mean, velocity_values)
+                             quad_integral, velocity_gradients, velocity_h1,
+                             velocity_h1_semi, velocity_l2, velocity_mean,
+                             velocity_values)
 from torusns.forms import divergence_norm
 from torusns.mesh import build_torus_mesh
 from torusns.trig import BOX_VOLUME, TrigPoly, sine_shear, tg_like
@@ -190,9 +194,83 @@ def test_commutator_constant_bounded(level):
         assert 0.0 < pressure_commutator_constant(spaces, PHI) < 1.0
 
 
+# ---------------------------------------------------------------------------
+# reference: the same integrals on gathered per-element tables
+# ---------------------------------------------------------------------------
+
+def _gathered(spaces):
+    """Quadrature weights, the (Q, 5) value table and the (E, Q, 5, 3)
+    gradient table gathered per element."""
+    t = spaces.tables
+    return t.w_phys, t.N[0, :, :, 0], t.grad[spaces.mesh.tet_type]
+
+
+def _weighted_scalar_matrix(spaces, weight, grad_left=False, grad_right=False,
+                            weight_grad=None):
+    """Assemble (D_l(N_a w), D_r N_b) with optional gradients; `weight`
+    and `weight_grad` are pointwise samples of w and its gradient."""
+    w, N, g = _gathered(spaces)
+    Nv = np.broadcast_to(N, (spaces.mesh.n_tets,) + N.shape)
+    if grad_left:
+        left = g * weight[..., None, None]
+        if weight_grad is not None:
+            left = left + Nv[..., None] * weight_grad[:, :, None, :]
+    else:
+        left = Nv * weight[..., None]
+    if grad_right:
+        loc = np.einsum("q,eqac,eqbc->eab", w, left, g)
+    else:
+        loc = np.einsum("q,eqa,eqb->eab", w, left, Nv)
+    dof = spaces.velocity.dofmap
+    return _scatter(loc, dof, dof)
+
+
+def _gram_of_products(spaces, pv, pg):
+    """Gram matrix of gradients of N_a*phi (pointwise samples)."""
+    w, N, g = _gathered(spaces)
+    Nv = np.broadcast_to(N, (spaces.mesh.n_tets,) + N.shape)
+    prod_grad = g * pv[..., None, None] + Nv[..., None] * pg[:, :, None, :]
+    loc = np.einsum("q,eqac,eqbc->eab", w, prod_grad, prod_grad)
+    dof = spaces.velocity.dofmap
+    return _scatter(loc, dof, dof)
+
+
+def test_kernels_match_gathered_einsum(level):
+    for n in (2, 3):
+        spaces = level(n)
+        w, N, g = _gathered(spaces)
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((3, spaces.n_scalar))
+        q = rng.standard_normal(spaces.pressure.dim)
+        dof, dof_p = spaces.velocity.dofmap, spaces.pressure.dofmap
+        A_s = _scatter(np.einsum("q,eqac,eqbc->eab", w, g, g), dof, dof)
+        B = sp.hstack([_scatter(np.einsum("q,qj,eqa->eja", w, N[:, :4],
+                                          g[..., c]), dof_p, dof)
+                       for c in range(3)])
+        pairs = ((velocity_gradients(spaces, u.ravel()),
+                  np.einsum("iea,eqac->eqic", u[:, dof], g)),
+                 (pressure_gradients(spaces, q),
+                  np.einsum("ea,eqac->eqc", q[dof_p], g[:, :, :4])),
+                 (spaces.ops.A_s.toarray(), A_s.toarray()),
+                 (spaces.ops.B.toarray(), B.toarray()))
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_element_layout_is_guarded():
+    mesh = build_torus_mesh(2)
+    perm = np.random.default_rng(0).permutation(mesh.n_tets)
+    shuffled = dataclasses.replace(
+        mesh, tetrahedra=mesh.tetrahedra[perm],
+        tet_corner=mesh.tet_corner[perm], tet_type=mesh.tet_type[perm])
+    with pytest.raises(FESpaceError):
+        build_spaces(shuffled)
+
+
 def _dense_commutator_constants(spaces, phi):
-    """Reference: both constants from dense pencils and eigvalsh.  The
-    pressure basis is the vertex part of the scalar velocity basis."""
+    """Reference: both constants from dense pencils and eigvalsh, on the
+    gathered tables.  The pressure basis is the vertex part of the scalar
+    velocity basis."""
     t = spaces.tables
     pv, pg = phi.value(t.quad_points), phi.grad(t.quad_points)
     W = _weighted_scalar_matrix(spaces, pv).toarray()

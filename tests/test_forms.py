@@ -6,7 +6,8 @@ from torusns.fespace import (build_spaces, pressure_gradients, quad_integral,
                              velocity_gradients, velocity_h1,
                              velocity_l2, velocity_values)
 from torusns.forms import (b_case1, b_case2, b_case3, b_form,
-                           bernoulli_projection, convection_rhs,
+                           bernoulli_projection, bernoulli_rhs_matrix,
+                           convection_matrix, convection_rhs,
                            divergence_norm, estimate_constants,
                            project_div_free, transport_matrix)
 from torusns.mesh import build_torus_mesh
@@ -23,6 +24,26 @@ def rand_coeffs(spaces, seed):
 # ---------------------------------------------------------------------------
 # assembled operators
 # ---------------------------------------------------------------------------
+
+def test_stepper_matrices_match_value_forms(level):
+    # the assembled operators the steppers use against the value forms;
+    # case 3's matrix is only its rotational part, b_case2
+    for n in (2, 3):
+        spaces = level(n)
+        u, v, w = (project_velocity(spaces, random_trig(seed, 2))
+                   for seed in (21, 22, 23))
+        for case in (1, 2, 3):
+            got = w @ (convection_matrix(spaces, case, u) @ v)
+            want = b_form(spaces, min(case, 2), u, v, w)
+            assert abs(got - want) <= 1e-12 * abs(want), (n, case)
+            got = convection_rhs(spaces, case, u) @ w
+            want = b_form(spaces, case, u, u, w)
+            assert abs(got - want) <= 1e-12 * abs(want), (n, case)
+        B = spaces.ops.B
+        got = B.T @ spaces.ops.lu_Mp.solve(bernoulli_rhs_matrix(spaces, u) @ v)
+        want = B.T @ bernoulli_projection(spaces, u, v)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+
 
 def test_stiffness_kills_constants(level):
     spaces = level(2)

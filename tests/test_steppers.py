@@ -37,6 +37,10 @@ def test_config_validation():
         SchemeConfig(nu=-1.0)
     with pytest.raises(ConfigError):
         SchemeConfig(N=0)
+    for bad in (dict(nu=np.inf), dict(T=np.inf), dict(T=np.nan),
+                dict(picard_tol=0.0), dict(picard_tol=np.inf)):
+        with pytest.raises(ConfigError):
+            SchemeConfig(**bad)
     with pytest.raises(ConfigError):
         SchemeConfig(scheme="CNAB", case=2)
     with pytest.raises(ConfigError):
