@@ -67,14 +67,63 @@ def test_singular_matrix_aborts(level):
 
 
 def test_column_stack_with_one_bad_column_raises():
-    # nearly singular: the second pivot is -5.6e-17, so a right-hand side
-    # off the range gets a solution of size 1e16 and an O(1) residual
+    # nearly singular: the second pivot is 1.4e-17, so a right-hand side
+    # off the range gets a solution of size 7.6e16 with a zero residual
     factor = Factorization(sp.csc_matrix(np.array([[0.1, 0.3], [0.3, 0.9]])))
     good = np.array([[0.4, 0.1], [1.2, 0.3]])
     factor.solve(good)
     assert np.all(factor.residual <= 1e-11 * np.linalg.norm(good, axis=0))
     with pytest.raises(LinearSolveError, match="residual"):
         factor.solve(np.column_stack([good, [1.0, 0.0]]))
+
+
+def test_zero_residual_blow_up_raises():
+    # x = [0, 1e14] solves this exactly in floating point: only the
+    # amplification |A||x| / |b| shows the tiny pivot
+    factor = Factorization(sp.csc_matrix(np.diag([1.0, 1e-14])))
+    with pytest.raises(LinearSolveError, match="residual"):
+        factor.solve(np.array([0.0, 1.0]))
+
+
+def step_systems(spaces, u):
+    """Matrix and right-hand side of the case-3 CN step (dt = 1/128),
+    the CNAB step and the divergence-free projection at u."""
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
+                                           T=1 / 128, N=1))
+    step, rhs = op.frozen_system(3, u, 1.0, u)
+    cnab = op.explicit_system
+    M = spaces.ops.M
+    projection = SaddleSystem(spaces, M)
+    return {"step": (step.matrix, rhs),
+            "cnab": (cnab.matrix, cnab.rhs(op.explicit_rhs(u))),
+            "projection": (projection.matrix, projection.rhs(M @ u))}
+
+
+def test_amplification_far_below_guard_limit(level):
+    # |A|_1 |x|_1 / |b|_1 on real solves stays six decades below the
+    # guard's 1e12 (measured at most 1.4e3)
+    spaces = level(3)
+    u = project_velocity(spaces, tg_like())
+    rng = np.random.default_rng(5)
+    solves = [(Factorization(A), b) for A, b in
+              step_systems(spaces, u).values()]
+    ops = spaces.ops
+    solves += [(lu, rng.standard_normal((lu.matrix.shape[0], 3)))
+               for lu in (ops.lu_Ms, ops.lu_Mp, ops.lu_Ms_mean,
+                          ops.lu_Mp_mean)]
+    for factor, b in solves:
+        x = factor.solve(b)
+        ratio = (spla.norm(factor.matrix, 1) * np.abs(x).sum(axis=0)
+                 / np.abs(b).sum(axis=0))
+        assert np.max(ratio) <= 1e6
+
+
+def test_step_factor_fill_is_small(level):
+    # minimum degree on A^T + A: 44 161 entries in L + U, against
+    # 313 417 with SuperLU's default COLAMD ordering
+    spaces = level(3)
+    A, _ = step_systems(spaces, project_velocity(spaces, tg_like()))["step"]
+    assert Factorization(A)._lu.nnz < 80_000
 
 
 def test_every_factorization_goes_through_factorization(monkeypatch):
