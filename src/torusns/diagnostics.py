@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms
-from .fespace import (pressure_l2, pressure_values, velocity_gradients,
-                      velocity_h1, velocity_h1_semi, velocity_l2, velocity_l3,
-                      velocity_values)
+from .fespace import (field_values, pressure_l2, pressure_values,
+                      velocity_gradients, velocity_h1, velocity_h1_semi,
+                      velocity_l2, velocity_l3, velocity_values)
 from .interpolants import InterpolantSet, gap_l2, increment_sum
 from .steppers import DiscreteTrajectory, StepperError, check_coupling
 from .trig import TrigPoly
@@ -171,12 +171,14 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     lap_w = np.empty_like(psi_w)
     grad_w = np.empty((len(tests),) + pts.shape)
     for i, test in enumerate(tests):
-        psi_v = test.psi.value(pts)
+        psi_v = field_values(spaces, test.psi)
         if psi_v.min() < 0.0:
             raise ValueError(f"test {test.name}: spatial factor is negative")
         np.multiply(psi_v, w, out=psi_w[i])
-        np.multiply(test.psi.laplacian().value(pts), w, out=lap_w[i])
-        np.multiply(test.psi.grad(pts), w[:, None], out=grad_w[i])
+        np.multiply(field_values(spaces, test.psi.laplacian()), w,
+                    out=lap_w[i])
+        np.multiply(field_values(spaces, test.psi.gradient()), w[:, None],
+                    out=grad_w[i])
     psi_w, lap_w, grad_w = (a.reshape(len(tests), -1)
                             for a in (psi_w, lap_w, grad_w))
     t_nodes = (np.arange(N)[:, None] + _GAUSS3_X[None, :]) * dt

@@ -3,9 +3,11 @@
 Velocity: continuous piecewise-linear vector fields enriched with one
 interior bubble (the product of the four barycentric coordinates, scaled
 to peak value one) per element and component.  Pressure: continuous
-piecewise linears.  Both spaces represent zero-mean fields; the mean
-constraint is imposed through scalar Lagrange multipliers so projections
-stay symmetric.
+piecewise linears.  Both spaces represent zero-mean fields; the saddle
+systems impose the mean constraint through scalar Lagrange multipliers.
+The L2 projections eliminate theirs in closed form: the mass matrix maps
+the constant function to the basis integrals, so the zero-mean
+projection is M^-1 b minus a multiple of the constant.
 
 A single quadrature rule (degree 11 by default) is used for every
 integral in the package.  At that degree all products of discrete
@@ -16,6 +18,10 @@ cannot drift apart between modules using different rules.
 Element tables are computed once per Kuhn type (there are only six
 element shapes up to translation) and contracted per Kuhn type: field
 values and element matrices take one matmul per type's stride-6 slice.
+Trigonometric data are evaluated the same way: every quadrature point is
+an element corner plus one of its type's reference offsets, so
+`field_values` makes one factored complex product per type
+(`TrigPoly.value_on`) instead of a cos and a sin per mode and point.
 """
 
 from __future__ import annotations
@@ -63,7 +69,9 @@ def _reference_basis(points):
 class ElementTables:
     """Per-Kuhn-type basis tables for one mesh and one quadrature rule:
     values `N` (the same for every type) and gradients `grad`, (6, Q, 5, K)
-    with K = 1 and 3.  Element e uses table e % 6 (the mesh layout)."""
+    with K = 1 and 3.  Element e uses table e % 6 (the mesh layout).  Its
+    quadrature points are corners[e] + offsets[e % 6], (E, 3) + (6, Q, 3),
+    gathered once into `quad_points` for plain callables."""
 
     def __init__(self, mesh: PeriodicMesh, rule: TetRule):
         if not np.array_equal(mesh.tet_type, np.arange(mesh.n_tets) % 6):
@@ -74,7 +82,7 @@ class ElementTables:
         vals, dN = _reference_basis(rule.points)
         self.N = np.broadcast_to(vals[:, :, None], (6,) + vals.shape + (1,))
         self.grad = np.empty((6, rule.n_points, N_LOCAL, 3))
-        unit_pts = np.empty((6, rule.n_points, 3))
+        self.offsets = np.empty((6, rule.n_points, 3))
         for t in range(6):
             off = KUHN_OFFSETS[t]
             jhat = (off[1:] - off[0]).T
@@ -83,9 +91,10 @@ class ElementTables:
                 raise FESpaceError("element type %d is not positively "
                                    "oriented (det %.3f)" % (t, det))
             self.grad[t] = dN @ np.linalg.inv(jhat) / a
-            unit_pts[t] = off[0] + rule.points @ jhat.T
-        self.quad_points = a * (mesh.tet_corner[:, None, :]
-                                + unit_pts[mesh.tet_type])
+            self.offsets[t] = a * (off[0] + rule.points @ jhat.T)
+        self.corners = a * mesh.tet_corner
+        self.quad_points = (self.corners[:, None, :]
+                            + self.offsets[mesh.tet_type])
 
 
 def _evaluate(nodal, table):
@@ -163,16 +172,6 @@ class Operators:
         self.int_p = int_p   # integral of each pressure basis fn
         self.lu_Ms = Factorization(M_s)
         self.lu_Mp = Factorization(Mp)
-        self.lu_Ms_mean = Factorization(_augment_with_mean(M_s, int_s))
-        self.lu_Mp_mean = Factorization(_augment_with_mean(Mp, int_p))
-
-
-def _augment_with_mean(M, integral):
-    """[[M, i], [i^T, 0]] with i the integrals of the basis functions."""
-    C, n = M.tocoo(), len(integral)
-    ends, k = np.full(n, n), np.arange(n)
-    return sp.csc_matrix((np.r_[C.data, integral, integral],
-                          (np.r_[C.row, k, ends], np.r_[C.col, ends, k])))
 
 
 def _scatter(loc, row_dof, col_dof) -> sp.csr_matrix:
@@ -318,10 +317,25 @@ def pressure_mean(spaces, coeffs) -> float:
 # L2 projections
 # ---------------------------------------------------------------------------
 
-def _field_values(spaces, f):
-    pts = spaces.tables.quad_points
-    vals = f.value(pts) if hasattr(f, "value") else f(pts)
-    return np.asarray(vals, dtype=float)
+def field_values(spaces, f):
+    """Values of `f` at the quadrature points: (E, Q) for a TrigPoly,
+    (E, Q, 3) for a TrigVector, one factored product per Kuhn type written
+    into its stride-6 slice.  A plain callable gets `quad_points`."""
+    t = spaces.tables
+    if not hasattr(f, "value_on"):
+        return np.asarray(f(t.quad_points), dtype=float)
+    per_type = [f.value_on(t.corners[k::6], t.offsets[k]) for k in range(6)]
+    # element 6 c + k is row c of type k's block
+    return np.stack(per_type, axis=1).reshape((-1,) + per_type[0].shape[1:])
+
+
+def _zero_mean_solve(lu, rhs, integral, n_vertices):
+    """L2 projection onto the zero-mean space: x = M^-1 b minus the multiple
+    of the constant function (coefficients 1 on the n_vertices vertex dofs,
+    0 on bubbles) that zeroes int . x.  Exact, since M 1 = integral."""
+    x = lu.solve(rhs)
+    x[:n_vertices] -= (integral @ x) / integral[:n_vertices].sum()
+    return x
 
 
 def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
@@ -342,25 +356,28 @@ def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
 def project_velocity(spaces, f):
     """Best L2 approximation of a vector field in the zero-mean space.
 
-    `f` is evaluated at the quadrature points (object with .value or a
-    plain callable).  A nonzero mean of the input is simply removed.
+    `f` is evaluated at the quadrature points (a TrigVector or a plain
+    callable, see `field_values`).  A nonzero mean of the input is simply
+    removed.
     """
-    vals = _field_values(spaces, f)
+    vals = field_values(spaces, f)
     if vals.shape != spaces.tables.quad_points.shape:
         raise FESpaceError("field returned wrong shape %s" % (vals.shape,))
-    rhs = np.append(_scalar_load(spaces, vals), np.zeros((1, 3)), axis=0)
-    return spaces.ops.lu_Ms_mean.solve(rhs)[:-1].T.ravel()
+    ops = spaces.ops
+    return _zero_mean_solve(ops.lu_Ms, _scalar_load(spaces, vals), ops.int_s,
+                            spaces.mesh.n_vertices).T.ravel()
 
 
 def project_pressure(spaces, g):
     """Best L2 approximation of a scalar field in the zero-mean space."""
-    return project_pressure_values(spaces, _field_values(spaces, g))
+    return project_pressure_values(spaces, field_values(spaces, g))
 
 
 def project_pressure_values(spaces, pointwise):
     """Zero-mean pressure projection of samples already at quad points."""
-    rhs = np.append(_scalar_load(spaces, pointwise, n_funcs=N_LOCAL_P), 0.0)
-    return spaces.ops.lu_Mp_mean.solve(rhs)[:-1]
+    ops = spaces.ops
+    return _zero_mean_solve(ops.lu_Mp, _scalar_load(
+        spaces, pointwise, n_funcs=N_LOCAL_P), ops.int_p, spaces.pressure.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +443,10 @@ def commutator_defect(spaces, v_coeffs, phi, l: int = 1) -> CommutatorDefect:
     """
     if l not in (0, 1):
         raise ValueError("l must be 0 or 1")
-    t = spaces.tables
     vvals = velocity_values(spaces, v_coeffs)
     vgrads = velocity_gradients(spaces, v_coeffs)
-    pts = t.quad_points
-    pvals = phi.value(pts)
-    pgrads = phi.grad(pts)
+    pvals = field_values(spaces, phi)
+    pgrads = field_values(spaces, phi.gradient())
 
     fvals = vvals * pvals[..., None]
     fgrads = vgrads * pvals[..., None, None] \
@@ -461,9 +476,8 @@ def pressure_commutator_defect(spaces, q_coeffs, phi):
     The ratio is one sample of the quotient whose supremum is
     `pressure_commutator_constant`.
     """
-    t = spaces.tables
     qvals = pressure_values(spaces, q_coeffs)
-    fvals = qvals * phi.value(t.quad_points)
+    fvals = qvals * field_values(spaces, phi)
     proj = spaces.ops.lu_Mp.solve(_scalar_load(spaces, fvals,
                                                n_funcs=N_LOCAL_P))
     dvals = fvals - pressure_values(spaces, proj)
@@ -502,8 +516,8 @@ def commutator_constant(spaces, phi) -> float:
     through sparse operators and two mass solves, never formed densely.
     """
     t = spaces.tables
-    pv = phi.value(t.quad_points)
-    pg = phi.grad(t.quad_points)
+    pv = field_values(spaces, phi)
+    pg = field_values(spaces, phi.gradient())
     M = spaces.ops.M_s
     A = spaces.ops.A_s
     lu_M = spaces.ops.lu_Ms
@@ -535,7 +549,7 @@ def commutator_constant(spaces, phi) -> float:
 def pressure_commutator_constant(spaces, phi) -> float:
     """Worst-case L2 ratio |q phi - K(q phi)|_2 / (h |q|_2 |phi|_W1inf)."""
     t = spaces.tables
-    pv = phi.value(t.quad_points)[..., None, None]
+    pv = field_values(spaces, phi)[..., None, None]
     Np = t.N[:, :, :N_LOCAL_P]
     dof = spaces.pressure.dofmap
     W, W2 = (_scatter(_local_matrices(spaces, Np[0] * w, Np), dof, dof)

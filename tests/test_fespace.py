@@ -6,8 +6,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from torusns.checks import remove_mean
-from torusns.fespace import (FESpaceError, _scatter, build_spaces,
-                             commutator_defect, commutator_constant,
+from torusns.fespace import (FESpaceError, _scalar_load, _scatter,
+                             build_spaces, commutator_defect,
+                             commutator_constant, field_values,
                              inf_sup_constant, inverse_constant,
                              pressure_commutator_constant,
                              pressure_commutator_defect, pressure_gradients,
@@ -18,7 +19,8 @@ from torusns.fespace import (FESpaceError, _scatter, build_spaces,
                              velocity_values)
 from torusns.forms import divergence_norm
 from torusns.mesh import build_torus_mesh
-from torusns.trig import BOX_VOLUME, TrigPoly, sine_shear, tg_like
+from torusns.trig import (BOX_VOLUME, TrigPoly, TrigVector, random_trig,
+                          sine_shear, tg_like)
 
 
 def test_norms_of_a_stack_match_row_by_row(level):
@@ -73,7 +75,6 @@ def test_projection_energy_against_independent_rule(level):
 
 def test_projection_orthogonality(level):
     spaces = level(3)
-    from torusns.fespace import _scalar_load
     f = tg_like()
     c = project_velocity(spaces, f)
     vals = f.value(spaces.tables.quad_points)
@@ -103,6 +104,36 @@ def test_zero_mean_of_projections(level):
     assert np.abs(velocity_mean(spaces, c)).max() < 1e-10
     q = project_pressure(spaces, TrigPoly.cosine((1, 0, 0)))
     assert abs(pressure_mean(spaces, q)) < 1e-10
+
+
+def _bordered_solve(M, integral, b):
+    """Reference: the dense mean-bordered system [[M, i], [i^T, 0]]."""
+    n = len(integral)
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = M.toarray()
+    A[:n, n] = A[n, :n] = integral
+    rhs = np.zeros((n + 1,) + b.shape[1:])
+    rhs[:n] = b
+    return np.linalg.solve(A, rhs)[:n]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_mean_projection_matches_bordered_solve(level, n):
+    spaces = level(n)
+    ops = spaces.ops
+    u = random_trig(4, 2)
+    f = TrigVector([c + m for c, m in zip(u.components, (1.0, -2.0, 0.5))])
+    g = TrigPoly.cosine((1, 0, 0)) + 0.3
+    x = project_velocity(spaces, f)
+    x_ref = _bordered_solve(ops.M_s, ops.int_s, _scalar_load(
+        spaces, field_values(spaces, f))).T.ravel()
+    q = project_pressure(spaces, g)
+    q_ref = _bordered_solve(ops.Mp, ops.int_p, _scalar_load(
+        spaces, field_values(spaces, g), n_funcs=4))
+    for got, want, mean in ((x, x_ref, velocity_mean(spaces, x)),
+                            (q, q_ref, pressure_mean(spaces, q))):
+        assert np.abs(mean).max() <= 1e-14 * np.linalg.norm(got)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_pressure_projection(level):

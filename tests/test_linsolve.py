@@ -101,7 +101,7 @@ def step_systems(spaces, u):
 
 def test_amplification_far_below_guard_limit(level):
     # |A|_1 |x|_1 / |b|_1 on real solves stays six decades below the
-    # guard's 1e12 (measured at most 1.4e3)
+    # guard's 1e12 (measured at most 3.6e2, on the projection)
     spaces = level(3)
     u = project_velocity(spaces, tg_like())
     rng = np.random.default_rng(5)
@@ -109,8 +109,7 @@ def test_amplification_far_below_guard_limit(level):
               step_systems(spaces, u).values()]
     ops = spaces.ops
     solves += [(lu, rng.standard_normal((lu.matrix.shape[0], 3)))
-               for lu in (ops.lu_Ms, ops.lu_Mp, ops.lu_Ms_mean,
-                          ops.lu_Mp_mean)]
+               for lu in (ops.lu_Ms, ops.lu_Mp)]
     for factor, b in solves:
         x = factor.solve(b)
         ratio = (spla.norm(factor.matrix, 1) * np.abs(x).sum(axis=0)

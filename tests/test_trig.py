@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from torusns.trig import (BOX_VOLUME, TrigPoly, TrigVector, preset_field,
-                          random_trig, sine_shear, tg_like)
+from torusns.fespace import field_values
+from torusns.trig import (BOX_VOLUME, TWO_PI, TrigPoly, TrigVector,
+                          preset_field, random_trig, sine_shear, tg_like)
 
 PTS = np.array([[0.3, 1.1, 2.0], [5.0, 0.2, 4.4], [0.0, 0.0, 0.0]])
 
@@ -80,3 +81,42 @@ def test_random_trig_deterministic_and_scalable():
     assert a.components[0].modes == b.components[0].modes
     c = random_trig(9, 2, norm=5.0)
     assert abs(c.l2_norm() - 5.0) < 1e-10
+
+
+def _per_mode(poly, pts):
+    """Reference evaluation: one cos and one sin per mode and point."""
+    out = np.zeros(pts.shape[:-1])
+    for k, c in poly.modes.items():
+        phase = pts @ np.asarray(k, dtype=float)
+        out += c.real * np.cos(phase) - c.imag * np.sin(phase)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadrature_evaluator_matches_per_mode_sum(level, n):
+    spaces = level(n)
+    pts = spaces.tables.quad_points
+    u = random_trig(5, degree=3)
+    s = (TrigPoly.constant(0.7) + TrigPoly.cosine((1, -2, 1), 1.3)
+         + TrigPoly.sine((0, 3, 2), 0.4))
+    cases = [
+        (u, np.stack([_per_mode(c, pts) for c in u.components], axis=-1)),
+        (s, _per_mode(s, pts)),
+        (s.laplacian(), _per_mode(s.laplacian(), pts)),
+        (s.gradient(),
+         np.stack([_per_mode(s.diff(a), pts) for a in range(3)], axis=-1)),
+    ]
+    for f, ref in cases:
+        got = field_values(spaces, f)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    zero = field_values(spaces, preset_field("zero"))
+    assert zero.shape == pts.shape and not zero.any()
+
+
+def test_sup_norm_matches_per_mode_grid():
+    f = random_trig(2, degree=2).components[1]
+    g = np.linspace(0.0, TWO_PI, 48, endpoint=False)
+    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1)
+    ref = np.abs(_per_mode(f, grid)).max()
+    assert abs(f.sup_norm() - ref) <= 1e-13 * ref
