@@ -132,7 +132,7 @@ def _gradient_div_duality(spaces) -> CheckResult:
     return CheckResult("gradient_divergence_duality", err < 1e-12, err, 1e-12)
 
 
-def run_checks(verbose: bool = True) -> list[CheckResult]:
+def run_checks() -> list[CheckResult]:
     mesh = build_torus_mesh(2)
     spaces = build_spaces(mesh)
     cn_traj = run(SchemeConfig(scheme="CN", case=1, nu=0.5, T=0.25, N=2),
@@ -148,9 +148,8 @@ def run_checks(verbose: bool = True) -> list[CheckResult]:
         _divergence_bound(spaces, cn_traj),
         _gradient_div_duality(spaces),
     ]
-    if verbose:
-        for r in results:
-            status = "ok  " if r.passed else "FAIL"
-            print(f"{status} {r.name:32s} measured {r.measured:.3e} "
-                  f"(bound {r.bound:.0e})")
+    for r in results:
+        status = "ok  " if r.passed else "FAIL"
+        print(f"{status} {r.name:32s} measured {r.measured:.3e} "
+              f"(bound {r.bound:.0e})")
     return results

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .checks import run_checks
-from .diagnostics import build_report, energy_residuals
+from .diagnostics import build_report
 from .fespace import build_spaces, velocity_h1_semi, velocity_l2, pressure_l2
 from .linsolve import LinearSolveError
 from .mesh import build_torus_mesh
@@ -197,16 +197,29 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def write_summary_csv(path, trajectory, spaces) -> None:
+def write_summary_csv(path, trajectory, spaces, report) -> None:
     u = trajectory.u
     columns = zip(trajectory.times[1:], velocity_l2(spaces, u[1:]),
                   velocity_h1_semi(spaces, 0.5 * (u[1:] + u[:-1])),
                   pressure_l2(spaces, trajectory.p),
-                  energy_residuals(trajectory, spaces))
+                  report.energy_residuals)
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for m, values in enumerate(columns, start=1):
             fh.write(",".join([str(m)] + [_fmt(v) for v in values]) + "\n")
+
+
+def _write_report(spec, datum, trajectory, spaces, out_dir):
+    """Diagnostics of a trajectory, written as report.txt and report.json;
+    returns the report."""
+    report = build_report(trajectory, spaces, u0_norm=datum.l2_norm(),
+                          with_local_energy=spec.with_local_energy,
+                          cn_threshold=spec.cn_threshold)
+    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
+        fh.write(report.to_tab_text())
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        fh.write(report.to_json())
+    return report
 
 
 def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
@@ -218,14 +231,9 @@ def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
     spaces = build_spaces(mesh)
     config = spec.scheme_config()
     trajectory = run(config, spaces, datum)
-    report = build_report(trajectory, spaces, u0_norm=datum.l2_norm(),
-                          with_local_energy=spec.with_local_energy,
-                          cn_threshold=spec.cn_threshold)
-    write_summary_csv(os.path.join(out_dir, "summary.csv"), trajectory, spaces)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(report.to_tab_text())
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(report.to_json())
+    report = _write_report(spec, datum, trajectory, spaces, out_dir)
+    write_summary_csv(os.path.join(out_dir, "summary.csv"), trajectory,
+                      spaces, report)
     np.savez(os.path.join(out_dir, "trajectory.npz"),
              times=trajectory.times, u=trajectory.u, p=trajectory.p,
              picard_iters=trajectory.picard_iters,
@@ -296,15 +304,8 @@ def rerender_report(traj_dir, out_dir):
             config=spec.scheme_config(), h=spaces.h, times=data["times"],
             u=data["u"], p=data["p"], picard_iters=data["picard_iters"],
             residuals=data["residuals"])
-    report = build_report(trajectory, spaces, u0_norm=datum.l2_norm(),
-                          with_local_energy=spec.with_local_energy,
-                          cn_threshold=spec.cn_threshold)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(report.to_tab_text())
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(report.to_json())
-    return report
+    return _write_report(spec, datum, trajectory, spaces, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
                                                     seed=args.seed))
             run_study(study, args.out)
         elif args.command == "check":
-            results = run_checks(verbose=True)
+            results = run_checks()
             if not all(r.passed for r in results):
                 return EXIT_CHECK
         elif args.command == "report":

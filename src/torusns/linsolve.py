@@ -4,18 +4,19 @@ and the constrained saddle system.
 Every time step reduces to one (or, inside a Picard loop, a few) solves
 with a block matrix coupling velocity, pressure, optionally a projected
 dynamic-pressure variable, and the scalar mean multipliers; the
-divergence-free projection solves the same layout.  `SaddleSystem` is
-the only owner of that layout: it builds the matrix, packs right-hand
-sides and keeps its factorization.  Systems are factorized
-monolithically: the identities the test-suite checks live at the 1e-10
-level and would be polluted by iterative-solver tolerances.
+divergence-free projection and the inf-sup constant solve the same
+layout.  `SaddleSystem` is the only owner of that layout: it builds the
+matrix, packs right-hand sides and keeps its factorization.  Systems are
+factorized monolithically: the identities the test-suite checks live at
+the 1e-10 level and would be polluted by iterative-solver tolerances.
 
 Every matrix factorized here has a (nearly) symmetric sparsity pattern
-(the saddle systems, the mass matrices and their mean-bordered forms),
-so `Factorization` orders it by minimum degree on the pattern of
-A^T + A and prefers diagonal pivots, accepting one down to 0.1 of its
-column's largest entry: the symmetric-mode settings of the SuperLU
-Users' Guide (Li, Demmel et al.).
+(the saddle systems, the two mass matrices and the H1 Gram matrix
+M_s + A_s of the velocity commutator constant), so `Factorization`
+orders it by minimum degree on the pattern of A^T + A and prefers
+diagonal pivots, accepting one down to 0.1 of its column's largest
+entry: the symmetric-mode settings of the SuperLU Users' Guide (Li,
+Demmel et al.).
 SuperLU's default, COLAMD on A^T A with partial pivoting, gives the
 largest factor of an n=5 case-3 run 3.56 M nonzeros in L + U, against
 0.38 M; at n=8 the case-3 step factorizes in 12.4 s against 0.73 s, and

@@ -151,22 +151,13 @@ def build_torus_mesh(n_cells: int) -> PeriodicMesh:
     ii, jj, kk = np.meshgrid(idx, idx, idx, indexing="ij")
     vertices = a * np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
 
-    def vid(i, j, k):
-        return ((i % n) * n + (j % n)) * n + (k % n)
-
+    # element 6 c + t is Kuhn type t of cube c, cubes in vertex order
     corners = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-    tets = np.empty((6 * n ** 3, 4), dtype=np.int64)
-    tet_corner = np.empty((6 * n ** 3, 3), dtype=np.int64)
-    tet_type = np.empty(6 * n ** 3, dtype=np.int64)
-    e = 0
-    for c in corners:
-        for t in range(6):
-            off = KUHN_OFFSETS[t].astype(np.int64)
-            for v in range(4):
-                tets[e, v] = vid(*(c + off[v]))
-            tet_corner[e] = c
-            tet_type[e] = t
-            e += 1
+    tet_verts = (corners[:, None, None, :]
+                 + KUHN_OFFSETS.astype(np.int64)).reshape(-1, 4, 3) % n
+    tets = (tet_verts[..., 0] * n + tet_verts[..., 1]) * n + tet_verts[..., 2]
+    tet_corner = np.repeat(corners, 6, axis=0)
+    tet_type = np.tile(np.arange(6, dtype=np.int64), n ** 3)
     return PeriodicMesh(n_cells=n, vertices=vertices, tetrahedra=tets,
                         tet_corner=tet_corner, tet_type=tet_type)
 

@@ -50,11 +50,11 @@ def _compositions(total, parts):
         yield tuple(comp)
 
 
-def grundmann_moller(index: int, dim: int = 3) -> TetRule:
+def grundmann_moller(index: int) -> TetRule:
     """Grundmann-Moller rule of index s, exact to degree 2s + 1."""
     if index < 0:
         raise ValueError("rule index must be nonnegative")
-    n = dim
+    n = 3
     s = index
     d = 2 * s + 1
     pts = []

@@ -109,6 +109,7 @@ class StepResult:
     p: np.ndarray
     iterations: int
     residual: float
+    convection: np.ndarray | None = None  # CNAB: N(u^{m-1}), for step m+1
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +211,16 @@ def step_cnle(op: StepOperator, u_prev, u_prev2) -> StepResult:
                       residual=sol.residual)
 
 
-def step_cnab(op: StepOperator, u_prev, u_prev2) -> StepResult:
+def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
     """One step with explicit two-level convection, solved with the
-    trajectory's one factorization of `op.explicit_system`."""
-    spaces, case = op.spaces, op.config.case
-    conv = (1.5 * forms.convection_rhs(spaces, case, u_prev)
-            - 0.5 * forms.convection_rhs(spaces, case, u_prev2))
+    trajectory's one factorization of `op.explicit_system`; `conv_prev2`
+    is N(u^{m-2}), the previous step's `convection`."""
+    conv_prev = forms.convection_rhs(op.spaces, op.config.case, u_prev)
+    conv = 1.5 * conv_prev - 0.5 * conv_prev2
     system = op.explicit_system
     sol = system.solve(system.rhs(op.explicit_rhs(np.asarray(u_prev)) - conv))
     return StepResult(u=sol["u"], p=sol["p"], iterations=1,
-                      residual=sol.residual)
+                      residual=sol.residual, convection=conv_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,7 @@ def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     resids = np.zeros(N)
     u[0] = start
     op = StepOperator(spaces, config)
+    conv_prev = None     # CNAB: convection of the state before u[m - 1]
     for m in range(1, N + 1):
         try:
             if m == 1 or config.scheme == "CN":
@@ -255,7 +257,11 @@ def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
             elif config.scheme == "CNLE":
                 res = step_cnle(op, u[m - 1], u[m - 2])
             else:
-                res = step_cnab(op, u[m - 1], u[m - 2])
+                if conv_prev is None:
+                    conv_prev = forms.convection_rhs(spaces, config.case,
+                                                     u[m - 2])
+                res = step_cnab(op, u[m - 1], conv_prev)
+                conv_prev = res.convection
         except StepperError:
             raise
         except Exception as exc:

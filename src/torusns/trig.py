@@ -21,6 +21,8 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 #: Volume of the periodic box (2*pi)^3.
 BOX_VOLUME = TWO_PI ** 3
+#: Grid points per direction of the sup-norm sampling grid.
+SUP_SAMPLES = 48
 
 _ZERO3 = (0, 0, 0)
 
@@ -129,24 +131,20 @@ class TrigPoly:
     def grad(self, points) -> np.ndarray:
         return self.gradient().value(points)
 
-    def sup_norm(self, samples: int = 48) -> float:
-        g = np.linspace(0.0, TWO_PI, samples, endpoint=False)
+    def sup_norm(self) -> float:
+        g = np.linspace(0.0, TWO_PI, SUP_SAMPLES, endpoint=False)
         plane = np.stack(np.meshgrid(g, g, [0.0], indexing="ij"),
                          axis=-1).reshape(-1, 3)
         line = np.outer(g, [0.0, 0.0, 1.0])
         return float(np.max(np.abs(self.value_on(plane, line))))
 
-    def wkinf_norm(self, order: int, samples: int = 48) -> float:
+    def wkinf_norm(self, order: int) -> float:
         """max over all partial derivatives up to `order` of their sup norm."""
         best = 0.0
-        todo = [((), self)]
+        derivs = [self]                   # all partials of the current order
         for _ in range(order + 1):
-            nxt = []
-            for tag, f in todo:
-                best = max(best, f.sup_norm(samples))
-                for a in range(3):
-                    nxt.append((tag + (a,), f.diff(a)))
-            todo = nxt
+            best = max([best] + [f.sup_norm() for f in derivs])
+            derivs = [f.diff(a) for f in derivs for a in range(3)]
         return best
 
 
@@ -200,13 +198,6 @@ class TrigVector:
     __rmul__ = __mul__
 
 
-_ZERO_POLY = TrigPoly()
-
-
-def zero_vector() -> TrigVector:
-    return TrigVector((_ZERO_POLY, _ZERO_POLY, _ZERO_POLY))
-
-
 def sine_shear() -> TrigVector:
     """(sin y, 0, 0): divergence-free unidirectional shear."""
     return TrigVector((TrigPoly.sine((0, 1, 0)), TrigPoly(), TrigPoly()))
@@ -251,7 +242,7 @@ def random_trig(seed: int, degree: int = 2, norm: float | None = None) -> TrigVe
 
 
 _PRESETS = {
-    "zero": lambda seed, degree: zero_vector(),
+    "zero": lambda seed, degree: TrigVector((TrigPoly(),) * 3),
     "sine-shear": lambda seed, degree: sine_shear(),
     "tg-like": lambda seed, degree: tg_like(),
     "random-trig": lambda seed, degree: random_trig(seed, degree),

@@ -133,8 +133,8 @@ def test_criterion_5_gap_decay_under_coupling(shear_study):
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_stability_constants(level):
-    infsup = [inf_sup_constant(level(n)) for n in (2, 3, 4)]
-    invh = [inverse_constant(level(n)) for n in (2, 3, 4)]
+    infsup = [inf_sup_constant(level(n)) for n in range(2, 9)]
+    invh = [inverse_constant(level(n)) for n in range(2, 9)]
     spread_is = (max(infsup) - min(infsup)) / min(infsup)
     spread_inv = (max(invh) - min(invh)) / min(invh)
     ok = spread_is < 0.5 and spread_inv < 0.25

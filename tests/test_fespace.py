@@ -167,10 +167,27 @@ def test_pressure_energy_from_below(level):
     assert sin_e[0] < sin_e[1] < sin_e[2] < target + 1e-10
 
 
+def _dense_inf_sup_constant(spaces):
+    """Reference: sqrt of the smallest eigenvalue of the dense pencil
+    (sum_c B_c M_s^-1 B_c^T, Mp) on a basis of the zero-mean pressures."""
+    n_s, ops = spaces.n_scalar, spaces.ops
+    M = ops.M_s.toarray()
+    K = sum(B_c @ np.linalg.solve(M, B_c.T) for B_c in (
+        ops.B[:, c * n_s:(c + 1) * n_s].toarray() for c in range(3)))
+    Z = sla.null_space(ops.int_p[None, :])
+    lam = sla.eigvalsh(Z.T @ (0.5 * (K + K.T)) @ Z,
+                       Z.T @ ops.Mp.toarray() @ Z)[0]
+    return np.sqrt(lam)
+
+
 def test_inf_sup_constant(level):
     vals = [inf_sup_constant(level(n)) for n in (2, 3, 4)]
     assert min(vals) > 0.1
     assert abs(vals[1] - vals[0]) / vals[0] < 0.5
+    for n, val in zip((2, 3), vals):
+        ref = _dense_inf_sup_constant(level(n))
+        assert abs(val - ref) <= 1e-13 * ref
+        assert inf_sup_constant(level(n)) == val
 
 
 def test_inverse_constant(level):

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from torusns.fespace import (build_spaces, commutator_constant,
-                             inverse_constant, pressure_l2, project_velocity,
-                             velocity_l2)
+                             inf_sup_constant, inverse_constant, pressure_l2,
+                             project_velocity, velocity_l2)
 from torusns.forms import project_div_free
 from torusns.linsolve import Factorization, LinearSolveError, SaddleSystem
 from torusns.mesh import build_torus_mesh
@@ -145,6 +145,7 @@ def test_every_factorization_goes_through_factorization(monkeypatch):
     commutator_constant(spaces, TrigPoly.constant(2.0)
                         + TrigPoly.cosine((1, 0, 0)))
     inverse_constant(spaces)
+    inf_sup_constant(spaces)
     assert len(callers) >= 10
     assert set(callers) == {("Factorization", "__init__")}
 

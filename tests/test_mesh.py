@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from torusns.mesh import (MeshError, build_torus_mesh, conformity_ok,
-                          load_mesh)
+from torusns.mesh import (KUHN_OFFSETS, MeshError, build_torus_mesh,
+                          conformity_ok, load_mesh)
 from torusns.trig import TWO_PI
 
 
@@ -14,6 +14,21 @@ def test_entity_counts(n, nv, nt):
     # independent count: distinct grid coordinates
     uniq = {tuple(np.round(v, 12)) for v in mesh.vertices}
     assert len(uniq) == n ** 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_elements_follow_the_layout(n):
+    # element 6 c + t is Kuhn type t of the cube at vertex c, and its
+    # vertices are that corner plus the type's offsets, wrapped
+    mesh = build_torus_mesh(n)
+    a = TWO_PI / n
+    assert np.array_equal(mesh.tet_type, np.arange(mesh.n_tets) % 6)
+    cube_vertex = mesh.vertices[np.arange(mesh.n_tets) // 6]
+    assert np.allclose(a * mesh.tet_corner, cube_vertex, rtol=0, atol=1e-13)
+    grid = np.rint(mesh.vertices[mesh.tetrahedra] / a).astype(np.int64)
+    want = (mesh.tet_corner[:, None]
+            + KUHN_OFFSETS[mesh.tet_type].astype(np.int64)) % n
+    assert np.array_equal(grid, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from torusns import forms
 from torusns.fespace import (project_velocity, velocity_h1, velocity_h1_semi,
                              velocity_l2)
 from torusns.forms import (b_form, convection_rhs, divergence_norm,
@@ -136,7 +137,9 @@ def test_cnab_two_level_weights(level):
     u_prev = project_div_free(spaces, project_velocity(spaces, tg_like()))
     u_prev2 = project_div_free(spaces,
                                project_velocity(spaces, random_trig(5)))
-    res = step_cnab(StepOperator(spaces, cfg), u_prev, u_prev2)
+    res = step_cnab(StepOperator(spaces, cfg), u_prev,
+                    convection_rhs(spaces, 1, u_prev2))
+    assert np.array_equal(res.convection, convection_rhs(spaces, 1, u_prev))
     ops = spaces.ops
     A = sp.kron(sp.identity(3), ops.A_s)
     terms = [ops.M @ (res.u - u_prev) / cfg.dt,
@@ -170,6 +173,24 @@ def test_cnab_builds_its_saddle_matrix_once(level, monkeypatch):
             spaces, tg_like())
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_cnab_assembles_each_convection_once(level, monkeypatch):
+    # step m reuses N(u^{m-2}) from step m-1: an N-step run (the first
+    # step is CN) assembles N(u^0), ..., N(u^{N-1}) once each
+    spaces = level(2)
+    calls = []
+    assemble = forms.convection_rhs
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "convection_rhs", spy)
+    N = 6
+    run(SchemeConfig(scheme="CNAB", case=1, nu=0.3, T=N / 8, N=N),
+        spaces, tg_like())
+    assert len(calls) == N
 
 
 def test_global_energy_telescopes(cn_runs, level):
