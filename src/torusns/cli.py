@@ -250,6 +250,12 @@ STUDY_COLUMNS = ("level", "n_cells", "h", "dt", "steps", "gap_l2",
                  "cn_ratio", "cn_pass", "cnle_pass", "cnab_dt_pass")
 
 
+def study_steps(T: float, coupling_c: float, alpha: float, h: float) -> int:
+    """Step count of a study level: the fewest steps over [0, T] whose
+    size stays at most coupling_c * h^alpha."""
+    return max(1, int(np.ceil(T / (coupling_c * h ** alpha))))
+
+
 def run_study(study: StudySpec, out_dir):
     """Refinement study with dt = coupling_c * h^alpha per level."""
     study.validate()
@@ -258,8 +264,7 @@ def run_study(study: StudySpec, out_dir):
     reports = []
     for lvl, n in enumerate(study.levels):
         h = np.sqrt(3.0) * 2.0 * np.pi / n
-        dt_target = study.coupling_c * h ** study.alpha
-        steps = max(1, int(np.ceil(study.base.T / dt_target)))
+        steps = study_steps(study.base.T, study.coupling_c, study.alpha, h)
         spec = replace(study.base, n_cells=n, steps=steps)
         report = run_single(spec, os.path.join(out_dir, f"level_n{n}"), study)
         reports.append(report)
@@ -293,17 +298,32 @@ def run_study(study: StudySpec, out_dir):
     return rows, verdicts
 
 
+def _load_trajectory(path, spec: RunSpec, spaces) -> DiscreteTrajectory:
+    """The trajectory `run_single` stored for `spec`; a ConfigError if the
+    file cannot be read, lacks an array or does not fit the spec."""
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in ("times", "u", "p",
+                                                 "picard_iters", "residuals")}
+    except Exception as exc:  # numpy, zipfile and zlib each raise their own
+        raise ConfigError(f"cannot read trajectory {path}: {exc}") from exc
+    N = spec.steps
+    if (arrays["u"].shape != (N + 1, 3 * spaces.n_scalar)
+            or arrays["p"].shape != (N, spaces.pressure.dim)):
+        raise ConfigError(f"trajectory {path} does not fit n_cells = "
+                          f"{spec.n_cells} and steps = {N}")
+    return DiscreteTrajectory(config=spec.scheme_config(), h=spaces.h,
+                              **arrays)
+
+
 def rerender_report(traj_dir, out_dir):
-    """Rebuild diagnostics from a stored trajectory dump."""
+    """Rebuild diagnostics from a stored trajectory."""
     spec, _ = parse_config(os.path.join(traj_dir, "runmeta.ini"))
     datum = spec.validate()
     mesh = build_torus_mesh(spec.n_cells)
     spaces = build_spaces(mesh)
-    with np.load(os.path.join(traj_dir, "trajectory.npz")) as data:
-        trajectory = DiscreteTrajectory(
-            config=spec.scheme_config(), h=spaces.h, times=data["times"],
-            u=data["u"], p=data["p"], picard_iters=data["picard_iters"],
-            residuals=data["residuals"])
+    trajectory = _load_trajectory(
+        os.path.join(traj_dir, "trajectory.npz"), spec, spaces)
     os.makedirs(out_dir, exist_ok=True)
     return _write_report(spec, datum, trajectory, spaces, out_dir)
 

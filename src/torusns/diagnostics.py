@@ -24,8 +24,8 @@ import numpy as np
 
 from . import forms
 from .fespace import (field_values, pressure_l2, pressure_values,
-                      velocity_gradients, velocity_h1, velocity_h1_semi,
-                      velocity_l2, velocity_l3, velocity_values)
+                      quad_integral, velocity_gradients, velocity_h1,
+                      velocity_h1_semi, velocity_l2, velocity_values)
 from .interpolants import InterpolantSet, gap_l2, increment_sum
 from .steppers import DiscreteTrajectory, StepperError, check_coupling
 from .trig import TrigPoly
@@ -77,12 +77,13 @@ def global_energy_defect(trajectory: DiscreteTrajectory, spaces,
 # pressure control
 # ---------------------------------------------------------------------------
 
-def pressure_ratios(trajectory: DiscreteTrajectory, spaces) -> np.ndarray:
-    """|p^m|_2 / (|u^{m,1/2}|_H1 + |u^{m,1/2}|_3 |u^{m,1/2}|_H1) per step."""
+def pressure_ratios(trajectory: DiscreteTrajectory, spaces,
+                    l3) -> np.ndarray:
+    """|p^m|_2 / (|u^{m,1/2}|_H1 + |u^{m,1/2}|_3 |u^{m,1/2}|_H1) per step,
+    given the midpoint L3 norms `l3` (from `local_energy_residuals`)."""
     u = trajectory.u
-    mid = 0.5 * (u[1:] + u[:-1])
-    h1 = velocity_h1(spaces, mid)
-    denom = h1 + np.array([velocity_l3(spaces, z) for z in mid]) * h1
+    h1 = velocity_h1(spaces, 0.5 * (u[1:] + u[:-1]))
+    denom = h1 + l3 * h1
     p = pressure_l2(spaces, trajectory.p)
     unbalanced = (denom == 0.0) & (p > 0.0)
     if unbalanced.any():
@@ -145,8 +146,9 @@ def default_test_family(T: float) -> list[SpaceTimeTest]:
 
 
 def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
-                           tests) -> np.ndarray:
-    """Right side minus left side of the localized balance, per test.
+                           tests) -> tuple[np.ndarray, np.ndarray]:
+    """Right side minus left side of the localized balance, per test, and
+    the L3 norm |u^{m,1/2}|_3 of every midpoint.
 
     With u the piecewise-constant midpoint field and p the piecewise
     constant pressure,
@@ -159,28 +161,27 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     localized inequality for that test function.  Time integration uses
     3-point Gauss per subinterval on the smooth time factor; spatial
     integrals use the package rule.  Tests must be nonnegative at every
-    quadrature point, otherwise the input is rejected.
+    quadrature point, otherwise the input is rejected.  Each midpoint is
+    evaluated once, for both outputs; with no tests only its values are.
     """
     cfg = trajectory.config
     nu, dt, N = cfg.nu, cfg.dt, trajectory.n_steps
-    pts = spaces.tables.quad_points
     w = spaces.tables.w_phys
+    n_pts = spaces.mesh.n_tets * w.size
 
     # weighted by the quadrature rule: one product integrates all tests
-    psi_w = np.empty((len(tests),) + pts.shape[:2])
+    psi_w = np.empty((len(tests), n_pts))
     lap_w = np.empty_like(psi_w)
-    grad_w = np.empty((len(tests),) + pts.shape)
+    grad_w = np.empty((len(tests), 3 * n_pts))
     for i, test in enumerate(tests):
         psi_v = field_values(spaces, test.psi)
         if psi_v.min() < 0.0:
             raise ValueError(f"test {test.name}: spatial factor is negative")
-        np.multiply(psi_v, w, out=psi_w[i])
+        np.multiply(psi_v, w, out=psi_w[i].reshape(psi_v.shape))
         np.multiply(field_values(spaces, test.psi.laplacian()), w,
-                    out=lap_w[i])
+                    out=lap_w[i].reshape(psi_v.shape))
         np.multiply(field_values(spaces, test.psi.gradient()), w[:, None],
-                    out=grad_w[i])
-    psi_w, lap_w, grad_w = (a.reshape(len(tests), -1)
-                            for a in (psi_w, lap_w, grad_w))
+                    out=grad_w[i].reshape(psi_v.shape + (3,)))
     t_nodes = (np.arange(N)[:, None] + _GAUSS3_X[None, :]) * dt
     eta_int = np.empty((len(tests), N))
     deta_int = np.empty((len(tests), N))
@@ -191,21 +192,31 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
         eta_int[i] = dt * ev @ _GAUSS3_W
         deta_int[i] = dt * test.eta.dvalue(t_nodes) @ _GAUSS3_W
 
-    out = np.zeros(len(tests))
-    for m in range(1, N + 1):
+    def step(m):
+        """|u^{m,1/2}|_3 and step m's term of each test's balance; the
+        samples at the quadrature points die with the call."""
         z = trajectory.midpoint(m)
         zv = velocity_values(spaces, z)
-        zg = velocity_gradients(spaces, z)
+        speed_sq = (zv ** 2).sum(-1)
+        l3 = quad_integral(spaces, np.sqrt(speed_sq) ** 3) ** (1.0 / 3.0)
+        if not tests:
+            return l3, 0.0
+        ke = 0.5 * speed_sq
+        gradsq = (velocity_gradients(spaces, z) ** 2).sum((-1, -2)).ravel()
         pv = pressure_values(spaces, trajectory.p[m - 1])
-        ke = 0.5 * (zv ** 2).sum(-1)
-        gradsq = (zg ** 2).sum((-1, -2)).ravel()
         flux = ((ke + pv)[..., None] * zv).ravel()
         ke = ke.ravel()
         rhs_t = (psi_w @ ke) * deta_int[:, m - 1]
         rhs_x = (nu * (lap_w @ ke) + grad_w @ flux) * eta_int[:, m - 1]
         lhs = nu * (psi_w @ gradsq) * eta_int[:, m - 1]
-        out += rhs_t + rhs_x - lhs
-    return out
+        return l3, rhs_t + rhs_x - lhs
+
+    out = np.zeros(len(tests))
+    l3 = np.empty(N)
+    for m in range(1, N + 1):
+        l3[m - 1], balance = step(m)
+        out += balance
+    return out, l3
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +392,9 @@ def build_report(trajectory: DiscreteTrajectory, spaces,
     cfg = trajectory.config
     iset = InterpolantSet(trajectory, spaces)
     res = energy_residuals(trajectory, spaces)
-    pr = pressure_ratios(trajectory, spaces)
+    tests = default_test_family(cfg.T) if with_local_energy else []
+    vals, l3 = local_energy_residuals(trajectory, spaces, tests)
+    pr = pressure_ratios(trajectory, spaces, l3)
     inc = increment_sum(iset)
     div_rel = np.inf
     if np.all(np.isfinite(trajectory.u)):
@@ -395,8 +408,6 @@ def build_report(trajectory: DiscreteTrajectory, spaces,
     local = None
     local_min = None
     if with_local_energy:
-        tests = default_test_family(cfg.T)
-        vals = local_energy_residuals(trajectory, spaces, tests)
         local = {t.name: float(v) for t, v in zip(tests, vals)}
         local_min = float(vals.min())
 

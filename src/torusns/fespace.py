@@ -69,8 +69,8 @@ class ElementTables:
     """Per-Kuhn-type basis tables for one mesh and one quadrature rule:
     values `N` (the same for every type) and gradients `grad`, (6, Q, 5, K)
     with K = 1 and 3.  Element e uses table e % 6 (the mesh layout).  Its
-    quadrature points are corners[e] + offsets[e % 6], (E, 3) + (6, Q, 3),
-    gathered once into `quad_points` for plain callables."""
+    quadrature points are corners[e] + offsets[e % 6], (E, 3) + (6, Q, 3);
+    `field_values` evaluates data there without gathering them."""
 
     def __init__(self, mesh: PeriodicMesh, rule: TetRule):
         if not np.array_equal(mesh.tet_type, np.arange(mesh.n_tets) % 6):
@@ -92,8 +92,6 @@ class ElementTables:
             self.grad[t] = dN @ np.linalg.inv(jhat) / a
             self.offsets[t] = a * (off[0] + rule.points @ jhat.T)
         self.corners = a * mesh.tet_corner
-        self.quad_points = (self.corners[:, None, :]
-                            + self.offsets[mesh.tet_type])
 
 
 def _evaluate(nodal, table):
@@ -219,7 +217,7 @@ class FESpacePair:
         B = _scatter(_local_matrices(self, Np, d_c_N_a), dof_p,
                      self.velocity.vector_dofmap)
 
-        ones = np.ones(t.quad_points.shape[:2])
+        ones = np.ones((self.mesh.n_tets, t.w_phys.size))
         int_s = _scalar_load(self, ones)
         int_p = _scalar_load(self, ones, n_funcs=N_LOCAL_P)
         return M_s, A_s, Mp, B, int_s, int_p
@@ -292,24 +290,9 @@ def velocity_h1(spaces, coeffs):
                     velocity_h1_semi(spaces, coeffs))
 
 
-def velocity_l3(spaces, coeffs) -> float:
-    vals = velocity_values(spaces, coeffs)
-    mag = np.sqrt((vals ** 2).sum(-1))
-    return quad_integral(spaces, mag ** 3) ** (1.0 / 3.0)
-
-
 def pressure_l2(spaces, coeffs):
     return np.sqrt(np.maximum(0.0, _scalar_quadform(
         spaces.ops.Mp, coeffs, spaces.pressure.dim)))
-
-
-def velocity_mean(spaces, coeffs):
-    c = np.asarray(coeffs).reshape(3, spaces.n_scalar)
-    return c @ spaces.ops.int_s
-
-
-def pressure_mean(spaces, coeffs) -> float:
-    return float(spaces.ops.int_p @ np.asarray(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +300,10 @@ def pressure_mean(spaces, coeffs) -> float:
 # ---------------------------------------------------------------------------
 
 def field_values(spaces, f):
-    """Values of `f` at the quadrature points: (E, Q) for a TrigPoly,
-    (E, Q, 3) for a TrigVector, one factored product per Kuhn type written
-    into its stride-6 slice.  A plain callable gets `quad_points`."""
+    """Values of trigonometric data at the quadrature points: (E, Q) for a
+    TrigPoly, (E, Q, 3) for a TrigVector, one factored product per Kuhn
+    type written into its stride-6 slice."""
     t = spaces.tables
-    if not hasattr(f, "value_on"):
-        return np.asarray(f(t.quad_points), dtype=float)
     per_type = [f.value_on(t.corners[k::6], t.offsets[k]) for k in range(6)]
     # element 6 c + k is row c of type k's block
     return np.stack(per_type, axis=1).reshape((-1,) + per_type[0].shape[1:])
@@ -353,18 +334,16 @@ def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
 
 
 def project_velocity(spaces, f):
-    """Best L2 approximation of a vector field in the zero-mean space.
+    """Best L2 approximation of a TrigVector in the zero-mean space; a
+    nonzero mean of the input is simply removed."""
+    return project_velocity_values(spaces, field_values(spaces, f))
 
-    `f` is evaluated at the quadrature points (a TrigVector or a plain
-    callable, see `field_values`).  A nonzero mean of the input is simply
-    removed.
-    """
-    vals = field_values(spaces, f)
-    if vals.shape != spaces.tables.quad_points.shape:
-        raise FESpaceError("field returned wrong shape %s" % (vals.shape,))
+
+def project_velocity_values(spaces, pointwise):
+    """Zero-mean velocity projection of samples (E, Q, 3) at quad points."""
     ops = spaces.ops
-    return _zero_mean_solve(ops.lu_Ms, _scalar_load(spaces, vals), ops.int_s,
-                            spaces.mesh.n_vertices).T.ravel()
+    return _zero_mean_solve(ops.lu_Ms, _scalar_load(spaces, pointwise),
+                            ops.int_s, spaces.mesh.n_vertices).T.ravel()
 
 
 def project_pressure(spaces, g):

@@ -43,9 +43,6 @@ for _t, _perm in enumerate(KUHN_PERMUTATIONS):
         _v[[2, 3]] = _v[[3, 2]]
     KUHN_OFFSETS[_t] = _v
 
-DUMP_HEADER = "TORUS3D"
-
-
 class MeshError(ValueError):
     pass
 
@@ -103,41 +100,6 @@ class PeriodicMesh:
             p, q, r = (x[:, i] for i in f)
             area += 0.5 * np.linalg.norm(np.cross(q - p, r - p), axis=1)
         return diam * area / (3.0 * vol)
-
-    # -- text dump ------------------------------------------------------
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"{DUMP_HEADER} {self.n_cells}\n")
-            for v in self.vertices:
-                fh.write("%.17g %.17g %.17g\n" % tuple(v))
-            for t in self.tetrahedra:
-                fh.write("%d %d %d %d\n" % tuple(t))
-
-
-def load_mesh(path) -> PeriodicMesh:
-    """Rebuild a mesh from its dump, verifying the stored tables."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != DUMP_HEADER:
-        raise MeshError(f"not a {DUMP_HEADER} file: {path}")
-    mesh = build_torus_mesh(int(header[1]))
-    nv, nt = mesh.n_vertices, mesh.n_tets
-    if len(lines) != 1 + nv + nt:
-        raise MeshError("vertex/tet counts do not match header")
-    try:
-        verts = np.array([[float(v) for v in ln.split()]
-                          for ln in lines[1:1 + nv]])
-        tets = np.array([[int(v) for v in ln.split()]
-                         for ln in lines[1 + nv:]], dtype=np.int64)
-    except ValueError as exc:
-        raise MeshError(f"malformed mesh dump: {exc}") from exc
-    if verts.shape != (nv, 3) or not np.allclose(verts, mesh.vertices,
-                                                 atol=1e-14):
-        raise MeshError("stored vertices disagree with the grid")
-    if tets.shape != (nt, 4) or not np.array_equal(tets, mesh.tetrahedra):
-        raise MeshError("stored connectivity disagrees with the grid")
-    return mesh
 
 
 def build_torus_mesh(n_cells: int) -> PeriodicMesh:

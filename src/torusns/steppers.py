@@ -230,11 +230,11 @@ def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
 def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     """Advance a full trajectory from the datum u0.
 
-    `u0` may be a smooth field (anything `project_velocity` accepts) or a
-    coefficient vector.  Either way the starting state is its
-    mass-orthogonal projection onto the discretely divergence-free,
-    mean-free subspace, so the pressure term cancels in the energy
-    balance from the very first step.
+    `u0` may be trigonometric data (a TrigVector) or a coefficient
+    vector.  Either way the starting state is its mass-orthogonal
+    projection onto the discretely divergence-free, mean-free subspace,
+    so the pressure term cancels in the energy balance from the very
+    first step.
     """
     if isinstance(u0, np.ndarray) and u0.size == 3 * spaces.n_scalar:
         coeffs = np.asarray(u0, dtype=float)

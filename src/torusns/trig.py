@@ -166,11 +166,6 @@ class TrigVector:
     def value(self, points) -> np.ndarray:
         return np.stack([c.value(points) for c in self.components], axis=-1)
 
-    def jacobian(self, points) -> np.ndarray:
-        """J[..., i, j] = d_j f_i"""
-        rows = [c.grad(points) for c in self.components]
-        return np.stack(rows, axis=-2)
-
     def divergence(self) -> TrigPoly:
         return (self.components[0].diff(0) + self.components[1].diff(1)
                 + self.components[2].diff(2))

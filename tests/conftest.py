@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusns.cli import study_steps
 from torusns.diagnostics import build_report
 from torusns.fespace import build_spaces
 from torusns.mesh import build_torus_mesh
@@ -20,6 +21,17 @@ def level():
         return cache[n]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def quad_points():
+    """The quadrature points of a space's elements, (E, Q, 3): each
+    element's corner plus its Kuhn type's offsets."""
+    def gather(spaces):
+        t = spaces.tables
+        return t.corners[:, None, :] + t.offsets[spaces.mesh.tet_type]
+
+    return gather
 
 
 @pytest.fixture(scope="session")
@@ -69,8 +81,7 @@ def shear_study(level):
     rows = []
     for n in (2, 3, 4):
         spaces = level(n)
-        dt_target = C * spaces.h ** STUDY_ALPHA
-        N = int(np.ceil(1.0 / dt_target))
+        N = study_steps(1.0, C, STUDY_ALPHA, spaces.h)
         cfg = SchemeConfig(scheme="CN", case=1, nu=0.1, T=1.0, N=N)
         traj = run(cfg, spaces, sine_shear())
         report = build_report(traj, spaces,

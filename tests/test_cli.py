@@ -252,3 +252,52 @@ def test_pressure_without_velocity_is_a_solver_failure(tmp_path, capsys,
     assert main(["run", "--config", cfg, "--out",
                  str(tmp_path / "x")]) == EXIT_SOLVER
     assert "at step 1" in capsys.readouterr().err
+
+
+def _drop_trajectory(path):
+    path.unlink()
+
+
+def _garble_trajectory(path):
+    path.write_bytes(b"not an archive\n" * 8)
+
+
+def _truncate_trajectory(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _array_for_trajectory(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def _reshape_trajectory(path):
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["u"] = arrays["u"][:-1]
+    np.savez(path, **arrays)
+
+
+def _strip_trajectory(path):
+    with np.load(path) as data:
+        arrays = dict(data)
+    del arrays["p"]
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("damage", [_drop_trajectory, _garble_trajectory,
+                                    _truncate_trajectory,
+                                    _array_for_trajectory,
+                                    _reshape_trajectory, _strip_trajectory],
+                         ids=["missing", "garbage", "truncated", "npy-array",
+                              "mis-shaped", "missing-key"])
+def test_report_on_bad_trajectory_is_a_config_error(tmp_path, capsys,
+                                                    damage):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    damage(out / "trajectory.npz")
+    assert main(["report", "--traj", str(out),
+                 "--out", str(tmp_path / "re")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from torusns.diagnostics import (SpaceTimeTest, TimeBump, build_report,
                                  default_test_family, energy_residuals,
                                  global_energy_defect, local_energy_residuals,
                                  pressure_ratios)
-from torusns.fespace import (pressure_values, quad_integral,
+from torusns.fespace import (pressure_l2, pressure_values, quad_integral,
                              velocity_gradients, velocity_h1_semi,
                              velocity_l2, velocity_values)
 from torusns.steppers import SchemeConfig, run
@@ -29,9 +30,10 @@ def test_zero_trajectory_metrics(zero_run, level):
     spaces = level(2)
     assert np.abs(energy_residuals(zero_run, spaces)).max() == 0.0
     assert global_energy_defect(zero_run, spaces) == 0.0
-    assert np.abs(pressure_ratios(zero_run, spaces)).max() == 0.0
     tests = default_test_family(zero_run.config.T)
-    assert np.abs(local_energy_residuals(zero_run, spaces, tests)).max() == 0.0
+    local, l3 = local_energy_residuals(zero_run, spaces, tests)
+    assert np.abs(local).max() == 0.0 and np.abs(l3).max() == 0.0
+    assert np.abs(pressure_ratios(zero_run, spaces, l3)).max() == 0.0
     mon = cnab_monitor(zero_run, spaces, c1=1.0)
     assert mon.monotone and mon.weighted_ok
     assert np.abs(mon.xi).max() == 0.0
@@ -75,7 +77,8 @@ def test_pressure_ratios_bounded_across_levels(level):
         spaces = level(n)
         cfg = SchemeConfig(scheme="CN", case=1, nu=0.1, T=0.5, N=8)
         traj = run(cfg, spaces, tg_like())
-        worst = max(worst, pressure_ratios(traj, spaces).max())
+        l3 = local_energy_residuals(traj, spaces, [])[1]
+        worst = max(worst, pressure_ratios(traj, spaces, l3).max())
     assert worst < 0.5
 
 
@@ -92,7 +95,7 @@ def test_local_energy_constant_factor_reduction(cn_runs, level):
     cfg = traj.config
     bump = TimeBump(cfg.T, 2)
     test = SpaceTimeTest("const", TrigPoly.constant(1.0), bump)
-    got = local_energy_residuals(traj, spaces, [test])[0]
+    got = local_energy_residuals(traj, spaces, [test])[0][0]
     indep = 0.0
     for m in range(1, cfg.N + 1):
         t_nodes = (m - 1 + GAUSS_X) * cfg.dt
@@ -104,10 +107,9 @@ def test_local_energy_constant_factor_reduction(cn_runs, level):
     assert abs(got - indep) < 1e-9 * max(1.0, abs(indep))
 
 
-def local_energy_reference(traj, spaces, tests):
+def local_energy_reference(traj, spaces, pts, tests):
     """The localized balance integrated one test and one step at a time."""
     cfg = traj.config
-    pts = spaces.tables.quad_points
     out = np.zeros(len(tests))
     for m in range(1, cfg.N + 1):
         t_nodes = (m - 1 + GAUSS_X) * cfg.dt
@@ -133,13 +135,63 @@ def local_energy_reference(traj, spaces, tests):
 
 @pytest.mark.parametrize("which", ["cn_case1", "cnab_stable"])
 def test_local_energy_matches_per_test_loop(which, cn_runs, cnab_runs,
-                                            level):
+                                            level, quad_points):
     spaces = level(3)
     traj = cn_runs[1] if which == "cn_case1" else cnab_runs["stable"]
     tests = default_test_family(traj.config.T)
-    got = local_energy_residuals(traj, spaces, tests)
-    want = local_energy_reference(traj, spaces, tests)
+    got = local_energy_residuals(traj, spaces, tests)[0]
+    want = local_energy_reference(traj, spaces, quad_points(spaces), tests)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_empty_test_family(cn_runs, level):
+    spaces = level(3)
+    traj = cn_runs[1]
+    local, l3 = local_energy_residuals(traj, spaces, [])
+    assert local.shape == (0,)
+    _, l3_full = local_energy_residuals(
+        traj, spaces, default_test_family(traj.config.T))
+    assert l3.shape == (traj.n_steps,) and np.array_equal(l3, l3_full)
+
+
+def test_pressure_ratios_match_reference(cn_runs, level):
+    # |u^{m,1/2}|_3 from its own samples and the rule's weights
+    spaces = level(3)
+    w = spaces.tables.w_phys
+    for traj in cn_runs.values():
+        want = np.empty(traj.n_steps)
+        for m in range(1, traj.n_steps + 1):
+            z = traj.midpoint(m)
+            speed = np.linalg.norm(velocity_values(spaces, z), axis=-1)
+            l3 = (speed ** 3 @ w).sum() ** (1.0 / 3.0)
+            h1 = np.hypot(velocity_l2(spaces, z), velocity_h1_semi(spaces, z))
+            want[m - 1] = (pressure_l2(spaces, traj.p[m - 1])
+                           / (h1 + l3 * h1))
+        got = pressure_ratios(traj, spaces,
+                              local_energy_residuals(traj, spaces, [])[1])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("with_local_energy", [True, False])
+def test_report_evaluates_each_midpoint_once(cn_runs, level, monkeypatch,
+                                             with_local_energy):
+    # every torusns module that binds an evaluator gets the counting one
+    spaces = level(3)
+    traj = cn_runs[1]
+    calls = {}
+    for fn in (velocity_values, velocity_gradients):
+        def counted(*args, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        calls[fn.__name__] = 0
+        for mod in list(sys.modules.values()):
+            if (mod.__name__.startswith("torusns")
+                    and getattr(mod, fn.__name__, None) is fn):
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    build_report(traj, spaces, with_local_energy=with_local_energy)
+    assert calls["velocity_values"] == traj.n_steps
+    assert calls["velocity_gradients"] == (traj.n_steps if with_local_energy
+                                           else 0)
 
 
 def test_divergence_scan_infinite_after_blow_up(cnab_runs, level):
@@ -161,11 +213,11 @@ def test_local_energy_rejects_sign_changing_factor(cn_runs, level):
         local_energy_residuals(traj, spaces, [bad])
 
 
-def test_default_family_size_and_positivity(level):
+def test_default_family_size_and_positivity(level, quad_points):
     spaces = level(2)
     tests = default_test_family(1.0)
     assert len(tests) == 12
-    pts = spaces.tables.quad_points
+    pts = quad_points(spaces)
     for t in tests:
         assert t.psi.value(pts).min() >= 0.2
         assert t.eta.value(np.linspace(0, 1.0, 33)).min() >= -1e-15

@@ -12,15 +12,15 @@ from torusns.fespace import (FESpaceError, _scalar_load, _scatter,
                              inf_sup_constant, inverse_constant,
                              pressure_commutator_constant,
                              pressure_commutator_defect, pressure_gradients,
-                             pressure_l2, pressure_mean, pressure_values,
-                             project_pressure, project_velocity,
-                             quad_integral, velocity_gradients, velocity_h1,
-                             velocity_h1_semi, velocity_l2, velocity_mean,
-                             velocity_values)
+                             pressure_l2, pressure_values, project_pressure,
+                             project_pressure_values, project_velocity,
+                             project_velocity_values, quad_integral,
+                             velocity_gradients, velocity_h1,
+                             velocity_h1_semi, velocity_l2, velocity_values)
 from torusns.forms import divergence_norm
 from torusns.mesh import build_torus_mesh
-from torusns.trig import (BOX_VOLUME, TrigPoly, TrigVector, random_trig,
-                          sine_shear, tg_like)
+from torusns.trig import (BOX_VOLUME, TrigPoly, TrigVector, preset_field,
+                          random_trig, sine_shear, tg_like)
 
 
 def test_norms_of_a_stack_match_row_by_row(level):
@@ -39,7 +39,7 @@ def test_norms_of_a_stack_match_row_by_row(level):
 
 def test_project_zero_field(level):
     spaces = level(2)
-    c = project_velocity(spaces, lambda pts: np.zeros(pts.shape))
+    c = project_velocity(spaces, preset_field("zero"))
     assert np.abs(c).max() == 0.0
 
 
@@ -47,8 +47,7 @@ def test_projection_idempotent_on_members(level):
     spaces = level(3)
     rng = np.random.default_rng(5)
     c = remove_mean(spaces, rng.standard_normal(3 * spaces.n_scalar))
-    vals = velocity_values(spaces, c)
-    again = project_velocity(spaces, lambda pts: vals)
+    again = project_velocity_values(spaces, velocity_values(spaces, c))
     assert np.abs(again - c).max() < 1e-12 * max(1.0, np.abs(c).max()) * 100
 
 
@@ -73,11 +72,11 @@ def test_projection_energy_against_independent_rule(level):
     assert abs(indep - velocity_l2(spaces, c) ** 2) < 1e-12 * indep
 
 
-def test_projection_orthogonality(level):
+def test_projection_orthogonality(level, quad_points):
     spaces = level(3)
     f = tg_like()
     c = project_velocity(spaces, f)
-    vals = f.value(spaces.tables.quad_points)
+    vals = f.value(quad_points(spaces))
     worst = 0.0
     for comp in range(3):
         load = _scalar_load(spaces, vals[:, :, comp])
@@ -88,12 +87,12 @@ def test_projection_orthogonality(level):
     assert worst < 1e-10
 
 
-def test_projection_is_contraction(level):
+def test_projection_is_contraction(level, quad_points):
     spaces = level(3)
     for f in (sine_shear(), tg_like()):
         c = project_velocity(spaces, f)
         fnorm_sq = quad_integral(spaces,
-                                 (f.value(spaces.tables.quad_points) ** 2
+                                 (f.value(quad_points(spaces)) ** 2
                                   ).sum(-1))
         assert velocity_l2(spaces, c) <= np.sqrt(fnorm_sq) + 1e-10
 
@@ -101,9 +100,9 @@ def test_projection_is_contraction(level):
 def test_zero_mean_of_projections(level):
     spaces = level(3)
     c = project_velocity(spaces, tg_like())
-    assert np.abs(velocity_mean(spaces, c)).max() < 1e-10
+    assert np.abs(c.reshape(3, -1) @ spaces.ops.int_s).max() < 1e-10
     q = project_pressure(spaces, TrigPoly.cosine((1, 0, 0)))
-    assert abs(pressure_mean(spaces, q)) < 1e-10
+    assert abs(spaces.ops.int_p @ q) < 1e-10
 
 
 def _bordered_solve(M, integral, b):
@@ -130,8 +129,8 @@ def test_zero_mean_projection_matches_bordered_solve(level, n):
     q = project_pressure(spaces, g)
     q_ref = _bordered_solve(ops.Mp, ops.int_p, _scalar_load(
         spaces, field_values(spaces, g), n_funcs=4))
-    for got, want, mean in ((x, x_ref, velocity_mean(spaces, x)),
-                            (q, q_ref, pressure_mean(spaces, q))):
+    for got, want, mean in ((x, x_ref, x.reshape(3, -1) @ ops.int_s),
+                            (q, q_ref, ops.int_p @ q)):
         assert np.abs(mean).max() <= 1e-14 * np.linalg.norm(got)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -139,13 +138,12 @@ def test_zero_mean_projection_matches_bordered_solve(level, n):
 def test_pressure_projection(level):
     spaces = level(3)
     assert np.abs(project_pressure(spaces,
-                                   lambda pts: np.zeros(pts.shape[:2]))).max() == 0.0
+                                   TrigPoly.constant(0.0))).max() == 0.0
     # members reproduce themselves
     rng = np.random.default_rng(8)
     q = rng.standard_normal(spaces.pressure.dim)
     q -= spaces.ops.int_p @ q / BOX_VOLUME
-    vals = pressure_values(spaces, q)
-    again = project_pressure(spaces, lambda pts: vals)
+    again = project_pressure_values(spaces, pressure_values(spaces, q))
     assert np.abs(again - q).max() < 1e-12 * np.abs(q).max() * 100
 
 
@@ -315,12 +313,11 @@ def test_element_layout_is_guarded():
         build_spaces(shuffled)
 
 
-def _dense_commutator_constants(spaces, phi):
+def _dense_commutator_constants(spaces, pts, phi):
     """Reference: both constants from dense pencils and eigvalsh, on the
-    gathered tables.  The pressure basis is the vertex part of the scalar
-    velocity basis."""
-    t = spaces.tables
-    pv, pg = phi.value(t.quad_points), phi.grad(t.quad_points)
+    gathered tables and quadrature points.  The pressure basis is the
+    vertex part of the scalar velocity basis."""
+    pv, pg = phi.value(pts), phi.grad(pts)
     W = _weighted_scalar_matrix(spaces, pv).toarray()
     W2 = _weighted_scalar_matrix(spaces, pv ** 2).toarray()
     V = _weighted_scalar_matrix(spaces, pv, grad_left=True, grad_right=True,
@@ -339,10 +336,11 @@ def _dense_commutator_constants(spaces, phi):
             np.sqrt(lam_p) / phi.wkinf_norm(1))
 
 
-def test_commutator_constants_match_dense_reference(level):
+def test_commutator_constants_match_dense_reference(level, quad_points):
     for n in (2, 3):
         spaces = level(n)
-        ref_v, ref_p = _dense_commutator_constants(spaces, PHI)
+        ref_v, ref_p = _dense_commutator_constants(spaces,
+                                                   quad_points(spaces), PHI)
         c_v = commutator_constant(spaces, PHI)
         c_p = pressure_commutator_constant(spaces, PHI)
         assert abs(c_v - ref_v) <= 1e-12 * ref_v

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torusns.mesh import (KUHN_OFFSETS, MeshError, build_torus_mesh,
-                          conformity_ok, load_mesh)
+                          conformity_ok)
 from torusns.trig import TWO_PI
 
 
@@ -59,29 +59,3 @@ def test_small_grids_rejected():
     for bad in (1, 0, -3):
         with pytest.raises(MeshError):
             build_torus_mesh(bad)
-
-
-def test_dump_and_load(tmp_path):
-    mesh = build_torus_mesh(2)
-    path = tmp_path / "mesh.txt"
-    mesh.dump(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "TORUS3D 2"
-    assert len(lines) == 1 + mesh.n_vertices + mesh.n_tets
-    again = load_mesh(path)
-    assert again.n_cells == 2
-    assert np.array_equal(again.tetrahedra, mesh.tetrahedra)
-
-
-def test_load_rejects_tampering(tmp_path):
-    mesh = build_torus_mesh(2)
-    path = tmp_path / "mesh.txt"
-    mesh.dump(path)
-    lines = path.read_text().splitlines()
-    lines[3] = "9.9 9.9 9.9"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshError):
-        load_mesh(path)
-    path.write_text("NOTAMESH 2\n")
-    with pytest.raises(MeshError):
-        load_mesh(path)
