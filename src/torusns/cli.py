@@ -35,7 +35,7 @@ from .checks import run_checks
 from .diagnostics import build_report
 from .fespace import build_spaces, velocity_h1_semi, velocity_l2, pressure_l2
 from .linsolve import LinearSolveError
-from .mesh import build_torus_mesh
+from .mesh import build_torus_mesh, element_diameter
 from .steppers import (ConfigError, DiscreteTrajectory, SchemeConfig,
                        StepperError, run)
 from .trig import preset_field
@@ -263,8 +263,8 @@ def run_study(study: StudySpec, out_dir):
     rows = []
     reports = []
     for lvl, n in enumerate(study.levels):
-        h = np.sqrt(3.0) * 2.0 * np.pi / n
-        steps = study_steps(study.base.T, study.coupling_c, study.alpha, h)
+        steps = study_steps(study.base.T, study.coupling_c, study.alpha,
+                            element_diameter(n))
         spec = replace(study.base, n_cells=n, steps=steps)
         report = run_single(spec, os.path.join(out_dir, f"level_n{n}"), study)
         reports.append(report)

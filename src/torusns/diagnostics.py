@@ -229,9 +229,7 @@ class CnabMonitor:
     monotone: bool                 # xi nonincreasing from m = 2 on
     first_violation: int | None    # step index of the first increase
     weighted_ok: bool              # (1 + dt/(2 c1^2)) xi^m <= xi^{m-1}
-    weighted_first_violation: int | None
     max_state_sq: float            # max_m |u^m|^2
-    increment_sum: float
     increment_within_32max: bool   # sum |u^m - u^{m-1}|^2 <= 32 max_m |u^m|^2
 
 
@@ -252,13 +250,11 @@ def cnab_monitor(trajectory: DiscreteTrajectory, spaces,
         return int(np.argmax(bad)) + 2 if bad.any() else None
 
     v_plain = first_bad(1.0)
-    v_weighted = first_bad(growth)
     max_sq = float(np.max(norms_sq)) if np.all(np.isfinite(norms_sq)) else np.inf
     inc_total = float(incr_sq.sum())
     return CnabMonitor(
         xi=xi, monotone=v_plain is None, first_violation=v_plain,
-        weighted_ok=v_weighted is None, weighted_first_violation=v_weighted,
-        max_state_sq=max_sq, increment_sum=inc_total,
+        weighted_ok=first_bad(growth) is None, max_state_sq=max_sq,
         increment_within_32max=bool(np.isfinite(inc_total)
                                     and inc_total <= 32.0 * max_sq))
 

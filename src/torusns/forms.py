@@ -12,6 +12,9 @@ The convective trilinear form comes in three flavours:
 * case 3 -- rotational form plus the projected dynamic-pressure
   gradient 0.5 grad K(v.u); the gradient pairing is evaluated through
   integration by parts as -0.5 (K(v.u), div w), exact on the torus.
+  On discretely divergence-free w that pairing vanishes, so case 3
+  equals case 2 there, and a midpoint step with case 3 solves the
+  case-2 system, its pressure absorbing -0.5 K(v.u).
 
 The divergence coupling B (`spaces.ops.B`, assembled with the spaces)
 maps velocity coefficients to pressure-test values (q, div v).  Testing against constants gives exactly zero, so B
@@ -23,11 +26,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import (N_LOCAL, N_LOCAL_P, _evaluate, _local_matrices,
-                      _product_table, _scatter, _velocity_nodal,
-                      project_pressure_values, quad_integral,
-                      velocity_gradients, velocity_h1_semi, velocity_l2,
-                      velocity_values)
+from .fespace import (N_LOCAL, _evaluate, _local_matrices, _product_table,
+                      _scatter, _velocity_nodal, project_pressure_values,
+                      quad_integral, velocity_gradients, velocity_h1_semi,
+                      velocity_l2, velocity_values)
 from .linsolve import SaddleSystem
 
 #: Levi-Civita symbol, eps_{ijk} = (e_i x e_j)_k
@@ -79,9 +81,9 @@ def rotation_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
 def convection_matrix(spaces, case: int, advect_coeffs) -> sp.csr_matrix:
     """Operator C with (C z)_i = b_h(u, z, phi_i) for frozen advecting u.
 
-    For case 3 this covers only the rotational part; the projected
-    dynamic-pressure gradient couples through the pressure space and is
-    handled by the steppers via an auxiliary variable.
+    For case 3 this is only the rotational part: the projected
+    dynamic-pressure gradient lies in the range of B^T, where the
+    pressure absorbs it.
     """
     if case == 1:
         return sp.kron(sp.identity(3), transport_matrix(spaces, advect_coeffs),
@@ -89,17 +91,6 @@ def convection_matrix(spaces, case: int, advect_coeffs) -> sp.csr_matrix:
     if case in (2, 3):
         return rotation_matrix(spaces, advect_coeffs)
     raise ValueError(f"unknown convective case {case}")
-
-
-def bernoulli_rhs_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
-    """R[j, (c, a)] = (psi_j, N_a u_c): projects z.u into the pressure space."""
-    t = spaces.tables
-    uvals = velocity_values(spaces, advect_coeffs)[..., None]
-    loc = _local_matrices(spaces, uvals,
-                          _product_table(t.N[:, :, :N_LOCAL_P], t.N))
-    loc = loc.reshape(-1, 3, N_LOCAL_P, N_LOCAL).transpose(0, 2, 1, 3)
-    return _scatter(loc, spaces.pressure.dofmap,
-                    spaces.velocity.vector_dofmap)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 and the constrained saddle system.
 
 Every time step reduces to one (or, inside a Picard loop, a few) solves
-with a block matrix coupling velocity, pressure, optionally a projected
-dynamic-pressure variable, and the scalar mean multipliers; the
-divergence-free projection and the inf-sup constant solve the same
-layout.  `SaddleSystem` is the only owner of that layout: it builds the
-matrix, packs right-hand sides and keeps its factorization.  Systems are
-factorized monolithically: the identities the test-suite checks live at
-the 1e-10 level and would be polluted by iterative-solver tolerances.
+with a block matrix coupling velocity, pressure and the scalar mean
+multipliers; the divergence-free projection and the inf-sup constant
+solve the same layout.  `SaddleSystem` is the only owner of that
+layout: it builds the matrix, packs right-hand sides and keeps its
+factorization.  Systems are factorized monolithically: the identities
+the test-suite checks live at the 1e-10 level and would be polluted by
+iterative-solver tolerances.
 
 Every matrix factorized here has a (nearly) symmetric sparsity pattern
 (the saddle systems, the two mass matrices and the H1 Gram matrix
@@ -125,49 +125,36 @@ class SaddleSolution:
 
 class SaddleSystem:
     """Velocity block F constrained to the discretely divergence-free,
-    componentwise mean-free fields; blocks [u, p, (kappa), alpha, beta].
+    componentwise mean-free fields; blocks [u, p, alpha, beta].
 
     alpha are the velocity-mean multipliers and beta the pressure-mean
     multiplier, which removes the constant pressure (B annihilates it)
-    from the kernel.  Passing R adds the projected dynamic pressure
-    kappa of the case-3 form: Mp kappa = 0.5 R u + rhs_kappa, entering
-    the momentum rows as -0.5 B^T kappa.  The matrix is factorized on
-    the first solve and the factor is reused by every later one.
+    from the kernel.  The matrix is factorized on the first solve and
+    the factor is reused by every later one.
     """
 
-    def __init__(self, spaces, F, R=None):
+    def __init__(self, spaces, F):
         ops = spaces.ops
         Cu = sp.csr_matrix((np.tile(ops.int_s, 3),
                             np.arange(3 * ops.int_s.size),
                             ops.int_s.size * np.arange(4)))  # means of u_c
         mp_col = sp.csc_matrix(ops.int_p[:, None])
-        with_kappa = R is not None
-        kappa_gap = [None] if with_kappa else []
-        rows = [[F, -ops.B.T] + ([-0.5 * ops.B.T] if with_kappa else [])
-                + [Cu.T, None],
-                [ops.B, None] + kappa_gap + [None, mp_col]]
-        if with_kappa:
-            rows.append([-0.5 * R, None, ops.Mp, None, None])
-        rows.append([Cu, None] + kappa_gap + [None, None])
-        rows.append([None, mp_col.T] + kappa_gap + [None, None])
-        self.matrix = sp.bmat(rows, format="csc")
+        self.matrix = sp.bmat([[F, -ops.B.T, Cu.T, None],
+                               [ops.B, None, None, mp_col],
+                               [Cu, None, None, None],
+                               [None, mp_col.T, None, None]], format="csc")
         n_u, n_p = F.shape[0], spaces.pressure.dim
-        self.slices = {"u": slice(0, n_u), "p": slice(n_u, n_u + n_p)}
         off = n_u + n_p
-        if with_kappa:
-            self.slices["kappa"] = slice(off, off + n_p)
-            off += n_p
-        self.slices["alpha"] = slice(off, off + 3)
-        self.slices["beta"] = slice(off + 3, off + 4)
+        self.slices = {"u": slice(0, n_u), "p": slice(n_u, off),
+                       "alpha": slice(off, off + 3),
+                       "beta": slice(off + 3, off + 4)}
         self._factor = None
 
-    def rhs(self, rhs_u, rhs_kappa=None) -> np.ndarray:
-        """The full right-hand side: rhs_u on the momentum rows,
-        rhs_kappa on the kappa rows, zero on the constraint rows."""
+    def rhs(self, rhs_u) -> np.ndarray:
+        """The full right-hand side: rhs_u on the momentum rows, zero on
+        the constraint rows."""
         rhs = np.zeros(self.matrix.shape[0])
         rhs[self.slices["u"]] = rhs_u
-        if rhs_kappa is not None:
-            rhs[self.slices["kappa"]] = rhs_kappa
         return rhs
 
     def solve(self, rhs) -> SaddleSolution:

@@ -20,6 +20,7 @@ its type's tables and reject meshes stored in any other order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -47,6 +48,11 @@ class MeshError(ValueError):
     pass
 
 
+def element_diameter(n_cells: int) -> float:
+    """Diameter h of every element of the n-cell mesh: the cube diagonal."""
+    return float(np.sqrt(3.0) * (TWO_PI / n_cells))
+
+
 @dataclass
 class PeriodicMesh:
     n_cells: int
@@ -55,11 +61,14 @@ class PeriodicMesh:
     tet_corner: np.ndarray    # (6 n^3, 3) integer cube corner
     tet_type: np.ndarray      # (6 n^3,) Kuhn type 0..5
     h: float = field(init=False)
-    shape_ratio: float = field(init=False)
 
     def __post_init__(self):
-        self.h = float(np.sqrt(3.0) * self.cell_size)
-        self.shape_ratio = float(np.max(self._shape_ratios()))
+        self.h = element_diameter(self.n_cells)
+
+    @cached_property
+    def shape_ratio(self) -> float:
+        """Largest diameter-to-inradius ratio over the elements."""
+        return float(np.max(self._shape_ratios()))
 
     @property
     def cell_size(self) -> float:

@@ -8,7 +8,7 @@ Three schemes advance a trajectory on the uniform net t_m = m*dt:
   the antisymmetric convection structure, so the step energy balance
   holds whether or not the iteration has fully converged.
 * CNLE -- linearly implicit: the advecting field is extrapolated as
-  3 u^{m-1} - u^{m-2} and the step is a single solve.
+  (3 u^{m-1} - u^{m-2}) / 2 and the step is a single solve.
 * CNAB -- convection fully explicit (3/2, -1/2 combination); the step
   matrix is time-independent and its factorization is reused.
 
@@ -136,28 +136,20 @@ class StepOperator:
         return ((1.0 / dt) * (self.spaces.ops.M @ u_prev)
                 - 0.5 * nu * (self.A @ u_prev))
 
-    def frozen_system(self, case, advect, weight, u_prev):
+    def frozen_system(self, advect, u_prev):
         """Midpoint step with the advecting field frozen: its system and
-        full right-hand side.
+        full right-hand side.  The unknown enters through the midpoint,
+        hence the factor 1/2 on the convection."""
+        conv = forms.convection_matrix(self.spaces, self.config.case, advect)
+        F = (self.F0 + 0.5 * conv).tocsr()
+        system = SaddleSystem(self.spaces, F)
+        return system, system.rhs(self.explicit_rhs(u_prev)
+                                  - 0.5 * (conv @ u_prev))
 
-        `weight` multiplies the convective form: 1 for plain midpoint
-        convection, 1/2 for the extrapolated variant.  The unknown enters
-        through the midpoint, hence the factor weight/2 on the matrix side.
-        """
-        conv = forms.convection_matrix(self.spaces, case, advect)
-        F = (self.F0 + 0.5 * weight * conv).tocsr()
-        rhs_u = self.explicit_rhs(u_prev) - 0.5 * weight * (conv @ u_prev)
-        R = rhs_kappa = None
-        if case == 3:
-            R = weight * forms.bernoulli_rhs_matrix(self.spaces, advect)
-            rhs_kappa = 0.5 * (R @ u_prev)
-        system = SaddleSystem(self.spaces, F, R=R)
-        return system, system.rhs(rhs_u, rhs_kappa)
-
-    def solve_frozen(self, case, advect, weight, u_prev) -> SaddleSolution:
+    def solve_frozen(self, advect, u_prev) -> SaddleSolution:
         """Solve `frozen_system` once.  Its factorization is freed on
         return, before the next Picard iterate assembles its system."""
-        system, rhs = self.frozen_system(case, advect, weight, u_prev)
+        system, rhs = self.frozen_system(advect, u_prev)
         return system.solve(rhs)
 
     @cached_property
@@ -172,7 +164,14 @@ class StepOperator:
 # ---------------------------------------------------------------------------
 
 def step_cn(op: StepOperator, u_prev, step_index=None) -> StepResult:
-    """One implicit-midpoint step, Picard iteration on the midpoint."""
+    """One implicit-midpoint step, Picard iteration on the midpoint.
+
+    Case 3 adds 0.5 grad K(w.z) to the rotational form of case 2.  The
+    gradient of a pressure-space field is absorbed by the pressure, so a
+    case-3 iterate solves the case-2 system for pi = p + 0.5 K(w.z), and
+    the step returns p = pi - 0.5 K(w.z) with w the advecting field of
+    the last solve and z the returned midpoint.
+    """
     config, spaces = op.config, op.spaces
     u_prev = np.asarray(u_prev, dtype=float)
     scale = max(1.0, velocity_l2(spaces, u_prev))
@@ -180,12 +179,12 @@ def step_cn(op: StepOperator, u_prev, step_index=None) -> StepResult:
     history = []
     converged = False
     for _ in range(config.picard_max_iters):
-        sol = op.solve_frozen(config.case, w, 1.0, u_prev)
+        sol = op.solve_frozen(w, u_prev)
         u_new = sol["u"]
         z = 0.5 * (u_new + u_prev)
         delta = velocity_l2(spaces, z - w)
         history.append(delta)
-        w = z
+        advect, w = w, z
         if delta <= config.picard_tol * scale:
             converged = True
             break
@@ -196,17 +195,21 @@ def step_cn(op: StepOperator, u_prev, step_index=None) -> StepResult:
             f"(last increments {history[-3:]})",
             step=step_index, history=history)
     # residual of the nonlinear system at the returned state
-    system, rhs = op.frozen_system(config.case, w, 1.0, u_prev)
+    system, rhs = op.frozen_system(w, u_prev)
     resid = np.linalg.norm(system.matrix @ sol.x - rhs)
     resid /= max(1.0, np.linalg.norm(rhs))
-    return StepResult(u=u_new, p=sol["p"], iterations=len(history),
+    p = sol["p"]
+    if config.case == 3:
+        p = p - 0.5 * forms.bernoulli_projection(spaces, advect, w)
+    return StepResult(u=u_new, p=p, iterations=len(history),
                       residual=float(resid))
 
 
 def step_cnle(op: StepOperator, u_prev, u_prev2) -> StepResult:
-    """One linearly-implicit step with extrapolated advecting field."""
-    advect = 3.0 * np.asarray(u_prev) - np.asarray(u_prev2)
-    sol = op.solve_frozen(1, advect, 0.5, u_prev)
+    """One linearly-implicit step: the frozen midpoint system advected
+    by the extrapolation (3 u^{m-1} - u^{m-2}) / 2."""
+    advect = 0.5 * (3.0 * np.asarray(u_prev) - np.asarray(u_prev2))
+    sol = op.solve_frozen(advect, u_prev)
     return StepResult(u=sol["u"], p=sol["p"], iterations=1,
                       residual=sol.residual)
 

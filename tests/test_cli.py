@@ -10,6 +10,7 @@ from torusns.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                          CSV_COLUMNS, RunSpec, StudySpec, emit_config, main,
                          parse_config, rerender_report, run_single,
                          run_study)
+from torusns.mesh import build_torus_mesh
 from torusns.steppers import ConfigError, DiscreteTrajectory
 
 
@@ -180,6 +181,30 @@ def test_increment_verdict_reads_increment_sum(tmp_path, monkeypatch):
     _, verdicts = run_study(study, str(tmp_path / "st"))
     assert verdicts["gap_strictly_decreasing"] is True
     assert verdicts["increment_bound_decreasing"] is False
+
+
+def test_study_step_count_uses_the_mesh_h(tmp_path, monkeypatch):
+    # the h of the dt rule is bitwise the h of the mesh the level runs on
+    # (sqrt(3) * 2 * pi / n differs from it by one ulp at n = 13, 17, ...)
+    levels = tuple(range(2, 41))
+    seen = []
+
+    def study_steps_spy(T, coupling_c, alpha, h):
+        seen.append(h)
+        return 1
+
+    def run_single_stub(spec, out_dir, study=None):
+        return SimpleNamespace(
+            h=1.0, dt=0.1, gap_l2=0.0, increment_sum=0.0,
+            local_energy_min=0.0, pressure_ratio_max=0.0,
+            coupling=dict(cn_ratio=0.0, cn_pass=True, cnle_pass=True,
+                          cnab_dt_pass=True))
+
+    monkeypatch.setattr(torusns.cli, "study_steps", study_steps_spy)
+    monkeypatch.setattr(torusns.cli, "run_single", run_single_stub)
+    run_study(StudySpec(base=RunSpec(datum="sine-shear"), levels=levels),
+              str(tmp_path / "st"))
+    assert seen == [build_torus_mesh(n).h for n in levels]
 
 
 def test_rerender_closes_trajectory_file(tmp_path, monkeypatch):

@@ -6,10 +6,10 @@ from torusns.fespace import (build_spaces, pressure_gradients, quad_integral,
                              velocity_gradients, velocity_h1,
                              velocity_l2, velocity_values)
 from torusns.forms import (b_case1, b_case2, b_case3, b_form,
-                           bernoulli_projection, bernoulli_rhs_matrix,
-                           convection_matrix, convection_rhs,
-                           divergence_norm, estimate_constants,
-                           project_div_free, transport_matrix)
+                           bernoulli_projection, convection_matrix,
+                           convection_rhs, divergence_norm,
+                           estimate_constants, project_div_free,
+                           transport_matrix)
 from torusns.mesh import build_torus_mesh
 from torusns.trig import (BOX_VOLUME, TrigPoly, TrigVector, random_trig,
                           sine_shear, tg_like)
@@ -39,10 +39,6 @@ def test_stepper_matrices_match_value_forms(level):
             got = convection_rhs(spaces, case, u) @ w
             want = b_form(spaces, case, u, u, w)
             assert abs(got - want) <= 1e-12 * abs(want), (n, case)
-        B = spaces.ops.B
-        got = B.T @ spaces.ops.lu_Mp.solve(bernoulli_rhs_matrix(spaces, u) @ v)
-        want = B.T @ bernoulli_projection(spaces, u, v)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
 
 
 def test_stiffness_kills_constants(level):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from torusns import forms
-from torusns.fespace import (project_velocity, velocity_h1, velocity_h1_semi,
-                             velocity_l2)
+from torusns.fespace import (pressure_values, project_velocity, velocity_h1,
+                             velocity_h1_semi, velocity_l2, velocity_values)
 from torusns.forms import (b_form, convection_rhs, divergence_norm,
-                           project_div_free, transport_matrix)
+                           project_div_free, rotation_matrix,
+                           transport_matrix)
 from torusns.linsolve import SaddleSystem
 from torusns.steppers import (ConfigError, SchemeConfig, StepOperator,
-                              StepperError, check_coupling, run, step_cnab)
+                              StepperError, check_coupling, run, step_cn,
+                              step_cnab)
 from torusns.trig import preset_field, random_trig, sine_shear, tg_like
 
 
@@ -72,6 +75,59 @@ def test_cn_energy_identity_all_cases(cn_runs, level):
         for m in range(1, traj.n_steps + 1):
             assert abs(energy_residual(spaces, traj, m)) <= tol, \
                 f"case {case}, step {m}"
+
+
+def test_cn_case3_solves_the_case2_system(cn_runs):
+    # the projected dynamic-pressure gradient of case 3 is absorbed by
+    # the pressure: both cases make the same solves and differ only in p
+    for name in ("u", "picard_iters", "residuals"):
+        assert np.array_equal(getattr(cn_runs[3], name),
+                              getattr(cn_runs[2], name)), name
+    assert not np.array_equal(cn_runs[3].p, cn_runs[2].p)
+
+
+def _coupled_case3_step(op, w, u_prev):
+    """Reference: the case-3 frozen-advection step with the projected
+    dynamic pressure kappa as an unknown.  Mp kappa = R (u + u_prev) / 2
+    with (R z)_j = (psi_j, w.z), and -B^T kappa / 2 in the momentum rows;
+    R is built densely from field samples."""
+    spaces, ops = op.spaces, op.spaces.ops
+    n_u, n_p = 3 * spaces.n_scalar, spaces.pressure.dim
+    w_vals = velocity_values(spaces, w)
+    psi = np.stack([pressure_values(spaces, e) for e in np.eye(n_p)])
+    wphi = np.stack([(w_vals * velocity_values(spaces, e)).sum(-1)
+                     for e in np.eye(n_u)])
+    R = sp.csr_matrix(np.einsum("jeq,keq,q->jk", psi, wphi,
+                                spaces.tables.w_phys))
+    conv = rotation_matrix(spaces, w)
+    Cu = sp.kron(sp.identity(3), ops.int_s[None, :])
+    mp = sp.csr_matrix(ops.int_p[:, None])
+    A = sp.bmat([[op.F0 + 0.5 * conv, -ops.B.T, -0.5 * ops.B.T, Cu.T, None],
+                 [ops.B, None, None, None, mp],
+                 [-0.5 * R, None, ops.Mp, None, None],
+                 [Cu, None, None, None, None],
+                 [None, mp.T, None, None, None]], format="csc")
+    b = np.zeros(A.shape[0])
+    b[:n_u] = op.explicit_rhs(u_prev) - 0.5 * (conv @ u_prev)
+    b[n_u + n_p:n_u + 2 * n_p] = 0.5 * (R @ u_prev)
+    x = spla.spsolve(A, b)
+    return x[:n_u], x[n_u:n_u + n_p]
+
+
+def test_case3_step_matches_the_coupled_kappa_system(level):
+    # a tolerance this loose ends Picard after its first iterate, so the
+    # step is one frozen-advection solve with w = u_prev
+    spaces = level(2)
+    cfg = SchemeConfig(scheme="CN", case=3, nu=0.1, T=0.25, N=1,
+                       picard_tol=1e6)
+    op = StepOperator(spaces, cfg)
+    u_prev = project_div_free(spaces,
+                              project_velocity(spaces, random_trig(5)))
+    res = step_cn(op, u_prev)
+    assert res.iterations == 1
+    u_ref, p_ref = _coupled_case3_step(op, u_prev, u_prev)
+    assert np.abs(res.u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+    assert np.abs(res.p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
 
 
 def test_cn_energy_decreases(cn_runs, level):
