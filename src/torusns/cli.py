@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .checks import run_checks
 from .diagnostics import build_report
-from .fespace import build_spaces, velocity_h1_semi, velocity_l2, pressure_l2
+from .fespace import build_spaces
 from .linsolve import LinearSolveError
 from .mesh import build_torus_mesh, element_diameter
 from .steppers import (ConfigError, DiscreteTrajectory, SchemeConfig,
@@ -197,11 +197,10 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def write_summary_csv(path, trajectory, spaces, report) -> None:
-    u = trajectory.u
-    columns = zip(trajectory.times[1:], velocity_l2(spaces, u[1:]),
-                  velocity_h1_semi(spaces, 0.5 * (u[1:] + u[:-1])),
-                  pressure_l2(spaces, trajectory.p),
+def write_summary_csv(path, trajectory, report) -> None:
+    norms = report.norms
+    columns = zip(trajectory.times[1:], norms.state_l2[1:],
+                  norms.midpoint_h1_semi, norms.pressure_l2,
                   report.energy_residuals)
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -233,7 +232,7 @@ def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
     trajectory = run(config, spaces, datum)
     report = _write_report(spec, datum, trajectory, spaces, out_dir)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), trajectory,
-                      spaces, report)
+                      report)
     np.savez(os.path.join(out_dir, "trajectory.npz"),
              times=trajectory.times, u=trajectory.u, p=trajectory.p,
              picard_iters=trajectory.picard_iters,
@@ -312,8 +311,7 @@ def _load_trajectory(path, spec: RunSpec, spaces) -> DiscreteTrajectory:
             or arrays["p"].shape != (N, spaces.pressure.dim)):
         raise ConfigError(f"trajectory {path} does not fit n_cells = "
                           f"{spec.n_cells} and steps = {N}")
-    return DiscreteTrajectory(config=spec.scheme_config(), h=spaces.h,
-                              **arrays)
+    return DiscreteTrajectory(config=spec.scheme_config(), **arrays)
 
 
 def rerender_report(traj_dir, out_dir):

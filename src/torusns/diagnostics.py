@@ -1,7 +1,11 @@
 """Residuals, bounds and monitors evaluated on a completed trajectory.
 
 Everything here is a pure function of the trajectory and the spaces it
-was computed on.  The monitors fall into four groups:
+was computed on.  The energy balances, the pressure ratios and the
+explicit-scheme monitors are arithmetic on the trajectory's norms
+(`interpolants.trajectory_norms`, evaluated once per report) and its
+configuration; only the localized balance and the divergence scan go
+back to the fields.  The monitors fall into four groups:
 
 * per-step and global energy balances of the midpoint schemes;
 * pressure-size ratios against the velocity norms that control them;
@@ -23,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms
-from .fespace import (field_values, pressure_l2, pressure_values,
-                      quad_integral, velocity_gradients, velocity_h1,
-                      velocity_h1_semi, velocity_l2, velocity_values)
-from .interpolants import InterpolantSet, gap_l2, increment_sum
+from .fespace import (field_values, pressure_values, quad_integral,
+                      velocity_gradients, velocity_values)
+from .interpolants import (TrajectoryNorms, gap_l2, increment_sum,
+                           trajectory_norms)
 from .steppers import DiscreteTrajectory, StepperError, check_coupling
 from .trig import TrigPoly
 
@@ -40,51 +44,40 @@ _GAUSS3_W = 0.5 * np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 # energy balances
 # ---------------------------------------------------------------------------
 
-def energy_residuals(trajectory: DiscreteTrajectory, spaces) -> np.ndarray:
+def energy_residuals(norms: TrajectoryNorms, config) -> np.ndarray:
     """Per-step balance  (|u^m|^2 - |u^{m-1}|^2)/2 + nu dt |grad u^{m,1/2}|^2.
 
     Zero to solver tolerance for the midpoint schemes; for the explicit
     scheme the values are reported raw (no identity holds).
     """
-    cfg = trajectory.config
-    u = trajectory.u
-    return (0.5 * np.diff(velocity_l2(spaces, u) ** 2)
-            + cfg.nu * cfg.dt
-            * velocity_h1_semi(spaces, 0.5 * (u[1:] + u[:-1])) ** 2)
+    return (0.5 * np.diff(norms.state_l2 ** 2)
+            + config.nu * config.dt * norms.midpoint_h1_semi ** 2)
 
 
-def dissipation_integral(trajectory: DiscreteTrajectory, spaces) -> float:
-    """nu * integral over [0,T] of |grad u|^2 for the midpoint field."""
-    cfg = trajectory.config
-    u = trajectory.u
-    return cfg.nu * cfg.dt * float(
-        (velocity_h1_semi(spaces, 0.5 * (u[1:] + u[:-1])) ** 2).sum())
-
-
-def global_energy_defect(trajectory: DiscreteTrajectory, spaces,
+def global_energy_defect(norms: TrajectoryNorms, config,
                          u0_norm_sq: float | None = None) -> float:
-    """|v(T)|^2/2 + dissipation - |u0|^2/2; nonpositive when the global
-    balance holds.  `u0_norm_sq` defaults to the discrete initial energy,
-    in which case the midpoint schemes return a roundoff-size value."""
-    first, final = velocity_l2(spaces, trajectory.u[[0, -1]]) ** 2
+    """|v(T)|^2/2 + nu int_0^T |grad u|^2 - |u0|^2/2 for the midpoint
+    field u; nonpositive when the global balance holds.  `u0_norm_sq`
+    defaults to the discrete initial energy, in which case the midpoint
+    schemes return a roundoff-size value."""
+    first, final = norms.state_l2[[0, -1]] ** 2
     if u0_norm_sq is None:
         u0_norm_sq = first
-    return float(0.5 * final + dissipation_integral(trajectory, spaces)
-                 - 0.5 * u0_norm_sq)
+    dissipation = config.nu * config.dt * float(
+        (norms.midpoint_h1_semi ** 2).sum())
+    return float(0.5 * final + dissipation - 0.5 * u0_norm_sq)
 
 
 # ---------------------------------------------------------------------------
 # pressure control
 # ---------------------------------------------------------------------------
 
-def pressure_ratios(trajectory: DiscreteTrajectory, spaces,
-                    l3) -> np.ndarray:
+def pressure_ratios(norms: TrajectoryNorms, l3) -> np.ndarray:
     """|p^m|_2 / (|u^{m,1/2}|_H1 + |u^{m,1/2}|_3 |u^{m,1/2}|_H1) per step,
     given the midpoint L3 norms `l3` (from `local_energy_residuals`)."""
-    u = trajectory.u
-    h1 = velocity_h1(spaces, 0.5 * (u[1:] + u[:-1]))
+    h1 = np.hypot(norms.midpoint_l2, norms.midpoint_h1_semi)
     denom = h1 + l3 * h1
-    p = pressure_l2(spaces, trajectory.p)
+    p = norms.pressure_l2
     unbalanced = (denom == 0.0) & (p > 0.0)
     if unbalanced.any():
         raise StepperError("nonzero pressure with zero velocity",
@@ -233,15 +226,12 @@ class CnabMonitor:
     increment_within_32max: bool   # sum |u^m - u^{m-1}|^2 <= 32 max_m |u^m|^2
 
 
-def cnab_monitor(trajectory: DiscreteTrajectory, spaces,
-                 c1: float) -> CnabMonitor:
-    if not c1 > 0:
-        raise ValueError("c1 must be positive")
-    cfg = trajectory.config
-    norms_sq = velocity_l2(spaces, trajectory.u) ** 2
-    incr_sq = velocity_l2(spaces, np.diff(trajectory.u, axis=0)) ** 2
-    xi = norms_sq[1:] + 0.25 * incr_sq
-    growth = 1.0 + cfg.dt / (2.0 * c1 ** 2)
+def cnab_monitor(norms: TrajectoryNorms, config) -> CnabMonitor:
+    """xi^m and its decay tests, with the configured step parameter c1."""
+    state_sq = norms.state_l2 ** 2
+    incr_sq = norms.increment_l2 ** 2
+    xi = state_sq[1:] + 0.25 * incr_sq
+    growth = 1.0 + config.dt / (2.0 * config.c1 ** 2)
 
     def first_bad(factor):
         # step m compares factor * xi^m with xi^{m-1}, for m = 2..N
@@ -250,7 +240,7 @@ def cnab_monitor(trajectory: DiscreteTrajectory, spaces,
         return int(np.argmax(bad)) + 2 if bad.any() else None
 
     v_plain = first_bad(1.0)
-    max_sq = float(np.max(norms_sq)) if np.all(np.isfinite(norms_sq)) else np.inf
+    max_sq = float(np.max(state_sq)) if np.all(np.isfinite(state_sq)) else np.inf
     inc_total = float(incr_sq.sum())
     return CnabMonitor(
         xi=xi, monotone=v_plain is None, first_violation=v_plain,
@@ -269,15 +259,14 @@ class FirstStepCheck:
         return self.lhs - self.rhs
 
 
-def cnab_first_step_check(trajectory: DiscreteTrajectory, spaces,
+def cnab_first_step_check(norms: TrajectoryNorms, config,
                           h: float) -> FirstStepCheck:
     """First-step bound |u^1|^2/2 + (nu dt/4)|grad u^1|^2 against
     (1/2 + nu dt/(4 h^2)) |u^0|^2; nonpositive for a stable start."""
-    cfg = trajectory.config
-    l2_sq = velocity_l2(spaces, trajectory.u[:2]) ** 2
-    lhs = (0.5 * l2_sq[1] + 0.25 * cfg.nu * cfg.dt
-           * velocity_h1_semi(spaces, trajectory.u[1]) ** 2)
-    rhs = (0.5 + cfg.nu * cfg.dt / (4.0 * h ** 2)) * l2_sq[0]
+    nu, dt = config.nu, config.dt
+    l2_sq = norms.state_l2[:2] ** 2
+    lhs = 0.5 * l2_sq[1] + 0.25 * nu * dt * norms.state_h1_semi[1] ** 2
+    rhs = (0.5 + nu * dt / (4.0 * h ** 2)) * l2_sq[0]
     return FirstStepCheck(lhs=float(lhs), rhs=float(rhs))
 
 
@@ -308,6 +297,7 @@ class DiagnosticsReport:
     pressure_ratio_max: float
     divergence_max_rel: float
     coupling: dict
+    norms: TrajectoryNorms  # what the monitors read; not serialized
     local_energy: dict | None = None
     local_energy_min: float | None = None
     cnab: CnabMonitor | None = None
@@ -385,22 +375,23 @@ def build_report(trajectory: DiscreteTrajectory, spaces,
                  with_local_energy: bool = True,
                  cn_threshold: float = 1.0) -> DiagnosticsReport:
     """Evaluate every monitor that applies to the trajectory's scheme."""
-    cfg = trajectory.config
-    iset = InterpolantSet(trajectory, spaces)
-    res = energy_residuals(trajectory, spaces)
+    cfg, h = trajectory.config, spaces.h
+    norms = trajectory_norms(trajectory, spaces)
+    res = energy_residuals(norms, cfg)
     tests = default_test_family(cfg.T) if with_local_energy else []
     vals, l3 = local_energy_residuals(trajectory, spaces, tests)
-    pr = pressure_ratios(trajectory, spaces, l3)
-    inc = increment_sum(iset)
+    pr = pressure_ratios(norms, l3)
+    inc = increment_sum(norms)
+    state_h1 = np.hypot(norms.state_l2, norms.state_h1_semi)
     div_rel = np.inf
     if np.all(np.isfinite(trajectory.u)):
-        scale = velocity_h1(spaces, trajectory.u)
         div = forms.divergence_norm(spaces, trajectory.u)
+        positive = state_h1 > 0
         # fmax skips the NaN of a norm that overflowed (inf / inf)
-        div_rel = np.fmax.reduce(div[scale > 0] / scale[scale > 0],
+        div_rel = np.fmax.reduce(div[positive] / state_h1[positive],
                                  initial=0.0)
 
-    u0_disc = velocity_l2(spaces, trajectory.u[0])
+    u0_disc = norms.state_l2[0]
     local = None
     local_min = None
     if with_local_energy:
@@ -410,31 +401,32 @@ def build_report(trajectory: DiscreteTrajectory, spaces,
     cnab = None
     fstep = None
     if cfg.scheme == "CNAB":
-        cnab = cnab_monitor(trajectory, spaces, cfg.c1)
-        fstep = cnab_first_step_check(trajectory, spaces, trajectory.h)
+        cnab = cnab_monitor(norms, cfg)
+        fstep = cnab_first_step_check(norms, cfg, h)
 
-    coupling = check_coupling(cfg, trajectory.h,
+    coupling = check_coupling(cfg, h,
                               u0_norm if u0_norm is not None else u0_disc,
                               cn_threshold=cn_threshold).as_dict()
     return DiagnosticsReport(
         scheme=cfg.scheme, case=cfg.case, nu=cfg.nu, T=cfg.T, N=cfg.N,
-        dt=cfg.dt, h=trajectory.h,
+        dt=cfg.dt, h=h,
         u0_l2_discrete=float(u0_disc),
-        u0_h1_discrete=float(velocity_h1(spaces, trajectory.u[0])),
+        u0_h1_discrete=float(state_h1[0]),
         u0_l2_analytic=None if u0_norm is None else float(u0_norm),
         energy_residuals=res,
         max_energy_residual=float(np.abs(res).max()) if res.size else 0.0,
-        global_defect_discrete=global_energy_defect(trajectory, spaces),
+        global_defect_discrete=global_energy_defect(norms, cfg),
         global_defect_analytic=(None if u0_norm is None else
-                                global_energy_defect(trajectory, spaces,
+                                global_energy_defect(norms, cfg,
                                                      u0_norm ** 2)),
         increment_sum=float(inc),
-        increment_normalized=float(inc / (cfg.dt + trajectory.h ** -0.5)),
-        gap_l2=float(gap_l2(iset)),
+        increment_normalized=float(inc / (cfg.dt + h ** -0.5)),
+        gap_l2=float(gap_l2(norms, cfg)),
         pressure_ratios=pr,
         pressure_ratio_max=float(pr.max()) if pr.size else 0.0,
         divergence_max_rel=float(div_rel),
         coupling=coupling,
+        norms=norms,
         local_energy=local,
         local_energy_min=local_min,
         cnab=cnab,

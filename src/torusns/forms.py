@@ -147,17 +147,12 @@ def b_form(spaces, case, u, v, w) -> float:
     raise ValueError(f"unknown convective case {case}")
 
 
-def convection_rhs(spaces, case, u) -> np.ndarray:
-    """Vector of b_h(u, u, phi_i) over all velocity test functions."""
+def convection_rhs(spaces, u) -> np.ndarray:
+    """Vector of the case-1 form b_h(u, u, phi_i) over all velocity test
+    functions: the explicit convection of the schemes that use it."""
     u = np.asarray(u)
-    if case == 1:
-        S = transport_matrix(spaces, u)
-        return (S @ u.reshape(3, -1).T).T.ravel()
-    out = rotation_matrix(spaces, u) @ u
-    if case == 3:
-        kh = bernoulli_projection(spaces, u, u)
-        out = out - 0.5 * (spaces.ops.B.T @ kh)
-    return out
+    S = transport_matrix(spaces, u)
+    return (S @ u.reshape(3, -1).T).T.ravel()
 
 
 def estimate_constants(spaces, case, samples) -> float:

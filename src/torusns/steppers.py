@@ -87,7 +87,6 @@ class SchemeConfig:
 @dataclass
 class DiscreteTrajectory:
     config: SchemeConfig
-    h: float
     times: np.ndarray        # (N+1,)
     u: np.ndarray            # (N+1, 3 n_s) velocity coefficients
     p: np.ndarray            # (N, n_p) pressure coefficients, p[m-1] = p^m
@@ -218,7 +217,7 @@ def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
     """One step with explicit two-level convection, solved with the
     trajectory's one factorization of `op.explicit_system`; `conv_prev2`
     is N(u^{m-2}), the previous step's `convection`."""
-    conv_prev = forms.convection_rhs(op.spaces, op.config.case, u_prev)
+    conv_prev = forms.convection_rhs(op.spaces, u_prev)
     conv = 1.5 * conv_prev - 0.5 * conv_prev2
     system = op.explicit_system
     sol = system.solve(system.rhs(op.explicit_rhs(np.asarray(u_prev)) - conv))
@@ -261,8 +260,7 @@ def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
                 res = step_cnle(op, u[m - 1], u[m - 2])
             else:
                 if conv_prev is None:
-                    conv_prev = forms.convection_rhs(spaces, config.case,
-                                                     u[m - 2])
+                    conv_prev = forms.convection_rhs(spaces, u[m - 2])
                 res = step_cnab(op, u[m - 1], conv_prev)
                 conv_prev = res.convection
         except StepperError:
@@ -272,8 +270,8 @@ def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
         u[m], p[m - 1] = res.u, res.p
         iters[m - 1], resids[m - 1] = res.iterations, res.residual
     times = config.dt * np.arange(N + 1)
-    return DiscreteTrajectory(config=config, h=spaces.h, times=times,
-                              u=u, p=p, picard_iters=iters, residuals=resids)
+    return DiscreteTrajectory(config=config, times=times, u=u, p=p,
+                              picard_iters=iters, residuals=resids)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from torusns.forms import (b_case1, b_case2, b_case3, divergence_norm,
                            project_div_free)
 from torusns.diagnostics import cnab_monitor, energy_residuals, \
     global_energy_defect
-from torusns.interpolants import InterpolantSet, gap_l2, increment_sum
+from torusns.interpolants import gap_l2, increment_sum, trajectory_norms
 from torusns.trig import TrigPoly, random_trig, sine_shear
 
 
@@ -62,9 +62,10 @@ def test_criterion_2_cn_energy_equality(cn_runs, level):
     ok = True
     details = []
     for case, traj in sorted(cn_runs.items()):
-        res = np.abs(energy_residuals(traj, spaces)).max()
+        norms = trajectory_norms(traj, spaces)
+        res = np.abs(energy_residuals(norms, traj.config)).max()
         tol = 1e-8 * max(1.0, velocity_l2(spaces, traj.u[0]) ** 2)
-        defect = abs(global_energy_defect(traj, spaces))
+        defect = abs(global_energy_defect(norms, traj.config))
         ok &= res <= tol and defect <= 1.6e-7
         details.append(f"case{case} step {res:.2e} global {defect:.2e}")
     assert verdict(2, "CN energy equality", ok, "; ".join(details))
@@ -76,7 +77,8 @@ def test_criterion_2_cn_energy_equality(cn_runs, level):
 
 def test_criterion_3_cnle_energy_equality(cnle_run, level):
     spaces = level(3)
-    res = np.abs(energy_residuals(cnle_run, spaces)).max()
+    res = np.abs(energy_residuals(trajectory_norms(cnle_run, spaces),
+                                  cnle_run.config)).max()
     tol = 1e-9 * max(1.0, velocity_l2(spaces, cnle_run.u[0]) ** 2)
     assert verdict(3, "CNLE energy equality", res <= tol,
                    f"max residual {res:.2e} vs {tol:.2e}")
@@ -95,22 +97,25 @@ def test_criterion_4_gap_identity(cn_runs, cnle_run, cnab_runs, shear_study,
     trajectories += [(s, t) for _, s, t, _ in shear_study]
     worst = 0.0
     for spaces, traj in trajectories:
-        iset = InterpolantSet(traj, spaces)
-        gap = gap_l2(iset)
-        inc = increment_sum(iset)
+        norms = trajectory_norms(traj, spaces)
+        gap = gap_l2(norms, traj.config)
+        inc = increment_sum(norms)
         if inc == 0.0:
             continue
         worst = max(worst, abs(gap - traj.config.dt / 12.0 * inc)
                     / (traj.config.dt / 12.0 * inc))
-    # independent quadrature oracle on one representative trajectory
-    iset = InterpolantSet(cn_runs[1], spaces3)
+    # independent quadrature oracle on one representative trajectory: on
+    # step m, at t = (m - 1 + x) dt, the midpoint field is u^{m,1/2} and
+    # the linear reconstruction u^{m-1} + x (u^m - u^{m-1})
+    traj = cn_runs[1]
     nodes = 0.5 * (1.0 + np.array([-1.0, 1.0]) / np.sqrt(3.0))
-    dt = cn_runs[1].config.dt
+    dt = traj.config.dt
     oracle = sum(0.5 * dt * velocity_l2(
-        spaces3, iset.evaluate("u", (m + x) * dt)
-        - iset.evaluate("v", (m + x) * dt)) ** 2
-        for m in range(cn_runs[1].n_steps) for x in nodes)
-    oracle_err = abs(gap_l2(iset) - oracle) / oracle
+        spaces3, traj.midpoint(m)
+        - (traj.u[m - 1] + x * (traj.u[m] - traj.u[m - 1]))) ** 2
+        for m in range(1, traj.n_steps + 1) for x in nodes)
+    oracle_err = abs(gap_l2(trajectory_norms(traj, spaces3), traj.config)
+                     - oracle) / oracle
     ok = worst <= 1e-12 and oracle_err <= 1e-12
     assert verdict(4, "gap identity", ok,
                    f"worst rel {worst:.2e}, oracle rel {oracle_err:.2e} "
@@ -213,12 +218,13 @@ def test_criterion_7_commutator_ratio_stability(level):
 def test_criterion_8_cnab_dichotomy(cnab_runs, level):
     spaces = level(3)
     with np.errstate(all="ignore"):
-        stable = cnab_monitor(cnab_runs["stable"], spaces, c1=5.0)
-        unstable = cnab_monitor(cnab_runs["unstable"], spaces, c1=5.0)
+        stable, unstable = (
+            cnab_monitor(trajectory_norms(traj, spaces), traj.config)
+            for traj in (cnab_runs["stable"], cnab_runs["unstable"]))
     dt_s = cnab_runs["stable"].config.dt
     dt_u = cnab_runs["unstable"].config.dt
     nu = cnab_runs["stable"].config.nu
-    h = cnab_runs["stable"].h
+    h = spaces.h
     margin = (1.0 / (32.0 * nu)) / (dt_s / h ** 3)
     ok = (stable.monotone and stable.increment_within_32max
           and not unstable.monotone and dt_u == 100.0 * dt_s

@@ -267,7 +267,7 @@ def test_pressure_without_velocity_is_a_solver_failure(tmp_path, capsys,
     def run_stub(config, spaces, datum):
         N = config.N
         return DiscreteTrajectory(
-            config=config, h=spaces.h, times=config.dt * np.arange(N + 1),
+            config=config, times=config.dt * np.arange(N + 1),
             u=np.zeros((N + 1, 3 * spaces.n_scalar)),
             p=np.ones((N, spaces.pressure.dim)),
             picard_iters=np.zeros(N, dtype=int), residuals=np.zeros(N))

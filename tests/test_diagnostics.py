@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+import torusns.cli
+from torusns.cli import RunSpec
 from torusns.diagnostics import (SpaceTimeTest, TimeBump, build_report,
                                  cnab_first_step_check, cnab_monitor,
                                  default_test_family, energy_residuals,
@@ -12,6 +14,7 @@ from torusns.diagnostics import (SpaceTimeTest, TimeBump, build_report,
 from torusns.fespace import (pressure_l2, pressure_values, quad_integral,
                              velocity_gradients, velocity_h1_semi,
                              velocity_l2, velocity_values)
+from torusns.interpolants import trajectory_norms
 from torusns.steppers import SchemeConfig, run
 from torusns.trig import TrigPoly, preset_field, tg_like
 
@@ -28,23 +31,25 @@ def zero_run(level):
 
 def test_zero_trajectory_metrics(zero_run, level):
     spaces = level(2)
-    assert np.abs(energy_residuals(zero_run, spaces)).max() == 0.0
-    assert global_energy_defect(zero_run, spaces) == 0.0
-    tests = default_test_family(zero_run.config.T)
+    cfg = zero_run.config
+    norms = trajectory_norms(zero_run, spaces)
+    assert np.abs(energy_residuals(norms, cfg)).max() == 0.0
+    assert global_energy_defect(norms, cfg) == 0.0
+    tests = default_test_family(cfg.T)
     local, l3 = local_energy_residuals(zero_run, spaces, tests)
     assert np.abs(local).max() == 0.0 and np.abs(l3).max() == 0.0
-    assert np.abs(pressure_ratios(zero_run, spaces, l3)).max() == 0.0
-    mon = cnab_monitor(zero_run, spaces, c1=1.0)
+    assert np.abs(pressure_ratios(norms, l3)).max() == 0.0
+    mon = cnab_monitor(norms, cfg)
     assert mon.monotone and mon.weighted_ok
     assert np.abs(mon.xi).max() == 0.0
-    chk = cnab_first_step_check(zero_run, spaces, zero_run.h)
+    chk = cnab_first_step_check(norms, cfg, spaces.h)
     assert chk.value == 0.0
 
 
 def test_cn_energy_residuals_small(cn_runs, level):
     spaces = level(3)
     for traj in cn_runs.values():
-        res = energy_residuals(traj, spaces)
+        res = energy_residuals(trajectory_norms(traj, spaces), traj.config)
         scale = max(1.0, velocity_l2(spaces, traj.u[0]) ** 2)
         assert np.abs(res).max() <= 10 * traj.config.picard_tol * scale
 
@@ -53,7 +58,7 @@ def test_cnab_residuals_are_reported_raw(level):
     spaces = level(3)
     cfg = SchemeConfig(scheme="CNAB", case=1, nu=0.1, T=0.5, N=8)
     traj = run(cfg, spaces, tg_like())
-    res = energy_residuals(traj, spaces)
+    res = energy_residuals(trajectory_norms(traj, spaces), cfg)
     assert np.all(np.isfinite(res))
     assert np.abs(res).max() > 1e-8  # no balance identity for this scheme
 
@@ -62,13 +67,14 @@ def test_global_defect_signs(cn_runs, level):
     spaces = level(3)
     traj = cn_runs[1]
     cfg = traj.config
+    norms = trajectory_norms(traj, spaces)
     scale = max(1.0, velocity_l2(spaces, traj.u[0]) ** 2)
-    assert abs(global_energy_defect(traj, spaces)) \
+    assert abs(global_energy_defect(norms, cfg)) \
         <= cfg.N * 10 * cfg.picard_tol * scale
     # against the smooth datum's analytic energy the balance holds with
     # slack: the projection only removes energy
     analytic = tg_like().l2_norm_sq()
-    assert global_energy_defect(traj, spaces, analytic) < 0.0
+    assert global_energy_defect(norms, cfg, analytic) < 0.0
 
 
 def test_pressure_ratios_bounded_across_levels(level):
@@ -78,7 +84,8 @@ def test_pressure_ratios_bounded_across_levels(level):
         cfg = SchemeConfig(scheme="CN", case=1, nu=0.1, T=0.5, N=8)
         traj = run(cfg, spaces, tg_like())
         l3 = local_energy_residuals(traj, spaces, [])[1]
-        worst = max(worst, pressure_ratios(traj, spaces, l3).max())
+        worst = max(worst,
+                    pressure_ratios(trajectory_norms(traj, spaces), l3).max())
     assert worst < 0.5
 
 
@@ -167,19 +174,22 @@ def test_pressure_ratios_match_reference(cn_runs, level):
             h1 = np.hypot(velocity_l2(spaces, z), velocity_h1_semi(spaces, z))
             want[m - 1] = (pressure_l2(spaces, traj.p[m - 1])
                            / (h1 + l3 * h1))
-        got = pressure_ratios(traj, spaces,
+        got = pressure_ratios(trajectory_norms(traj, spaces),
                               local_energy_residuals(traj, spaces, [])[1])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("with_local_energy", [True, False])
-def test_report_evaluates_each_midpoint_once(cn_runs, level, monkeypatch,
-                                             with_local_energy):
-    # every torusns module that binds an evaluator gets the counting one
-    spaces = level(3)
-    traj = cn_runs[1]
+NORMS = (velocity_l2, velocity_h1_semi, pressure_l2)
+#: one stacked call per norm family of `trajectory_norms`
+REPORT_NORM_CALLS = {"velocity_l2": 3, "velocity_h1_semi": 2,
+                     "pressure_l2": 1}
+
+
+def count_calls(monkeypatch, fns):
+    """Per-name counts of the calls to `fns`: every torusns module that
+    binds one of them gets the counting one."""
     calls = {}
-    for fn in (velocity_values, velocity_gradients):
+    for fn in fns:
         def counted(*args, fn=fn):
             calls[fn.__name__] += 1
             return fn(*args)
@@ -188,10 +198,39 @@ def test_report_evaluates_each_midpoint_once(cn_runs, level, monkeypatch,
             if (mod.__name__.startswith("torusns")
                     and getattr(mod, fn.__name__, None) is fn):
                 monkeypatch.setattr(mod, fn.__name__, counted)
-    build_report(traj, spaces, with_local_energy=with_local_energy)
-    assert calls["velocity_values"] == traj.n_steps
-    assert calls["velocity_gradients"] == (traj.n_steps if with_local_energy
-                                           else 0)
+    return calls
+
+
+@pytest.mark.parametrize("with_local_energy", [True, False])
+def test_report_evaluates_each_midpoint_once(cn_runs, cnab_runs, level,
+                                             monkeypatch, with_local_energy):
+    # ... and each norm family once, with or without the CNAB monitors
+    spaces = level(3)
+    calls = count_calls(monkeypatch,
+                        (velocity_values, velocity_gradients) + NORMS)
+    for traj in (cn_runs[1], cnab_runs["stable"]):
+        calls.update(dict.fromkeys(calls, 0))
+        build_report(traj, spaces, with_local_energy=with_local_energy)
+        assert calls == {
+            "velocity_values": traj.n_steps,
+            "velocity_gradients": traj.n_steps if with_local_energy else 0,
+            **REPORT_NORM_CALLS}
+
+
+def test_summary_csv_reads_the_report_norms(tmp_path, monkeypatch):
+    # after the solve, a run's only norm calls are the report's
+    calls = count_calls(monkeypatch, NORMS)
+    solve = torusns.cli.run
+
+    def run_spy(*args):
+        trajectory = solve(*args)
+        calls.update(dict.fromkeys(calls, 0))  # drop the Picard increments
+        return trajectory
+
+    monkeypatch.setattr(torusns.cli, "run", run_spy)
+    torusns.cli.run_single(RunSpec(n_cells=2, T=0.5, steps=4), tmp_path)
+    assert (tmp_path / "summary.csv").is_file()
+    assert calls == REPORT_NORM_CALLS
 
 
 def test_divergence_scan_infinite_after_blow_up(cnab_runs, level):
@@ -223,27 +262,24 @@ def test_default_family_size_and_positivity(level, quad_points):
         assert t.eta.value(np.linspace(0, 1.0, 33)).min() >= -1e-15
 
 
-def test_cnab_monitor_validation(zero_run, level):
-    spaces = level(2)
-    with pytest.raises(ValueError):
-        cnab_monitor(zero_run, spaces, c1=0.0)
-
-
 def test_first_step_check_scaling(cnab_runs, level):
     import dataclasses
     spaces = level(3)
     traj = cnab_runs["stable"]
-    base = cnab_first_step_check(traj, spaces, traj.h)
+    base = cnab_first_step_check(trajectory_norms(traj, spaces), traj.config,
+                                 spaces.h)
     doubled = dataclasses.replace(traj, u=2.0 * traj.u)
-    big = cnab_first_step_check(doubled, spaces, traj.h)
+    big = cnab_first_step_check(trajectory_norms(doubled, spaces),
+                                traj.config, spaces.h)
     assert abs(big.lhs - 4.0 * base.lhs) < 1e-10 * abs(base.lhs)
     assert abs(big.rhs - 4.0 * base.rhs) < 1e-10 * abs(base.rhs)
 
 
 def test_first_step_check_nonpositive_on_stable_run(cnab_runs, level):
     spaces = level(3)
-    chk = cnab_first_step_check(cnab_runs["stable"], spaces,
-                                cnab_runs["stable"].h)
+    traj = cnab_runs["stable"]
+    chk = cnab_first_step_check(trajectory_norms(traj, spaces), traj.config,
+                                spaces.h)
     assert chk.value <= 1e-10 * abs(chk.rhs)
 
 

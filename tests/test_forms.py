@@ -27,7 +27,8 @@ def rand_coeffs(spaces, seed):
 
 def test_stepper_matrices_match_value_forms(level):
     # the assembled operators the steppers use against the value forms;
-    # case 3's matrix is only its rotational part, b_case2
+    # case 3's matrix is only its rotational part, b_case2, and only the
+    # case-1 schemes assemble the explicit convection
     for n in (2, 3):
         spaces = level(n)
         u, v, w = (project_velocity(spaces, random_trig(seed, 2))
@@ -36,9 +37,9 @@ def test_stepper_matrices_match_value_forms(level):
             got = w @ (convection_matrix(spaces, case, u) @ v)
             want = b_form(spaces, min(case, 2), u, v, w)
             assert abs(got - want) <= 1e-12 * abs(want), (n, case)
-            got = convection_rhs(spaces, case, u) @ w
-            want = b_form(spaces, case, u, u, w)
-            assert abs(got - want) <= 1e-12 * abs(want), (n, case)
+        got = convection_rhs(spaces, u) @ w
+        want = b_form(spaces, 1, u, u, w)
+        assert abs(got - want) <= 1e-12 * abs(want), n
 
 
 def test_stiffness_kills_constants(level):
@@ -277,7 +278,7 @@ def test_transport_matrix_antisymmetric(level):
 def test_convection_rhs_two_level_combination(level):
     spaces = level(2)
     u = rand_coeffs(spaces, 61)
-    n_full = convection_rhs(spaces, 1, u)
+    n_full = convection_rhs(spaces, u)
     combo = 1.5 * n_full - 0.5 * n_full
     assert np.allclose(combo, n_full, rtol=0, atol=1e-14 * np.abs(n_full).max())
 

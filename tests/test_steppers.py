@@ -47,8 +47,9 @@ def test_config_validation():
             SchemeConfig(**bad)
     with pytest.raises(ConfigError):
         SchemeConfig(scheme="CNAB", case=2)
-    with pytest.raises(ConfigError):
-        SchemeConfig(scheme="CNAB", c1=-1.0)
+    for c1 in (-1.0, 0.0):
+        with pytest.raises(ConfigError):
+            SchemeConfig(scheme="CNAB", c1=c1)
     with pytest.raises(ConfigError):
         SchemeConfig(scheme="CNLE", C_cnle=0.0)
     cfg = SchemeConfig(T=2.0, N=8)
@@ -194,14 +195,14 @@ def test_cnab_two_level_weights(level):
     u_prev2 = project_div_free(spaces,
                                project_velocity(spaces, random_trig(5)))
     res = step_cnab(StepOperator(spaces, cfg), u_prev,
-                    convection_rhs(spaces, 1, u_prev2))
-    assert np.array_equal(res.convection, convection_rhs(spaces, 1, u_prev))
+                    convection_rhs(spaces, u_prev2))
+    assert np.array_equal(res.convection, convection_rhs(spaces, u_prev))
     ops = spaces.ops
     A = sp.kron(sp.identity(3), ops.A_s)
     terms = [ops.M @ (res.u - u_prev) / cfg.dt,
              0.5 * cfg.nu * (A @ (res.u + u_prev)),
-             1.5 * convection_rhs(spaces, 1, u_prev),
-             -0.5 * convection_rhs(spaces, 1, u_prev2),
+             1.5 * convection_rhs(spaces, u_prev),
+             -0.5 * convection_rhs(spaces, u_prev2),
              -(ops.B.T @ res.p)]
     defect = sum(terms)
     Cu_T = sp.kron(sp.identity(3), ops.int_s[:, None]).toarray()
