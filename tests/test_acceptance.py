@@ -7,7 +7,6 @@ re-examines every velocity solved for the other criteria.
 """
 
 import numpy as np
-import pytest
 
 from torusns.fespace import (commutator_constant, commutator_defect,
                              inf_sup_constant, inverse_constant,

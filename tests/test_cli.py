@@ -1,17 +1,15 @@
 import json
-import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import torusns.cli
-from torusns.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
-                         CSV_COLUMNS, RunSpec, StudySpec, emit_config, main,
-                         parse_config, rerender_report, run_single,
-                         run_study)
+from torusns.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, CSV_COLUMNS,
+                         RunSpec, StudySpec, emit_config, main, parse_config,
+                         rerender_report, run_study)
 from torusns.mesh import build_torus_mesh
-from torusns.steppers import ConfigError, DiscreteTrajectory
+from torusns.steppers import DiscreteTrajectory
 
 
 def write_cfg(tmp_path, body, name="cfg.ini"):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from torusns.fespace import (build_spaces, pressure_gradients, quad_integral,
-                             project_pressure, project_velocity,
-                             velocity_gradients, velocity_h1,
-                             velocity_l2, velocity_values)
+                             project_velocity, velocity_gradients,
+                             velocity_h1, velocity_l2, velocity_values)
 from torusns.forms import (b_case1, b_case2, b_case3, b_form,
                            bernoulli_projection, convection_matrix,
                            convection_rhs, divergence_norm,

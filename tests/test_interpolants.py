@@ -1,5 +1,9 @@
-import numpy as np
+import dataclasses
 
+import numpy as np
+import pytest
+
+from torusns import checks
 from torusns.fespace import pressure_l2, velocity_h1_semi, velocity_l2
 from torusns.interpolants import gap_l2, increment_sum, trajectory_norms
 from torusns.steppers import DiscreteTrajectory, SchemeConfig
@@ -74,6 +78,30 @@ def test_gap_identity_against_quadrature_oracle(level):
     gap = gap_l2(norms, traj.config)
     assert abs(gap - oracle) < 1e-12 * oracle
     assert abs(gap - dt / 12.0 * increment_sum(norms)) < 1e-12 * gap
+
+
+def corrupt_constant(monkeypatch):
+    monkeypatch.setattr(checks, "gap_l2", lambda norms, config:
+                        config.dt / 10.0 * increment_sum(norms))
+
+
+def corrupt_increments(monkeypatch):
+    # a gap that is still dt/12 times the increment sum of its norms,
+    # but of increments 0.1% off
+    def norms(traj, spaces):
+        exact = trajectory_norms(traj, spaces)
+        return dataclasses.replace(exact,
+                                   increment_l2=1.001 * exact.increment_l2)
+
+    monkeypatch.setattr(checks, "trajectory_norms", norms)
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_constant, corrupt_increments])
+def test_gap_check_fails_on_a_corrupted_gap(level, monkeypatch, corrupt):
+    spaces = level(2)
+    assert checks._gap_identity(spaces).passed
+    corrupt(monkeypatch)
+    assert not checks._gap_identity(spaces).passed
 
 
 def test_endpoint_energy_matches_final_state(level):

@@ -9,7 +9,9 @@ from torusns.fespace import (build_spaces, commutator_constant,
                              inf_sup_constant, inverse_constant, pressure_l2,
                              project_velocity, velocity_l2)
 from torusns.forms import project_div_free
-from torusns.linsolve import Factorization, LinearSolveError, SaddleSystem
+from torusns.linsolve import (AMPLIFICATION_LIMIT, RESIDUAL_REL_TOL,
+                              Factorization, LinearSolveError, SaddleSolution,
+                              SaddleSystem, saddle_residual)
 from torusns.mesh import build_torus_mesh
 from torusns.steppers import SchemeConfig, StepOperator, run
 from torusns.trig import TrigPoly, sine_shear, tg_like
@@ -137,7 +139,7 @@ def test_every_factorization_goes_through_factorization(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", spy)
     spaces = build_spaces(build_torus_mesh(2))
-    for scheme in ("CN", "CNAB"):
+    for scheme in ("CN", "CNLE", "CNAB"):
         run(SchemeConfig(scheme=scheme, case=1, nu=0.5, T=0.25, N=3),
             spaces, tg_like())
     project_div_free(spaces, np.random.default_rng(3).standard_normal(
@@ -148,6 +150,69 @@ def test_every_factorization_goes_through_factorization(monkeypatch):
     inf_sup_constant(spaces)
     assert len(callers) >= 10
     assert set(callers) == {("Factorization", "__init__")}
+
+
+def frozen_step(spaces, case, dt, nu):
+    """A frozen-advection CN step at the projected vortex array, scaled
+    to L2 norm 4: its operator, system and right-hand side."""
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=case, nu=nu,
+                                           T=dt, N=1))
+    u = project_div_free(spaces, project_velocity(spaces, tg_like()))
+    u *= 4.0 / velocity_l2(spaces, u)
+    system, rhs = op.frozen_system(u, u)
+    return op, system, rhs
+
+
+@pytest.mark.parametrize("case, dt, nu", [(3, 1 / 128, 0.1),
+                                          (1, 1 / 8, 0.01)])
+def test_krylov_solve_matches_the_direct_solve(level, case, dt, nu):
+    spaces = level(3)
+    op, system, rhs = frozen_step(spaces, case, dt, nu)
+    direct = Factorization(system.matrix).solve(rhs)
+    x, resid = op.preconditioner.krylov_solve(system.matrix, rhs)
+    assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
+    # both guards, checked here rather than trusted
+    true_resid = np.linalg.norm(system.matrix @ x - rhs)
+    assert abs(resid - true_resid) <= 1e-12 * true_resid
+    assert resid <= RESIDUAL_REL_TOL * np.linalg.norm(rhs)
+    assert (spla.norm(system.matrix, 1) * np.abs(x).sum()
+            <= AMPLIFICATION_LIMIT * np.abs(rhs).sum())
+
+
+@pytest.mark.parametrize("answer", ["preconditioner", "nan"])
+def test_krylov_answer_failing_a_guard_is_never_returned(level, monkeypatch,
+                                                         answer):
+    # GMRES claims convergence with y = b, so x is the zero-advection
+    # solution, whose residual in the advected system is large; or with
+    # a non-finite y
+    spaces = level(3)
+    op, system, rhs = frozen_step(spaces, 1, 1 / 8, 0.01)
+    direct = system.factor.solve(rhs)
+
+    def gmres(A, b, **kwargs):
+        return (b.copy() if answer == "preconditioner"
+                else np.full_like(b, np.nan)), 0
+
+    monkeypatch.setattr(spla, "gmres", gmres)
+    with pytest.raises(LinearSolveError, match="residual|finite"):
+        op.preconditioner.krylov_solve(system.matrix, rhs)
+    sol = system.solve(rhs, preconditioner=op.preconditioner)
+    assert np.array_equal(sol.x, direct)
+
+
+def test_blockwise_residual_matches_the_assembled_one(level):
+    # at a random (non-solution) x the residual is O(1), so the two
+    # evaluation orders agree to roundoff relative to it
+    spaces = level(3)
+    op, system, rhs = frozen_step(spaces, 3, 1 / 128, 0.1)
+    x = np.random.default_rng(11).standard_normal(rhs.size)
+    sol = SaddleSolution(x=x, residual=0.0, slices=system.slices)
+    assembled = (np.linalg.norm(system.matrix @ x - rhs)
+                 / max(1.0, np.linalg.norm(rhs)))
+    n_u = system.slices["u"].stop
+    blockwise = saddle_residual(spaces, sol, system.matrix[:n_u, :n_u]
+                                @ sol["u"], rhs[:n_u])
+    assert abs(blockwise - assembled) <= 1e-13 * assembled
 
 
 def test_stokes_pressure_decays_under_refinement(level):

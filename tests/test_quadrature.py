@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from torusns.quadrature import (DEFAULT_DEGREE, grundmann_moller,

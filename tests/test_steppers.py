@@ -9,7 +9,7 @@ from torusns.fespace import (pressure_values, project_velocity, velocity_h1,
 from torusns.forms import (b_form, convection_rhs, divergence_norm,
                            project_div_free, rotation_matrix,
                            transport_matrix)
-from torusns.linsolve import SaddleSystem
+from torusns.linsolve import Factorization, SaddleSystem
 from torusns.steppers import (ConfigError, SchemeConfig, StepOperator,
                               StepperError, check_coupling, run, step_cn,
                               step_cnab)
@@ -248,6 +248,52 @@ def test_cnab_assembles_each_convection_once(level, monkeypatch):
     run(SchemeConfig(scheme="CNAB", case=1, nu=0.3, T=N / 8, N=N),
         spaces, tg_like())
     assert len(calls) == N
+
+
+def count_factorizations(monkeypatch):
+    made = []
+    init = Factorization.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Factorization, "__init__", spy)
+    return made
+
+
+@pytest.mark.parametrize("scheme, case", [("CN", 1), ("CN", 3),
+                                          ("CNLE", 1), ("CNAB", 1)])
+def test_trajectory_makes_one_step_factorization(level, monkeypatch,
+                                                 scheme, case):
+    # the divergence-free projection of the datum, and the zero-advection
+    # system that every Picard iterate and CNLE step is preconditioned with
+    spaces = level(2)
+    made = count_factorizations(monkeypatch)
+    traj = run(SchemeConfig(scheme=scheme, case=case, nu=0.3, T=0.5, N=4),
+               spaces, tg_like())
+    assert traj.picard_iters[0] > 1
+    assert len(made) == 2
+
+
+def test_gmres_failure_falls_back_to_a_fresh_factorization(level,
+                                                           monkeypatch):
+    spaces = level(3)
+    cfg = SchemeConfig(scheme="CN", case=3, nu=0.1, T=1 / 16, N=1)
+    u0 = project_div_free(spaces, project_velocity(spaces, tg_like()))
+    direct_op = StepOperator(spaces, cfg)
+    direct_op.preconditioner = None      # every solve factorizes
+    direct = step_cn(direct_op, u0)
+
+    op = StepOperator(spaces, cfg)
+    made = count_factorizations(monkeypatch)
+    monkeypatch.setattr(spla, "gmres",
+                        lambda A, b, **kwargs: (np.zeros_like(b), 60))
+    res = step_cn(op, u0)
+    assert len(made) == res.iterations == direct.iterations
+    assert np.array_equal(res.u, direct.u)
+    assert np.array_equal(res.p, direct.p)
+    assert res.residual == direct.residual
 
 
 def test_global_energy_telescopes(cn_runs, level):

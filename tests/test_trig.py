@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from torusns.fespace import field_values
-from torusns.trig import (BOX_VOLUME, TWO_PI, TrigPoly, TrigVector,
-                          preset_field, random_trig, sine_shear, tg_like)
+from torusns.trig import (BOX_VOLUME, TWO_PI, TrigPoly, preset_field,
+                          random_trig, sine_shear, tg_like)
 
 PTS = np.array([[0.3, 1.1, 2.0], [5.0, 0.2, 4.4], [0.0, 0.0, 0.0]])
 
