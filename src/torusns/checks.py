@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .diagnostics import energy_residuals
-from .fespace import (build_spaces, pressure_gradients, project_velocity,
-                      project_velocity_values, quad_integral, velocity_h1,
-                      velocity_l2, velocity_values)
+from .diagnostics import (_balance_matrices, default_test_family,
+                          energy_residuals)
+from .fespace import (_scalar_quadform, build_spaces, field_values,
+                      pressure_gradients, project_velocity,
+                      project_velocity_values, quad_integral,
+                      velocity_gradients, velocity_h1, velocity_l2,
+                      velocity_values)
 from .interpolants import gap_l2, trajectory_norms
 from .mesh import build_torus_mesh, conformity_ok
 from .quadrature import monomial_integral, tet_rule
@@ -103,7 +106,7 @@ def _gap_identity(spaces) -> CheckResult:
                               u=u, p=np.zeros((N, spaces.pressure.dim)),
                               picard_iters=np.zeros(N, dtype=int),
                               residuals=np.zeros(N))
-    mid = 0.5 * (u[1:] + u[:-1])
+    mid = traj.midpoints
     nodes = 0.5 * (1.0 + np.array([-1.0, 1.0]) / np.sqrt(3.0))
     gaps = np.concatenate([mid - (u[:-1] + x * (u[1:] - u[:-1]))
                            for x in nodes])
@@ -111,6 +114,25 @@ def _gap_identity(spaces) -> CheckResult:
     gap = gap_l2(trajectory_norms(traj, spaces), cfg)
     err = abs(gap - oracle) / oracle
     return CheckResult("gap_increment_identity", err < 1e-12, err, 1e-12)
+
+
+def _local_energy_quadform(spaces) -> CheckResult:
+    """The local energy balance's assembled forms against the pointwise
+    sums they replace, at a random velocity and psi = 1 + cos(x)/2,
+    relative to the sum of the terms' magnitudes.  (The pressure enters
+    only the flux, which stays pointwise.)"""
+    nu, psi = 0.3, default_test_family(1.0)[2].psi
+    z = np.random.default_rng(5).standard_normal(3 * spaces.n_scalar)
+    psi_v, lap_v = (field_values(spaces, f) for f in (psi, psi.laplacian()))
+    ke = 0.5 * (velocity_values(spaces, z) ** 2).sum(-1)
+    gradsq = (velocity_gradients(spaces, z) ** 2).sum((-1, -2))
+    terms = (psi_v * ke, nu * lap_v * ke, -nu * psi_v * gradsq)
+    err = sum(abs(_scalar_quadform(K, z, spaces.n_scalar)
+                  - quad_integral(spaces, want)) for K, want in zip(
+        _balance_matrices(spaces, nu, psi_v, lap_v),
+        (terms[0], terms[1] + terms[2])))
+    err /= sum(quad_integral(spaces, np.abs(t)) for t in terms)
+    return CheckResult("local_energy_quadform", err < 1e-12, err, 1e-12)
 
 
 def _energy_identity(norms, config) -> CheckResult:
@@ -152,6 +174,7 @@ def run_checks() -> list[CheckResult]:
         _projection_idempotence(spaces),
         *_skew_symmetry(spaces),
         _gap_identity(spaces),
+        _local_energy_quadform(spaces),
         _energy_identity(cn_norms, cn_traj.config),
         _divergence_bound(spaces, cn_traj, cn_norms),
         _gradient_div_duality(spaces),

@@ -135,6 +135,14 @@ def _product_table(left, right):
     return prod.reshape(prod.shape[:2] + (-1, prod.shape[-1]))
 
 
+def _weighted_matrix(spaces, samples, table, dof) -> sp.csr_matrix:
+    """Weighted mass or stiffness matrix on `dof` (E, A): element entries
+    sum_q w_q sum_k samples[e, q, k] table[e % 6, q, A a + b, k] of scalar
+    samples (E, Q, K) and a per-type product table (6, Q, A A, K)."""
+    loc = _local_matrices(spaces, samples[:, :, None], table)
+    return _scatter(loc.reshape(len(loc), dof.shape[1], -1), dof, dof)
+
+
 @dataclass
 class VelocitySpace:
     mesh: PeriodicMesh
@@ -505,15 +513,15 @@ def commutator_constant(spaces, phi) -> float:
     A = spaces.ops.A_s
     lu_M = spaces.ops.lu_Ms
     E, Q = pv.shape
-    pv4 = pv[..., None, None]
     # grad(N_a phi), with the per-type gradient table broadcast over cubes
     grad_N_phi = ((t.grad * pv.reshape(-1, 6, Q, 1, 1)).reshape(E, Q, -1, 3)
                   + t.N[0] * pg[:, :, None, :])
     dof = spaces.velocity.dofmap
-    W, W2, V, G2d = (
-        _scatter(_local_matrices(spaces, left, right), dof, dof)
-        for left, right in ((t.N[0] * pv4, t.N), (t.N[0] * pv4 ** 2, t.N),
-                            (grad_N_phi, t.grad), (grad_N_phi, grad_N_phi)))
+    mass = _product_table(t.N, t.N)
+    W, W2 = (_weighted_matrix(spaces, w[..., None], mass, dof)
+             for w in (pv, pv ** 2))
+    V, G2d = (_scatter(_local_matrices(spaces, grad_N_phi, right), dof, dof)
+              for right in (t.grad, grad_N_phi))
     WT, VT = W.T.tocsr(), V.T.tocsr()
     WV = (W + V).tocsr()
 
@@ -532,10 +540,10 @@ def commutator_constant(spaces, phi) -> float:
 def pressure_commutator_constant(spaces, phi) -> float:
     """Worst-case L2 ratio |q phi - K(q phi)|_2 / (h |q|_2 |phi|_W1inf)."""
     t = spaces.tables
-    pv = field_values(spaces, phi)[..., None, None]
+    pv = field_values(spaces, phi)[..., None]
     Np = t.N[:, :, :N_LOCAL_P]
-    dof = spaces.pressure.dofmap
-    W, W2 = (_scatter(_local_matrices(spaces, Np[0] * w, Np), dof, dof)
+    mass = _product_table(Np, Np)
+    W, W2 = (_weighted_matrix(spaces, w, mass, spaces.pressure.dofmap)
              for w in (pv, pv ** 2))
     WT = W.T.tocsr()
 

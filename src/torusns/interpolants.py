@@ -39,8 +39,7 @@ class TrajectoryNorms:
 
 
 def trajectory_norms(trajectory: DiscreteTrajectory, spaces) -> TrajectoryNorms:
-    u = trajectory.u
-    mid = 0.5 * (u[1:] + u[:-1])
+    u, mid = trajectory.u, trajectory.midpoints
     return TrajectoryNorms(
         state_l2=velocity_l2(spaces, u),
         state_h1_semi=velocity_h1_semi(spaces, u),

@@ -100,9 +100,11 @@ class DiscreteTrajectory:
     def n_steps(self) -> int:
         return self.config.N
 
-    def midpoint(self, m: int) -> np.ndarray:
-        """u^{m,1/2} = (u^m + u^{m-1}) / 2 for m = 1..N."""
-        return 0.5 * (self.u[m] + self.u[m - 1])
+    @property
+    def midpoints(self) -> np.ndarray:
+        """(N, 3 n_s) stack of u^{m,1/2} = (u^m + u^{m-1}) / 2, row m - 1
+        for m = 1..N."""
+        return 0.5 * (self.u[1:] + self.u[:-1])
 
 
 @dataclass

@@ -110,7 +110,7 @@ def test_criterion_4_gap_identity(cn_runs, cnle_run, cnab_runs, shear_study,
     nodes = 0.5 * (1.0 + np.array([-1.0, 1.0]) / np.sqrt(3.0))
     dt = traj.config.dt
     oracle = sum(0.5 * dt * velocity_l2(
-        spaces3, traj.midpoint(m)
+        spaces3, traj.midpoints[m - 1]
         - (traj.u[m - 1] + x * (traj.u[m] - traj.u[m - 1]))) ** 2
         for m in range(1, traj.n_steps + 1) for x in nodes)
     oracle_err = abs(gap_l2(trajectory_norms(traj, spaces3), traj.config)

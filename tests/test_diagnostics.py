@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 import torusns.cli
+import torusns.diagnostics
+import torusns.fespace
+from torusns import checks
 from torusns.cli import RunSpec
-from torusns.diagnostics import (SpaceTimeTest, TimeBump, build_report,
-                                 cnab_first_step_check, cnab_monitor,
-                                 default_test_family, energy_residuals,
-                                 global_energy_defect, local_energy_residuals,
-                                 pressure_ratios)
-from torusns.fespace import (pressure_l2, pressure_values, quad_integral,
+from torusns.diagnostics import (SpaceTimeTest, TimeBump, _balance_matrices,
+                                 build_report, cnab_first_step_check,
+                                 cnab_monitor, default_test_family,
+                                 energy_residuals, global_energy_defect,
+                                 local_energy_residuals, pressure_ratios)
+from torusns.fespace import (_product_table, _weighted_matrix, pressure_l2,
+                             pressure_values, quad_integral,
                              velocity_gradients, velocity_h1_semi,
                              velocity_l2, velocity_values)
 from torusns.interpolants import trajectory_norms
@@ -108,7 +112,7 @@ def test_local_energy_constant_factor_reduction(cn_runs, level):
         t_nodes = (m - 1 + GAUSS_X) * cfg.dt
         int_eta = cfg.dt * GAUSS_W @ bump.value(t_nodes)
         int_deta = cfg.dt * GAUSS_W @ bump.dvalue(t_nodes)
-        z = traj.midpoint(m)
+        z = traj.midpoints[m - 1]
         indep += (0.5 * velocity_l2(spaces, z) ** 2 * int_deta
                   - cfg.nu * velocity_h1_semi(spaces, z) ** 2 * int_eta)
     assert abs(got - indep) < 1e-9 * max(1.0, abs(indep))
@@ -120,7 +124,7 @@ def local_energy_reference(traj, spaces, pts, tests):
     out = np.zeros(len(tests))
     for m in range(1, cfg.N + 1):
         t_nodes = (m - 1 + GAUSS_X) * cfg.dt
-        z = traj.midpoint(m)
+        z = traj.midpoints[m - 1]
         zv = velocity_values(spaces, z)
         zg = velocity_gradients(spaces, z)
         pv = pressure_values(spaces, traj.p[m - 1])
@@ -140,11 +144,14 @@ def local_energy_reference(traj, spaces, pts, tests):
     return out
 
 
-@pytest.mark.parametrize("which", ["cn_case1", "cnab_stable"])
+@pytest.mark.parametrize("which", ["cn_case1", "cn_case3", "cnab_stable"])
 def test_local_energy_matches_per_test_loop(which, cn_runs, cnab_runs,
                                             level, quad_points):
+    # case 3's pressure is the one after the Bernoulli fold (it absorbs
+    # -K(u.u)/2), so its p u.grad(phi) flux differs from case 1's
     spaces = level(3)
-    traj = cn_runs[1] if which == "cn_case1" else cnab_runs["stable"]
+    traj = {"cn_case1": cn_runs[1], "cn_case3": cn_runs[3],
+            "cnab_stable": cnab_runs["stable"]}[which]
     tests = default_test_family(traj.config.T)
     got = local_energy_residuals(traj, spaces, tests)[0]
     want = local_energy_reference(traj, spaces, quad_points(spaces), tests)
@@ -161,6 +168,25 @@ def test_empty_test_family(cn_runs, level):
     assert l3.shape == (traj.n_steps,) and np.array_equal(l3, l3_full)
 
 
+def test_empty_family_assembles_nothing(cn_runs, level, monkeypatch):
+    # only the L3 loop runs: no product table, no scattered matrix
+    spaces = level(3)
+    calls = []
+    for name in ("_product_table", "_scatter"):
+        fn = getattr(torusns.fespace, name)
+
+        def spy(*args, fn=fn):
+            calls.append(fn.__name__)
+            return fn(*args)
+        monkeypatch.setattr(torusns.fespace, name, spy)
+        monkeypatch.setattr(torusns.diagnostics, name, spy, raising=False)
+    local_energy_residuals(cn_runs[1], spaces, [])
+    assert calls == []
+    local_energy_residuals(cn_runs[1], spaces,
+                           default_test_family(cn_runs[1].config.T)[:2])
+    assert "_product_table" in calls and "_scatter" in calls
+
+
 def test_pressure_ratios_match_reference(cn_runs, level):
     # |u^{m,1/2}|_3 from its own samples and the rule's weights
     spaces = level(3)
@@ -168,7 +194,7 @@ def test_pressure_ratios_match_reference(cn_runs, level):
     for traj in cn_runs.values():
         want = np.empty(traj.n_steps)
         for m in range(1, traj.n_steps + 1):
-            z = traj.midpoint(m)
+            z = traj.midpoints[m - 1]
             speed = np.linalg.norm(velocity_values(spaces, z), axis=-1)
             l3 = (speed ** 3 @ w).sum() ** (1.0 / 3.0)
             h1 = np.hypot(velocity_l2(spaces, z), velocity_h1_semi(spaces, z))
@@ -204,7 +230,8 @@ def count_calls(monkeypatch, fns):
 @pytest.mark.parametrize("with_local_energy", [True, False])
 def test_report_evaluates_each_midpoint_once(cn_runs, cnab_runs, level,
                                              monkeypatch, with_local_energy):
-    # ... and each norm family once, with or without the CNAB monitors
+    # ... and each norm family once, with or without the CNAB monitors;
+    # the local energy balance samples no velocity gradients at all
     spaces = level(3)
     calls = count_calls(monkeypatch,
                         (velocity_values, velocity_gradients) + NORMS)
@@ -213,7 +240,7 @@ def test_report_evaluates_each_midpoint_once(cn_runs, cnab_runs, level,
         build_report(traj, spaces, with_local_energy=with_local_energy)
         assert calls == {
             "velocity_values": traj.n_steps,
-            "velocity_gradients": traj.n_steps if with_local_energy else 0,
+            "velocity_gradients": 0,
             **REPORT_NORM_CALLS}
 
 
@@ -241,6 +268,31 @@ def test_divergence_scan_infinite_after_blow_up(cnab_runs, level):
     with np.errstate(all="ignore"):
         rep = build_report(traj, level(3), with_local_energy=False)
     assert rep.divergence_max_rel == np.inf
+
+
+def flip_stiffness(spaces, nu, psi_v, lap_v):
+    """K_x with the sign of its psi-weighted stiffness part flipped."""
+    K_t, K_x = _balance_matrices(spaces, nu, psi_v, lap_v)
+    t = spaces.tables
+    stiffness = _product_table(t.grad, t.grad).sum(-1, keepdims=True)
+    S = _weighted_matrix(spaces, psi_v[..., None], stiffness,
+                         spaces.velocity.dofmap)
+    return K_t, K_x + 2.0 * nu * S
+
+
+def scale_rate(spaces, nu, psi_v, lap_v):
+    """K_t one part in 1e9 too large."""
+    K_t, K_x = _balance_matrices(spaces, nu, psi_v, lap_v)
+    return (1.0 + 1e-9) * K_t, K_x
+
+
+@pytest.mark.parametrize("corrupt", [flip_stiffness, scale_rate])
+def test_quadform_check_fails_on_a_corrupted_matrix(level, monkeypatch,
+                                                    corrupt):
+    spaces = level(2)
+    assert checks._local_energy_quadform(spaces).passed
+    monkeypatch.setattr(checks, "_balance_matrices", corrupt)
+    assert not checks._local_energy_quadform(spaces).passed
 
 
 def test_local_energy_rejects_sign_changing_factor(cn_runs, level):

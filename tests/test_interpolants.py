@@ -73,7 +73,7 @@ def test_gap_identity_against_quadrature_oracle(level):
     for m in range(1, 11):
         for x in nodes:
             v = states[m - 1] + x * (states[m] - states[m - 1])
-            diff = traj.midpoint(m) - v
+            diff = traj.midpoints[m - 1] - v
             oracle += 0.5 * dt * velocity_l2(spaces, diff) ** 2
     gap = gap_l2(norms, traj.config)
     assert abs(gap - oracle) < 1e-12 * oracle
@@ -125,7 +125,7 @@ def test_norm_rows_equal_single_vector_norms(level):
         assert norms.state_l2[m] == velocity_l2(spaces, states[m])
         assert norms.state_h1_semi[m] == velocity_h1_semi(spaces, states[m])
     for m in range(1, 9):
-        z = traj.midpoint(m)
+        z = traj.midpoints[m - 1]
         assert norms.midpoint_l2[m - 1] == velocity_l2(spaces, z)
         assert norms.midpoint_h1_semi[m - 1] == velocity_h1_semi(spaces, z)
         assert norms.increment_l2[m - 1] == velocity_l2(

@@ -22,7 +22,7 @@ def scale_of(spaces, traj):
 
 def energy_residual(spaces, traj, m):
     cfg = traj.config
-    z = traj.midpoint(m)
+    z = traj.midpoints[m - 1]
     return (0.5 * (velocity_l2(spaces, traj.u[m]) ** 2
                    - velocity_l2(spaces, traj.u[m - 1]) ** 2)
             + cfg.nu * cfg.dt * velocity_h1_semi(spaces, z) ** 2)
@@ -142,7 +142,7 @@ def test_midpoint_self_convection_vanishes(cn_runs, level):
     spaces = level(3)
     for case in (1, 2):
         traj = cn_runs[case]
-        z = traj.midpoint(3)
+        z = traj.midpoints[2]
         scale = velocity_h1(spaces, z) ** 3
         assert abs(b_form(spaces, case, z, z, z)) <= 1e-10 * scale
 
@@ -301,7 +301,7 @@ def test_global_energy_telescopes(cn_runs, level):
     traj = cn_runs[1]
     cfg = traj.config
     lhs = 0.5 * velocity_l2(spaces, traj.u[-1]) ** 2 + cfg.nu * cfg.dt * sum(
-        velocity_h1_semi(spaces, traj.midpoint(m)) ** 2
+        velocity_h1_semi(spaces, traj.midpoints[m - 1]) ** 2
         for m in range(1, cfg.N + 1))
     rhs = 0.5 * velocity_l2(spaces, traj.u[0]) ** 2
     assert abs(lhs - rhs) <= cfg.N * 10 * cfg.picard_tol * scale_of(spaces,
