@@ -93,6 +93,21 @@ def _skew_symmetry(spaces) -> list[CheckResult]:
             CheckResult("skew_symmetry_case2", worst2 < 1e-10, worst2, 1e-10)]
 
 
+def _convection_tensor(spaces) -> CheckResult:
+    """The convection operators built from the per-type element tensors
+    against the pointwise forms, on projected random fields: w.(C(u) v)
+    for cases 1 and 2 against b_case1 and b_case2, and convection_rhs(u).w
+    against b_case1(u, u, w), each relative to the form's value."""
+    u, v, w = (project_velocity(spaces, random_trig(seed, 2))
+               for seed in (21, 22, 23))
+    pairs = [(w @ (forms.convection_matrix(spaces, case, u) @ v),
+              forms.b_form(spaces, case, u, v, w)) for case in (1, 2)]
+    pairs.append((forms.convection_rhs(spaces, u) @ w,
+                  forms.b_case1(spaces, u, u, w)))
+    err = max(abs(got - want) / abs(want) for got, want in pairs)
+    return CheckResult("convection_tensor", err < 1e-12, err, 1e-12)
+
+
 def _gap_identity(spaces) -> CheckResult:
     """`gap_l2` against an independent quadrature: on each step |u - v|^2
     is quadratic in time, so two Gauss nodes per step integrate it
@@ -173,6 +188,7 @@ def run_checks() -> list[CheckResult]:
         _mesh_conformity(),
         _projection_idempotence(spaces),
         *_skew_symmetry(spaces),
+        _convection_tensor(spaces),
         _gap_identity(spaces),
         _local_energy_quadform(spaces),
         _energy_identity(cn_norms, cn_traj.config),

@@ -145,12 +145,12 @@ def _balance_matrices(spaces, nu, psi_v, lap_v):
     N_a, grad N_b)], from samples of a spatial factor psi and its Laplacian:
     summed over the components of u, their quadratic forms are the rule's
     int psi |u|^2/2 and nu int (lap psi |u|^2/2 - psi |grad u|^2)."""
-    t, dof = spaces.tables, spaces.velocity.dofmap
+    t, pattern = spaces.tables, spaces.velocity.pattern
     mass = _product_table(t.N, t.N)
     stiffness = _product_table(t.grad, t.grad).sum(-1, keepdims=True)
-    return (_weighted_matrix(spaces, 0.5 * psi_v[..., None], mass, dof),
+    return (_weighted_matrix(spaces, 0.5 * psi_v[..., None], mass, pattern),
             _weighted_matrix(spaces, nu * np.stack([0.5 * lap_v, -psi_v], -1),
-                             np.concatenate([mass, stiffness], -1), dof))
+                             np.concatenate([mass, stiffness], -1), pattern))
 
 
 def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,

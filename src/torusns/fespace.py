@@ -22,11 +22,20 @@ Trigonometric data are evaluated the same way: every quadrature point is
 an element corner plus one of its type's reference offsets, so
 `field_values` makes one factored complex product per type
 (`TrigPoly.value_on`) instead of a cos and a sin per mode and point.
+
+Every global matrix is summed from element matrices through a `_Pattern`:
+the CSR structure of one dofmap pair, with the data slot of every element
+entry, so that assembly is one `np.bincount` into a fixed data array.  A
+space builds its patterns once, on first use (`VelocitySpace.pattern`,
+`.block_pattern`, `.vector_pattern`, `PressureSpace.pattern`); the vector
+ones are the scalar one repeated in a 3 x 3 block grid, derived from it
+without a sort, in int32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +47,9 @@ from .quadrature import DEFAULT_DEGREE, TetRule, tet_rule
 
 N_LOCAL = 5          # 4 vertex functions + 1 bubble
 N_LOCAL_P = 4
+
+#: Levi-Civita symbol, eps_{ijk} = (e_i x e_j)_k
+_EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 class FESpaceError(RuntimeError):
@@ -93,6 +105,30 @@ class ElementTables:
             self.offsets[t] = a * (off[0] + rule.points @ jhat.T)
         self.corners = a * mesh.tet_corner
 
+    @cached_property
+    def _trilinear(self):
+        """(6, 3, 5, 5, 5) integrals sum_q w_q d_l N_c N_a N_b per type,
+        index [t, l, c, a, b]: exact at degree 11 (degree 3 + 4 + 4)."""
+        N = self.N[0, :, :, 0]
+        return np.einsum("q,tqcl,qa,qb->tlcab", self.w_phys, self.grad, N, N)
+
+    @cached_property
+    def transport(self):
+        """(6, 15, 25) tensor of the antisymmetric transport: nodal values
+        u[k c] of the advecting field times row (k c) give the element
+        matrix 0.5 [(u.grad N_b, N_a) - (u.grad N_a, N_b)], index 5 a + b."""
+        T = self._trilinear.transpose(0, 1, 3, 4, 2)  # sum N_c d_k N_b N_a
+        return (0.5 * (T - T.swapaxes(-1, -2))).reshape(6, 3 * N_LOCAL, -1)
+
+    @cached_property
+    def rotation(self):
+        """(6, 15, 225) tensor of the rotational form: nodal values u[k c]
+        times row (k c) give the element matrix eps_{imj} ((curl u)_m N_b,
+        N_a) on the vector basis, index (5 i + a) 15 + 5 j + b, with
+        (curl N_c e_k)_m = eps_{mlk} d_l N_c."""
+        R = np.einsum("imj,mlk,tlcab->tkciajb", _EPS, _EPS, self._trilinear)
+        return R.reshape(6, 3 * N_LOCAL, -1)
+
 
 def _evaluate(nodal, table):
     """out[e, q, c, k] = sum_a nodal[e, c, a] table[e % 6, q, a, k] over
@@ -135,12 +171,93 @@ def _product_table(left, right):
     return prod.reshape(prod.shape[:2] + (-1, prod.shape[-1]))
 
 
-def _weighted_matrix(spaces, samples, table, dof) -> sp.csr_matrix:
-    """Weighted mass or stiffness matrix on `dof` (E, A): element entries
-    sum_q w_q sum_k samples[e, q, k] table[e % 6, q, A a + b, k] of scalar
-    samples (E, Q, K) and a per-type product table (6, Q, A A, K)."""
-    loc = _local_matrices(spaces, samples[:, :, None], table)
-    return _scatter(loc.reshape(len(loc), dof.shape[1], -1), dof, dof)
+def _weighted_matrix(spaces, samples, table, pattern) -> sp.csr_matrix:
+    """Weighted mass or stiffness matrix on a square `pattern`: element
+    entries sum_q w_q sum_k samples[e, q, k] table[e % 6, q, A a + b, k]
+    of scalar samples (E, Q, K) and a per-type product table
+    (6, Q, A A, K)."""
+    return pattern.assemble(_local_matrices(spaces, samples[:, :, None],
+                                            table))
+
+
+class _Pattern:
+    """Sparsity pattern of the matrices summed from element matrices on
+    one dofmap pair: CSR `indptr` and `indices` (int32, sorted, without
+    duplicates; read-only, since every matrix made here shares them) and,
+    where assembly goes through it, the data `slot` of each element entry
+    (int32, (E, A, B)).  Explicit zeros stay stored, so one pattern
+    serves every matrix of the pair."""
+
+    def __init__(self, indptr, indices, shape, slot=None):
+        for a in (indptr, indices):
+            a.flags.writeable = False
+        self.indptr, self.indices, self.shape = indptr, indices, shape
+        self.slot = slot
+
+    @classmethod
+    def of(cls, row_dof, col_dof):
+        """The pattern of the element entries (row_dof[e, a],
+        col_dof[e, b]); every dof occurs in its dofmap, so the largest
+        ones fix the shape."""
+        n_rows, n_cols = int(row_dof.max()) + 1, int(col_dof.max()) + 1
+        keys = (row_dof.astype(np.int64)[:, :, None] * n_cols
+                + col_dof[:, None, :])
+        entries, slot = np.unique(keys.ravel(), return_inverse=True)
+        counts = np.bincount(entries // n_cols, minlength=n_rows)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        return cls(indptr, (entries % n_cols).astype(np.int32),
+                   (n_rows, n_cols), slot.reshape(keys.shape).astype(np.int32))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def matrix(self, data) -> sp.csr_matrix:
+        """The CSR matrix with entries `data`, in the pattern's order."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def assemble(self, loc) -> sp.csr_matrix:
+        """Sum element matrices loc[e, a, b] (any shape holding the E A B
+        entries in that order) into the pattern's entries."""
+        return self.matrix(np.bincount(self.slot.ravel(), np.ravel(loc),
+                                       minlength=self.nnz))
+
+    def block_diagonal(self) -> "_Pattern":
+        """The pattern of diag(S, S, S) on the vector dofs c n + i, for a
+        square pattern of S: three shifted copies (no element slots; its
+        data are S's, tiled three times)."""
+        n, nnz = self.shape[0], self.nnz
+        indptr = np.concatenate([self.indptr[:-1] + c * nnz for c in range(3)]
+                                + [[3 * nnz]]).astype(np.int32)
+        indices = np.concatenate([self.indices + c * n for c in range(3)])
+        return _Pattern(indptr, indices.astype(np.int32), (3 * n, 3 * n))
+
+    def block_grid(self) -> "_Pattern":
+        """This square pattern in each block of a 3 x 3 grid: the pattern
+        on the vector dofmap [dof, dof + n, dof + 2 n], local index A c + a.
+
+        Row (ci, r) holds row r's entries for cj = 0, 1, 2 in turn, so
+        entry k of block (ci, cj) sits at ci 3 nnz + 3 indptr[r] +
+        cj len(r) + (k - indptr[r]): indices and element slots follow from
+        this pattern's without a sort, and `diagonal` (3, nnz) is where
+        the diagonal blocks hold this pattern's entries."""
+        n, nnz = self.shape[0], self.nnz
+        length = np.diff(self.indptr)
+        row = np.repeat(np.arange(n, dtype=np.int32), length)
+        start = 2 * self.indptr[row] + np.arange(nnz, dtype=np.int32)
+        c = np.arange(3, dtype=np.int32)
+        pos = 3 * nnz * c[:, None, None] + c[:, None] * length[row] + start
+        indices = np.empty(9 * nnz, dtype=np.int32)
+        indices[pos] = self.indices + n * c[:, None]
+        indptr = np.concatenate([3 * self.indptr[:-1] + ci * 3 * nnz
+                                 for ci in range(3)] + [[9 * nnz]])
+        E, A = self.slot.shape[:2]
+        slot = pos[:, :, self.slot].transpose(2, 0, 3, 1, 4)
+        grid = _Pattern(indptr.astype(np.int32), indices, (3 * n, 3 * n),
+                        slot.reshape(E, 3 * A, 3 * A))
+        grid.diagonal = pos[c, c]
+        return grid
 
 
 @dataclass
@@ -156,6 +273,21 @@ class VelocitySpace:
         return np.concatenate([self.dofmap + c * self.n_scalar
                                for c in range(3)], axis=1)
 
+    @cached_property
+    def pattern(self) -> _Pattern:
+        """Scalar pattern: mass, stiffness, transport, weighted forms."""
+        return _Pattern.of(self.dofmap, self.dofmap)
+
+    @cached_property
+    def block_pattern(self) -> _Pattern:
+        """Componentwise operators diag(S, S, S) on vector coefficients."""
+        return self.pattern.block_diagonal()
+
+    @cached_property
+    def vector_pattern(self) -> _Pattern:
+        """Operators coupling the components (the rotational form)."""
+        return self.pattern.block_grid()
+
 
 @dataclass
 class PressureSpace:
@@ -163,13 +295,17 @@ class PressureSpace:
     dim: int
     dofmap: np.ndarray  # (E, 4)
 
+    @cached_property
+    def pattern(self) -> _Pattern:
+        return _Pattern.of(self.dofmap, self.dofmap)
+
 
 class Operators:
     """Structural operators of the pair and their mass factorizations."""
 
-    def __init__(self, M_s, A_s, Mp, B, int_s, int_p):
+    def __init__(self, M_s, M, A_s, Mp, B, int_s, int_p):
         self.M_s = M_s       # scalar mass (velocity component block)
-        self.M = sp.kron(sp.identity(3), M_s, format="csr")  # vector mass
+        self.M = M           # vector mass, diag(M_s, M_s, M_s)
         self.A_s = A_s       # scalar stiffness
         self.Mp = Mp         # pressure mass
         self.B = B           # (q, div v): pressure tests x velocity dofs
@@ -177,15 +313,6 @@ class Operators:
         self.int_p = int_p   # integral of each pressure basis fn
         self.lu_Ms = Factorization(M_s)
         self.lu_Mp = Factorization(Mp)
-
-
-def _scatter(loc, row_dof, col_dof) -> sp.csr_matrix:
-    """Sum element matrices loc[e, a, b] into the global entries
-    (row_dof[e, a], col_dof[e, b]); every dof occurs in its dofmap, so
-    the largest ones fix the shape."""
-    rows = np.repeat(row_dof, col_dof.shape[1], axis=1).ravel()
-    cols = np.tile(col_dof, (1, row_dof.shape[1])).ravel()
-    return sp.coo_matrix((np.ravel(loc), (rows, cols))).tocsr()
 
 
 class FESpacePair:
@@ -213,22 +340,22 @@ class FESpacePair:
 
     def _assemble_structural(self):
         t = self.tables
-        dof = self.velocity.dofmap
-        dof_p = self.pressure.dofmap
+        scalar = self.velocity.pattern
 
-        M_s = _scatter(_local_matrices(self, t.N, t.N), dof, dof)
-        A_s = _scatter(_local_matrices(self, t.grad, t.grad), dof, dof)
+        M_s = scalar.assemble(_local_matrices(self, t.N, t.N))
+        M = self.velocity.block_pattern.matrix(np.tile(M_s.data, 3))
+        A_s = scalar.assemble(_local_matrices(self, t.grad, t.grad))
         Np = t.N[:, :, :N_LOCAL_P]
-        Mp = _scatter(_local_matrices(self, Np, Np), dof_p, dof_p)
+        Mp = self.pressure.pattern.assemble(_local_matrices(self, Np, Np))
         # B[j, c*n_s + a] = (psi_j, d_c N_a)
         d_c_N_a = t.grad.transpose(0, 1, 3, 2).reshape(6, -1, 3 * N_LOCAL, 1)
-        B = _scatter(_local_matrices(self, Np, d_c_N_a), dof_p,
-                     self.velocity.vector_dofmap)
+        B = _Pattern.of(self.pressure.dofmap, self.velocity.vector_dofmap
+                        ).assemble(_local_matrices(self, Np, d_c_N_a))
 
         ones = np.ones((self.mesh.n_tets, t.w_phys.size))
         int_s = _scalar_load(self, ones)
         int_p = _scalar_load(self, ones, n_funcs=N_LOCAL_P)
-        return M_s, A_s, Mp, B, int_s, int_p
+        return M_s, M, A_s, Mp, B, int_s, int_p
 
 
 def build_spaces(mesh: PeriodicMesh, degree: int = DEFAULT_DEGREE) -> FESpacePair:
@@ -516,11 +643,11 @@ def commutator_constant(spaces, phi) -> float:
     # grad(N_a phi), with the per-type gradient table broadcast over cubes
     grad_N_phi = ((t.grad * pv.reshape(-1, 6, Q, 1, 1)).reshape(E, Q, -1, 3)
                   + t.N[0] * pg[:, :, None, :])
-    dof = spaces.velocity.dofmap
+    pattern = spaces.velocity.pattern
     mass = _product_table(t.N, t.N)
-    W, W2 = (_weighted_matrix(spaces, w[..., None], mass, dof)
+    W, W2 = (_weighted_matrix(spaces, w[..., None], mass, pattern)
              for w in (pv, pv ** 2))
-    V, G2d = (_scatter(_local_matrices(spaces, grad_N_phi, right), dof, dof)
+    V, G2d = (pattern.assemble(_local_matrices(spaces, grad_N_phi, right))
               for right in (t.grad, grad_N_phi))
     WT, VT = W.T.tocsr(), V.T.tocsr()
     WV = (W + V).tocsr()
@@ -543,7 +670,7 @@ def pressure_commutator_constant(spaces, phi) -> float:
     pv = field_values(spaces, phi)[..., None]
     Np = t.N[:, :, :N_LOCAL_P]
     mass = _product_table(Np, Np)
-    W, W2 = (_weighted_matrix(spaces, w, mass, spaces.pressure.dofmap)
+    W, W2 = (_weighted_matrix(spaces, w, mass, spaces.pressure.pattern)
              for w in (pv, pv ** 2))
     WT = W.T.tocsr()
 

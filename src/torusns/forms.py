@@ -19,6 +19,24 @@ The convective trilinear form comes in three flavours:
 The divergence coupling B (`spaces.ops.B`, assembled with the spaces)
 maps velocity coefficients to pressure-test values (q, div v).  Testing against constants gives exactly zero, so B
 annihilates the constant pressure direction by construction.
+
+The convection operators the steppers rebuild every Picard iterate and
+every explicit step are assembled from per-type element tensors (the
+tensor representation of Kirby and Logg, ACM TOMS 32, 2006).  All
+elements of one Kuhn type are translates of each other, so an element
+matrix is linear in the element's 15 nodal velocity values through a
+fixed table per type: `spaces.tables.transport`, (6, 15, 25), already
+antisymmetrized, and `spaces.tables.rotation`, (6, 15, 225), with the
+curl and the cross product's Levi-Civita contractions folded in.  Both
+come from the sums over the rule's points of w_q d_l N_c N_a N_b: the
+sampled assembly's quadrature sum, regrouped, so the two agree to
+roundoff at any rule degree.  At the package degree 11 the tensors are
+also exact, since the integrand has degree 3 + 4 + 4 = 11 with the
+quartic bubble.  An element matrix is then one (n, 15) @ (15, J)
+product per type, summed into a fixed pattern (`fespace._Pattern`); no
+field is sampled at the quadrature points.  `_curl`, `b_case1` and
+`b_case2` evaluate the forms pointwise instead, the independent oracle
+of `torusns check`.
 """
 
 from __future__ import annotations
@@ -26,19 +44,25 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import (N_LOCAL, _evaluate, _local_matrices, _product_table,
-                      _scatter, _velocity_nodal, project_pressure_values,
-                      quad_integral, velocity_gradients, velocity_h1_semi,
-                      velocity_l2, velocity_values)
+from .fespace import (_EPS, N_LOCAL, N_LOCAL_P, _evaluate, _velocity_nodal,
+                      _zero_mean_solve, quad_integral, velocity_gradients,
+                      velocity_h1_semi, velocity_l2, velocity_values)
 from .linsolve import SaddleSystem
-
-#: Levi-Civita symbol, eps_{ijk} = (e_i x e_j)_k
-_EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 # ---------------------------------------------------------------------------
 # convection operators (matrix form, used by the steppers)
 # ---------------------------------------------------------------------------
+
+def _element_matrices(nodal, tensor):
+    """loc[e] = nodal[e] @ tensor[e % 6] for nodal values (E, 3, 5) and
+    a per-type tensor (6, 15, J): one matmul per Kuhn type."""
+    nodal = nodal.reshape(len(nodal), -1)
+    loc = np.empty((len(nodal), tensor.shape[2]))
+    for t in range(6):
+        loc[t::6] = nodal[t::6] @ tensor[t]
+    return loc
+
 
 def transport_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
     """Scalar antisymmetric transport operator for a frozen field.
@@ -47,13 +71,8 @@ def transport_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
     advecting field; the full case-1 operator is S acting on each
     velocity component independently.
     """
-    t = spaces.tables
-    dof = spaces.velocity.dofmap
-    uvals = velocity_values(spaces, advect_coeffs)[:, :, None, :]
-    term = _local_matrices(spaces, uvals, _product_table(t.N, t.grad))
-    term = term.reshape(-1, N_LOCAL, N_LOCAL)               # (u.grad N_b, N_a)
-    loc = 0.5 * (term - term.transpose(0, 2, 1))
-    return _scatter(loc, dof, dof)
+    return spaces.velocity.pattern.assemble(_element_matrices(
+        _velocity_nodal(spaces, advect_coeffs), spaces.tables.transport))
 
 
 def _curl(spaces, coeffs):
@@ -69,13 +88,8 @@ def rotation_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
 
     Entry ((i, a), (j, b)) is eps_{imj} (w_m N_b, N_a) with w = curl u.
     """
-    t = spaces.tables
-    curl = _curl(spaces, advect_coeffs)[..., None]
-    W = _local_matrices(spaces, curl, _product_table(t.N, t.N))  # [m, (a, b)]
-    loc = np.einsum("imj,emab->eiajb", _EPS,
-                    W.reshape(-1, 3, N_LOCAL, N_LOCAL))
-    dof = spaces.velocity.vector_dofmap
-    return _scatter(loc, dof, dof)
+    return spaces.velocity.vector_pattern.assemble(_element_matrices(
+        _velocity_nodal(spaces, advect_coeffs), spaces.tables.rotation))
 
 
 def convection_matrix(spaces, case: int, advect_coeffs) -> sp.csr_matrix:
@@ -86,8 +100,8 @@ def convection_matrix(spaces, case: int, advect_coeffs) -> sp.csr_matrix:
     pressure absorbs it.
     """
     if case == 1:
-        return sp.kron(sp.identity(3), transport_matrix(spaces, advect_coeffs),
-                       format="csr")
+        S = transport_matrix(spaces, advect_coeffs)
+        return spaces.velocity.block_pattern.matrix(np.tile(S.data, 3))
     if case in (2, 3):
         return rotation_matrix(spaces, advect_coeffs)
     raise ValueError(f"unknown convective case {case}")
@@ -120,10 +134,19 @@ def b_case2(spaces, u, v, w) -> float:
 
 
 def bernoulli_projection(spaces, u, v):
-    """Zero-mean pressure-space projection of the product u.v."""
-    uvals = velocity_values(spaces, u)
-    vvals = velocity_values(spaces, v)
-    return project_pressure_values(spaces, (uvals * vvals).sum(-1))
+    """Zero-mean pressure-space projection of the product u.v.  Its load
+    (u.v, psi_j) pairs each element's nodal products u_a . v_b with the
+    table sum_q w_q N_a N_b psi_j, the same for every element and exact
+    (degree 4 + 4 + 1); no field is sampled."""
+    t, ops, n_p = spaces.tables, spaces.ops, spaces.pressure.dim
+    N = t.N[0, :, :, 0]
+    table = np.einsum("q,qa,qb,qj->abj", t.w_phys, N, N, N[:, :N_LOCAL_P])
+    products = (_velocity_nodal(spaces, u).transpose(0, 2, 1)
+                @ _velocity_nodal(spaces, v))                # (E, 5, 5)
+    local = products.reshape(len(products), -1) @ table.reshape(-1, N_LOCAL_P)
+    load = np.bincount(spaces.pressure.dofmap.ravel(), local.ravel(),
+                       minlength=n_p)
+    return _zero_mean_solve(ops.lu_Mp, load, ops.int_p, n_p)
 
 
 def b_case3(spaces, u, v, w) -> float:
@@ -149,10 +172,16 @@ def b_form(spaces, case, u, v, w) -> float:
 
 def convection_rhs(spaces, u) -> np.ndarray:
     """Vector of the case-1 form b_h(u, u, phi_i) over all velocity test
-    functions: the explicit convection of the schemes that use it."""
-    u = np.asarray(u)
-    S = transport_matrix(spaces, u)
-    return (S @ u.reshape(3, -1).T).T.ravel()
+    functions: the explicit convection of the schemes that use it.  Each
+    element's transport matrix acts on the element's own nodal values,
+    and the products are summed per component, with no global matrix."""
+    nodal = _velocity_nodal(spaces, u)                          # (E, 3, 5)
+    loc = _element_matrices(nodal, spaces.tables.transport)
+    local = nodal @ loc.reshape(-1, N_LOCAL, N_LOCAL).transpose(0, 2, 1)
+    dof = spaces.velocity.dofmap.ravel()
+    return np.concatenate([np.bincount(dof, local[:, c].ravel(),
+                                       minlength=spaces.n_scalar)
+                           for c in range(3)])
 
 
 def estimate_constants(spaces, case, samples) -> float:

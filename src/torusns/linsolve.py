@@ -26,7 +26,10 @@ counts were identical, and the CN and CNLE energy residuals stayed
 below 1.0e-15 relative.  A solve whose GMRES does not converge, or
 whose answer a guard rejects, falls back to a fresh LU of its own
 matrix.  The CNAB steps, the divergence-free projection, the mass
-solves and the measured constants factorize and solve directly.
+solves and the measured constants factorize and solve directly.  The
+frozen systems of one trajectory share one sparsity pattern: each is
+made by `with_data` from a template, adding its convection at the
+positions `velocity_slots` finds once.
 
 Every matrix factorized here has a (nearly) symmetric sparsity pattern
 (the saddle systems, the two mass matrices and the H1 Gram matrix
@@ -203,6 +206,37 @@ class SaddleSystem:
         self.slices = {"u": slice(0, n_u), "p": slice(n_u, off),
                        "alpha": slice(off, off + 3),
                        "beta": slice(off + 3, off + 4)}
+
+    def velocity_slots(self, F) -> np.ndarray:
+        """The position in `matrix.data` (int32) of every stored entry of
+        a CSR matrix F, in F's order, for F with the sparsity pattern of
+        this system's velocity block.
+
+        The velocity rows come first in every velocity column, so entry
+        j of F's column c sits j places after the column's start."""
+        n, nnz = F.shape[0], F.nnz
+        order = sp.csr_matrix((np.arange(nnz, dtype=np.int32), F.indices,
+                               F.indptr), shape=F.shape).tocsc()
+        column = np.repeat(np.arange(n), np.diff(order.indptr))
+        slots = np.empty(nnz, dtype=np.int32)
+        slots[order.data] = (np.arange(nnz) + (self.matrix.indptr[:n]
+                                               - order.indptr[:-1])[column])
+        rows = np.repeat(np.arange(n), np.diff(F.indptr))
+        if not np.array_equal(self.matrix.indices[slots], rows):
+            raise LinearSolveError("F's sparsity pattern is not that of "
+                                   "the velocity block")
+        return slots
+
+    def with_data(self, data) -> "SaddleSystem":
+        """The system of this layout and sparsity pattern, shared rather
+        than copied, with matrix entries `data` (in `matrix.data` order);
+        it makes its own factor."""
+        system = object.__new__(SaddleSystem)
+        system.matrix = sp.csc_matrix(
+            (data, self.matrix.indices, self.matrix.indptr),
+            shape=self.matrix.shape)
+        system.slices = self.slices
+        return system
 
     def rhs(self, rhs_u) -> np.ndarray:
         """The full right-hand side: rhs_u on the momentum rows, zero on

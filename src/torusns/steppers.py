@@ -20,6 +20,11 @@ mean-free, enforced through the constraint rows of the saddle system.
 A trajectory makes one step factorization, of the zero-advection
 (CNAB) system: CNAB solves with it directly, and every frozen-advection
 solve of CN and CNLE runs GMRES preconditioned with it (see `linsolve`).
+It also builds one saddle pattern for its frozen systems: an iterate
+assembles its convection from the per-type tensors of `forms` into a
+fixed pattern and adds half of it to a copy of the template's data, so
+no iterate samples a field, converts a sparse format or builds a block
+matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import forms
 from .fespace import project_velocity, velocity_l2
@@ -125,20 +129,42 @@ class StepOperator:
     trajectory: F0 = M/dt + nu A/2, the explicit right-hand side, the
     systems with frozen advection, and the history-independent CNAB
     system, whose one factorization is made here and preconditions
-    every frozen-advection solve."""
+    every frozen-advection solve.
+
+    Every frozen system has the sparsity pattern of one template, made
+    here: the CNAB system itself for case 1, whose convection acts on
+    each component (diag(S, S, S) has F0's pattern), and for cases 2 and
+    3 the saddle system whose velocity block is F0 on the 3 x 3 block
+    grid of the scalar pattern, explicit zeros included.  An iterate
+    copies the template's data and adds half the convection's at fixed
+    positions; it shares the template's index arrays."""
 
     def __init__(self, spaces, config):
         self.spaces = spaces
         self.config = config
         dt, nu = config.dt, config.nu
-        self.A = sp.kron(sp.identity(3), spaces.ops.A_s, format="csr")
-        self.F0 = ((1.0 / dt) * spaces.ops.M + 0.5 * nu * self.A).tocsr()
-        # the CNAB system: its matrix does not depend on the history.
-        # Factorized before any frozen system is assembled, so the
-        # long-lived factor is not placed above an iterate's freed
-        # temporaries (factorized lazily, the peak RSS of the
-        # cn3-picard benchmark was 87.5 MB against 82.3 MB).
+        ops, velocity = spaces.ops, spaces.velocity
+        block = velocity.block_pattern
+        self.A = block.matrix(np.tile(ops.A_s.data, 3))
+        self.F0 = block.matrix((1.0 / dt) * ops.M.data
+                               + 0.5 * nu * self.A.data)
+        # the CNAB system: its matrix does not depend on the history
         self.explicit_system = SaddleSystem(spaces, self.F0)
+        if config.case == 1:
+            F = self.F0
+            self._template = self.explicit_system
+        else:
+            grid = velocity.vector_pattern
+            data = np.zeros(grid.nnz)
+            data[grid.diagonal] = self.F0.data.reshape(3, -1)
+            F = grid.matrix(data)
+            self._template = SaddleSystem(spaces, F)
+        self._slots = self._template.velocity_slots(F)
+        # Factorized after the patterns and the template are built, so
+        # the long-lived factor is not placed above their freed
+        # temporaries: factorized before them, the peak RSS of the
+        # cn3-picard benchmark was 80.3-80.4 MB against 78.3-78.8 MB
+        # (factorized lazily, at the first solve, 78.5-78.6 MB).
         self.preconditioner = self.explicit_system.factor
 
     def explicit_rhs(self, u_prev):
@@ -159,7 +185,9 @@ class StepOperator:
         """Midpoint step with the advecting field frozen: its system and
         full right-hand side."""
         conv, rhs_u = self._frozen_parts(advect, u_prev)
-        system = SaddleSystem(self.spaces, (self.F0 + 0.5 * conv).tocsr())
+        data = self._template.matrix.data.copy()
+        data[self._slots] += 0.5 * conv.data
+        system = self._template.with_data(data)
         return system, system.rhs(rhs_u)
 
     def solve_frozen(self, advect, u_prev) -> SaddleSolution:

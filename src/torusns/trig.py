@@ -226,7 +226,9 @@ def random_trig(seed: int, degree: int = 2, norm: float | None = None) -> TrigVe
                         continue  # one representative per +-k pair
                     damp = 1.0 / (1.0 + kx * kx + ky * ky + kz * kz)
                     a, b = rng.standard_normal(2) * damp
-                    f = f + TrigPoly.cosine(k, a) + TrigPoly.sine(k, b)
+                    for term in (TrigPoly.cosine(k, a), TrigPoly.sine(k, b)):
+                        for mode, c in term.modes.items():
+                            f._add_mode(mode, c)  # in place: no copies
         comps.append(f)
     u = TrigVector(comps).curl()
     if norm is not None:

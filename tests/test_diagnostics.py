@@ -169,22 +169,24 @@ def test_empty_test_family(cn_runs, level):
 
 
 def test_empty_family_assembles_nothing(cn_runs, level, monkeypatch):
-    # only the L3 loop runs: no product table, no scattered matrix
+    # only the L3 loop runs: no product table, no assembled matrix
     spaces = level(3)
     calls = []
-    for name in ("_product_table", "_scatter"):
-        fn = getattr(torusns.fespace, name)
 
-        def spy(*args, fn=fn):
+    def spy(fn):
+        def wrapped(*args):
             calls.append(fn.__name__)
             return fn(*args)
-        monkeypatch.setattr(torusns.fespace, name, spy)
-        monkeypatch.setattr(torusns.diagnostics, name, spy, raising=False)
+        return wrapped
+    monkeypatch.setattr(torusns.diagnostics, "_product_table",
+                        spy(torusns.fespace._product_table))
+    monkeypatch.setattr(torusns.fespace._Pattern, "assemble",
+                        spy(torusns.fespace._Pattern.assemble))
     local_energy_residuals(cn_runs[1], spaces, [])
     assert calls == []
     local_energy_residuals(cn_runs[1], spaces,
                            default_test_family(cn_runs[1].config.T)[:2])
-    assert "_product_table" in calls and "_scatter" in calls
+    assert "_product_table" in calls and "assemble" in calls
 
 
 def test_pressure_ratios_match_reference(cn_runs, level):
@@ -276,7 +278,7 @@ def flip_stiffness(spaces, nu, psi_v, lap_v):
     t = spaces.tables
     stiffness = _product_table(t.grad, t.grad).sum(-1, keepdims=True)
     S = _weighted_matrix(spaces, psi_v[..., None], stiffness,
-                         spaces.velocity.dofmap)
+                         spaces.velocity.pattern)
     return K_t, K_x + 2.0 * nu * S
 
 

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from torusns.checks import remove_mean
-from torusns.fespace import (FESpaceError, _scalar_load, _scatter,
+from torusns.fespace import (FESpaceError, _Pattern, _scalar_load,
                              build_spaces, commutator_defect,
                              commutator_constant, field_values,
                              inf_sup_constant, inverse_constant,
@@ -244,6 +244,14 @@ def test_commutator_constant_bounded(level):
 # reference: the same integrals on gathered per-element tables
 # ---------------------------------------------------------------------------
 
+def _coo_scatter(loc, row_dof, col_dof):
+    """Sum element matrices into (row_dof[e, a], col_dof[e, b]) through a
+    COO matrix: independent of the package's fixed patterns."""
+    rows = np.repeat(row_dof, col_dof.shape[1], axis=1).ravel()
+    cols = np.tile(col_dof, (1, row_dof.shape[1])).ravel()
+    return sp.coo_matrix((np.ravel(loc), (rows, cols))).tocsr()
+
+
 def _gathered(spaces):
     """Quadrature weights, the (Q, 5) value table and the (E, Q, 5, 3)
     gradient table gathered per element."""
@@ -268,7 +276,7 @@ def _weighted_scalar_matrix(spaces, weight, grad_left=False, grad_right=False,
     else:
         loc = np.einsum("q,eqa,eqb->eab", w, left, Nv)
     dof = spaces.velocity.dofmap
-    return _scatter(loc, dof, dof)
+    return _coo_scatter(loc, dof, dof)
 
 
 def _gram_of_products(spaces, pv, pg):
@@ -278,7 +286,7 @@ def _gram_of_products(spaces, pv, pg):
     prod_grad = g * pv[..., None, None] + Nv[..., None] * pg[:, :, None, :]
     loc = np.einsum("q,eqac,eqbc->eab", w, prod_grad, prod_grad)
     dof = spaces.velocity.dofmap
-    return _scatter(loc, dof, dof)
+    return _coo_scatter(loc, dof, dof)
 
 
 def test_kernels_match_gathered_einsum(level):
@@ -289,9 +297,9 @@ def test_kernels_match_gathered_einsum(level):
         u = rng.standard_normal((3, spaces.n_scalar))
         q = rng.standard_normal(spaces.pressure.dim)
         dof, dof_p = spaces.velocity.dofmap, spaces.pressure.dofmap
-        A_s = _scatter(np.einsum("q,eqac,eqbc->eab", w, g, g), dof, dof)
-        B = sp.hstack([_scatter(np.einsum("q,qj,eqa->eja", w, N[:, :4],
-                                          g[..., c]), dof_p, dof)
+        A_s = _coo_scatter(np.einsum("q,eqac,eqbc->eab", w, g, g), dof, dof)
+        B = sp.hstack([_coo_scatter(np.einsum("q,qj,eqa->eja", w, N[:, :4],
+                                              g[..., c]), dof_p, dof)
                        for c in range(3)])
         pairs = ((velocity_gradients(spaces, u.ravel()),
                   np.einsum("iea,eqac->eqic", u[:, dof], g)),
@@ -301,6 +309,31 @@ def test_kernels_match_gathered_einsum(level):
                  (spaces.ops.B.toarray(), B.toarray()))
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_vector_patterns_match_the_sorted_ones(level):
+    # the block grid and block diagonal, derived from the scalar pattern
+    # without a sort, against patterns built from the vector dofmaps
+    for n in (2, 3):
+        velocity = level(n).velocity
+        vdof = velocity.vector_dofmap
+        scalar, grid = velocity.pattern, velocity.vector_pattern
+        want = _Pattern.of(vdof, vdof)
+        for name in ("indptr", "indices", "slot"):
+            assert np.array_equal(getattr(grid, name), getattr(want, name))
+        assert grid.shape == want.shape
+        for c in range(3):
+            assert np.array_equal(grid.indices[grid.diagonal[c]],
+                                  scalar.indices + c * scalar.shape[0])
+        block = velocity.block_pattern
+        ones = sp.csr_matrix((np.ones(scalar.nnz), scalar.indices,
+                              scalar.indptr))
+        kron = sp.kron(sp.identity(3), ones, format="csr")
+        assert np.array_equal(block.indptr, kron.indptr)
+        assert np.array_equal(block.indices, kron.indices)
+        # matrices share the pattern's index arrays, which stay intact
+        assert not grid.indices.flags.writeable
+        assert not block.indptr.flags.writeable
 
 
 def test_element_layout_is_guarded():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from torusns.fespace import (build_spaces, pressure_gradients, quad_integral,
-                             project_velocity, velocity_gradients,
-                             velocity_h1, velocity_l2, velocity_values)
+from torusns import checks
+from torusns.fespace import (build_spaces, pressure_gradients,
+                             project_pressure_values, project_velocity,
+                             quad_integral, velocity_gradients, velocity_h1,
+                             velocity_l2, velocity_values)
 from torusns.forms import (b_case1, b_case2, b_case3, b_form,
                            bernoulli_projection, convection_matrix,
                            convection_rhs, divergence_norm,
@@ -39,6 +41,42 @@ def test_stepper_matrices_match_value_forms(level):
         got = convection_rhs(spaces, u) @ w
         want = b_form(spaces, 1, u, u, w)
         assert abs(got - want) <= 1e-12 * abs(want), n
+
+
+def bump_transport(tables):
+    """The transport tensor one part in 1e9 too large."""
+    return "transport", (1.0 + 1e-9) * tables.transport
+
+
+def bump_one_rotation_type(tables):
+    """The rotation tensor of one Kuhn type one part in 1e9 too large."""
+    R = tables.rotation.copy()
+    R[3] *= 1.0 + 1e-9
+    return "rotation", R
+
+
+@pytest.mark.parametrize("corrupt", [bump_transport, bump_one_rotation_type])
+def test_tensor_check_fails_on_a_corrupted_tensor(level, monkeypatch,
+                                                  corrupt):
+    spaces = level(2)
+    assert checks._convection_tensor(spaces).passed
+    name, bad = corrupt(spaces.tables)
+    monkeypatch.setitem(vars(spaces.tables), name, bad)
+    assert not checks._convection_tensor(spaces).passed
+
+
+def test_bernoulli_projection_matches_the_sampled_product(level):
+    # the nodal-product load against the projection of u.v sampled at
+    # the quadrature points
+    for n in (2, 3):
+        spaces = level(n)
+        u, v = (project_velocity(spaces, random_trig(seed, 2))
+                for seed in (31, 32))
+        want = project_pressure_values(spaces, (velocity_values(spaces, u)
+                                                * velocity_values(spaces, v)
+                                                ).sum(-1))
+        got = bernoulli_projection(spaces, u, v)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_stiffness_kills_constants(level):

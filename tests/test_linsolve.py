@@ -236,3 +236,15 @@ def test_determinism(level):
     a = solve(spaces, op.F0, rhs).x
     b = solve(spaces, op.F0, rhs).x
     assert np.array_equal(a, b)
+
+
+def test_velocity_slots_reject_another_pattern(level):
+    # the slots of the velocity block's own pattern address its entries;
+    # a matrix with more entries than the block is refused
+    spaces, op = make_operator(level, 2)
+    system = SaddleSystem(spaces, op.F0)
+    slots = system.velocity_slots(op.F0)
+    assert np.array_equal(system.matrix.data[slots], op.F0.data)
+    grid = spaces.velocity.vector_pattern
+    with pytest.raises(LinearSolveError, match="pattern"):
+        system.velocity_slots(grid.matrix(np.ones(grid.nnz)))

@@ -296,6 +296,52 @@ def test_gmres_failure_falls_back_to_a_fresh_factorization(level,
     assert res.residual == direct.residual
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", [1, 3])
+def test_frozen_system_matches_the_block_matrix(level, case, n):
+    # the data-only frozen system against the saddle matrix built from
+    # F0 + conv/2 by sp.bmat, at two advecting fields; both iterates
+    # share the template's index arrays
+    spaces = level(n)
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=case, nu=0.1,
+                                           T=1 / 16, N=1))
+    u_prev = project_div_free(spaces, project_velocity(spaces, tg_like()))
+    template = op._template.matrix
+    for seed in (4, 5):
+        w = project_velocity(spaces, random_trig(seed))
+        system, rhs = op.frozen_system(w, u_prev)
+        conv = forms.convection_matrix(spaces, case, w)
+        want = SaddleSystem(spaces, op.F0 + 0.5 * conv)
+        diff = abs(system.matrix - want.matrix).max()
+        assert diff <= 1e-14 * abs(want.matrix).max(), seed
+        assert system.slices == want.slices
+        assert np.array_equal(rhs, want.rhs(op.explicit_rhs(u_prev)
+                                            - 0.5 * (conv @ u_prev)))
+        for name in ("indices", "indptr"):
+            assert np.shares_memory(getattr(system.matrix, name),
+                                    getattr(template, name))
+
+
+def test_steps_convert_no_sparse_format(level, monkeypatch):
+    # once the step operator exists, a case-3 CN step (every Picard
+    # iterate) and a CNAB step build no block, Kronecker or COO matrix
+    spaces = level(2)
+    u0 = project_div_free(spaces, project_velocity(spaces, tg_like()))
+    cn = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
+                                           T=0.25, N=2))
+    cnab = StepOperator(spaces, SchemeConfig(scheme="CNAB", case=1, nu=0.1,
+                                             T=0.25, N=2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sparse format conversion in a step")
+
+    for name in ("bmat", "kron", "coo_matrix"):
+        monkeypatch.setattr(sp, name, forbidden)
+    res = step_cn(cn, u0)
+    assert res.iterations > 1
+    step_cnab(cnab, res.u, convection_rhs(spaces, u0))
+
+
 def test_global_energy_telescopes(cn_runs, level):
     spaces = level(3)
     traj = cn_runs[1]

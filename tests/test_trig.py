@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from torusns.fespace import field_values
-from torusns.trig import (BOX_VOLUME, TWO_PI, TrigPoly, preset_field,
-                          random_trig, sine_shear, tg_like)
+from torusns.trig import (BOX_VOLUME, TWO_PI, TrigPoly, TrigVector,
+                          preset_field, random_trig, sine_shear, tg_like)
 
 PTS = np.array([[0.3, 1.1, 2.0], [5.0, 0.2, 4.4], [0.0, 0.0, 0.0]])
 
@@ -120,3 +120,33 @@ def test_sup_norm_matches_per_mode_grid():
     grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1)
     ref = np.abs(_per_mode(f, grid)).max()
     assert abs(f.sup_norm() - ref) <= 1e-13 * ref
+
+
+def _random_trig_by_sums(seed, degree):
+    """random_trig's field built as a chain of TrigPoly sums, one copy of
+    the mode dict per term."""
+    rng = np.random.default_rng(seed)
+    comps = []
+    for _ in range(3):
+        f = TrigPoly()
+        for kx in range(-degree, degree + 1):
+            for ky in range(-degree, degree + 1):
+                for kz in range(-degree, degree + 1):
+                    k = (kx, ky, kz)
+                    if k == (0, 0, 0) or k < (-kx, -ky, -kz):
+                        continue
+                    damp = 1.0 / (1.0 + kx * kx + ky * ky + kz * kz)
+                    a, b = rng.standard_normal(2) * damp
+                    f = f + TrigPoly.cosine(k, a) + TrigPoly.sine(k, b)
+        comps.append(f)
+    return TrigVector(comps).curl()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_random_trig_matches_the_sum_of_its_terms(degree):
+    # the same modes, bit for bit, in the same order
+    for seed in (0, 1, 7, 31):
+        got, want = random_trig(seed, degree), _random_trig_by_sums(seed,
+                                                                    degree)
+        for g, w in zip(got.components, want.components):
+            assert list(g.modes.items()) == list(w.modes.items())
