@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .diagnostics import (_balance_matrices, default_test_family,
-                          energy_residuals)
+from .diagnostics import (_balance_matrices, _flux_and_l3,
+                          default_test_family, energy_residuals)
 from .fespace import (_scalar_quadform, build_spaces, field_values,
-                      pressure_gradients, project_velocity,
-                      project_velocity_values, quad_integral,
+                      pressure_gradients, pressure_values,
+                      project_velocity, project_velocity_values, quad_integral,
                       velocity_gradients, velocity_h1, velocity_l2,
                       velocity_values)
 from .interpolants import gap_l2, trajectory_norms
@@ -150,6 +150,33 @@ def _local_energy_quadform(spaces) -> CheckResult:
     return CheckResult("local_energy_quadform", err < 1e-12, err, 1e-12)
 
 
+def _local_energy_flux(spaces) -> CheckResult:
+    """The local energy balance's blocked flux and L3 against pointwise
+    sums over E-major samples, one midpoint at a time, on projected
+    random fields: seven midpoints (a full block and a tail) and every
+    spatial factor of the default family, each quantity relative to its
+    largest value."""
+    psis = list(dict.fromkeys(t.psi for t in default_test_family(1.0)))
+    a, b = (project_velocity(spaces, random_trig(seed, 2))
+            for seed in (31, 32))
+    angle = np.arange(8)[:, None]
+    u = np.cos(angle) * a + np.sin(angle) * b
+    p = np.random.default_rng(9).standard_normal((7, spaces.pressure.dim))
+    flux, l3 = _flux_and_l3(spaces, u, p, psis)
+    grads = [field_values(spaces, psi.gradient()) for psi in psis]
+    want_flux, want_l3 = np.empty_like(flux), np.empty_like(l3)
+    for m in range(len(p)):
+        zv = velocity_values(spaces, 0.5 * (u[m + 1] + u[m]))
+        ke = 0.5 * (zv ** 2).sum(-1)
+        density = (ke + pressure_values(spaces, p[m]))[..., None] * zv
+        want_flux[:, m] = [quad_integral(spaces, (density * g).sum(-1))
+                           for g in grads]
+        want_l3[m] = quad_integral(spaces, (2.0 * ke) ** 1.5) ** (1 / 3)
+    err = max(np.abs(flux - want_flux).max() / np.abs(want_flux).max(),
+              np.abs(l3 - want_l3).max() / want_l3.max())
+    return CheckResult("local_energy_flux", err < 1e-12, err, 1e-12)
+
+
 def _energy_identity(norms, config) -> CheckResult:
     worst = float(np.abs(energy_residuals(norms, config)).max())
     scale = max(1.0, norms.state_l2[0] ** 2)
@@ -191,6 +218,7 @@ def run_checks() -> list[CheckResult]:
         _convection_tensor(spaces),
         _gap_identity(spaces),
         _local_energy_quadform(spaces),
+        _local_energy_flux(spaces),
         _energy_identity(cn_norms, cn_traj.config),
         _divergence_bound(spaces, cn_traj, cn_norms),
         _gradient_div_duality(spaces),

@@ -16,8 +16,13 @@ algebraic identities the solver is tested against hold at roundoff and
 cannot drift apart between modules using different rules.
 
 Element tables are computed once per Kuhn type (there are only six
-element shapes up to translation) and contracted per Kuhn type: field
-values and element matrices take one matmul per type's stride-6 slice.
+element shapes up to translation) and contracted per Kuhn type: element
+matrices take one matmul per type's stride-6 slice, and field samples
+one matmul per type for a whole stack of coefficient vectors
+(`_samples_of_type`), in type-major layout (vector, component, element
+of the type, point), so a caller can hold one type's samples of several
+fields at a time.  The E-major evaluators (`velocity_values` and its
+kin) write those blocks into the stride-6 element layout.
 Trigonometric data are evaluated the same way: every quadrature point is
 an element corner plus one of its type's reference offsets, so
 `field_values` makes one factored complex product per type
@@ -130,16 +135,30 @@ class ElementTables:
         return R.reshape(6, 3 * N_LOCAL, -1)
 
 
-def _evaluate(nodal, table):
-    """out[e, q, c, k] = sum_a nodal[e, c, a] table[e % 6, q, a, k] over
-    the table's first A functions (pressure: the vertex part), one matmul
-    per Kuhn type written straight into its stride-6 slice of `out`."""
-    E, C, A = nodal.shape
-    _, Q, _, K = table.shape
-    out = np.empty((E, Q, C, K))
-    for t in range(6):
-        prod = nodal[t::6] @ table[t, :, :A].transpose(1, 0, 2).reshape(A, -1)
-        out[t::6] = prod.reshape(-1, C, Q, K).transpose(0, 2, 1, 3)
+def _samples_of_type(coeffs, dofmap, table, k):
+    """Samples of a stack of S coefficient vectors at the quadrature points
+    of the Kuhn-type-k elements (every sixth element, from k), type-major:
+    for coeffs (S, C, n) of C components on `dofmap` (E, A), out[s, c, i,
+    q, d] = sum_a coeffs[s, c, dofmap[6 i + k, a]] table[k, q, a, d] over
+    the table's first A functions (pressure: the vertex part).  One
+    (S C n_k, A) @ (A, Q D) product into a contiguous (S, C, n_k, Q, D)
+    array, with no transposed write."""
+    nodal = coeffs[:, :, dofmap[k::6]]                      # (S, C, n_k, A)
+    A = nodal.shape[-1]
+    _, Q, _, D = table.shape
+    prod = nodal.reshape(-1, A) @ table[k, :, :A].transpose(1, 0, 2).reshape(
+        A, Q * D)
+    return prod.reshape(nodal.shape[:3] + (Q, D))
+
+
+def _evaluate(coeffs, dofmap, table):
+    """out[e, q, c, d] of one coefficient vector coeffs (C, n): the
+    E-major layout of `_samples_of_type`, each type's block written into
+    its stride-6 slice of `out`."""
+    out = np.empty((len(dofmap), table.shape[1], len(coeffs), table.shape[3]))
+    for k in range(6):
+        out[k::6] = _samples_of_type(coeffs[None], dofmap, table,
+                                     k)[0].transpose(1, 2, 0, 3)
     return out
 
 
@@ -368,12 +387,14 @@ def build_spaces(mesh: PeriodicMesh, degree: int = DEFAULT_DEGREE) -> FESpacePai
 
 def velocity_values(spaces, coeffs):
     """(E, Q, 3) values of a velocity coefficient vector."""
-    return _evaluate(_velocity_nodal(spaces, coeffs), spaces.tables.N)[..., 0]
+    return _evaluate(np.reshape(coeffs, (3, spaces.n_scalar)),
+                     spaces.velocity.dofmap, spaces.tables.N)[..., 0]
 
 
 def velocity_gradients(spaces, coeffs):
     """(E, Q, 3, 3) with [..., i, j] = d_j u_i."""
-    return _evaluate(_velocity_nodal(spaces, coeffs), spaces.tables.grad)
+    return _evaluate(np.reshape(coeffs, (3, spaces.n_scalar)),
+                     spaces.velocity.dofmap, spaces.tables.grad)
 
 
 def _velocity_nodal(spaces, coeffs):
@@ -382,13 +403,13 @@ def _velocity_nodal(spaces, coeffs):
 
 
 def pressure_values(spaces, coeffs):
-    nodal = np.asarray(coeffs)[spaces.pressure.dofmap][:, None]
-    return _evaluate(nodal, spaces.tables.N)[:, :, 0, 0]
+    return _evaluate(np.reshape(coeffs, (1, -1)), spaces.pressure.dofmap,
+                     spaces.tables.N)[:, :, 0, 0]
 
 
 def pressure_gradients(spaces, coeffs):
-    nodal = np.asarray(coeffs)[spaces.pressure.dofmap][:, None]
-    return _evaluate(nodal, spaces.tables.grad)[:, :, 0]
+    return _evaluate(np.reshape(coeffs, (1, -1)), spaces.pressure.dofmap,
+                     spaces.tables.grad)[:, :, 0]
 
 
 def quad_integral(spaces, values):

@@ -79,8 +79,9 @@ def _curl(spaces, coeffs):
     """(E, Q, 3) curl of a velocity field at the quadrature points, from
     the table (curl N_a e_j)_m = eps_{mij} d_i N_a."""
     curl_N = np.einsum("mij,tqai->tqjam", _EPS, spaces.tables.grad)
-    nodal = _velocity_nodal(spaces, coeffs).reshape(-1, 1, 3 * N_LOCAL)
-    return _evaluate(nodal, curl_N.reshape(6, -1, 3 * N_LOCAL, 3))[:, :, 0]
+    return _evaluate(np.reshape(coeffs, (1, -1)),
+                     spaces.velocity.vector_dofmap,
+                     curl_N.reshape(6, -1, 3 * N_LOCAL, 3))[:, :, 0]
 
 
 def rotation_matrix(spaces, advect_coeffs) -> sp.csr_matrix:

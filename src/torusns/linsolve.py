@@ -89,6 +89,18 @@ def _column_norms(a):
     return np.sqrt(np.vecdot(a, a))
 
 
+def _norm1(matrix) -> float:
+    """|A|_1, the largest column sum of |A|, straight from the arrays of a
+    CSC matrix (one `np.add.reduceat` over the non-empty columns, which
+    `spla.norm` gets only after forming abs(A) and a sparse sum).
+    Duplicate entries, which no matrix here holds, could only raise it."""
+    indptr = matrix.indptr
+    starts = indptr[:-1][np.diff(indptr) > 0]
+    if not starts.size:
+        return 0.0
+    return float(np.add.reduceat(np.abs(matrix.data), starts).max())
+
+
 def _guard(matrix, norm1, x, rhs):
     """Check a solution of matrix x = rhs, column by column, and return
     its residual norms |Ax - b|.
@@ -131,7 +143,7 @@ class Factorization:
 
     def __init__(self, matrix):
         self.matrix = matrix.tocsc()
-        self._norm1 = spla.norm(self.matrix, 1)
+        self._norm1 = _norm1(self.matrix)
         try:
             self._lu = spla.splu(self.matrix, permc_spec=ORDERING,
                                  diag_pivot_thresh=PIVOT_THRESHOLD)
@@ -168,7 +180,7 @@ class Factorization:
         if info != 0:
             raise LinearSolveError(f"GMRES did not converge (info {info})")
         x = lu.solve(y)
-        return x, float(_guard(matrix, spla.norm(matrix, 1), x, rhs))
+        return x, float(_guard(matrix, _norm1(matrix.tocsc()), x, rhs))
 
 
 @dataclass

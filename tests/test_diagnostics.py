@@ -9,13 +9,14 @@ import torusns.diagnostics
 import torusns.fespace
 from torusns import checks
 from torusns.cli import RunSpec
-from torusns.diagnostics import (SpaceTimeTest, TimeBump, _balance_matrices,
+from torusns.diagnostics import (BLOCK, SpaceTimeTest, TimeBump,
+                                 _balance_matrices, _flux_and_l3,
                                  build_report, cnab_first_step_check,
                                  cnab_monitor, default_test_family,
                                  energy_residuals, global_energy_defect,
                                  local_energy_residuals, pressure_ratios)
-from torusns.fespace import (_product_table, _weighted_matrix, pressure_l2,
-                             pressure_values, quad_integral,
+from torusns.fespace import (_product_table, _weighted_matrix, field_values,
+                             pressure_l2, pressure_values, quad_integral,
                              velocity_gradients, velocity_h1_semi,
                              velocity_l2, velocity_values)
 from torusns.interpolants import trajectory_norms
@@ -158,6 +159,60 @@ def test_local_energy_matches_per_test_loop(which, cn_runs, cnab_runs,
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def per_midpoint_flux_and_l3(spaces, u, p, psis):
+    """The flux and L3 one midpoint at a time over all elements, from
+    E-major samples (the loop the blocked one replaced)."""
+    w = spaces.tables.w_phys
+    grad_w = np.stack([(field_values(spaces, psi.gradient())
+                        * w[:, None]).ravel() for psi in psis])
+    N = len(u) - 1
+    flux, l3 = np.empty((len(psis), N)), np.empty(N)
+    for m in range(1, N + 1):
+        zv = velocity_values(spaces, 0.5 * (u[m] + u[m - 1]))
+        speed_sq = (zv ** 2).sum(-1)
+        l3[m - 1] = quad_integral(spaces,
+                                  speed_sq * np.sqrt(speed_sq)) ** (1 / 3)
+        pv = pressure_values(spaces, p[m - 1])
+        flux[:, m - 1] = grad_w @ (zv * (0.5 * speed_sq + pv)[..., None]
+                                   ).ravel()
+    return flux, l3
+
+
+@pytest.mark.parametrize("N", [1, 6, 7, 13])
+def test_blocked_flux_matches_the_per_midpoint_loop(level, N):
+    # one partial block, one full one, a full one and a tail of one, two
+    # full ones and a tail of one
+    spaces = level(3)
+    rng = np.random.default_rng(N)
+    u = rng.standard_normal((N + 1, 3 * spaces.n_scalar))
+    p = rng.standard_normal((N, spaces.pressure.dim))
+    psis = list(dict.fromkeys(t.psi for t in default_test_family(1.0)))
+    flux, l3 = _flux_and_l3(spaces, u, p, psis)
+    want_flux, want_l3 = per_midpoint_flux_and_l3(spaces, u, p, psis)
+    assert flux.shape == want_flux.shape and l3.shape == want_l3.shape
+    assert np.abs(flux - want_flux).max() <= 1e-13 * np.abs(want_flux).max()
+    assert np.abs(l3 - want_l3).max() <= 1e-13 * want_l3.max()
+    # the constant factor has no gradient block: its flux is exactly 0
+    assert not any(c.modes for c in psis[0].gradient().components)
+    assert np.all(flux[0] == 0.0)
+
+
+@pytest.mark.parametrize("drop", [(0, 0), (5, -1)])
+def test_flux_check_fails_on_a_dropped_gradient_block(level, monkeypatch,
+                                                      drop):
+    # (type, block): the first block of the first type, the last of the last
+    spaces = level(2)
+    assert checks._local_energy_flux(spaces).passed
+    table = torusns.diagnostics._flux_gradient_table
+
+    def dropped(*args):
+        blocks = table(*args)
+        del blocks[drop[0]][drop[1]]
+        return blocks
+    monkeypatch.setattr(torusns.diagnostics, "_flux_gradient_table", dropped)
+    assert not checks._local_energy_flux(spaces).passed
+
+
 def test_empty_test_family(cn_runs, level):
     spaces = level(3)
     traj = cn_runs[1]
@@ -233,17 +288,33 @@ def count_calls(monkeypatch, fns):
 def test_report_evaluates_each_midpoint_once(cn_runs, cnab_runs, level,
                                              monkeypatch, with_local_energy):
     # ... and each norm family once, with or without the CNAB monitors;
-    # the local energy balance samples no velocity gradients at all
+    # the local energy balance samples no velocity gradients at all, and
+    # its flux and L3 loop hands every midpoint (and, with tests, every
+    # pressure) to the type-major kernel once per Kuhn type, in
+    # ceil(N / BLOCK) blocks and no E-major evaluation
     spaces = level(3)
     calls = count_calls(monkeypatch,
                         (velocity_values, velocity_gradients) + NORMS)
+    rows = []
+    kernel = torusns.fespace._samples_of_type
+
+    def spy(coeffs, dofmap, table, k):
+        rows.append((coeffs.shape[1], k, len(coeffs)))
+        return kernel(coeffs, dofmap, table, k)
+    monkeypatch.setattr(torusns.diagnostics, "_samples_of_type", spy)
     for traj in (cn_runs[1], cnab_runs["stable"]):
         calls.update(dict.fromkeys(calls, 0))
+        rows.clear()
         build_report(traj, spaces, with_local_energy=with_local_energy)
-        assert calls == {
-            "velocity_values": traj.n_steps,
-            "velocity_gradients": 0,
-            **REPORT_NORM_CALLS}
+        assert calls == {"velocity_values": 0, "velocity_gradients": 0,
+                         **REPORT_NORM_CALLS}
+        N, blocks = traj.n_steps, -(-traj.n_steps // BLOCK)
+        for k in range(6):
+            velocity = [n for c, t, n in rows if (c, t) == (3, k)]
+            pressure = [n for c, t, n in rows if (c, t) == (1, k)]
+            assert len(velocity) == blocks and sum(velocity) == N
+            assert sum(pressure) == (N if with_local_energy else 0)
+        assert len(rows) == 6 * blocks * (2 if with_local_energy else 1)
 
 
 def test_summary_csv_reads_the_report_norms(tmp_path, monkeypatch):

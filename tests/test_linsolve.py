@@ -11,9 +11,9 @@ from torusns.fespace import (build_spaces, commutator_constant,
 from torusns.forms import project_div_free
 from torusns.linsolve import (AMPLIFICATION_LIMIT, RESIDUAL_REL_TOL,
                               Factorization, LinearSolveError, SaddleSolution,
-                              SaddleSystem, saddle_residual)
+                              SaddleSystem, _norm1, saddle_residual)
 from torusns.mesh import build_torus_mesh
-from torusns.steppers import SchemeConfig, StepOperator, run
+from torusns.steppers import SchemeConfig, StepOperator, run, step_cn
 from torusns.trig import TrigPoly, sine_shear, tg_like
 
 
@@ -198,6 +198,36 @@ def test_krylov_answer_failing_a_guard_is_never_returned(level, monkeypatch,
         op.preconditioner.krylov_solve(system.matrix, rhs)
     sol = system.solve(rhs, preconditioner=op.preconditioner)
     assert np.array_equal(sol.x, direct)
+
+
+def test_norm1_matches_scipy(level):
+    # a case-3 frozen system, a plain saddle system, and a matrix with
+    # empty columns (first, inner and last)
+    spaces = level(3)
+    op, system, _ = frozen_step(spaces, 3, 1 / 128, 0.1)
+    gappy = sp.csc_matrix(np.array([[0.0, 2.0, 0.0, -5.0, 0.0],
+                                    [0.0, -3.0, 0.0, 0.5, 0.0]]))
+    for matrix in (system.matrix, SaddleSystem(spaces, op.F0).matrix, gappy):
+        want = spla.norm(matrix, 1)
+        assert abs(_norm1(matrix) - want) <= 1e-14 * want
+    assert _norm1(sp.csc_matrix((3, 3))) == 0.0
+
+
+def test_case3_step_calls_no_scipy_norm(level, monkeypatch):
+    # the guards of every Picard iterate take |A|_1 from the CSC arrays
+    spaces = level(2)
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
+                                           T=1 / 128, N=1))
+    u0 = project_div_free(spaces, project_velocity(spaces, tg_like()))
+    calls = []
+    norm = spla.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+    monkeypatch.setattr(spla, "norm", counted)
+    assert step_cn(op, u0).iterations > 1
+    assert calls == []
 
 
 def test_blockwise_residual_matches_the_assembled_one(level):
