@@ -23,7 +23,7 @@ from .fespace import (_scalar_quadform, build_spaces, field_values,
 from .interpolants import gap_l2, trajectory_norms
 from .mesh import build_torus_mesh, conformity_ok
 from .quadrature import monomial_integral, tet_rule
-from .steppers import DiscreteTrajectory, SchemeConfig, run
+from .steppers import DiscreteTrajectory, SchemeConfig, StepOperator, run
 from .trig import TWO_PI, random_trig, tg_like
 
 
@@ -106,6 +106,23 @@ def _convection_tensor(spaces) -> CheckResult:
                   forms.b_case1(spaces, u, u, w)))
     err = max(abs(got - want) / abs(want) for got, want in pairs)
     return CheckResult("convection_tensor", err < 1e-12, err, 1e-12)
+
+
+def _saddle_apply(spaces) -> CheckResult:
+    """A case-3 frozen-advection system, applied and normed block by
+    block, against its assembled matrix A: `system @ x` at a random x
+    relative to the largest |A||x|, and |A|_1 relative to scipy's
+    abs(A).sum(axis=0).max()."""
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
+                                           T=1 / 128, N=1))
+    w = project_velocity(spaces, random_trig(41, 2))
+    system, _ = op.frozen_system(w, w)
+    A = system.constraints.assemble(system.F)
+    x = np.random.default_rng(13).standard_normal(A.shape[1])
+    norm1 = abs(A).sum(axis=0).max()
+    err = max(np.abs(system @ x - A @ x).max() / (abs(A) @ np.abs(x)).max(),
+              abs(system.norm1 - norm1) / norm1)
+    return CheckResult("saddle_apply", err < 1e-14, err, 1e-14)
 
 
 def _gap_identity(spaces) -> CheckResult:
@@ -216,6 +233,7 @@ def run_checks() -> list[CheckResult]:
         _projection_idempotence(spaces),
         *_skew_symmetry(spaces),
         _convection_tensor(spaces),
+        _saddle_apply(spaces),
         _gap_identity(spaces),
         _local_energy_quadform(spaces),
         _local_energy_flux(spaces),

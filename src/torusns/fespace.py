@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linsolve import Factorization, SaddleSystem
+from .linsolve import Factorization, SaddleConstraints, SaddleSystem
 from .mesh import KUHN_OFFSETS, PeriodicMesh
 from .quadrature import DEFAULT_DEGREE, TetRule, tet_rule
 
@@ -474,6 +474,15 @@ def _zero_mean_solve(lu, rhs, integral, n_vertices):
     return x
 
 
+def _scatter(dofmap, local, n):
+    """out[dofmap[e, a]] += local[e, a]: (n,) from local (E, A), or (C, n)
+    row by row from local (E, C, A); one np.bincount per row."""
+    if local.ndim == 3:
+        return np.stack([_scatter(dofmap, local[:, c], n)
+                         for c in range(local.shape[1])])
+    return np.bincount(dofmap.ravel(), local.ravel(), minlength=n)
+
+
 def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
     """Load vectors (f_c, N_a) from pointwise samples (E, Q) or (E, Q, C):
     shape (n,) or (n, C)."""
@@ -483,10 +492,7 @@ def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
                           spaces.tables.N[:, :, :n_funcs])   # (E, C, A)
     dof, n = ((spaces.velocity.dofmap, spaces.n_scalar) if n_funcs == N_LOCAL
               else (spaces.pressure.dofmap, spaces.pressure.dim))
-    out = np.zeros((n,) + f.shape[2:])
-    np.add.at(out, dof,
-              loc.transpose(0, 2, 1).reshape(dof.shape + f.shape[2:]))
-    return out
+    return _scatter(dof, loc, n).T.reshape((n,) + f.shape[2:])
 
 
 def project_velocity(spaces, f):
@@ -530,11 +536,11 @@ def inf_sup_constant(spaces) -> float:
     constant velocity), and the pressure-mean multiplier takes g's
     constant part, which leaves the constant pressure with mu = 0.
     """
-    system = SaddleSystem(spaces, spaces.ops.M)
+    system = SaddleSystem(SaddleConstraints(spaces), spaces.ops.M)
     Mp = spaces.ops.Mp
 
     def apply_q(x):
-        rhs = np.zeros(system.matrix.shape[0])
+        rhs = np.zeros(system.shape[0])
         rhs[system.slices["p"]] = Mp @ np.ravel(x)
         return Mp @ system.solve(rhs)["p"]
 

@@ -44,10 +44,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import (_EPS, N_LOCAL, N_LOCAL_P, _evaluate, _velocity_nodal,
-                      _zero_mean_solve, quad_integral, velocity_gradients,
-                      velocity_h1_semi, velocity_l2, velocity_values)
-from .linsolve import SaddleSystem
+from .fespace import (_EPS, N_LOCAL, N_LOCAL_P, _evaluate, _scatter,
+                      _velocity_nodal, _zero_mean_solve, quad_integral,
+                      velocity_gradients, velocity_h1_semi, velocity_l2,
+                      velocity_values)
+from .linsolve import SaddleConstraints, SaddleSystem
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +146,7 @@ def bernoulli_projection(spaces, u, v):
     products = (_velocity_nodal(spaces, u).transpose(0, 2, 1)
                 @ _velocity_nodal(spaces, v))                # (E, 5, 5)
     local = products.reshape(len(products), -1) @ table.reshape(-1, N_LOCAL_P)
-    load = np.bincount(spaces.pressure.dofmap.ravel(), local.ravel(),
-                       minlength=n_p)
+    load = _scatter(spaces.pressure.dofmap, local, n_p)
     return _zero_mean_solve(ops.lu_Mp, load, ops.int_p, n_p)
 
 
@@ -179,10 +179,7 @@ def convection_rhs(spaces, u) -> np.ndarray:
     nodal = _velocity_nodal(spaces, u)                          # (E, 3, 5)
     loc = _element_matrices(nodal, spaces.tables.transport)
     local = nodal @ loc.reshape(-1, N_LOCAL, N_LOCAL).transpose(0, 2, 1)
-    dof = spaces.velocity.dofmap.ravel()
-    return np.concatenate([np.bincount(dof, local[:, c].ravel(),
-                                       minlength=spaces.n_scalar)
-                           for c in range(3)])
+    return _scatter(spaces.velocity.dofmap, local, spaces.n_scalar).ravel()
 
 
 def estimate_constants(spaces, case, samples) -> float:
@@ -223,5 +220,5 @@ def project_div_free(spaces, coeffs) -> np.ndarray:
     componentwise zero-mean velocity subspace: the step's saddle system
     with the vector mass matrix as velocity block."""
     M = spaces.ops.M
-    system = SaddleSystem(spaces, M)
+    system = SaddleSystem(SaddleConstraints(spaces), M)
     return system.solve(system.rhs(M @ np.asarray(coeffs)))["u"]

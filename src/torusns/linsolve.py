@@ -4,32 +4,31 @@ Krylov solve on a reused factor, and the constrained saddle system.
 Every time step reduces to one (or, inside a Picard loop, a few) solves
 with a block matrix coupling velocity, pressure and the scalar mean
 multipliers; the divergence-free projection and the inf-sup constant
-solve the same layout.  `SaddleSystem` is the only owner of that
-layout: it builds the matrix, packs right-hand sides, keeps its
-factorization and evaluates residuals block by block.
+solve the same layout.  `SaddleConstraints` owns that layout and its
+one block list; a `SaddleSystem` is a velocity block over it, applied
+and normed block by block and assembled only as the input of its own
+LU, which it keeps.
 
 A frozen-advection step system (every CN Picard iterate, every CNLE
 step) differs from the zero-advection system M/dt + nu A/2 of its
-trajectory only by half a convection matrix.  It is solved by GMRES
-on A M^-1, with M the trajectory's one LU of the zero-advection system
-(right preconditioning, Saad, Iterative Methods for Sparse Linear
-Systems, 2003; the Oseen preconditioning of Elman, Silvester and
-Wathen, Finite Elements and Fast Iterative Solvers, 2014), so the
-stopping test applies to the true residual.  At rtol 1e-14 the Krylov
-answers pass the same guards as a direct solve, so iterative-solver
-tolerances do not pollute the identities the test-suite checks: on 39
-CN (cases 1 and 3, nu down to 0.01 at dt = 1/8), CNLE and CNAB runs at
-n=4-5, no solve fell back, GMRES took 9-23 iterations (counted on 15
-runs), the trajectories agreed with the direct ones within 8.4e-13
-(velocity) and 6.6e-13 (pressure) relative to their maxima, Picard
-counts were identical, and the CN and CNLE energy residuals stayed
-below 1.0e-15 relative.  A solve whose GMRES does not converge, or
-whose answer a guard rejects, falls back to a fresh LU of its own
-matrix.  The CNAB steps, the divergence-free projection, the mass
-solves and the measured constants factorize and solve directly.  The
-frozen systems of one trajectory share one sparsity pattern: each is
-made by `with_data` from a template, adding its convection at the
-positions `velocity_slots` finds once.
+trajectory only by half a convection matrix in its velocity block.  It
+is solved by GMRES on A M^-1, with M the trajectory's one LU of the
+zero-advection system (right preconditioning, Saad, Iterative Methods
+for Sparse Linear Systems, 2003; the Oseen preconditioning of Elman,
+Silvester and Wathen, Finite Elements and Fast Iterative Solvers,
+2014), so the stopping test applies to the true residual, and A is
+only applied, never assembled.  At rtol 1e-14 the Krylov answers pass
+the same guards as a direct solve, so iterative-solver tolerances do
+not pollute the identities the test-suite checks: on 39 CN (cases 1
+and 3, nu down to 0.01 at dt = 1/8), CNLE and CNAB runs at n=4-5, no
+solve fell back, GMRES took 9-23 iterations (counted on 15 runs), the
+trajectories agreed with the direct ones within 8.4e-13 (velocity) and
+6.6e-13 (pressure) relative to their maxima, Picard counts were
+identical, and the CN and CNLE energy residuals stayed below 1.0e-15
+relative.  A solve whose GMRES does not converge, or whose answer a
+guard rejects, falls back to a fresh LU of its own assembled matrix.
+The CNAB steps, the divergence-free projection, the mass solves and
+the measured constants factorize and solve directly.
 
 Every matrix factorized here has a (nearly) symmetric sparsity pattern
 (the saddle systems, the two mass matrices and the H1 Gram matrix
@@ -89,16 +88,15 @@ def _column_norms(a):
     return np.sqrt(np.vecdot(a, a))
 
 
-def _norm1(matrix) -> float:
-    """|A|_1, the largest column sum of |A|, straight from the arrays of a
-    CSC matrix (one `np.add.reduceat` over the non-empty columns, which
-    `spla.norm` gets only after forming abs(A) and a sparse sum).
-    Duplicate entries, which no matrix here holds, could only raise it."""
-    indptr = matrix.indptr
-    starts = indptr[:-1][np.diff(indptr) > 0]
-    if not starts.size:
-        return 0.0
-    return float(np.add.reduceat(np.abs(matrix.data), starts).max())
+def _column_sums(matrix) -> np.ndarray:
+    """The column sums of |A|, whose largest is |A|_1, straight from the
+    arrays of a CSC matrix (one `np.add.reduceat` over the non-empty
+    columns, which `spla.norm` gets only after forming abs(A) and a
+    sparse sum).  Duplicate entries, which no matrix here holds, add."""
+    indptr, sums = matrix.indptr, np.zeros(matrix.shape[1])
+    full = np.diff(indptr) > 0
+    sums[full] = np.add.reduceat(np.abs(matrix.data), indptr[:-1][full])
+    return sums
 
 
 def _guard(matrix, norm1, x, rhs):
@@ -143,7 +141,7 @@ class Factorization:
 
     def __init__(self, matrix):
         self.matrix = matrix.tocsc()
-        self._norm1 = _norm1(self.matrix)
+        self._norm1 = float(_column_sums(self.matrix).max())
         try:
             self._lu = spla.splu(self.matrix, permc_spec=ORDERING,
                                  diag_pivot_thresh=PIVOT_THRESHOLD)
@@ -161,26 +159,27 @@ class Factorization:
         self.residual = _guard(self.matrix, self._norm1, x, rhs)
         return x
 
-    def krylov_solve(self, matrix, rhs):
-        """Solve matrix x = rhs for one right-hand side by GMRES on
-        matrix M^-1, with M this factor's matrix, and return x and its
+    def krylov_solve(self, system, rhs):
+        """Solve system x = rhs for one right-hand side by GMRES on
+        system M^-1, with M this factor's matrix, and return x and its
         residual norm |Ax - b|.
 
-        The answer passes the same guards as `solve`, against `matrix`.
-        Raises LinearSolveError if GMRES does not converge within
-        KRYLOV_MAX_CYCLES cycles or a guard rejects its answer.
+        `system` is a `SaddleSystem`, used only through its `@` and its
+        |A|_1.  The answer passes the same guards as `solve`, against
+        `system`.  Raises LinearSolveError if GMRES does not converge
+        within KRYLOV_MAX_CYCLES cycles or a guard rejects its answer.
         """
         rhs = np.asarray(rhs, dtype=float)
         lu = self._lu
         operator = spla.LinearOperator(
-            matrix.shape, matvec=lambda y: matrix @ lu.solve(y), dtype=float)
+            system.shape, matvec=lambda y: system @ lu.solve(y), dtype=float)
         y, info = spla.gmres(operator, rhs, rtol=KRYLOV_RTOL, atol=0.0,
                              restart=KRYLOV_RESTART,
                              maxiter=KRYLOV_MAX_CYCLES)
         if info != 0:
             raise LinearSolveError(f"GMRES did not converge (info {info})")
         x = lu.solve(y)
-        return x, float(_guard(matrix, _norm1(matrix.tocsc()), x, rhs))
+        return x, float(_guard(system, system.norm1, x, rhs))
 
 
 @dataclass
@@ -193,74 +192,85 @@ class SaddleSolution:
         return self.x[self.slices[name]]
 
 
-class SaddleSystem:
-    """Velocity block F constrained to the discretely divergence-free,
-    componentwise mean-free fields; blocks [u, p, alpha, beta].
+class SaddleConstraints:
+    """The constraint blocks of the saddle layout [u, p, alpha, beta]: B
+    makes the velocity discretely divergence-free, alpha (the velocity-
+    mean multipliers) componentwise mean-free, and beta, the pressure-
+    mean multiplier, removes the constant pressure (B annihilates it).
+    `matrix` (CSC), the saddle matrix with a zero velocity block, and its
+    |.| `column_sums` are shared by the systems of one trajectory."""
 
-    alpha are the velocity-mean multipliers and beta the pressure-mean
-    multiplier, which removes the constant pressure (B annihilates it)
-    from the kernel.  The matrix is factorized on first use of `factor`
-    and the factor is reused by every later solve.
-    """
-
-    def __init__(self, spaces, F):
+    def __init__(self, spaces):
         ops = spaces.ops
-        Cu = sp.csr_matrix((np.tile(ops.int_s, 3),
-                            np.arange(3 * ops.int_s.size),
+        n_p, n_u = ops.B.shape
+        Cu = sp.csr_matrix((np.tile(ops.int_s, 3), np.arange(n_u),
                             ops.int_s.size * np.arange(4)))  # means of u_c
-        mp_col = sp.csc_matrix(ops.int_p[:, None])
-        self.matrix = sp.bmat([[F, -ops.B.T, Cu.T, None],
-                               [ops.B, None, None, mp_col],
-                               [Cu, None, None, None],
-                               [None, mp_col.T, None, None]], format="csc")
-        n_u, n_p = F.shape[0], spaces.pressure.dim
+        self._blocks = ops.B, Cu, sp.csc_matrix(ops.int_p[:, None])
         off = n_u + n_p
         self.slices = {"u": slice(0, n_u), "p": slice(n_u, off),
                        "alpha": slice(off, off + 3),
                        "beta": slice(off + 3, off + 4)}
+        self.shape = (off + 4, off + 4)
 
-    def velocity_slots(self, F) -> np.ndarray:
-        """The position in `matrix.data` (int32) of every stored entry of
-        a CSR matrix F, in F's order, for F with the sparsity pattern of
-        this system's velocity block.
+    def assemble(self, F) -> sp.csc_matrix:
+        """The saddle matrix with velocity block F (None: zero)."""
+        B, Cu, mp_col = self._blocks
+        return sp.bmat([[F, -B.T, Cu.T, None],
+                        [B, None, None, mp_col],
+                        [Cu, None, None, None],
+                        [None, mp_col.T, None, None]], format="csc")
 
-        The velocity rows come first in every velocity column, so entry
-        j of F's column c sits j places after the column's start."""
-        n, nnz = F.shape[0], F.nnz
-        order = sp.csr_matrix((np.arange(nnz, dtype=np.int32), F.indices,
-                               F.indptr), shape=F.shape).tocsc()
-        column = np.repeat(np.arange(n), np.diff(order.indptr))
-        slots = np.empty(nnz, dtype=np.int32)
-        slots[order.data] = (np.arange(nnz) + (self.matrix.indptr[:n]
-                                               - order.indptr[:-1])[column])
-        rows = np.repeat(np.arange(n), np.diff(F.indptr))
-        if not np.array_equal(self.matrix.indices[slots], rows):
-            raise LinearSolveError("F's sparsity pattern is not that of "
-                                   "the velocity block")
-        return slots
+    @cached_property
+    def matrix(self) -> sp.csc_matrix:
+        """Made on first use (a system only factorized never applies it)."""
+        return self.assemble(None)
 
-    def with_data(self, data) -> "SaddleSystem":
-        """The system of this layout and sparsity pattern, shared rather
-        than copied, with matrix entries `data` (in `matrix.data` order);
-        it makes its own factor."""
-        system = object.__new__(SaddleSystem)
-        system.matrix = sp.csc_matrix(
-            (data, self.matrix.indices, self.matrix.indptr),
-            shape=self.matrix.shape)
-        system.slices = self.slices
-        return system
+    @cached_property
+    def column_sums(self) -> np.ndarray:
+        return _column_sums(self.matrix)
+
+
+class SaddleSystem:
+    """The saddle system with velocity block F (CSR) over `constraints`.
+
+    It is applied (`@`), and its |A|_1 taken, block by block; the
+    assembled matrix is made only as the input of its own LU, on first
+    use of `factor`, and that factor is reused by every later solve."""
+
+    def __init__(self, constraints: SaddleConstraints, F):
+        self.constraints, self.F = constraints, F
+        self.slices, self.shape = constraints.slices, constraints.shape
+
+    def __matmul__(self, x):
+        u = self.slices["u"]
+        y = self.constraints.matrix @ x
+        y[u] += self.F @ x[u]
+        return y
+
+    @property
+    def norm1(self) -> float:
+        """|A|_1, the largest column sum of |A|."""
+        F = self.F
+        return float((self.constraints.column_sums
+                      + np.bincount(F.indices, np.abs(F.data),
+                                    minlength=self.shape[1])).max())
 
     def rhs(self, rhs_u) -> np.ndarray:
         """The full right-hand side: rhs_u on the momentum rows, zero on
         the constraint rows."""
-        rhs = np.zeros(self.matrix.shape[0])
+        rhs = np.zeros(self.shape[0])
         rhs[self.slices["u"]] = rhs_u
         return rhs
 
+    def residual(self, x, rhs) -> float:
+        """|Ax - b| / max(1, |b|)."""
+        return float(np.linalg.norm(self @ x - rhs)
+                     / max(1.0, float(np.linalg.norm(rhs))))
+
     @cached_property
     def factor(self) -> Factorization:
-        """The LU factor of the matrix, made on first use."""
-        return Factorization(self.matrix)
+        """The LU factor of the assembled matrix, made on first use."""
+        return Factorization(self.constraints.assemble(self.F))
 
     def solve(self, rhs, preconditioner=None) -> SaddleSolution:
         """Guarded solve (see `_guard`) for a full right-hand side built
@@ -274,7 +284,7 @@ class SaddleSystem:
         x = None
         if preconditioner is not None:
             try:
-                x, resid = preconditioner.krylov_solve(self.matrix, rhs)
+                x, resid = preconditioner.krylov_solve(self, rhs)
             except LinearSolveError:
                 pass
         if x is None:
@@ -283,18 +293,3 @@ class SaddleSystem:
         return SaddleSolution(x=x, slices=self.slices,
                               residual=resid
                               / max(1.0, float(np.linalg.norm(rhs))))
-
-
-def saddle_residual(spaces, sol: SaddleSolution, F_u, rhs_u) -> float:
-    """|Ax - b| / max(1, |b|) of `SaddleSystem(spaces, F)` at the
-    solution `sol`, for the right-hand side built from `rhs_u`, given
-    F_u = F @ sol["u"]; block by block, without assembling the matrix."""
-    ops = spaces.ops
-    u, p = sol["u"], sol["p"]
-    resid = np.concatenate([
-        F_u - ops.B.T @ p + np.kron(sol["alpha"], ops.int_s) - rhs_u,
-        ops.B @ u + sol["beta"] * ops.int_p,
-        u.reshape(3, -1) @ ops.int_s,
-        [ops.int_p @ p]])
-    return float(np.linalg.norm(resid)
-                 / max(1.0, float(np.linalg.norm(rhs_u))))

@@ -20,11 +20,12 @@ mean-free, enforced through the constraint rows of the saddle system.
 A trajectory makes one step factorization, of the zero-advection
 (CNAB) system: CNAB solves with it directly, and every frozen-advection
 solve of CN and CNLE runs GMRES preconditioned with it (see `linsolve`).
-It also builds one saddle pattern for its frozen systems: an iterate
-assembles its convection from the per-type tensors of `forms` into a
-fixed pattern and adds half of it to a copy of the template's data, so
-no iterate samples a field, converts a sparse format or builds a block
-matrix.
+All its saddle systems share one set of constraint blocks
+(`linsolve.SaddleConstraints`) and differ only in their velocity block:
+an iterate assembles its convection from the per-type tensors of
+`forms` into a fixed pattern and adds half of it to F0's entries on
+that pattern, so no iterate samples a field, converts a sparse format
+or builds a block matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import forms
 from .fespace import project_velocity, velocity_l2
-from .linsolve import SaddleSolution, SaddleSystem, saddle_residual
+from .linsolve import SaddleConstraints, SaddleSolution, SaddleSystem
 
 SCHEMES = ("CN", "CNLE", "CNAB")
 
@@ -126,18 +127,15 @@ class StepResult:
 
 class StepOperator:
     """The parts of the midpoint step shared by every step of one
-    trajectory: F0 = M/dt + nu A/2, the explicit right-hand side, the
-    systems with frozen advection, and the history-independent CNAB
-    system, whose one factorization is made here and preconditions
-    every frozen-advection solve.
+    trajectory: the saddle systems' constraint blocks, F0 = M/dt +
+    nu A/2, the explicit right-hand side, the frozen-advection systems,
+    and the history-independent CNAB system, whose one factorization is
+    made here and preconditions every frozen-advection solve.
 
-    Every frozen system has the sparsity pattern of one template, made
-    here: the CNAB system itself for case 1, whose convection acts on
-    each component (diag(S, S, S) has F0's pattern), and for cases 2 and
-    3 the saddle system whose velocity block is F0 on the 3 x 3 block
-    grid of the scalar pattern, explicit zeros included.  An iterate
-    copies the template's data and adds half the convection's at fixed
-    positions; it shares the template's index arrays."""
+    A frozen system's velocity block is F0 + conv/2 on the convection's
+    pattern: F0's own for case 1 (diag(S, S, S)), and for cases 2 and 3
+    the 3 x 3 block grid of the scalar pattern, F0's entries placed on
+    it once, here."""
 
     def __init__(self, spaces, config):
         self.spaces = spaces
@@ -148,23 +146,20 @@ class StepOperator:
         self.A = block.matrix(np.tile(ops.A_s.data, 3))
         self.F0 = block.matrix((1.0 / dt) * ops.M.data
                                + 0.5 * nu * self.A.data)
+        self.constraints = SaddleConstraints(spaces)
+        # its applied matrix and column sums, made now rather than in a
+        # step, and before the factorization: made after it, the peak RSS
+        # of a cnab-explicit run rose 0.4 MB (median over 30 hash seeds)
+        self.constraints.column_sums
         # the CNAB system: its matrix does not depend on the history
-        self.explicit_system = SaddleSystem(spaces, self.F0)
+        self.explicit_system = SaddleSystem(self.constraints, self.F0)
         if config.case == 1:
-            F = self.F0
-            self._template = self.explicit_system
+            self._pattern, self._F0_data = block, self.F0.data
         else:
-            grid = velocity.vector_pattern
-            data = np.zeros(grid.nnz)
-            data[grid.diagonal] = self.F0.data.reshape(3, -1)
-            F = grid.matrix(data)
-            self._template = SaddleSystem(spaces, F)
-        self._slots = self._template.velocity_slots(F)
-        # Factorized after the patterns and the template are built, so
-        # the long-lived factor is not placed above their freed
-        # temporaries: factorized before them, the peak RSS of the
-        # cn3-picard benchmark was 80.3-80.4 MB against 78.3-78.8 MB
-        # (factorized lazily, at the first solve, 78.5-78.6 MB).
+            self._pattern = velocity.vector_pattern
+            self._F0_data = np.zeros(self._pattern.nnz)
+            self._F0_data[self._pattern.diagonal] = self.F0.data.reshape(
+                3, -1)
         self.preconditioner = self.explicit_system.factor
 
     def explicit_rhs(self, u_prev):
@@ -174,20 +169,14 @@ class StepOperator:
         return ((1.0 / dt) * (self.spaces.ops.M @ u_prev)
                 - 0.5 * nu * (self.A @ u_prev))
 
-    def _frozen_parts(self, advect, u_prev):
-        """The convection matrix advected by `advect` and the momentum
-        right-hand side of the frozen midpoint step.  The unknown enters
-        through the midpoint, hence the factor 1/2 on the convection."""
-        conv = forms.convection_matrix(self.spaces, self.config.case, advect)
-        return conv, self.explicit_rhs(u_prev) - 0.5 * (conv @ u_prev)
-
     def frozen_system(self, advect, u_prev):
         """Midpoint step with the advecting field frozen: its system and
-        full right-hand side."""
-        conv, rhs_u = self._frozen_parts(advect, u_prev)
-        data = self._template.matrix.data.copy()
-        data[self._slots] += 0.5 * conv.data
-        system = self._template.with_data(data)
+        full right-hand side.  The unknown enters through the midpoint,
+        hence the factor 1/2 on the convection."""
+        conv = forms.convection_matrix(self.spaces, self.config.case, advect)
+        system = SaddleSystem(self.constraints, self._pattern.matrix(
+            self._F0_data + 0.5 * conv.data))
+        rhs_u = self.explicit_rhs(u_prev) - 0.5 * (conv @ u_prev)
         return system, system.rhs(rhs_u)
 
     def solve_frozen(self, advect, u_prev) -> SaddleSolution:
@@ -197,13 +186,6 @@ class StepOperator:
         system)."""
         system, rhs = self.frozen_system(advect, u_prev)
         return system.solve(rhs, preconditioner=self.preconditioner)
-
-    def frozen_residual(self, advect, u_prev, sol: SaddleSolution) -> float:
-        """The relative residual of `frozen_system(advect, u_prev)` at
-        `sol`, computed block by block without building the system."""
-        conv, rhs_u = self._frozen_parts(advect, u_prev)
-        F_u = self.F0 @ sol["u"] + 0.5 * (conv @ sol["u"])
-        return saddle_residual(self.spaces, sol, F_u, rhs_u)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +224,8 @@ def step_cn(op: StepOperator, u_prev, step_index=None) -> StepResult:
             f"(last increments {history[-3:]})",
             step=step_index, history=history)
     # residual of the nonlinear system at the returned state
-    resid = op.frozen_residual(w, u_prev, sol)
+    system, rhs = op.frozen_system(w, u_prev)
+    resid = system.residual(sol.x, rhs)
     p = sol["p"]
     if config.case == 3:
         p = p - 0.5 * forms.bernoulli_projection(spaces, advect, w)

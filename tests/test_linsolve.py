@@ -5,13 +5,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from torusns import checks
 from torusns.fespace import (build_spaces, commutator_constant,
                              inf_sup_constant, inverse_constant, pressure_l2,
                              project_velocity, velocity_l2)
 from torusns.forms import project_div_free
 from torusns.linsolve import (AMPLIFICATION_LIMIT, RESIDUAL_REL_TOL,
-                              Factorization, LinearSolveError, SaddleSolution,
-                              SaddleSystem, _norm1, saddle_residual)
+                              Factorization, LinearSolveError,
+                              SaddleConstraints, SaddleSystem,
+                              _column_sums)
 from torusns.mesh import build_torus_mesh
 from torusns.steppers import SchemeConfig, StepOperator, run, step_cn
 from torusns.trig import TrigPoly, sine_shear, tg_like
@@ -23,8 +25,13 @@ def make_operator(level, n, dt=0.125, nu=0.5):
     return spaces, StepOperator(spaces, cfg)
 
 
+def assembled(system):
+    """The assembled matrix of a saddle system, the input of its LU."""
+    return system.constraints.assemble(system.F)
+
+
 def solve(spaces, F, rhs_u):
-    system = SaddleSystem(spaces, F)
+    system = SaddleSystem(SaddleConstraints(spaces), F)
     return system.solve(system.rhs(rhs_u))
 
 
@@ -95,10 +102,11 @@ def step_systems(spaces, u):
     step, rhs = op.frozen_system(u, u)
     cnab = op.explicit_system
     M = spaces.ops.M
-    projection = SaddleSystem(spaces, M)
-    return {"step": (step.matrix, rhs),
-            "cnab": (cnab.matrix, cnab.rhs(op.explicit_rhs(u))),
-            "projection": (projection.matrix, projection.rhs(M @ u))}
+    projection = SaddleSystem(SaddleConstraints(spaces), M)
+    return {"step": (assembled(step), rhs),
+            "cnab": (assembled(cnab), cnab.rhs(op.explicit_rhs(u))),
+            "projection": (assembled(projection),
+                           projection.rhs(M @ u))}
 
 
 def test_amplification_far_below_guard_limit(level):
@@ -168,14 +176,19 @@ def frozen_step(spaces, case, dt, nu):
 def test_krylov_solve_matches_the_direct_solve(level, case, dt, nu):
     spaces = level(3)
     op, system, rhs = frozen_step(spaces, case, dt, nu)
-    direct = Factorization(system.matrix).solve(rhs)
-    x, resid = op.preconditioner.krylov_solve(system.matrix, rhs)
+    A = assembled(system)
+    direct = Factorization(A).solve(rhs)
+    x, resid = op.preconditioner.krylov_solve(system, rhs)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
-    # both guards, checked here rather than trusted
-    true_resid = np.linalg.norm(system.matrix @ x - rhs)
+    # both guards, checked here rather than trusted: the residual is
+    # that of the system's own product, and the assembled matrix's,
+    # which differs from it by the roundoff of a product, passes too
+    true_resid = np.linalg.norm(system @ x - rhs)
     assert abs(resid - true_resid) <= 1e-12 * true_resid
-    assert resid <= RESIDUAL_REL_TOL * np.linalg.norm(rhs)
-    assert (spla.norm(system.matrix, 1) * np.abs(x).sum()
+    tol = RESIDUAL_REL_TOL * np.linalg.norm(rhs)
+    assert resid <= tol
+    assert np.linalg.norm(A @ x - rhs) <= tol
+    assert (spla.norm(A, 1) * np.abs(x).sum()
             <= AMPLIFICATION_LIMIT * np.abs(rhs).sum())
 
 
@@ -195,7 +208,7 @@ def test_krylov_answer_failing_a_guard_is_never_returned(level, monkeypatch,
 
     monkeypatch.setattr(spla, "gmres", gmres)
     with pytest.raises(LinearSolveError, match="residual|finite"):
-        op.preconditioner.krylov_solve(system.matrix, rhs)
+        op.preconditioner.krylov_solve(system, rhs)
     sol = system.solve(rhs, preconditioner=op.preconditioner)
     assert np.array_equal(sol.x, direct)
 
@@ -207,10 +220,12 @@ def test_norm1_matches_scipy(level):
     op, system, _ = frozen_step(spaces, 3, 1 / 128, 0.1)
     gappy = sp.csc_matrix(np.array([[0.0, 2.0, 0.0, -5.0, 0.0],
                                     [0.0, -3.0, 0.0, 0.5, 0.0]]))
-    for matrix in (system.matrix, SaddleSystem(spaces, op.F0).matrix, gappy):
+    for matrix in (assembled(system), assembled(op.explicit_system),
+                   gappy):
         want = spla.norm(matrix, 1)
-        assert abs(_norm1(matrix) - want) <= 1e-14 * want
-    assert _norm1(sp.csc_matrix((3, 3))) == 0.0
+        assert abs(_column_sums(matrix).max() - want) <= 1e-14 * want
+    assert np.array_equal(_column_sums(gappy), [0.0, 5.0, 0.0, 5.5, 0.0])
+    assert _column_sums(sp.csc_matrix((3, 3))).max() == 0.0
 
 
 def test_case3_step_calls_no_scipy_norm(level, monkeypatch):
@@ -236,13 +251,48 @@ def test_blockwise_residual_matches_the_assembled_one(level):
     spaces = level(3)
     op, system, rhs = frozen_step(spaces, 3, 1 / 128, 0.1)
     x = np.random.default_rng(11).standard_normal(rhs.size)
-    sol = SaddleSolution(x=x, residual=0.0, slices=system.slices)
-    assembled = (np.linalg.norm(system.matrix @ x - rhs)
-                 / max(1.0, np.linalg.norm(rhs)))
-    n_u = system.slices["u"].stop
-    blockwise = saddle_residual(spaces, sol, system.matrix[:n_u, :n_u]
-                                @ sol["u"], rhs[:n_u])
-    assert abs(blockwise - assembled) <= 1e-13 * assembled
+    want = (np.linalg.norm(assembled(system) @ x - rhs)
+            / max(1.0, np.linalg.norm(rhs)))
+    assert abs(system.residual(x, rhs) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", [1, 3])
+def test_norm1_from_the_blocks(level, case, n):
+    # |A|_1 from the constraint blocks' column sums and F's, against
+    # scipy's on the assembled matrix, for a frozen and the CNAB system
+    op, system, _ = frozen_step(level(n), case, 1 / 128, 0.1)
+    for s in (system, op.explicit_system):
+        want = spla.norm(assembled(s), 1)
+        assert abs(s.norm1 - want) <= 1e-14 * want
+
+
+def inflate_column_sums(constraints):
+    """The constraint column sums one part in 1e9 too large."""
+    constraints.column_sums *= 1.0 + 1e-9
+
+
+def drop_velocity_means(constraints):
+    """The applied constraint matrix without its velocity-mean rows."""
+    keep = np.ones(constraints.shape[0])
+    keep[constraints.slices["alpha"]] = 0.0
+    constraints.matrix = (sp.diags(keep) @ constraints.matrix).tocsc()
+
+
+@pytest.mark.parametrize("corrupt", [inflate_column_sums,
+                                     drop_velocity_means])
+def test_saddle_apply_check_fails_on_corrupted_constraints(level, monkeypatch,
+                                                           corrupt):
+    spaces = level(2)
+    assert checks._saddle_apply(spaces).passed
+    init = SaddleConstraints.__init__
+
+    def corrupted(self, spaces):
+        init(self, spaces)
+        corrupt(self)
+
+    monkeypatch.setattr(SaddleConstraints, "__init__", corrupted)
+    assert not checks._saddle_apply(spaces).passed
 
 
 def test_stokes_pressure_decays_under_refinement(level):
@@ -266,15 +316,3 @@ def test_determinism(level):
     a = solve(spaces, op.F0, rhs).x
     b = solve(spaces, op.F0, rhs).x
     assert np.array_equal(a, b)
-
-
-def test_velocity_slots_reject_another_pattern(level):
-    # the slots of the velocity block's own pattern address its entries;
-    # a matrix with more entries than the block is refused
-    spaces, op = make_operator(level, 2)
-    system = SaddleSystem(spaces, op.F0)
-    slots = system.velocity_slots(op.F0)
-    assert np.array_equal(system.matrix.data[slots], op.F0.data)
-    grid = spaces.velocity.vector_pattern
-    with pytest.raises(LinearSolveError, match="pattern"):
-        system.velocity_slots(grid.matrix(np.ones(grid.nnz)))

@@ -299,27 +299,39 @@ def test_gmres_failure_falls_back_to_a_fresh_factorization(level,
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("case", [1, 3])
 def test_frozen_system_matches_the_block_matrix(level, case, n):
-    # the data-only frozen system against the saddle matrix built from
-    # F0 + conv/2 by sp.bmat, at two advecting fields; both iterates
-    # share the template's index arrays
+    # the frozen system, applied and assembled, against the saddle
+    # matrix built here from F0 + conv/2 by sp.bmat, at two advecting
+    # fields; both iterates share the trajectory's constraint blocks and
+    # the convection pattern's index arrays
     spaces = level(n)
+    ops, velocity = spaces.ops, spaces.velocity
     op = StepOperator(spaces, SchemeConfig(scheme="CN", case=case, nu=0.1,
                                            T=1 / 16, N=1))
     u_prev = project_div_free(spaces, project_velocity(spaces, tg_like()))
-    template = op._template.matrix
+    pattern = velocity.block_pattern if case == 1 else velocity.vector_pattern
+    Cu = sp.kron(sp.identity(3), ops.int_s[None, :])
+    mp = sp.csc_matrix(ops.int_p[:, None])
+    rng = np.random.default_rng(6)
     for seed in (4, 5):
         w = project_velocity(spaces, random_trig(seed))
         system, rhs = op.frozen_system(w, u_prev)
         conv = forms.convection_matrix(spaces, case, w)
-        want = SaddleSystem(spaces, op.F0 + 0.5 * conv)
-        diff = abs(system.matrix - want.matrix).max()
-        assert diff <= 1e-14 * abs(want.matrix).max(), seed
-        assert system.slices == want.slices
-        assert np.array_equal(rhs, want.rhs(op.explicit_rhs(u_prev)
-                                            - 0.5 * (conv @ u_prev)))
+        want = sp.bmat([[op.F0 + 0.5 * conv, -ops.B.T, Cu.T, None],
+                        [ops.B, None, None, mp],
+                        [Cu, None, None, None],
+                        [None, mp.T, None, None]], format="csc")
+        diff = abs(system.constraints.assemble(system.F) - want).max()
+        assert diff <= 1e-14 * abs(want).max(), seed
+        x = rng.standard_normal(want.shape[1])
+        assert (np.abs(system @ x - want @ x).max()
+                <= 1e-14 * (abs(want) @ np.abs(x)).max()), seed
+        rhs_u = op.explicit_rhs(u_prev) - 0.5 * (conv @ u_prev)
+        assert np.array_equal(rhs, np.concatenate(
+            [rhs_u, np.zeros(want.shape[0] - rhs_u.size)]))
+        assert system.constraints is op.constraints
         for name in ("indices", "indptr"):
-            assert np.shares_memory(getattr(system.matrix, name),
-                                    getattr(template, name))
+            assert np.shares_memory(getattr(system.F, name),
+                                    getattr(pattern, name))
 
 
 def test_steps_convert_no_sparse_format(level, monkeypatch):
