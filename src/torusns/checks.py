@@ -161,7 +161,7 @@ def _local_energy_quadform(spaces) -> CheckResult:
     terms = (psi_v * ke, nu * lap_v * ke, -nu * psi_v * gradsq)
     err = sum(abs(_scalar_quadform(K, z, spaces.n_scalar)
                   - quad_integral(spaces, want)) for K, want in zip(
-        _balance_matrices(spaces, nu, psi_v, lap_v),
+        _balance_matrices(spaces, nu, psi),
         (terms[0], terms[1] + terms[2])))
     err /= sum(quad_integral(spaces, np.abs(t)) for t in terms)
     return CheckResult("local_energy_quadform", err < 1e-12, err, 1e-12)

@@ -102,6 +102,10 @@ class StudySpec:
             raise ConfigError("a study needs at least 2 levels")
         if any(n < 2 for n in self.levels):
             raise ConfigError("levels must be >= 2")
+        # the verdicts compare consecutive levels, and each level has its
+        # own output directory
+        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            raise ConfigError("levels must be strictly increasing")
         if (self.strict_coupling and self.base.scheme == "CN"
                 and not self.alpha > 0.5):
             raise ConfigError("strict coupling for CN requires alpha > 0.5")

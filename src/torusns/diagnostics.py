@@ -140,16 +140,16 @@ def default_test_family(T: float) -> list[SpaceTimeTest]:
             for pn, p in psis for b in bumps]
 
 
-def _balance_matrices(spaces, nu, psi_v, lap_v):
+def _balance_matrices(spaces, nu, psi):
     """K_t = (psi N_a, N_b)/2 and K_x = nu [(lap psi N_a, N_b)/2 - (psi grad
-    N_a, grad N_b)], from samples of a spatial factor psi and its Laplacian:
-    summed over the components of u, their quadratic forms are the rule's
-    int psi |u|^2/2 and nu int (lap psi |u|^2/2 - psi |grad u|^2)."""
+    N_a, grad N_b)] of a spatial factor psi (TrigPoly, weights by exact
+    algebra): summed over the components of u, their quadratic forms are the
+    rule's int psi |u|^2/2 and nu int (lap psi |u|^2/2 - psi |grad u|^2)."""
     t, pattern = spaces.tables, spaces.velocity.pattern
     mass = _product_table(t.N, t.N)
     stiffness = _product_table(t.grad, t.grad).sum(-1, keepdims=True)
-    return (_weighted_matrix(spaces, 0.5 * psi_v[..., None], mass, pattern),
-            _weighted_matrix(spaces, nu * np.stack([0.5 * lap_v, -psi_v], -1),
+    return (_weighted_matrix(spaces, [0.5 * psi], mass, pattern),
+            _weighted_matrix(spaces, [(0.5 * nu) * psi.laplacian(), -nu * psi],
                              np.concatenate([mass, stiffness], -1), pattern))
 
 
@@ -245,9 +245,9 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     # tests sharing a spatial factor share its matrices and flux row
     psis = list(dict.fromkeys(test.psi for test in tests))
     row = [psis.index(test.psi) for test in tests]
-    psi_vals = [field_values(spaces, psi) for psi in psis]
+    psi_min = [field_values(spaces, psi).min() for psi in psis]
     for test, i in zip(tests, row):
-        if psi_vals[i].min() < 0.0:
+        if psi_min[i] < 0.0:
             raise ValueError(f"test {test.name}: spatial factor is negative")
     t_nodes = (np.arange(N)[:, None] + _GAUSS3_X[None, :]) * dt
     eta_int = np.empty((len(tests), N))
@@ -263,9 +263,8 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
         return np.zeros(0), l3
     mids = trajectory.midpoints
     rate, diffusion = np.empty((2, len(psis), N))   # the K_t and K_x forms
-    for j, (psi, psi_v) in enumerate(zip(psis, psi_vals)):
-        lap_v = field_values(spaces, psi.laplacian())
-        K_t, K_x = _balance_matrices(spaces, nu, psi_v, lap_v)
+    for j, psi in enumerate(psis):
+        K_t, K_x = _balance_matrices(spaces, nu, psi)
         rate[j] = _scalar_quadform(K_t, mids, spaces.n_scalar)
         diffusion[j] = _scalar_quadform(K_x, mids, spaces.n_scalar)
     return (np.vecdot(rate[row], deta_int)

@@ -27,6 +27,11 @@ Trigonometric data are evaluated the same way: every quadrature point is
 an element corner plus one of its type's reference offsets, so
 `field_values` makes one factored complex product per type
 (`TrigPoly.value_on`) instead of a cos and a sin per mode and point.
+Every weighted form (the commutator constants' matrices and the local
+energy balance's) goes through `_weighted_matrix`: its caller builds K
+trigonometric weights by exact algebra (products, gradient components,
+Laplacian), and it samples them into one (E, Q, K) stack against a
+per-type product table of basis values and gradients.
 
 Every global matrix is summed from element matrices through a `_Pattern`:
 the CSR structure of one dofmap pair, with the data slot of every element
@@ -52,6 +57,8 @@ from .quadrature import DEFAULT_DEGREE, TetRule, tet_rule
 
 N_LOCAL = 5          # 4 vertex functions + 1 bubble
 N_LOCAL_P = 4
+#: blocks per sparse product of `_scalar_quadform` (eight velocity states)
+QUADFORM_ROWS = 24
 
 #: Levi-Civita symbol, eps_{ijk} = (e_i x e_j)_k
 _EPS = np.cross(np.eye(3)[:, None], np.eye(3))
@@ -164,22 +171,21 @@ def _evaluate(coeffs, dofmap, table):
 
 def _local_matrices(spaces, left, right):
     """Element matrices loc[e, a, b] = sum_q w_q sum_k left[.., q, a, k]
-    right[.., q, b, k], one matmul per Kuhn type.
+    right[e % 6, q, b, k], one matmul per Kuhn type.
 
-    Each side is either sampled per point, (E, Q, A, K), or a per-type
-    table (6, Q, A, K) used for every cube.
+    The left side is either sampled per point, (E, Q, A, K), or a per-type
+    table (6, Q, A, K) used for every cube; the right side is always a
+    per-type table (6, Q, B, K).
     """
     E = spaces.mesh.n_tets
     weights = np.repeat(spaces.tables.w_phys, left.shape[3])  # (q, k) axis
 
-    def rows(side, t):                                  # (n, A, Q*K)
-        s = side[t::6] if len(side) == E else side[t:t + 1]
-        return s.transpose(0, 2, 1, 3).reshape(len(s), s.shape[2], -1)
-
     loc = np.empty((E, left.shape[2], right.shape[2]))
     for t in range(6):
-        loc[t::6] = rows(left, t) @ (rows(right, t) * weights).transpose(
-            0, 2, 1)
+        s = left[t::6] if len(left) == E else left[t:t + 1]
+        s = s.transpose(0, 2, 1, 3).reshape(len(s), s.shape[2], -1)
+        r = right[t].transpose(1, 0, 2).reshape(right.shape[2], -1)
+        loc[t::6] = s @ (r * weights).T           # (n, A, QK) @ (QK, B)
     return loc
 
 
@@ -190,13 +196,16 @@ def _product_table(left, right):
     return prod.reshape(prod.shape[:2] + (-1, prod.shape[-1]))
 
 
-def _weighted_matrix(spaces, samples, table, pattern) -> sp.csr_matrix:
-    """Weighted mass or stiffness matrix on a square `pattern`: element
-    entries sum_q w_q sum_k samples[e, q, k] table[e % 6, q, A a + b, k]
-    of scalar samples (E, Q, K) and a per-type product table
-    (6, Q, A A, K)."""
-    return pattern.assemble(_local_matrices(spaces, samples[:, :, None],
-                                            table))
+def _weighted_matrix(spaces, weights, table, pattern) -> sp.csr_matrix:
+    """Weighted form on a square `pattern`: element entries sum_q w_q
+    sum_k f_k(x_q) table[e % 6, q, A a + b, k] of K trigonometric weights
+    f_k (TrigPoly, built by exact algebra), sampled here one at a time
+    into an (E, Q, K) stack, and a per-type product table (6, Q, A A, K)."""
+    samples = np.empty((spaces.mesh.n_tets, spaces.tables.w_phys.size,
+                        1, len(weights)))
+    for k, f in enumerate(weights):
+        samples[:, :, 0, k] = field_values(spaces, f)
+    return pattern.assemble(_local_matrices(spaces, samples, table))
 
 
 class _Pattern:
@@ -423,12 +432,19 @@ def quad_integral(spaces, values):
 
 def _scalar_quadform(matrix, coeffs, n_s):
     """Sum of c_k . (matrix c_k) over the length-n_s blocks c_k of a vector,
-    or per row of a stack (one sparse product; contiguous rows keep each
-    row's dot product bit-identical to the single-vector call)."""
+    or per row of a stack.  One sparse product per QUADFORM_ROWS blocks:
+    scipy copies its transposed operand, so a whole trajectory's copies
+    and images set a report's peak memory; a column of a sparse product,
+    and a contiguous row's dot product, do not depend on the others, so
+    each row stays bit-identical to the single-vector call."""
     c = np.asarray(coeffs)
     blocks = c.reshape(-1, n_s)
-    images = np.ascontiguousarray((matrix @ blocks.T).T)
-    return np.vecdot(blocks, images).reshape(c.shape[:-1] + (-1,)).sum(-1)
+    out = np.empty(len(blocks))
+    for i in range(0, len(blocks), QUADFORM_ROWS):
+        b = blocks[i:i + QUADFORM_ROWS]
+        images = np.ascontiguousarray((matrix @ b.T).T)
+        out[i:i + len(b)] = np.vecdot(b, images)
+    return out.reshape(c.shape[:-1] + (-1,)).sum(-1)
 
 
 def velocity_l2(spaces, coeffs):
@@ -658,24 +674,27 @@ def commutator_constant(spaces, phi) -> float:
     attained by rough fields, for which the h-scaling of the defect is
     an element-local mechanism, so this measured constant is the
     level-robust version of the per-field ratios.  The form is applied
-    through sparse operators and two mass solves, never formed densely.
+    through sparse operators and two mass solves, never formed densely;
+    its four weighted matrices take weights of at most five scalar
+    trigonometric fields (phi, its square, products with its gradient).
     """
     t = spaces.tables
-    pv = field_values(spaces, phi)
-    pg = field_values(spaces, phi.gradient())
-    M = spaces.ops.M_s
-    A = spaces.ops.A_s
-    lu_M = spaces.ops.lu_Ms
-    E, Q = pv.shape
-    # grad(N_a phi), with the per-type gradient table broadcast over cubes
-    grad_N_phi = ((t.grad * pv.reshape(-1, 6, Q, 1, 1)).reshape(E, Q, -1, 3)
-                  + t.N[0] * pg[:, :, None, :])
+    M, A, lu_M = spaces.ops.M_s, spaces.ops.A_s, spaces.ops.lu_Ms
+    dphi = phi.gradient().components
     pattern = spaces.velocity.pattern
     mass = _product_table(t.N, t.N)
-    W, W2 = (_weighted_matrix(spaces, w[..., None], mass, pattern)
-             for w in (pv, pv ** 2))
-    V, G2d = (pattern.assemble(_local_matrices(spaces, grad_N_phi, right))
-              for right in (t.grad, grad_N_phi))
+    stiffness = _product_table(t.grad, t.grad).sum(-1, keepdims=True)
+    mixed = _product_table(t.N, t.grad)                # N_a d_k N_b
+    W, W2 = (_weighted_matrix(spaces, [w], mass, pattern)
+             for w in (phi, phi * phi))
+    # grad(N_a phi) = phi grad N_a + N_a grad phi against grad N_b, itself
+    V = _weighted_matrix(spaces, [phi, *dphi],
+                         np.concatenate([stiffness, mixed], -1), pattern)
+    G2d = _weighted_matrix(
+        spaces, [phi * phi, *(phi * d for d in dphi),
+                 sum(d * d for d in dphi)],
+        np.concatenate([stiffness, mixed + _product_table(t.grad, t.N), mass],
+                       -1), pattern)
     WT, VT = W.T.tocsr(), V.T.tocsr()
     WV = (W + V).tocsr()
 
@@ -693,12 +712,10 @@ def commutator_constant(spaces, phi) -> float:
 
 def pressure_commutator_constant(spaces, phi) -> float:
     """Worst-case L2 ratio |q phi - K(q phi)|_2 / (h |q|_2 |phi|_W1inf)."""
-    t = spaces.tables
-    pv = field_values(spaces, phi)[..., None]
-    Np = t.N[:, :, :N_LOCAL_P]
+    Np = spaces.tables.N[:, :, :N_LOCAL_P]
     mass = _product_table(Np, Np)
-    W, W2 = (_weighted_matrix(spaces, w, mass, spaces.pressure.pattern)
-             for w in (pv, pv ** 2))
+    W, W2 = (_weighted_matrix(spaces, [w], mass, spaces.pressure.pattern)
+             for w in (phi, phi * phi))
     WT = W.T.tocsr()
 
     def apply_q(x):

@@ -30,6 +30,14 @@ guard rejects, falls back to a fresh LU of its own assembled matrix.
 The CNAB steps, the divergence-free projection, the mass solves and
 the measured constants factorize and solve directly.
 
+At `KRYLOV_RTOL` the residual estimate of a solve ends near the
+tolerance edge, so a roundoff-level change to the operator (a reordered
+sum in its assembly, say) can end a solve an iteration or two earlier
+or later: on CN case 3 at n=5 (seed 3), one Picard iterate took 12
+iterations against 10, which moved u by 2.6e-13 and p by 6.1e-13 of
+their maxima while other runs moved by 5e-15.  Any comparison of
+trajectories that is meant to see roundoff only must allow for this.
+
 Every matrix factorized here has a (nearly) symmetric sparsity pattern
 (the saddle systems, the two mass matrices and the H1 Gram matrix
 M_s + A_s of the velocity commutator constant), so `Factorization`

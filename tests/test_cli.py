@@ -260,6 +260,18 @@ def test_bad_levels_flag_exits_with_config_code(tmp_path):
                  "--levels", "2,three"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("levels", ["3,2", "2,2", "2,4,3"])
+def test_levels_not_strictly_increasing_rejected(tmp_path, levels):
+    # consecutive-level verdicts need increasing levels, and a repeated
+    # level would rewrite its own output directory
+    out = tmp_path / "st"
+    cfg = write_cfg(tmp_path, BASE_CFG + f"\n[study]\nlevels = {levels}\n")
+    assert main(["study", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert main(["study", "--config", write_cfg(tmp_path, BASE_CFG, "b.ini"),
+                 "--out", str(out), "--levels", levels]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_pressure_without_velocity_is_a_solver_failure(tmp_path, capsys,
                                                        monkeypatch):
     def run_stub(config, spaces, datum):

@@ -343,19 +343,18 @@ def test_divergence_scan_infinite_after_blow_up(cnab_runs, level):
     assert rep.divergence_max_rel == np.inf
 
 
-def flip_stiffness(spaces, nu, psi_v, lap_v):
+def flip_stiffness(spaces, nu, psi):
     """K_x with the sign of its psi-weighted stiffness part flipped."""
-    K_t, K_x = _balance_matrices(spaces, nu, psi_v, lap_v)
+    K_t, K_x = _balance_matrices(spaces, nu, psi)
     t = spaces.tables
     stiffness = _product_table(t.grad, t.grad).sum(-1, keepdims=True)
-    S = _weighted_matrix(spaces, psi_v[..., None], stiffness,
-                         spaces.velocity.pattern)
+    S = _weighted_matrix(spaces, [psi], stiffness, spaces.velocity.pattern)
     return K_t, K_x + 2.0 * nu * S
 
 
-def scale_rate(spaces, nu, psi_v, lap_v):
+def scale_rate(spaces, nu, psi):
     """K_t one part in 1e9 too large."""
-    K_t, K_x = _balance_matrices(spaces, nu, psi_v, lap_v)
+    K_t, K_x = _balance_matrices(spaces, nu, psi)
     return (1.0 + 1e-9) * K_t, K_x
 
 

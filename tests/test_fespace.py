@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from torusns.checks import remove_mean
-from torusns.fespace import (FESpaceError, _Pattern, _scalar_load,
-                             build_spaces, commutator_defect,
+from torusns.fespace import (QUADFORM_ROWS, FESpaceError, _Pattern,
+                             _scalar_load, build_spaces, commutator_defect,
                              commutator_constant, field_values,
                              inf_sup_constant, inverse_constant,
                              pressure_commutator_constant,
@@ -24,10 +25,12 @@ from torusns.trig import (BOX_VOLUME, TrigPoly, TrigVector, preset_field,
 
 
 def test_norms_of_a_stack_match_row_by_row(level):
+    # stacks longer than one sparse product's QUADFORM_ROWS blocks, with
+    # a short last product
     spaces = level(3)
     rng = np.random.default_rng(9)
-    U = rng.standard_normal((5, 3 * spaces.n_scalar))
-    P = rng.standard_normal((4, spaces.pressure.dim))
+    U = rng.standard_normal((11, 3 * spaces.n_scalar))
+    P = rng.standard_normal((2 * QUADFORM_ROWS + 5, spaces.pressure.dim))
     for norm, stack in ((velocity_l2, U), (velocity_h1_semi, U),
                         (velocity_h1, U), (divergence_norm, U),
                         (pressure_l2, P)):
@@ -381,3 +384,18 @@ def test_commutator_constants_match_dense_reference(level, quad_points):
         assert commutator_constant(spaces, PHI) == c_v
         assert pressure_commutator_constant(spaces, PHI) == c_p
 
+
+
+def test_commutator_constant_holds_no_per_point_basis_array(level):
+    # every weighted form samples its K scalar weights into one (E, Q, K)
+    # stack and contracts it with per-type tables: no (E, Q, 5, 3) array of
+    # basis gradients times phi.  numpy reports its buffers to tracemalloc.
+    spaces = level(6)
+    tracemalloc.start()
+    try:
+        commutator_constant(spaces, PHI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_sample_array = 8 * spaces.mesh.n_tets * spaces.tables.w_phys.size
+    assert peak < 16 * one_sample_array
