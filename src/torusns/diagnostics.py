@@ -6,8 +6,8 @@ explicit-scheme monitors are arithmetic on the trajectory's norms
 (`interpolants.trajectory_norms`, evaluated once per report) and its
 configuration; the localized balance is assembled quadratic forms but
 for its cubic flux, which with the midpoint L3 norms is all that goes
-back to the fields' samples, in blocks of midpoints, one Kuhn type at a
-time.  The monitors fall into four groups:
+back to the fields' samples, one Kuhn type at a time, in blocks of
+midpoints.  The monitors fall into four groups:
 
 * per-step and global energy balances of the midpoint schemes;
 * pressure-size ratios against the velocity norms that control them;
@@ -155,28 +155,24 @@ def _balance_matrices(spaces, nu, psi):
 
 #: midpoints per block of the flux and L3 loop: one Kuhn type's samples of
 #: a block, (6, 3, E/6, Q), are exactly as many as one midpoint's (E, Q, 3),
-#: so the blocked loop peaks no higher than a per-step one
+#: so a type's pass holds no more samples than a per-midpoint loop would
 BLOCK = 6
 
 
-def _flux_gradient_table(spaces, psis):
-    """The rule-weighted psi gradients the flux reads, per Kuhn type: for
-    type k, a list of (c, rows, table) with table[i] = w_q d_c psi_rows[i]
-    at type k's points, (len(rows), n_k Q), for every component c of
-    which some factor's derivative is not identically zero, and only for
-    those factors (a constant factor has no block)."""
-    t, w = spaces.tables, spaces.tables.w_phys
+def _flux_gradient_table(spaces, psis, k):
+    """The rule-weighted psi gradients the flux reads at Kuhn type k's
+    points: a list of (c, rows, table) with table[i] = w_q d_c psi_rows[i],
+    (len(rows), n_k Q), for every component c of which some factor's
+    derivative is not identically zero, and only for those factors (a
+    constant factor has no block)."""
+    t = spaces.tables
     gradients = [psi.gradient() for psi in psis]
-    nonzero = [(c, [j for j, g in enumerate(gradients)
-                    if g.components[c].modes]) for c in range(3)]
-    blocks = []
-    for k in range(6):
-        samples = [g.value_on(t.corners[k::6], t.offsets[k])
-                   for g in gradients]                      # (n_k, Q, 3)
-        blocks.append([(c, np.array(rows), np.stack(
-            [(samples[j][..., c] * w).ravel() for j in rows]))
-            for c, rows in nonzero if rows])
-    return blocks
+    samples = [g.value_on(t.corners[k::6], t.offsets[k])
+               for g in gradients]                          # (n_k, Q, 3)
+    return [(c, np.array(rows), np.stack(
+        [(samples[j][..., c] * t.w_phys).ravel() for j in rows]))
+        for c in range(3) if (rows := [j for j, g in enumerate(gradients)
+                                       if g.components[c].modes])]
 
 
 def _flux_and_l3(spaces, u, p, psis):
@@ -184,22 +180,24 @@ def _flux_and_l3(spaces, u, p, psis):
     and the L3 norm |z|_3, at every midpoint z = (u[m] + u[m-1])/2 of the
     states `u` with its pressure p[m-1]: (len(psis), N) and (N,).
 
-    Blocks of BLOCK midpoints go type by type through the type-major
-    kernel: the block's samples at one Kuhn type's points, |z|^2, the
-    type's share of |z|_3^3, the flux density (|z|^2/2 + p) z in place,
-    then one product per nonzero gradient block (`_flux_gradient_table`).
-    Without factors the pressure is not sampled."""
+    One Kuhn type at a time: its gradient table (`_flux_gradient_table`)
+    is built at the start of its pass and dropped at the end, and blocks
+    of BLOCK midpoints go through the type-major kernel: the block's
+    samples at the type's points, |z|^2, the type's share of |z|_3^3, the
+    flux density (|z|^2/2 + p) z in place, then one product per nonzero
+    gradient block.  Every entry still adds its types' terms in type
+    order.  Without factors the pressure is not sampled."""
     t = spaces.tables
     N = len(u) - 1
-    table = _flux_gradient_table(spaces, psis)
     cube = np.zeros(N)
     flux = np.zeros((len(psis), N))
-    for start in range(0, N, BLOCK):
-        block = slice(start, min(start + BLOCK, N))
-        z = 0.5 * (u[block.start + 1:block.stop + 1] + u[block])
-        z = z.reshape(len(z), 3, -1)
-        for k in range(6):
-            zv = _samples_of_type(z, spaces.velocity.dofmap, t.N, k)[..., 0]
+    for k in range(6):
+        table = _flux_gradient_table(spaces, psis, k)
+        for start in range(0, N, BLOCK):
+            block = slice(start, min(start + BLOCK, N))
+            z = 0.5 * (u[block.start + 1:block.stop + 1] + u[block])
+            zv = _samples_of_type(z.reshape(len(z), 3, -1),
+                                  spaces.velocity.dofmap, t.N, k)[..., 0]
             speed_sq = zv[:, 0] ** 2 + zv[:, 1] ** 2 + zv[:, 2] ** 2
             # |z|^3 as |z|^2 |z|: half the rounding error of sqrt(.)**3,
             # and 7x faster than its pow
@@ -209,11 +207,12 @@ def _flux_and_l3(spaces, u, p, psis):
                 zv *= (0.5 * speed_sq + _samples_of_type(
                     p[block][:, None], spaces.pressure.dofmap, t.N,
                     k)[:, 0, ..., 0])[:, None]
-                for c, rows, g in table[k]:
+                for c, rows, g in table:
                     flux[rows, block] += g @ zv[:, c].reshape(len(zv), -1).T
-            # drop this type's samples before the next type's exist:
-            # holding both raised cnab-explicit's peak RSS by 0.4 MB
+            # drop this block's samples before the next block's exist
             del zv, speed_sq
+        # and this type's table before the next type's
+        del table
     return flux, cube ** (1 / 3)
 
 
@@ -237,8 +236,8 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
 
     Every term but the cubic flux is a `_balance_matrices` form of a
     distinct spatial factor, for all midpoints at once; the flux and L3
-    go to the samples in blocks of BLOCK midpoints, one Kuhn type at a
-    time (`_flux_and_l3`).  With no tests only L3 is computed.
+    go to the samples one Kuhn type at a time, in blocks of BLOCK
+    midpoints (`_flux_and_l3`).  With no tests only L3 is computed.
     """
     cfg = trajectory.config
     nu, dt, N = cfg.nu, cfg.dt, trajectory.n_steps

@@ -26,7 +26,8 @@ kin) write those blocks into the stride-6 element layout.
 Trigonometric data are evaluated the same way: every quadrature point is
 an element corner plus one of its type's reference offsets, so
 `field_values` makes one factored complex product per type
-(`TrigPoly.value_on`) instead of a cos and a sin per mode and point.
+(`TrigPoly.value_on`) instead of a cos and a sin per mode and point, and
+writes it into its slice of the preallocated result.
 Every weighted form (the commutator constants' matrices and the local
 energy balance's) goes through `_weighted_matrix`: its caller builds K
 trigonometric weights by exact algebra (products, gradient components,
@@ -54,6 +55,7 @@ import scipy.sparse.linalg as spla
 from .linsolve import Factorization, SaddleConstraints, SaddleSystem
 from .mesh import KUHN_OFFSETS, PeriodicMesh
 from .quadrature import DEFAULT_DEGREE, TetRule, tet_rule
+from .trig import TrigVector
 
 N_LOCAL = 5          # 4 vertex functions + 1 bubble
 N_LOCAL_P = 4
@@ -474,11 +476,14 @@ def pressure_l2(spaces, coeffs):
 def field_values(spaces, f):
     """Values of trigonometric data at the quadrature points: (E, Q) for a
     TrigPoly, (E, Q, 3) for a TrigVector, one factored product per Kuhn
-    type written into its stride-6 slice."""
+    type written into its slice of one preallocated (E/6, 6, Q[, 3]) array."""
     t = spaces.tables
-    per_type = [f.value_on(t.corners[k::6], t.offsets[k]) for k in range(6)]
-    # element 6 c + k is row c of type k's block
-    return np.stack(per_type, axis=1).reshape((-1,) + per_type[0].shape[1:])
+    out = np.empty((len(t.corners) // 6,) + t.offsets.shape[:2]
+                   + ((3,) if isinstance(f, TrigVector) else ()))
+    for k in range(6):
+        # element 6 c + k is row c of type k's block
+        out[:, k] = f.value_on(t.corners[k::6], t.offsets[k])
+    return out.reshape((-1,) + out.shape[2:])
 
 
 def _zero_mean_solve(lu, rhs, integral, n_vertices):

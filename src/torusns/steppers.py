@@ -261,17 +261,12 @@ def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
 def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     """Advance a full trajectory from the datum u0.
 
-    `u0` may be trigonometric data (a TrigVector) or a coefficient
-    vector.  Either way the starting state is its mass-orthogonal
-    projection onto the discretely divergence-free, mean-free subspace,
-    so the pressure term cancels in the energy balance from the very
-    first step.
+    `u0` is trigonometric data (a TrigVector).  The starting state is its
+    mass-orthogonal projection onto the discretely divergence-free,
+    mean-free subspace, so the pressure term cancels in the energy
+    balance from the very first step.
     """
-    if isinstance(u0, np.ndarray) and u0.size == 3 * spaces.n_scalar:
-        coeffs = np.asarray(u0, dtype=float)
-    else:
-        coeffs = project_velocity(spaces, u0)
-    start = forms.project_div_free(spaces, coeffs)
+    start = forms.project_div_free(spaces, project_velocity(spaces, u0))
 
     N = config.N
     u = np.zeros((N + 1, 3 * spaces.n_scalar))

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,25 @@ def test_blocked_flux_matches_the_per_midpoint_loop(level, N):
     assert np.all(flux[0] == 0.0)
 
 
+def test_flux_holds_one_types_gradient_table(level):
+    # the psi-gradient table of one Kuhn type at a time, beside one block's
+    # samples of that type: the tables of all six types alone would be 7
+    # (E, Q) float64 arrays.  numpy reports its buffers to tracemalloc.
+    spaces = level(6)
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((BLOCK + 2, 3 * spaces.n_scalar))
+    p = rng.standard_normal((BLOCK + 1, spaces.pressure.dim))
+    psis = list(dict.fromkeys(t.psi for t in default_test_family(1.0)))
+    tracemalloc.start()
+    try:
+        _flux_and_l3(spaces, u, p, psis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_sample_array = 8 * spaces.mesh.n_tets * spaces.tables.w_phys.size
+    assert peak < 9 * one_sample_array
+
+
 @pytest.mark.parametrize("drop", [(0, 0), (5, -1)])
 def test_flux_check_fails_on_a_dropped_gradient_block(level, monkeypatch,
                                                       drop):
@@ -205,9 +225,10 @@ def test_flux_check_fails_on_a_dropped_gradient_block(level, monkeypatch,
     assert checks._local_energy_flux(spaces).passed
     table = torusns.diagnostics._flux_gradient_table
 
-    def dropped(*args):
-        blocks = table(*args)
-        del blocks[drop[0]][drop[1]]
+    def dropped(spaces, psis, k):
+        blocks = table(spaces, psis, k)
+        if k == drop[0]:
+            del blocks[drop[1]]
         return blocks
     monkeypatch.setattr(torusns.diagnostics, "_flux_gradient_table", dropped)
     assert not checks._local_energy_flux(spaces).passed

@@ -399,3 +399,17 @@ def test_commutator_constant_holds_no_per_point_basis_array(level):
         tracemalloc.stop()
     one_sample_array = 8 * spaces.mesh.n_tets * spaces.tables.w_phys.size
     assert peak < 16 * one_sample_array
+
+
+def test_field_values_holds_one_types_block_beside_its_result(level):
+    # each Kuhn type's block is written into one preallocated result: no
+    # list of the six blocks and no stacked copy of them
+    spaces = level(8)
+    f = PHI * PHI
+    tracemalloc.start()
+    try:
+        values = field_values(spaces, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * values.nbytes
