@@ -40,7 +40,7 @@ entry, so that assembly is one `np.bincount` into a fixed data array.  A
 space builds its patterns once, on first use (`VelocitySpace.pattern`,
 `.block_pattern`, `.vector_pattern`, `PressureSpace.pattern`); the vector
 ones are the scalar one repeated in a 3 x 3 block grid, derived from it
-without a sort, in int32.
+without a sort, in int32; the grid's slots skip its diagonal blocks.
 """
 
 from __future__ import annotations
@@ -136,12 +136,13 @@ class ElementTables:
 
     @cached_property
     def rotation(self):
-        """(6, 15, 225) tensor of the rotational form: nodal values u[k c]
+        """(6, 15, 150) tensor of the rotational form: nodal values u[k c]
         times row (k c) give the element matrix eps_{imj} ((curl u)_m N_b,
-        N_a) on the vector basis, index (5 i + a) 15 + 5 j + b, with
-        (curl N_c e_k)_m = eps_{mlk} d_l N_c."""
+        N_a) on the vector basis, index (5 i + a) 15 + 5 j + b less the
+        zero entries j = i, with (curl N_c e_k)_m = eps_{mlk} d_l N_c."""
         R = np.einsum("imj,mlk,tlcab->tkciajb", _EPS, _EPS, self._trilinear)
-        return R.reshape(6, 3 * N_LOCAL, -1)
+        off = np.kron(1 - np.eye(3), np.ones((N_LOCAL, N_LOCAL))).ravel() > 0
+        return R.reshape(6, 3 * N_LOCAL, -1)[:, :, off]
 
 
 def _samples_of_type(coeffs, dofmap, table, k):
@@ -215,7 +216,8 @@ class _Pattern:
     one dofmap pair: CSR `indptr` and `indices` (int32, sorted, without
     duplicates; read-only, since every matrix made here shares them) and,
     where assembly goes through it, the data `slot` of each element entry
-    (int32, (E, A, B)).  Explicit zeros stay stored, so one pattern
+    (int32, (E, A, B); the block grid's, (E, 6 A A), skips its diagonal
+    blocks).  Explicit zeros stay stored, so one pattern
     serves every matrix of the pair."""
 
     def __init__(self, indptr, indices, shape, slot=None):
@@ -271,7 +273,8 @@ class _Pattern:
         entry k of block (ci, cj) sits at ci 3 nnz + 3 indptr[r] +
         cj len(r) + (k - indptr[r]): indices and element slots follow from
         this pattern's without a sort, and `diagonal` (3, nnz) is where
-        the diagonal blocks hold this pattern's entries."""
+        the diagonal blocks hold this pattern's entries.  Element slots
+        are kept for the entries ci != cj only, (E, 6 A A) in order."""
         n, nnz = self.shape[0], self.nnz
         length = np.diff(self.indptr)
         row = np.repeat(np.arange(n, dtype=np.int32), length)
@@ -283,9 +286,10 @@ class _Pattern:
         indptr = np.concatenate([3 * self.indptr[:-1] + ci * 3 * nnz
                                  for ci in range(3)] + [[9 * nnz]])
         E, A = self.slot.shape[:2]
-        slot = pos[:, :, self.slot].transpose(2, 0, 3, 1, 4)
+        off = pos[~np.eye(3, dtype=bool)][:, self.slot]       # (6, E, A, A)
+        slot = off.reshape(3, 2, E, A, A).transpose(2, 0, 3, 1, 4)
         grid = _Pattern(indptr.astype(np.int32), indices, (3 * n, 3 * n),
-                        slot.reshape(E, 3 * A, 3 * A))
+                        slot.reshape(E, 6 * A * A))
         grid.diagonal = pos[c, c]
         return grid
 

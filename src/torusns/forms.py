@@ -26,8 +26,8 @@ tensor representation of Kirby and Logg, ACM TOMS 32, 2006).  All
 elements of one Kuhn type are translates of each other, so an element
 matrix is linear in the element's 15 nodal velocity values through a
 fixed table per type: `spaces.tables.transport`, (6, 15, 25), already
-antisymmetrized, and `spaces.tables.rotation`, (6, 15, 225), with the
-curl and the cross product's Levi-Civita contractions folded in.  Both
+antisymmetrized, and `spaces.tables.rotation`, (6, 15, 150), with the
+Levi-Civita contractions folded in and the zero blocks i = j left out.  Both
 come from the sums over the rule's points of w_q d_l N_c N_a N_b: the
 sampled assembly's quadrature sum, regrouped, so the two agree to
 roundoff at any rule degree.  At the package degree 11 the tensors are
@@ -88,7 +88,7 @@ def _curl(spaces, coeffs):
 def rotation_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
     """Full rotational operator ((curl u) x ., .) on vector coefficients.
 
-    Entry ((i, a), (j, b)) is eps_{imj} (w_m N_b, N_a) with w = curl u.
+    Entry ((i, a), (j, b)) is eps_{imj} (w_m N_b, N_a), w = curl u; 0 if i = j.
     """
     return spaces.velocity.vector_pattern.assemble(_element_matrices(
         _velocity_nodal(spaces, advect_coeffs), spaces.tables.rotation))

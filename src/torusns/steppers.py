@@ -23,9 +23,9 @@ solve of CN and CNLE runs GMRES preconditioned with it (see `linsolve`).
 All its saddle systems share one set of constraint blocks
 (`linsolve.SaddleConstraints`) and differ only in their velocity block:
 an iterate assembles its convection from the per-type tensors of
-`forms` into a fixed pattern and adds half of it to F0's entries on
-that pattern, so no iterate samples a field, converts a sparse format
-or builds a block matrix.
+`forms` into a fixed pattern and adds F0's entries to half of it in
+place, so no iterate samples a field, converts a sparse format or
+builds a block matrix.
 """
 
 from __future__ import annotations
@@ -132,10 +132,10 @@ class StepOperator:
     and the history-independent CNAB system, whose one factorization is
     made here and preconditions every frozen-advection solve.
 
-    A frozen system's velocity block is F0 + conv/2 on the convection's
+    A frozen system's velocity block is conv/2 + F0 on the convection's
     pattern: F0's own for case 1 (diag(S, S, S)), and for cases 2 and 3
-    the 3 x 3 block grid of the scalar pattern, F0's entries placed on
-    it once, here."""
+    the 3 x 3 block grid of the scalar pattern, F0's slots on it found
+    once, here."""
 
     def __init__(self, spaces, config):
         self.spaces = spaces
@@ -154,12 +154,10 @@ class StepOperator:
         # the CNAB system: its matrix does not depend on the history
         self.explicit_system = SaddleSystem(self.constraints, self.F0)
         if config.case == 1:
-            self._pattern, self._F0_data = block, self.F0.data
+            self._pattern, self._F0_slots = block, slice(None)
         else:
             self._pattern = velocity.vector_pattern
-            self._F0_data = np.zeros(self._pattern.nnz)
-            self._F0_data[self._pattern.diagonal] = self.F0.data.reshape(
-                3, -1)
+            self._F0_slots = self._pattern.diagonal.ravel()
         self.preconditioner = self.explicit_system.factor
 
     def explicit_rhs(self, u_prev):
@@ -172,10 +170,12 @@ class StepOperator:
     def frozen_system(self, advect, u_prev):
         """Midpoint step with the advecting field frozen: its system and
         full right-hand side.  The unknown enters through the midpoint,
-        hence the factor 1/2 on the convection."""
+        hence the factor 1/2 on the convection; F0's entries are added
+        in place to half the convection's data, one new array."""
         conv = forms.convection_matrix(self.spaces, self.config.case, advect)
-        system = SaddleSystem(self.constraints, self._pattern.matrix(
-            self._F0_data + 0.5 * conv.data))
+        data = 0.5 * conv.data
+        data[self._F0_slots] += self.F0.data
+        system = SaddleSystem(self.constraints, self._pattern.matrix(data))
         rhs_u = self.explicit_rhs(u_prev) - 0.5 * (conv @ u_prev)
         return system, system.rhs(rhs_u)
 

@@ -316,15 +316,22 @@ def test_kernels_match_gathered_einsum(level):
 
 def test_vector_patterns_match_the_sorted_ones(level):
     # the block grid and block diagonal, derived from the scalar pattern
-    # without a sort, against patterns built from the vector dofmaps
+    # without a sort, against patterns built from the vector dofmaps; the
+    # grid's element slots are the sorted pattern's off the diagonal
+    # blocks (local component i != j), and none lands on those blocks
     for n in (2, 3):
         velocity = level(n).velocity
         vdof = velocity.vector_dofmap
         scalar, grid = velocity.pattern, velocity.vector_pattern
         want = _Pattern.of(vdof, vdof)
-        for name in ("indptr", "indices", "slot"):
+        for name in ("indptr", "indices"):
             assert np.array_equal(getattr(grid, name), getattr(want, name))
         assert grid.shape == want.shape
+        component = np.arange(vdof.shape[1]) // (vdof.shape[1] // 3)
+        off = component[:, None] != component[None, :]
+        assert grid.slot.dtype == np.int32
+        assert np.array_equal(grid.slot, want.slot[:, off])
+        assert not np.isin(grid.slot, grid.diagonal).any()
         for c in range(3):
             assert np.array_equal(grid.indices[grid.diagonal[c]],
                                   scalar.indices + c * scalar.shape[0])

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from torusns import checks
-from torusns.fespace import (build_spaces, pressure_gradients,
-                             project_pressure_values, project_velocity,
-                             quad_integral, velocity_gradients, velocity_h1,
-                             velocity_l2, velocity_values)
-from torusns.forms import (b_case1, b_case2, b_case3, b_form,
-                           bernoulli_projection, convection_matrix,
+from torusns.fespace import (_EPS, _Pattern, _velocity_nodal, build_spaces,
+                             pressure_gradients, project_pressure_values,
+                             project_velocity, quad_integral,
+                             velocity_gradients, velocity_h1, velocity_l2,
+                             velocity_values)
+from torusns.forms import (_element_matrices, b_case1, b_case2, b_case3,
+                           b_form, bernoulli_projection, convection_matrix,
                            convection_rhs, divergence_norm,
                            estimate_constants, project_div_free,
-                           transport_matrix)
+                           rotation_matrix, transport_matrix)
 from torusns.mesh import build_torus_mesh
 from torusns.trig import (BOX_VOLUME, TrigPoly, TrigVector, random_trig,
                           sine_shear, tg_like)
@@ -41,6 +42,27 @@ def test_stepper_matrices_match_value_forms(level):
         got = convection_rhs(spaces, u) @ w
         want = b_form(spaces, 1, u, u, w)
         assert abs(got - want) <= 1e-12 * abs(want), n
+
+
+def test_rotation_drops_only_zero_blocks(level):
+    # the full nine-block rotation tensor, summed on the pattern sorted
+    # from the vector dofmap, against the operator assembled from the six
+    # blocks i != j: bit for bit, and the dropped blocks are exactly zero
+    for n in (2, 3):
+        spaces = level(n)
+        vdof = spaces.velocity.vector_dofmap
+        full = np.einsum("imj,mlk,tlcab->tkciajb", _EPS, _EPS,
+                         spaces.tables._trilinear)
+        blocks = full.reshape(6, 15, 3, 5, 3, 5)
+        for c in range(3):
+            assert not blocks[:, :, c, :, c].any()
+        pattern = _Pattern.of(vdof, vdof)
+        for seed in (24, 25):
+            u = project_velocity(spaces, random_trig(seed, 2))
+            want = pattern.assemble(_element_matrices(
+                _velocity_nodal(spaces, u), full.reshape(6, 15, -1)))
+            assert np.array_equal(rotation_matrix(spaces, u).data,
+                                  want.data), (n, seed)
 
 
 def bump_transport(tables):
