@@ -304,15 +304,16 @@ def run_study(study: StudySpec, out_dir):
 def _load_trajectory(path, spec: RunSpec, spaces) -> DiscreteTrajectory:
     """The trajectory `run_single` stored for `spec`; a ConfigError if the
     file cannot be read, lacks an array or does not fit the spec."""
+    N = spec.steps
+    shapes = {"times": (N + 1,), "u": (N + 1, 3 * spaces.n_scalar),
+              "p": (N, spaces.pressure.dim), "picard_iters": (N,),
+              "residuals": (N,)}
     try:
         with np.load(path) as data:
-            arrays = {key: data[key] for key in ("times", "u", "p",
-                                                 "picard_iters", "residuals")}
+            arrays = {key: data[key] for key in shapes}
     except Exception as exc:  # numpy, zipfile and zlib each raise their own
         raise ConfigError(f"cannot read trajectory {path}: {exc}") from exc
-    N = spec.steps
-    if (arrays["u"].shape != (N + 1, 3 * spaces.n_scalar)
-            or arrays["p"].shape != (N, spaces.pressure.dim)):
+    if any(arrays[key].shape != shape for key, shape in shapes.items()):
         raise ConfigError(f"trajectory {path} does not fit n_cells = "
                           f"{spec.n_cells} and steps = {N}")
     return DiscreteTrajectory(config=spec.scheme_config(), **arrays)

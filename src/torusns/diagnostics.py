@@ -167,7 +167,7 @@ def _flux_gradient_table(spaces, psis, k):
     constant factor has no block)."""
     t = spaces.tables
     gradients = [psi.gradient() for psi in psis]
-    samples = [g.value_on(t.corners[k::6], t.offsets[k])
+    samples = [g.value_on(spaces.mesh.vertices, t.offsets[k])
                for g in gradients]                          # (n_k, Q, 3)
     return [(c, np.array(rows), np.stack(
         [(samples[j][..., c] * t.w_phys).ravel() for j in rows]))

@@ -24,7 +24,8 @@ of the type, point), so a caller can hold one type's samples of several
 fields at a time.  The E-major evaluators (`velocity_values` and its
 kin) write those blocks into the stride-6 element layout.
 Trigonometric data are evaluated the same way: every quadrature point is
-an element corner plus one of its type's reference offsets, so
+an element corner plus one of its type's reference offsets, and the
+corners of each type's elements are the mesh vertices, in order, so
 `field_values` makes one factored complex product per type
 (`TrigPoly.value_on`) instead of a cos and a sin per mode and point, and
 writes it into its slice of the preallocated result.
@@ -66,10 +67,6 @@ QUADFORM_ROWS = 24
 _EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
-class FESpaceError(RuntimeError):
-    pass
-
-
 def _reference_basis(points):
     """Values and gradients of [lam0, lam1, lam2, lam3, bubble]."""
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
@@ -95,13 +92,11 @@ class ElementTables:
     """Per-Kuhn-type basis tables for one mesh and one quadrature rule:
     values `N` (the same for every type) and gradients `grad`, (6, Q, 5, K)
     with K = 1 and 3.  Element e uses table e % 6 (the mesh layout).  Its
-    quadrature points are corners[e] + offsets[e % 6], (E, 3) + (6, Q, 3);
-    `field_values` evaluates data there without gathering them."""
+    quadrature points are its cube corner mesh.vertices[e // 6] plus
+    offsets[e % 6], (6, Q, 3); `field_values` evaluates data there
+    without gathering them."""
 
     def __init__(self, mesh: PeriodicMesh, rule: TetRule):
-        if not np.array_equal(mesh.tet_type, np.arange(mesh.n_tets) % 6):
-            raise FESpaceError("elements must be stored as 6 * cube + "
-                               "Kuhn type")
         a = mesh.cell_size
         self.w_phys = a ** 3 * rule.weights          # |det J| = a^3, all types
         vals, dN = _reference_basis(rule.points)
@@ -111,13 +106,8 @@ class ElementTables:
         for t in range(6):
             off = KUHN_OFFSETS[t]
             jhat = (off[1:] - off[0]).T
-            det = np.linalg.det(jhat)
-            if not np.isclose(det, 1.0):
-                raise FESpaceError("element type %d is not positively "
-                                   "oriented (det %.3f)" % (t, det))
             self.grad[t] = dN @ np.linalg.inv(jhat) / a
             self.offsets[t] = a * (off[0] + rule.points @ jhat.T)
-        self.corners = a * mesh.tet_corner
 
     @cached_property
     def _trilinear(self):
@@ -296,9 +286,7 @@ class _Pattern:
 
 @dataclass
 class VelocitySpace:
-    mesh: PeriodicMesh
     n_scalar: int
-    dim: int
     dofmap: np.ndarray  # (E, 5)
 
     @property
@@ -325,7 +313,6 @@ class VelocitySpace:
 
 @dataclass
 class PressureSpace:
-    mesh: PeriodicMesh
     dim: int
     dofmap: np.ndarray  # (E, 4)
 
@@ -335,18 +322,29 @@ class PressureSpace:
 
 
 class Operators:
-    """Structural operators of the pair and their mass factorizations."""
+    """Structural operators of a pair and their mass factorizations,
+    assembled from the pair's tables and spaces."""
 
-    def __init__(self, M_s, M, A_s, Mp, B, int_s, int_p):
-        self.M_s = M_s       # scalar mass (velocity component block)
-        self.M = M           # vector mass, diag(M_s, M_s, M_s)
-        self.A_s = A_s       # scalar stiffness
-        self.Mp = Mp         # pressure mass
-        self.B = B           # (q, div v): pressure tests x velocity dofs
-        self.int_s = int_s   # integral of each scalar velocity basis fn
-        self.int_p = int_p   # integral of each pressure basis fn
-        self.lu_Ms = Factorization(M_s)
-        self.lu_Mp = Factorization(Mp)
+    def __init__(self, spaces):
+        t, velocity, pressure = spaces.tables, spaces.velocity, spaces.pressure
+        scalar, Np = velocity.pattern, t.N[:, :, :N_LOCAL_P]
+        # scalar mass (velocity component block), vector mass
+        # diag(M_s, M_s, M_s), scalar stiffness and pressure mass
+        self.M_s = scalar.assemble(_local_matrices(spaces, t.N, t.N))
+        self.M = velocity.block_pattern.matrix(np.tile(self.M_s.data, 3))
+        self.A_s = scalar.assemble(_local_matrices(spaces, t.grad, t.grad))
+        self.Mp = pressure.pattern.assemble(_local_matrices(spaces, Np, Np))
+        # (q, div v), pressure tests x velocity dofs:
+        # B[j, c*n_s + a] = (psi_j, d_c N_a)
+        d_c_N_a = t.grad.transpose(0, 1, 3, 2).reshape(6, -1, 3 * N_LOCAL, 1)
+        self.B = _Pattern.of(pressure.dofmap, velocity.vector_dofmap
+                             ).assemble(_local_matrices(spaces, Np, d_c_N_a))
+        # integral of each scalar velocity and each pressure basis fn
+        ones = np.ones((spaces.mesh.n_tets, t.w_phys.size))
+        self.int_s = _scalar_load(spaces, ones)
+        self.int_p = _scalar_load(spaces, ones, n_funcs=N_LOCAL_P)
+        self.lu_Ms = Factorization(self.M_s)
+        self.lu_Mp = Factorization(self.Mp)
 
 
 class FESpacePair:
@@ -359,9 +357,9 @@ class FESpacePair:
         n_s = nv + nt
         dof_v = np.concatenate(
             [mesh.tetrahedra, (nv + np.arange(nt))[:, None]], axis=1)
-        self.velocity = VelocitySpace(mesh, n_s, 3 * n_s, dof_v)
-        self.pressure = PressureSpace(mesh, nv, mesh.tetrahedra)
-        self.ops = Operators(*self._assemble_structural())
+        self.velocity = VelocitySpace(n_s, dof_v)
+        self.pressure = PressureSpace(nv, mesh.tetrahedra)
+        self.ops = Operators(self)
 
     # convenience ------------------------------------------------------
     @property
@@ -371,25 +369,6 @@ class FESpacePair:
     @property
     def h(self) -> float:
         return self.mesh.h
-
-    def _assemble_structural(self):
-        t = self.tables
-        scalar = self.velocity.pattern
-
-        M_s = scalar.assemble(_local_matrices(self, t.N, t.N))
-        M = self.velocity.block_pattern.matrix(np.tile(M_s.data, 3))
-        A_s = scalar.assemble(_local_matrices(self, t.grad, t.grad))
-        Np = t.N[:, :, :N_LOCAL_P]
-        Mp = self.pressure.pattern.assemble(_local_matrices(self, Np, Np))
-        # B[j, c*n_s + a] = (psi_j, d_c N_a)
-        d_c_N_a = t.grad.transpose(0, 1, 3, 2).reshape(6, -1, 3 * N_LOCAL, 1)
-        B = _Pattern.of(self.pressure.dofmap, self.velocity.vector_dofmap
-                        ).assemble(_local_matrices(self, Np, d_c_N_a))
-
-        ones = np.ones((self.mesh.n_tets, t.w_phys.size))
-        int_s = _scalar_load(self, ones)
-        int_p = _scalar_load(self, ones, n_funcs=N_LOCAL_P)
-        return M_s, M, A_s, Mp, B, int_s, int_p
 
 
 def build_spaces(mesh: PeriodicMesh, degree: int = DEFAULT_DEGREE) -> FESpacePair:
@@ -481,12 +460,12 @@ def field_values(spaces, f):
     """Values of trigonometric data at the quadrature points: (E, Q) for a
     TrigPoly, (E, Q, 3) for a TrigVector, one factored product per Kuhn
     type written into its slice of one preallocated (E/6, 6, Q[, 3]) array."""
-    t = spaces.tables
-    out = np.empty((len(t.corners) // 6,) + t.offsets.shape[:2]
+    t, corners = spaces.tables, spaces.mesh.vertices
+    out = np.empty((len(corners),) + t.offsets.shape[:2]
                    + ((3,) if isinstance(f, TrigVector) else ()))
     for k in range(6):
-        # element 6 c + k is row c of type k's block
-        out[:, k] = f.value_on(t.corners[k::6], t.offsets[k])
+        # element 6 c + k, of corner vertex c, is row c of type k's block
+        out[:, k] = f.value_on(corners, t.offsets[k])
     return out.reshape((-1,) + out.shape[2:])
 
 

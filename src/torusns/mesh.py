@@ -7,14 +7,14 @@ triangulation of the 3-torus: there is no boundary and every face is
 interior.  All elements are congruent up to coordinate permutation,
 which makes the family exactly quasi-uniform under refinement.
 
-Because vertices wrap around, element geometry cannot be recovered from
-the stored vertex coordinates alone.  Each tetrahedron therefore records
-its cube corner and its Kuhn type, from which unwrapped physical
-coordinates are reconstructed on demand.
-
-Layout invariant: element e is Kuhn type e % 6 of cube e // 6.  The
-finite element kernels contract each stride-6 slice of elements with
-its type's tables and reject meshes stored in any other order.
+Layout: element e is Kuhn type e % 6 of cube e // 6, and cube c is the
+one at vertex c.  A mesh is its n_cells: it builds its vertices and
+elements in this order and stores nothing else, so the finite element
+kernels can contract each stride-6 slice of elements with its type's
+tables.  Because vertices wrap around, element geometry cannot be
+recovered from the vertex coordinates alone; the unwrapped coordinates
+of element e are those of its cube corner plus its type's offsets, both
+read off the element index.
 """
 
 from __future__ import annotations
@@ -55,15 +55,25 @@ def element_diameter(n_cells: int) -> float:
 
 @dataclass
 class PeriodicMesh:
+    """The Kuhn subdivision of the n_cells^3 cubes of the periodic box,
+    built from n_cells alone in the layout of the module docstring."""
     n_cells: int
-    vertices: np.ndarray      # (n^3, 3) in [0, 2*pi)
-    tetrahedra: np.ndarray    # (6 n^3, 4) vertex indices, wrapped
-    tet_corner: np.ndarray    # (6 n^3, 3) integer cube corner
-    tet_type: np.ndarray      # (6 n^3,) Kuhn type 0..5
+    vertices: np.ndarray = field(init=False)    # (n^3, 3) in [0, 2*pi)
+    tetrahedra: np.ndarray = field(init=False)  # (6 n^3, 4) vertex indices
     h: float = field(init=False)
 
     def __post_init__(self):
-        self.h = element_diameter(self.n_cells)
+        n = self.n_cells
+        if n < 2:
+            raise MeshError("n_cells must be >= 2; smaller grids degenerate "
+                            "under periodic identification")
+        cubes = self._cubes()
+        self.vertices = self.cell_size * cubes
+        tet_verts = (cubes[:, None, None, :]
+                     + KUHN_OFFSETS.astype(np.int64)).reshape(-1, 4, 3) % n
+        self.tetrahedra = ((tet_verts[..., 0] * n + tet_verts[..., 1]) * n
+                           + tet_verts[..., 2])
+        self.h = element_diameter(n)
 
     @cached_property
     def shape_ratio(self) -> float:
@@ -88,9 +98,14 @@ class PeriodicMesh:
         Coordinates may exceed 2*pi for elements that wrap; periodic
         fields do not care and element geometry is exact.
         """
-        a = self.cell_size
-        return a * (self.tet_corner[:, None, :]
-                    + KUHN_OFFSETS[self.tet_type])
+        corners = self._cubes()[:, None, None, :]
+        return (self.cell_size * (corners + KUHN_OFFSETS)).reshape(-1, 4, 3)
+
+    def _cubes(self) -> np.ndarray:
+        """(n^3, 3) integer grid corners of the cubes, in vertex order."""
+        idx = np.arange(self.n_cells)
+        return np.stack(np.meshgrid(idx, idx, idx, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
 
     def volumes(self) -> np.ndarray:
         x = self.tet_coords()
@@ -113,24 +128,7 @@ class PeriodicMesh:
 
 def build_torus_mesh(n_cells: int) -> PeriodicMesh:
     """Kuhn-subdivided periodic mesh with n_cells cubes per axis."""
-    n = int(n_cells)
-    if n < 2:
-        raise MeshError("n_cells must be >= 2; smaller grids degenerate "
-                        "under periodic identification")
-    a = TWO_PI / n
-    idx = np.arange(n)
-    ii, jj, kk = np.meshgrid(idx, idx, idx, indexing="ij")
-    vertices = a * np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-
-    # element 6 c + t is Kuhn type t of cube c, cubes in vertex order
-    corners = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-    tet_verts = (corners[:, None, None, :]
-                 + KUHN_OFFSETS.astype(np.int64)).reshape(-1, 4, 3) % n
-    tets = (tet_verts[..., 0] * n + tet_verts[..., 1]) * n + tet_verts[..., 2]
-    tet_corner = np.repeat(corners, 6, axis=0)
-    tet_type = np.tile(np.arange(6, dtype=np.int64), n ** 3)
-    return PeriodicMesh(n_cells=n, vertices=vertices, tetrahedra=tets,
-                        tet_corner=tet_corner, tet_type=tet_type)
+    return PeriodicMesh(int(n_cells))
 
 
 def conformity_ok(mesh: PeriodicMesh) -> bool:
@@ -143,9 +141,10 @@ def conformity_ok(mesh: PeriodicMesh) -> bool:
     offsets = KUHN_OFFSETS.astype(np.int64)  # entries are exactly 0 or 1
     counts: dict[tuple, int] = {}
     period = 3 * mesh.n_cells  # torus period in units of cell_size/3
+    corners = mesh._cubes()[:, None, :]      # element 6 c + t: cube c, type t
     for f in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
-        mids = 3 * mesh.tet_corner + offsets[mesh.tet_type][:, f, :].sum(axis=1)
-        mids = np.mod(mids, period)
+        mids = 3 * corners + offsets[:, f, :].sum(axis=1)
+        mids = np.mod(mids, period).reshape(-1, 3)
         for row in mids:
             key = tuple(int(v) for v in row)
             counts[key] = counts.get(key, 0) + 1

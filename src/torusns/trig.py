@@ -128,9 +128,6 @@ class TrigPoly:
         vals = self.value_on(points.reshape(-1, 3), np.zeros((1, 3)))
         return vals.reshape(points.shape[:-1])
 
-    def grad(self, points) -> np.ndarray:
-        return self.gradient().value(points)
-
     def sup_norm(self) -> float:
         g = np.linspace(0.0, TWO_PI, SUP_SAMPLES, endpoint=False)
         plane = np.stack(np.meshgrid(g, g, [0.0], indexing="ij"),

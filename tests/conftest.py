@@ -25,11 +25,13 @@ def level():
 
 @pytest.fixture(scope="session")
 def quad_points():
-    """The quadrature points of a space's elements, (E, Q, 3): each
-    element's corner plus its Kuhn type's offsets."""
+    """The quadrature points of a space's elements, (E, Q, 3): element
+    6 c + t is Kuhn type t of the cube at vertex c, so its points are that
+    vertex plus type t's offsets."""
     def gather(spaces):
-        t = spaces.tables
-        return t.corners[:, None, :] + t.offsets[spaces.mesh.tet_type]
+        mesh, t = spaces.mesh, spaces.tables
+        return (np.repeat(mesh.vertices, 6, 0)[:, None]
+                + t.offsets[np.arange(mesh.n_tets) % 6])
 
     return gather
 

@@ -320,12 +320,27 @@ def _strip_trajectory(path):
     np.savez(path, **arrays)
 
 
-@pytest.mark.parametrize("damage", [_drop_trajectory, _garble_trajectory,
-                                    _truncate_trajectory,
-                                    _array_for_trajectory,
-                                    _reshape_trajectory, _strip_trajectory],
-                         ids=["missing", "garbage", "truncated", "npy-array",
-                              "mis-shaped", "missing-key"])
+def _resize_steps(**lengths):
+    """Damage that gives the named per-state or per-step arrays of the
+    4-step run (5 times, 4 Picard counts and residuals) other lengths."""
+    def damage(path):
+        with np.load(path) as data:
+            arrays = dict(data)
+        for key, length in lengths.items():
+            arrays[key] = np.resize(arrays[key], length)
+        np.savez(path, **arrays)
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    _drop_trajectory, _garble_trajectory, _truncate_trajectory,
+    _array_for_trajectory, _reshape_trajectory, _strip_trajectory,
+    _resize_steps(times=4), _resize_steps(times=6),
+    _resize_steps(picard_iters=3), _resize_steps(residuals=5),
+    _resize_steps(times=1, picard_iters=8, residuals=1)],
+    ids=["missing", "garbage", "truncated", "npy-array", "mis-shaped",
+         "missing-key", "times-short", "times-long", "picard-short",
+         "residuals-long", "step-arrays"])
 def test_report_on_bad_trajectory_is_a_config_error(tmp_path, capsys,
                                                     damage):
     cfg = write_cfg(tmp_path, BASE_CFG)
@@ -336,3 +351,4 @@ def test_report_on_bad_trajectory_is_a_config_error(tmp_path, capsys,
                  "--out", str(tmp_path / "re")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+

@@ -137,7 +137,8 @@ def local_energy_reference(traj, spaces, pts, tests):
             int_deta = cfg.dt * GAUSS_W @ test.eta.dvalue(t_nodes)
             psi_v = test.psi.value(pts)
             psi_lap = test.psi.laplacian().value(pts)
-            flux = ((ke + pv)[..., None] * zv * test.psi.grad(pts)).sum(-1)
+            flux = ((ke + pv)[..., None] * zv
+                    * test.psi.gradient().value(pts)).sum(-1)
             rhs_t = quad_integral(spaces, ke * psi_v) * int_deta
             rhs_x = (cfg.nu * quad_integral(spaces, ke * psi_lap)
                      + quad_integral(spaces, flux)) * int_eta

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,8 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from torusns.checks import remove_mean
-from torusns.fespace import (QUADFORM_ROWS, FESpaceError, _Pattern,
-                             _scalar_load, build_spaces, commutator_defect,
+from torusns.fespace import (QUADFORM_ROWS, _Pattern, _scalar_load,
+                             build_spaces, commutator_defect,
                              commutator_constant, field_values,
                              inf_sup_constant, inverse_constant,
                              pressure_commutator_constant,
@@ -259,7 +258,8 @@ def _gathered(spaces):
     """Quadrature weights, the (Q, 5) value table and the (E, Q, 5, 3)
     gradient table gathered per element."""
     t = spaces.tables
-    return t.w_phys, t.N[0, :, :, 0], t.grad[spaces.mesh.tet_type]
+    types = np.arange(spaces.mesh.n_tets) % 6   # element 6 c + t: type t
+    return t.w_phys, t.N[0, :, :, 0], t.grad[types]
 
 
 def _weighted_scalar_matrix(spaces, weight, grad_left=False, grad_right=False,
@@ -346,21 +346,11 @@ def test_vector_patterns_match_the_sorted_ones(level):
         assert not block.indptr.flags.writeable
 
 
-def test_element_layout_is_guarded():
-    mesh = build_torus_mesh(2)
-    perm = np.random.default_rng(0).permutation(mesh.n_tets)
-    shuffled = dataclasses.replace(
-        mesh, tetrahedra=mesh.tetrahedra[perm],
-        tet_corner=mesh.tet_corner[perm], tet_type=mesh.tet_type[perm])
-    with pytest.raises(FESpaceError):
-        build_spaces(shuffled)
-
-
 def _dense_commutator_constants(spaces, pts, phi):
     """Reference: both constants from dense pencils and eigvalsh, on the
     gathered tables and quadrature points.  The pressure basis is the
     vertex part of the scalar velocity basis."""
-    pv, pg = phi.value(pts), phi.grad(pts)
+    pv, pg = phi.value(pts), phi.gradient().value(pts)
     W = _weighted_scalar_matrix(spaces, pv).toarray()
     W2 = _weighted_scalar_matrix(spaces, pv ** 2).toarray()
     V = _weighted_scalar_matrix(spaces, pv, grad_left=True, grad_right=True,

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from torusns.mesh import (KUHN_OFFSETS, MeshError, build_torus_mesh,
-                          conformity_ok)
+from torusns.mesh import (KUHN_OFFSETS, MeshError, PeriodicMesh,
+                          build_torus_mesh, conformity_ok)
 from torusns.trig import TWO_PI
 
 
@@ -22,13 +24,32 @@ def test_elements_follow_the_layout(n):
     # vertices are that corner plus the type's offsets, wrapped
     mesh = build_torus_mesh(n)
     a = TWO_PI / n
-    assert np.array_equal(mesh.tet_type, np.arange(mesh.n_tets) % 6)
-    cube_vertex = mesh.vertices[np.arange(mesh.n_tets) // 6]
-    assert np.allclose(a * mesh.tet_corner, cube_vertex, rtol=0, atol=1e-13)
+    e = np.arange(mesh.n_tets)
+    corner = np.rint(mesh.vertices[e // 6] / a).astype(np.int64)[:, None]
+    offsets = KUHN_OFFSETS[e % 6]
     grid = np.rint(mesh.vertices[mesh.tetrahedra] / a).astype(np.int64)
-    want = (mesh.tet_corner[:, None]
-            + KUHN_OFFSETS[mesh.tet_type].astype(np.int64)) % n
-    assert np.array_equal(grid, want)
+    assert np.array_equal(grid, (corner + offsets.astype(np.int64)) % n)
+    # unwrapped: the same corner plus offsets, in physical units
+    assert np.array_equal(mesh.tet_coords(), a * (corner + offsets))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_mesh_is_built_from_n_cells(n):
+    mesh = PeriodicMesh(n)
+    assert [f.name for f in dataclasses.fields(mesh) if f.init] == ["n_cells"]
+    with pytest.raises(ValueError):
+        dataclasses.replace(mesh, tetrahedra=mesh.tetrahedra[::-1])
+    # the stored construction it replaced, written out
+    a = TWO_PI / n
+    idx = np.arange(n)
+    ii, jj, kk = np.meshgrid(idx, idx, idx, indexing="ij")
+    corners = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
+    tet_verts = (corners[:, None, None, :]
+                 + KUHN_OFFSETS.astype(np.int64)).reshape(-1, 4, 3) % n
+    tets = (tet_verts[..., 0] * n + tet_verts[..., 1]) * n + tet_verts[..., 2]
+    assert np.array_equal(mesh.vertices, a * corners)
+    assert np.array_equal(mesh.tetrahedra, tets)
+    assert mesh.tetrahedra.dtype == tets.dtype
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

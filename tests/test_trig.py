@@ -16,7 +16,7 @@ def test_basic_values():
 
 def test_gradient_and_laplacian():
     f = TrigPoly.cosine((1, 2, 0))
-    g = f.grad(PTS)
+    g = f.gradient().value(PTS)
     phase = PTS[:, 0] + 2 * PTS[:, 1]
     assert np.allclose(g[:, 0], -np.sin(phase), atol=1e-14)
     assert np.allclose(g[:, 1], -2 * np.sin(phase), atol=1e-14)
@@ -53,7 +53,7 @@ def test_sup_norms():
 
 def test_vector_calculus():
     u = tg_like()
-    d0_u0 = u.components[0].grad(PTS)[:, 0]
+    d0_u0 = u.components[0].gradient().value(PTS)[:, 0]
     assert np.allclose(d0_u0, np.cos(PTS[:, 0]) * np.cos(PTS[:, 1]),
                        atol=1e-14)
     assert max(abs(c) for c in u.divergence().modes.values() or [0]) < 1e-15
