@@ -76,6 +76,10 @@ class RunSpec:
     def validate(self):
         if self.n_cells < 2:
             raise ConfigError("n_cells must be >= 2")
+        if not 0 < self.cn_threshold < np.inf:
+            raise ConfigError("cn_threshold must be positive and finite")
+        if self.degree < 1:
+            raise ConfigError("degree must be >= 1")
         self.scheme_config()
         try:
             field = preset_field(self.datum, self.seed, self.degree)

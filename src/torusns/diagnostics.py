@@ -31,8 +31,8 @@ import numpy as np
 from . import forms
 from .fespace import (_product_table, _samples_of_type, _scalar_quadform,
                       _weighted_matrix, field_values)
-from .interpolants import (TrajectoryNorms, gap_l2, increment_sum,
-                           trajectory_norms)
+from .interpolants import (TrajectoryNorms, _step_blocks, gap_l2,
+                           increment_sum, trajectory_norms)
 from .steppers import DiscreteTrajectory, StepperError, check_coupling
 from .trig import TrigPoly
 
@@ -154,9 +154,9 @@ def _balance_matrices(spaces, nu, psi):
 
 
 #: midpoints per block of the flux and L3 loop: one Kuhn type's samples of
-#: a block, (6, 3, E/6, Q), are exactly as many as one midpoint's (E, Q, 3),
-#: so a type's pass holds no more samples than a per-midpoint loop would
-BLOCK = 6
+#: a block, (2, 3, E/6, Q), are a third of one midpoint's (E, Q, 3), so a
+#: type's pass holds less than a per-midpoint loop would
+BLOCK = 2
 
 
 def _flux_gradient_table(spaces, psis, k):
@@ -193,9 +193,7 @@ def _flux_and_l3(spaces, u, p, psis):
     flux = np.zeros((len(psis), N))
     for k in range(6):
         table = _flux_gradient_table(spaces, psis, k)
-        for start in range(0, N, BLOCK):
-            block = slice(start, min(start + BLOCK, N))
-            z = 0.5 * (u[block.start + 1:block.stop + 1] + u[block])
+        for block, _, z in _step_blocks(u, BLOCK):
             zv = _samples_of_type(z.reshape(len(z), 3, -1),
                                   spaces.velocity.dofmap, t.N, k)[..., 0]
             speed_sq = zv[:, 0] ** 2 + zv[:, 1] ** 2 + zv[:, 2] ** 2
@@ -235,9 +233,11 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     quadrature point, otherwise the input is rejected.
 
     Every term but the cubic flux is a `_balance_matrices` form of a
-    distinct spatial factor, for all midpoints at once; the flux and L3
-    go to the samples one Kuhn type at a time, in blocks of BLOCK
-    midpoints (`_flux_and_l3`).  With no tests only L3 is computed.
+    distinct spatial factor, one factor at a time, over blocks of ROWS
+    midpoints (one sparse product each, a row's value bitwise that of the
+    whole stack); the flux and L3 go to the samples one Kuhn type at a
+    time, in blocks of BLOCK midpoints (`_flux_and_l3`).  No stack of all
+    midpoints is made.  With no tests only L3 is computed.
     """
     cfg = trajectory.config
     nu, dt, N = cfg.nu, cfg.dt, trajectory.n_steps
@@ -260,12 +260,12 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     flux, l3 = _flux_and_l3(spaces, trajectory.u, trajectory.p, psis)
     if not tests:
         return np.zeros(0), l3
-    mids = trajectory.midpoints
     rate, diffusion = np.empty((2, len(psis), N))   # the K_t and K_x forms
     for j, psi in enumerate(psis):
         K_t, K_x = _balance_matrices(spaces, nu, psi)
-        rate[j] = _scalar_quadform(K_t, mids, spaces.n_scalar)
-        diffusion[j] = _scalar_quadform(K_x, mids, spaces.n_scalar)
+        for steps, _, mids in _step_blocks(trajectory.u):
+            rate[j, steps] = _scalar_quadform(K_t, mids, spaces.n_scalar)
+            diffusion[j, steps] = _scalar_quadform(K_x, mids, spaces.n_scalar)
     return (np.vecdot(rate[row], deta_int)
             + np.vecdot((diffusion + flux)[row], eta_int)), l3
 

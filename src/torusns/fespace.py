@@ -62,6 +62,9 @@ N_LOCAL = 5          # 4 vertex functions + 1 bubble
 N_LOCAL_P = 4
 #: blocks per sparse product of `_scalar_quadform` (eight velocity states)
 QUADFORM_ROWS = 24
+#: states per block of a report's passes over a trajectory (norms, balance
+#: forms, divergence scan): a block's rows are one `_scalar_quadform` product
+ROWS = QUADFORM_ROWS // 3
 
 #: Levi-Civita symbol, eps_{ijk} = (e_i x e_j)_k
 _EPS = np.cross(np.eye(3)[:, None], np.eye(3))
@@ -415,6 +418,12 @@ def quad_integral(spaces, values):
 # norms: of one coefficient vector, or per row of a stack of them
 # ---------------------------------------------------------------------------
 
+def _row_blocks(n_rows, size=ROWS):
+    """Consecutive slices of `size` rows (the last may be shorter) that
+    cover range(n_rows)."""
+    return [slice(i, min(i + size, n_rows)) for i in range(0, n_rows, size)]
+
+
 def _scalar_quadform(matrix, coeffs, n_s):
     """Sum of c_k . (matrix c_k) over the length-n_s blocks c_k of a vector,
     or per row of a stack.  One sparse product per QUADFORM_ROWS blocks:
@@ -425,10 +434,10 @@ def _scalar_quadform(matrix, coeffs, n_s):
     c = np.asarray(coeffs)
     blocks = c.reshape(-1, n_s)
     out = np.empty(len(blocks))
-    for i in range(0, len(blocks), QUADFORM_ROWS):
-        b = blocks[i:i + QUADFORM_ROWS]
+    for rows in _row_blocks(len(blocks), QUADFORM_ROWS):
+        b = blocks[rows]
         images = np.ascontiguousarray((matrix @ b.T).T)
-        out[i:i + len(b)] = np.vecdot(b, images)
+        out[rows] = np.vecdot(b, images)
     return out.reshape(c.shape[:-1] + (-1,)).sum(-1)
 
 

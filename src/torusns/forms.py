@@ -44,10 +44,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import (_EPS, N_LOCAL, N_LOCAL_P, _evaluate, _scatter,
-                      _velocity_nodal, _zero_mean_solve, quad_integral,
-                      velocity_gradients, velocity_h1_semi, velocity_l2,
-                      velocity_values)
+from .fespace import (_EPS, N_LOCAL, N_LOCAL_P, _evaluate, _row_blocks,
+                      _scatter, _velocity_nodal, _zero_mean_solve,
+                      quad_integral, velocity_gradients, velocity_h1_semi,
+                      velocity_l2, velocity_values)
 from .linsolve import SaddleConstraints, SaddleSystem
 
 
@@ -208,11 +208,18 @@ def estimate_constants(spaces, case, samples) -> float:
 
 def divergence_norm(spaces, u):
     """Largest |(div u, q)| / |q|_2 over the pressure space, for one
-    velocity vector or per row of a stack (one solve for all rows)."""
-    r = spaces.ops.B @ np.asarray(u).T
-    s = spaces.ops.lu_Mp.solve(r)
-    return np.sqrt(np.maximum(0.0, np.vecdot(np.ascontiguousarray(r.T),
-                                             np.ascontiguousarray(s.T))))
+    velocity vector or per row of a stack.  A stack is scanned in blocks
+    of ROWS rows, one solve each, so no transposed copy of the whole
+    stack is made; a column's solve does not depend on the others."""
+    u = np.asarray(u)
+    stack = u.reshape(-1, u.shape[-1])
+    out = np.empty(len(stack))
+    for rows in _row_blocks(len(stack)):
+        r = spaces.ops.B @ stack[rows].T
+        s = spaces.ops.lu_Mp.solve(r)
+        out[rows] = np.vecdot(np.ascontiguousarray(r.T),
+                              np.ascontiguousarray(s.T))
+    return np.sqrt(np.maximum(0.0, out.reshape(u.shape[:-1])))
 
 
 def project_div_free(spaces, coeffs) -> np.ndarray:

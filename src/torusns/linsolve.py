@@ -27,8 +27,10 @@ trajectories agreed with the direct ones within 8.4e-13 (velocity) and
 identical, and the CN and CNLE energy residuals stayed below 1.0e-15
 relative.  A solve whose GMRES does not converge, or whose answer a
 guard rejects, falls back to a fresh LU of its own assembled matrix.
-The CNAB steps, the divergence-free projection, the mass solves and
-the measured constants factorize and solve directly.
+A run's projection of its initial datum is solved the same way, on the
+step factor, in dt-scaled variables (`steppers._project_start`).  The
+CNAB steps, `forms.project_div_free`, the mass solves and the measured
+constants factorize and solve directly.
 
 At `KRYLOV_RTOL` the residual estimate of a solve ends near the
 tolerance edge, so a roundoff-level change to the operator (a reordered

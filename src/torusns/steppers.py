@@ -19,7 +19,8 @@ mean-free, enforced through the constraint rows of the saddle system.
 
 A trajectory makes one step factorization, of the zero-advection
 (CNAB) system: CNAB solves with it directly, and every frozen-advection
-solve of CN and CNLE runs GMRES preconditioned with it (see `linsolve`).
+solve of CN and CNLE, and the projection of the initial datum, run GMRES
+preconditioned with it (see `linsolve`).
 All its saddle systems share one set of constraint blocks
 (`linsolve.SaddleConstraints`) and differ only in their velocity block:
 an iterate assembles its convection from the per-type tensors of
@@ -36,7 +37,8 @@ import numpy as np
 
 from . import forms
 from .fespace import project_velocity, velocity_l2
-from .linsolve import SaddleConstraints, SaddleSolution, SaddleSystem
+from .linsolve import (LinearSolveError, SaddleConstraints, SaddleSolution,
+                       SaddleSystem, _guard)
 
 SCHEMES = ("CN", "CNLE", "CNAB")
 
@@ -258,23 +260,56 @@ def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
 # trajectories
 # ---------------------------------------------------------------------------
 
+def _project_start(op: StepOperator, coeffs) -> np.ndarray:
+    """`forms.project_div_free` of `coeffs`, by GMRES preconditioned with
+    the trajectory's step factor.
+
+    The projection's saddle system, with velocity block M, is solved in
+    dt-scaled variables: its momentum rows divided by dt and p and alpha
+    scaled by 1/dt, its velocity block is M/dt, which differs from the
+    factored M/dt + nu A/2 only by nu A/2.  Unscaled, the two blocks
+    differ by a factor 1/dt and GMRES stagnates (at n=5, dt = 1/128, on
+    5 of 5 random-trig seeds); scaled, it took 6-42 iterations on seeds
+    0-4 at n=2-8, dt = 1/128 to 1 and nu = 0.01 to 1, and u agreed with
+    the LU projection within 1.7e-13 relative.  Scaled back, the answer
+    must pass the solve guards against the unscaled system, as a direct
+    solve does, since the scaled system's guard checks the constraint
+    rows 1/dt times more loosely.  If GMRES does not converge, or the
+    guard rejects its answer, the projection falls back to
+    `forms.project_div_free`'s LU."""
+    dt, M = op.config.dt, op.spaces.ops.M
+    system = SaddleSystem(op.constraints, M)
+    rhs = system.rhs(M @ np.asarray(coeffs))
+    try:
+        x, _ = op.preconditioner.krylov_solve(
+            SaddleSystem(op.constraints, (1.0 / dt) * M), (1.0 / dt) * rhs)
+        for name in ("p", "alpha"):
+            x[system.slices[name]] *= dt
+        _guard(system, system.norm1, x, rhs)
+    except LinearSolveError:
+        return forms.project_div_free(op.spaces, coeffs)
+    return x[system.slices["u"]]
+
+
 def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     """Advance a full trajectory from the datum u0.
 
     `u0` is trigonometric data (a TrigVector).  The starting state is its
     mass-orthogonal projection onto the discretely divergence-free,
-    mean-free subspace, so the pressure term cancels in the energy
-    balance from the very first step.
+    mean-free subspace (`_project_start`, with the step factor), so the
+    pressure term cancels in the energy balance from the very first step.
     """
-    start = forms.project_div_free(spaces, project_velocity(spaces, u0))
-
+    # the datum's samples are dropped before the step factor exists: made
+    # after it, they raised a cn3-picard run's peak RSS by 0.7 MB (median
+    # over 10 hash seeds)
+    coeffs = project_velocity(spaces, u0)
+    op = StepOperator(spaces, config)
     N = config.N
     u = np.zeros((N + 1, 3 * spaces.n_scalar))
     p = np.zeros((N, spaces.pressure.dim))
     iters = np.zeros(N, dtype=int)
     resids = np.zeros(N)
-    u[0] = start
-    op = StepOperator(spaces, config)
+    u[0] = _project_start(op, coeffs)
     conv_prev = None     # CNAB: convection of the state before u[m - 1]
     for m in range(1, N + 1):
         try:

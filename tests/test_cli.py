@@ -233,6 +233,25 @@ def test_bad_step_constant_rejected_before_solve(tmp_path, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("datum, extra", [
+    ("sine-shear", "cn_threshold = nan\n"),
+    ("sine-shear", "cn_threshold = -1\n"),
+    ("sine-shear", "cn_threshold = 0\n"),
+    ("sine-shear", "cn_threshold = inf\n"),
+    ("random-trig", "degree = 0\n"),
+    ("random-trig", "degree = -2\n"),
+], ids=["cn-threshold-nan", "cn-threshold-negative", "cn-threshold-zero",
+        "cn-threshold-inf", "random-trig-degree-zero",
+        "random-trig-degree-negative"])
+def test_bad_run_parameter_rejected_before_solve(tmp_path, datum, extra):
+    # a meaningless cn_pass, or a zero datum, would otherwise exit 0
+    body = BASE_CFG.replace("sine-shear", datum) + extra
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body", [
     BASE_CFG.replace("[run]\n", ""),             # no section header
     BASE_CFG + "steps = 8\n",                    # duplicate key

@@ -16,12 +16,13 @@ from torusns.diagnostics import (BLOCK, SpaceTimeTest, TimeBump,
                                  cnab_monitor, default_test_family,
                                  energy_residuals, global_energy_defect,
                                  local_energy_residuals, pressure_ratios)
-from torusns.fespace import (_product_table, _weighted_matrix, field_values,
-                             pressure_l2, pressure_values, quad_integral,
-                             velocity_gradients, velocity_h1_semi,
-                             velocity_l2, velocity_values)
+from torusns.fespace import (ROWS, _product_table, _weighted_matrix,
+                             field_values, pressure_l2, pressure_values,
+                             quad_integral, velocity_gradients,
+                             velocity_h1_semi, velocity_l2, velocity_values)
+from torusns.forms import divergence_norm
 from torusns.interpolants import trajectory_norms
-from torusns.steppers import SchemeConfig, run
+from torusns.steppers import DiscreteTrajectory, SchemeConfig, run
 from torusns.trig import TrigPoly, preset_field, tg_like
 
 GAUSS_X = 0.5 * (1.0 + np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]))
@@ -180,10 +181,84 @@ def per_midpoint_flux_and_l3(spaces, u, p, psis):
     return flux, l3
 
 
-@pytest.mark.parametrize("N", [1, 6, 7, 13])
-def test_blocked_flux_matches_the_per_midpoint_loop(level, N):
+def random_trajectory(spaces, N, seed=0):
+    """N steps of random states and pressures over T = 1."""
+    rng = np.random.default_rng(seed)
+    cfg = SchemeConfig(scheme="CN", case=1, nu=0.1, T=1.0, N=N)
+    return DiscreteTrajectory(
+        config=cfg, times=cfg.dt * np.arange(N + 1),
+        u=rng.standard_normal((N + 1, 3 * spaces.n_scalar)),
+        p=rng.standard_normal((N, spaces.pressure.dim)),
+        picard_iters=np.ones(N, dtype=int), residuals=np.zeros(N))
+
+
+def whole_stack_form(matrix, stack, n):
+    """Sum over the length-n blocks c of each row of c . (matrix c), with
+    one sparse product for the whole stack."""
+    blocks = stack.reshape(-1, n)
+    images = np.ascontiguousarray((matrix @ blocks.T).T)
+    return np.vecdot(blocks, images).reshape(len(stack), -1).sum(-1)
+
+
+@pytest.mark.parametrize("N", [1, ROWS, ROWS + 1, 2 * ROWS + 1])
+def test_blocked_passes_match_the_whole_stacks(level, N):
     # one partial block, one full one, a full one and a tail of one, two
     # full ones and a tail of one
+    spaces = level(3)
+    traj = random_trajectory(spaces, N)
+    u, p, n_s, ops = traj.u, traj.p, spaces.n_scalar, spaces.ops
+    mids = 0.5 * (u[1:] + u[:-1])
+
+    def norm(matrix, stack):
+        return np.sqrt(np.maximum(0.0, whole_stack_form(matrix, stack, n_s)))
+
+    norms = trajectory_norms(traj, spaces)
+    assert np.array_equal(norms.midpoint_l2, norm(ops.M_s, mids))
+    assert np.array_equal(norms.midpoint_h1_semi, norm(ops.A_s, mids))
+    assert np.array_equal(norms.increment_l2,
+                          norm(ops.M_s, np.diff(u, axis=0)))
+    r = ops.B @ u.T
+    s = ops.lu_Mp.solve(r)
+    assert np.array_equal(
+        divergence_norm(spaces, u),
+        np.sqrt(np.maximum(0.0, np.vecdot(np.ascontiguousarray(r.T),
+                                          np.ascontiguousarray(s.T)))))
+    tests = default_test_family(traj.config.T)
+    got = local_energy_residuals(traj, spaces, tests)[0]
+    dt, nu = traj.config.dt, traj.config.nu
+    t_nodes = (np.arange(N)[:, None] + GAUSS_X) * dt
+    want = np.empty(len(tests))
+    for i, test in enumerate(tests):
+        K_t, K_x = _balance_matrices(spaces, nu, test.psi)
+        flux = _flux_and_l3(spaces, u, p, [test.psi])[0][0]
+        want[i] = (whole_stack_form(K_t, mids, n_s)
+                   @ (dt * test.eta.dvalue(t_nodes) @ GAUSS_W)
+                   + (whole_stack_form(K_x, mids, n_s) + flux)
+                   @ (dt * test.eta.value(t_nodes) @ GAUSS_W))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_report_memory_does_not_grow_with_the_steps(level):
+    # no pass of the report holds a whole-trajectory stack: from 8 to 128
+    # steps its traced peak may grow by 8 states at most (numpy reports
+    # its buffers to tracemalloc; the trajectory itself is made before)
+    spaces = level(4)
+    peaks = []
+    for N in (8, 128):
+        traj = random_trajectory(spaces, N)
+        tracemalloc.start()
+        try:
+            build_report(traj, spaces)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * 8 * 3 * spaces.n_scalar
+
+
+@pytest.mark.parametrize("N", [1, 6, 7, 13])
+def test_blocked_flux_matches_the_per_midpoint_loop(level, N):
+    # with BLOCK = 2: one partial block, three full ones, three full ones
+    # and a tail of one, six full ones and a tail of one
     spaces = level(3)
     rng = np.random.default_rng(N)
     u = rng.standard_normal((N + 1, 3 * spaces.n_scalar))
@@ -285,18 +360,27 @@ def test_pressure_ratios_match_reference(cn_runs, level):
 
 
 NORMS = (velocity_l2, velocity_h1_semi, pressure_l2)
-#: one stacked call per norm family of `trajectory_norms`
-REPORT_NORM_CALLS = {"velocity_l2": 3, "velocity_h1_semi": 2,
-                     "pressure_l2": 1}
 
 
-def count_calls(monkeypatch, fns):
-    """Per-name counts of the calls to `fns`: every torusns module that
-    binds one of them gets the counting one."""
+def report_norm_calls(N):
+    """The norm calls of `trajectory_norms` on N steps: one stacked call for
+    the states and one for the pressures, one per block of ROWS steps for
+    the midpoints and for the increments."""
+    blocks = -(-N // ROWS)
+    return {"velocity_l2": 1 + 2 * blocks, "velocity_h1_semi": 1 + blocks,
+            "pressure_l2": 1}
+
+
+def count_calls(monkeypatch, fns, rows=None):
+    """Per-name counts of the calls to `fns`, and in `rows` (if given) of
+    the vectors they were handed: every torusns module that binds one of
+    them gets the counting one."""
     calls = {}
     for fn in fns:
         def counted(*args, fn=fn):
             calls[fn.__name__] += 1
+            if rows is not None:
+                rows[fn.__name__] += int(np.prod(np.shape(args[1])[:-1]))
             return fn(*args)
         calls[fn.__name__] = 0
         for mod in list(sys.modules.values()):
@@ -309,14 +393,18 @@ def count_calls(monkeypatch, fns):
 @pytest.mark.parametrize("with_local_energy", [True, False])
 def test_report_evaluates_each_midpoint_once(cn_runs, cnab_runs, level,
                                              monkeypatch, with_local_energy):
-    # ... and each norm family once, with or without the CNAB monitors;
-    # the local energy balance samples no velocity gradients at all, and
-    # its flux and L3 loop hands every midpoint (and, with tests, every
-    # pressure) to the type-major kernel once per Kuhn type, in
-    # ceil(N / BLOCK) blocks and no E-major evaluation
+    # ... and each norm family's rows once, with or without the CNAB
+    # monitors: the states and pressures in one stacked call, the
+    # midpoints and increments in ceil(N / ROWS) blocks; the local energy
+    # balance samples no velocity gradients at all, and its flux and L3
+    # loop hands every midpoint (and, with tests, every pressure) to the
+    # type-major kernel once per Kuhn type, in ceil(N / BLOCK) blocks and
+    # no E-major evaluation
     spaces = level(3)
+    norm_rows = {}
     calls = count_calls(monkeypatch,
-                        (velocity_values, velocity_gradients) + NORMS)
+                        (velocity_values, velocity_gradients) + NORMS,
+                        norm_rows)
     rows = []
     kernel = torusns.fespace._samples_of_type
 
@@ -326,11 +414,17 @@ def test_report_evaluates_each_midpoint_once(cn_runs, cnab_runs, level,
     monkeypatch.setattr(torusns.diagnostics, "_samples_of_type", spy)
     for traj in (cn_runs[1], cnab_runs["stable"]):
         calls.update(dict.fromkeys(calls, 0))
+        norm_rows.update(dict.fromkeys(calls, 0))
         rows.clear()
         build_report(traj, spaces, with_local_energy=with_local_energy)
-        assert calls == {"velocity_values": 0, "velocity_gradients": 0,
-                         **REPORT_NORM_CALLS}
         N, blocks = traj.n_steps, -(-traj.n_steps // BLOCK)
+        assert N > ROWS
+        assert calls == {"velocity_values": 0, "velocity_gradients": 0,
+                         **report_norm_calls(N)}
+        assert norm_rows == {"velocity_values": 0, "velocity_gradients": 0,
+                             "velocity_l2": (N + 1) + 2 * N,
+                             "velocity_h1_semi": (N + 1) + N,
+                             "pressure_l2": N}
         for k in range(6):
             velocity = [n for c, t, n in rows if (c, t) == (3, k)]
             pressure = [n for c, t, n in rows if (c, t) == (1, k)]
@@ -352,7 +446,7 @@ def test_summary_csv_reads_the_report_norms(tmp_path, monkeypatch):
     monkeypatch.setattr(torusns.cli, "run", run_spy)
     torusns.cli.run_single(RunSpec(n_cells=2, T=0.5, steps=4), tmp_path)
     assert (tmp_path / "summary.csv").is_file()
-    assert calls == REPORT_NORM_CALLS
+    assert calls == report_norm_calls(4)
 
 
 def test_divergence_scan_infinite_after_blow_up(cnab_runs, level):
