@@ -67,11 +67,11 @@ class RunSpec:
     with_local_energy: bool = True
 
     def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(scheme=self.scheme, case=self.case, nu=self.nu,
-                            T=self.T, N=self.steps,
-                            picard_tol=self.picard_tol,
-                            picard_max_iters=self.picard_max_iters,
-                            c1=self.c1, C_cnle=self.C_cnle)
+        """The scheme settings of this run: its fields of the same names,
+        and N = steps."""
+        return SchemeConfig(N=self.steps, **{
+            f.name: getattr(self, f.name) for f in fields(SchemeConfig)
+            if f.name != "N"})
 
     def validate(self):
         if self.n_cells < 2:
@@ -102,6 +102,11 @@ class StudySpec:
     strict_coupling: bool = True
 
     def validate(self):
+        # study_steps divides T by coupling_c * h^alpha and rounds up
+        if not 0 < self.coupling_c < np.inf:
+            raise ConfigError("coupling_c must be positive and finite")
+        if not np.isfinite(self.alpha):
+            raise ConfigError("alpha must be finite")
         if len(self.levels) < 2:
             raise ConfigError("a study needs at least 2 levels")
         if any(n < 2 for n in self.levels):
@@ -113,8 +118,6 @@ class StudySpec:
         if (self.strict_coupling and self.base.scheme == "CN"
                 and not self.alpha > 0.5):
             raise ConfigError("strict coupling for CN requires alpha > 0.5")
-        if self.coupling_c <= 0:
-            raise ConfigError("coupling_c must be positive")
         self.base.validate()
 
 
@@ -122,21 +125,37 @@ class StudySpec:
 # configuration files
 # ---------------------------------------------------------------------------
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
+#: how a config value is read as a field of each type a section sets; the
+#: study's levels (a tuple) are a comma-separated list of ints
+_READERS = {"int": int, "float": float, "str": str,
+            "bool": lambda value: configparser.ConfigParser.BOOLEAN_STATES[
+                value.strip().lower()],
+            "tuple": lambda value: tuple(map(int, value.split(",")))}
 
 
-def _coerce(value, target_type):
-    if target_type is bool:
-        try:
-            return _BOOLEANS[str(value).strip().lower()]
-        except KeyError:
-            raise ConfigError(f"bad bool value {value!r}") from None
+def _coerce(key, value: str, type_name: str):
+    """The config value of `key`, read as a field of the named type."""
     try:
-        return target_type(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad {target_type.__name__} value "
-                          f"{value!r}") from exc
+        return _READERS[type_name](value)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad {key} value {value!r}") from exc
+
+
+def _read_section(cls, name, values: dict) -> dict:
+    """Keyword arguments of `cls` from the config section `name`: each key
+    a settable field, its value read as the field's type."""
+    types = {f.name: f.type for f in fields(cls) if f.type in _READERS}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in types:
+            raise ConfigError(f"unknown [{name}] key: {key}")
+        kwargs[key] = _coerce(key, value, types[key])
+    return kwargs
+
+
+def _config_text(value) -> str:
+    """A settable field's value as `_READERS` reads it back."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def parse_config(path) -> tuple[RunSpec, StudySpec | None]:
@@ -152,29 +171,11 @@ def parse_config(path) -> tuple[RunSpec, StudySpec | None]:
         raise ConfigError(f"cannot read config file {path}")
     if "run" not in sections:
         raise ConfigError("config needs a [run] section")
-    kwargs = {}
-    types = {f.name: f.type for f in fields(RunSpec)}
-    for key, value in sections["run"].items():
-        if key not in types:
-            raise ConfigError(f"unknown [run] key: {key}")
-        target = {"int": int, "float": float, "str": str,
-                  "bool": bool}[types[key]]
-        kwargs[key] = _coerce(value, target)
-    spec = RunSpec(**kwargs)
+    spec = RunSpec(**_read_section(RunSpec, "run", sections["run"]))
     study = None
     if "study" in sections:
-        skw = {}
-        for key, value in sections["study"].items():
-            if key == "levels":
-                skw["levels"] = tuple(_coerce(v, int)
-                                      for v in value.split(","))
-            elif key in ("alpha", "coupling_c"):
-                skw[key] = _coerce(value, float)
-            elif key == "strict_coupling":
-                skw["strict_coupling"] = _coerce(value, bool)
-            else:
-                raise ConfigError(f"unknown [study] key: {key}")
-        study = StudySpec(base=spec, **skw)
+        study = StudySpec(base=spec, **_read_section(StudySpec, "study",
+                                                     sections["study"]))
     return spec, study
 
 
@@ -182,14 +183,10 @@ def emit_config(spec: RunSpec, study: StudySpec | None = None,
                 extra_meta: dict | None = None) -> str:
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    cp["run"] = {f.name: str(getattr(spec, f.name)) for f in fields(RunSpec)}
-    if study is not None:
-        cp["study"] = {
-            "levels": ",".join(str(n) for n in study.levels),
-            "alpha": str(study.alpha),
-            "coupling_c": str(study.coupling_c),
-            "strict_coupling": str(study.strict_coupling),
-        }
+    for name, section in (("run", spec), ("study", study)):
+        if section is not None:
+            cp[name] = {f.name: _config_text(getattr(section, f.name))
+                        for f in fields(section) if f.type in _READERS}
     if extra_meta:
         cp["meta"] = {k: str(v) for k, v in extra_meta.items()}
     buf = io.StringIO()
@@ -242,9 +239,8 @@ def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
     write_summary_csv(os.path.join(out_dir, "summary.csv"), trajectory,
                       report)
     np.savez(os.path.join(out_dir, "trajectory.npz"),
-             times=trajectory.times, u=trajectory.u, p=trajectory.p,
-             picard_iters=trajectory.picard_iters,
-             residuals=trajectory.residuals)
+             **{f.name: getattr(trajectory, f.name)
+                for f in fields(trajectory) if f.name != "config"})
     meta = {"version": f"torusns-{__version__}",
             "wall_time_s": f"{time.time() - t0:.3f}"}
     with open(os.path.join(out_dir, "runmeta.ini"), "w") as fh:
@@ -280,10 +276,10 @@ def run_study(study: StudySpec, out_dir):
                      report.local_energy_min if report.local_energy_min
                      is not None else float("nan"),
                      report.pressure_ratio_max,
-                     report.coupling["cn_ratio"],
-                     report.coupling["cn_pass"],
-                     report.coupling["cnle_pass"],
-                     report.coupling["cnab_dt_pass"]))
+                     report.coupling.cn_ratio,
+                     report.coupling.cn_pass,
+                     report.coupling.cnle_pass,
+                     report.coupling.cnab_dt_pass))
     with open(os.path.join(out_dir, "study.csv"), "w") as fh:
         fh.write(",".join(STUDY_COLUMNS) + "\n")
         for row in rows:
@@ -380,8 +376,8 @@ def main(argv=None) -> int:
             if study is None:
                 study = StudySpec(base=spec)
             if args.levels is not None:
-                study = replace(study, levels=tuple(
-                    _coerce(v, int) for v in args.levels.split(",")))
+                study = replace(study, levels=_coerce("levels", args.levels,
+                                                      "tuple"))
             if args.alpha is not None:
                 study = replace(study, alpha=args.alpha)
             if args.seed is not None:

@@ -24,7 +24,7 @@ to a JSON document that keeps the per-step arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .fespace import (_product_table, _samples_of_type, _scalar_quadform,
                       _weighted_matrix, field_values)
 from .interpolants import (TrajectoryNorms, _step_blocks, gap_l2,
                            increment_sum, trajectory_norms)
-from .steppers import DiscreteTrajectory, StepperError, check_coupling
+from .steppers import (CouplingReport, DiscreteTrajectory, StepperError,
+                       check_coupling)
 from .trig import TrigPoly
 
 #: 3-point Gauss-Legendre nodes/weights on [0, 1].
@@ -274,9 +275,15 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
 # explicit-scheme monitors
 # ---------------------------------------------------------------------------
 
+#: field metadata of the serialized dataclasses (see DiagnosticsReport): a
+#: field that only report.json holds, and one that no artifact holds
+_JSON_ONLY = {"json_only": True}
+_UNSERIALIZED = {"unserialized": True}
+
+
 @dataclass
 class CnabMonitor:
-    xi: np.ndarray                 # xi^m for m = 1..N
+    xi: np.ndarray = field(metadata=_JSON_ONLY)  # xi^m for m = 1..N
     monotone: bool                 # xi nonincreasing from m = 2 on
     first_violation: int | None    # step index of the first increase
     weighted_ok: bool              # (1 + dt/(2 c1^2)) xi^m <= xi^{m-1}
@@ -311,10 +318,7 @@ def cnab_monitor(norms: TrajectoryNorms, config) -> CnabMonitor:
 class FirstStepCheck:
     lhs: float
     rhs: float
-
-    @property
-    def value(self) -> float:
-        return self.lhs - self.rhs
+    value: float                   # lhs - rhs
 
 
 def cnab_first_step_check(norms: TrajectoryNorms, config,
@@ -323,17 +327,52 @@ def cnab_first_step_check(norms: TrajectoryNorms, config,
     (1/2 + nu dt/(4 h^2)) |u^0|^2; nonpositive for a stable start."""
     nu, dt = config.nu, config.dt
     l2_sq = norms.state_l2[:2] ** 2
-    lhs = 0.5 * l2_sq[1] + 0.25 * nu * dt * norms.state_h1_semi[1] ** 2
-    rhs = (0.5 + nu * dt / (4.0 * h ** 2)) * l2_sq[0]
-    return FirstStepCheck(lhs=float(lhs), rhs=float(rhs))
+    lhs = float(0.5 * l2_sq[1] + 0.25 * nu * dt * norms.state_h1_semi[1] ** 2)
+    rhs = float((0.5 + nu * dt / (4.0 * h ** 2)) * l2_sq[0])
+    return FirstStepCheck(lhs=lhs, rhs=rhs, value=lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
 # full report
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _serialized_items(obj, section=None):
+    """(name, value, json_only) of the serialized fields of the dataclass
+    `obj`, in field order, by the rule of DiagnosticsReport."""
+    for f in fields(obj):
+        value, meta = getattr(obj, f.name), f.metadata
+        if "section" in meta:
+            if value is not None:
+                yield from _serialized_items(value, meta["section"])
+        elif meta.get("json_only"):
+            if value is not None:
+                yield f"{section}_{f.name}" if section else f.name, value, True
+        elif not meta.get("unserialized"):
+            yield f"{section}.{f.name}" if section else f.name, value, False
+
+
+def _json_value(x):
+    """x with its numpy arrays and scalars as lists and Python scalars."""
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    return x.tolist() if isinstance(x, (np.ndarray, np.generic)) else x
+
+
+@dataclass(kw_only=True)
 class DiagnosticsReport:
+    """Every monitor of a trajectory, serialized field by field.
+
+    The fields' order is report.txt's line order.  A section field
+    (`coupling`, `cnab`, `first_step_check`) contributes its dataclass's
+    fields as `section.field`, under the section's name (`first_step` for
+    the first-step check), and nothing when it is None.  A `_JSON_ONLY`
+    field -- the per-step arrays, the per-test `local_energy` values and
+    `cnab`'s `xi`, keyed `cnab_xi` -- goes to report.json only, and is
+    left out when None; every other field goes to both, None included
+    (`local_energy_min` of a report without local energy).  `norms` goes
+    to neither.
+    """
+
     scheme: str
     case: int
     nu: float
@@ -344,85 +383,36 @@ class DiagnosticsReport:
     u0_l2_discrete: float
     u0_h1_discrete: float  # enters the constant of the increment bound
     u0_l2_analytic: float | None
-    energy_residuals: np.ndarray
+    energy_residuals: np.ndarray = field(metadata=_JSON_ONLY)
     max_energy_residual: float
     global_defect_discrete: float
     global_defect_analytic: float | None
     increment_sum: float
     increment_normalized: float
     gap_l2: float
-    pressure_ratios: np.ndarray
+    pressure_ratios: np.ndarray = field(metadata=_JSON_ONLY)
     pressure_ratio_max: float
     divergence_max_rel: float
-    coupling: dict
-    norms: TrajectoryNorms  # what the monitors read; not serialized
-    local_energy: dict | None = None
-    local_energy_min: float | None = None
-    cnab: CnabMonitor | None = None
-    first_step_check: FirstStepCheck | None = None
-    picard_iters: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    step_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    local_energy: dict | None = field(metadata=_JSON_ONLY)
+    local_energy_min: float | None
+    coupling: CouplingReport = field(metadata={"section": "coupling"})
+    # what the monitors read
+    norms: TrajectoryNorms = field(metadata=_UNSERIALIZED)
+    cnab: CnabMonitor | None = field(metadata={"section": "cnab"})
+    first_step_check: FirstStepCheck | None = field(
+        metadata={"section": "first_step"})
+    picard_iters: np.ndarray = field(metadata=_JSON_ONLY)
+    step_residuals: np.ndarray = field(metadata=_JSON_ONLY)
 
     # -- serialization -------------------------------------------------
-    def scalar_items(self):
-        items = [
-            ("scheme", self.scheme), ("case", self.case), ("nu", self.nu),
-            ("T", self.T), ("N", self.N), ("dt", self.dt), ("h", self.h),
-            ("u0_l2_discrete", self.u0_l2_discrete),
-            ("u0_h1_discrete", self.u0_h1_discrete),
-            ("u0_l2_analytic", self.u0_l2_analytic),
-            ("max_energy_residual", self.max_energy_residual),
-            ("global_defect_discrete", self.global_defect_discrete),
-            ("global_defect_analytic", self.global_defect_analytic),
-            ("increment_sum", self.increment_sum),
-            ("increment_normalized", self.increment_normalized),
-            ("gap_l2", self.gap_l2),
-            ("pressure_ratio_max", self.pressure_ratio_max),
-            ("divergence_max_rel", self.divergence_max_rel),
-            ("local_energy_min", self.local_energy_min),
-        ]
-        for k, v in self.coupling.items():
-            items.append((f"coupling.{k}", v))
-        if self.cnab is not None:
-            items += [("cnab.monotone", self.cnab.monotone),
-                      ("cnab.first_violation", self.cnab.first_violation),
-                      ("cnab.weighted_ok", self.cnab.weighted_ok),
-                      ("cnab.max_state_sq", self.cnab.max_state_sq),
-                      ("cnab.increment_within_32max",
-                       self.cnab.increment_within_32max)]
-        if self.first_step_check is not None:
-            items += [("first_step.lhs", self.first_step_check.lhs),
-                      ("first_step.rhs", self.first_step_check.rhs),
-                      ("first_step.value", self.first_step_check.value)]
-        return items
-
     def to_tab_text(self) -> str:
-        lines = []
-        for k, v in self.scalar_items():
-            if isinstance(v, float):
-                lines.append(f"{k}\t{v:.17g}")
-            else:
-                lines.append(f"{k}\t{v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{k}\t{v:.17g}\n" if isinstance(v, float)
+                       else f"{k}\t{v}\n"
+                       for k, v, json_only in _serialized_items(self)
+                       if not json_only)
 
     def to_json_dict(self) -> dict:
-        def conv(x):
-            if isinstance(x, np.ndarray):
-                return x.tolist()
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            return x
-        doc = {k: conv(v) for k, v in self.scalar_items()}
-        doc["energy_residuals"] = conv(self.energy_residuals)
-        doc["pressure_ratios"] = conv(self.pressure_ratios)
-        doc["picard_iters"] = conv(self.picard_iters)
-        doc["step_residuals"] = conv(self.step_residuals)
-        if self.local_energy is not None:
-            doc["local_energy"] = {k: conv(v)
-                                   for k, v in self.local_energy.items()}
-        if self.cnab is not None:
-            doc["cnab_xi"] = conv(self.cnab.xi)
-        return doc
+        return {k: _json_value(v) for k, v, _ in _serialized_items(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=1, sort_keys=True)
@@ -464,7 +454,7 @@ def build_report(trajectory: DiscreteTrajectory, spaces,
 
     coupling = check_coupling(cfg, h,
                               u0_norm if u0_norm is not None else u0_disc,
-                              cn_threshold=cn_threshold).as_dict()
+                              cn_threshold=cn_threshold)
     return DiagnosticsReport(
         scheme=cfg.scheme, case=cfg.case, nu=cfg.nu, T=cfg.T, N=cfg.N,
         dt=cfg.dt, h=h,

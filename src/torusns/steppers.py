@@ -362,9 +362,6 @@ class CouplingReport:
     ratio_dt_h3: float
     bound_32nu: float
 
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def check_coupling(config: SchemeConfig, h: float, u0_norm: float,
                    cn_threshold: float = 1.0) -> CouplingReport:

@@ -74,6 +74,14 @@ def test_config_roundtrip(tmp_path):
     again, study = parse_config(path)
     assert again == spec
     assert study is None
+    # every [study] key away from its default
+    study = StudySpec(base=spec, levels=(2, 4, 5), alpha=0.75,
+                      coupling_c=0.125, strict_coupling=False)
+    assert all(getattr(study, key) != getattr(StudySpec(base=spec), key)
+               for key in ("levels", "alpha", "coupling_c",
+                           "strict_coupling"))
+    path.write_text(emit_config(spec, study))
+    assert parse_config(path) == (spec, study)
 
 
 def test_report_rerender_matches(tmp_path):
@@ -104,6 +112,27 @@ def test_strict_coupling_rejected_before_solve(tmp_path):
                                          "strict_coupling = true\n")
     out = tmp_path / "st"
     assert main(["study", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study, flags", [
+    ("coupling_c = nan\n", []),
+    ("coupling_c = inf\n", []),
+    ("alpha = nan\n", []),
+    ("alpha = inf\n", []),
+    ("alpha = -inf\n", []),
+    ("", ["--alpha", "nan"]),
+], ids=["coupling-c-nan", "coupling-c-inf", "alpha-nan", "alpha-inf",
+        "alpha-minus-inf", "alpha-flag-nan"])
+def test_bad_step_rule_rejected_before_solve(tmp_path, study, flags):
+    # dt = coupling_c * h^alpha: NaN fails the step count's rounding, and
+    # an infinite value a step of size T, or a division by zero
+    body = BASE_CFG.replace("scheme = CN", "scheme = CNAB")
+    cfg = write_cfg(tmp_path, body + "\n[study]\nlevels = 2,3\n"
+                                     "strict_coupling = false\n" + study)
+    out = tmp_path / "st"
+    assert main(["study", "--config", cfg, "--out", str(out)]
+                + flags) == EXIT_CONFIG
     assert not out.exists()
 
 
@@ -171,8 +200,8 @@ def test_increment_verdict_reads_increment_sum(tmp_path, monkeypatch):
         return SimpleNamespace(
             h=1.0, dt=0.1, gap_l2=gap, increment_sum=inc,
             local_energy_min=0.0, pressure_ratio_max=0.0,
-            coupling=dict(cn_ratio=0.0, cn_pass=True, cnle_pass=True,
-                          cnab_dt_pass=True))
+            coupling=SimpleNamespace(cn_ratio=0.0, cn_pass=True,
+                                     cnle_pass=True, cnab_dt_pass=True))
 
     monkeypatch.setattr(torusns.cli, "run_single", run_single_stub)
     study = StudySpec(base=RunSpec(datum="sine-shear"), levels=(2, 3))
@@ -195,8 +224,8 @@ def test_study_step_count_uses_the_mesh_h(tmp_path, monkeypatch):
         return SimpleNamespace(
             h=1.0, dt=0.1, gap_l2=0.0, increment_sum=0.0,
             local_energy_min=0.0, pressure_ratio_max=0.0,
-            coupling=dict(cn_ratio=0.0, cn_pass=True, cnle_pass=True,
-                          cnab_dt_pass=True))
+            coupling=SimpleNamespace(cn_ratio=0.0, cn_pass=True,
+                                     cnle_pass=True, cnab_dt_pass=True))
 
     monkeypatch.setattr(torusns.cli, "study_steps", study_steps_spy)
     monkeypatch.setattr(torusns.cli, "run_single", run_single_stub)

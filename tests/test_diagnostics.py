@@ -547,3 +547,40 @@ def test_report_cnab_sections(cnab_runs, level):
     doc = rep.to_json_dict()
     assert "cnab_xi" in doc
     assert doc["cnab.monotone"] is True
+
+
+#: report.txt's keys, in order, of a report without the explicit-scheme
+#: sections; a CNAB report appends CNAB_KEYS
+REPORT_KEYS = [
+    "scheme", "case", "nu", "T", "N", "dt", "h", "u0_l2_discrete",
+    "u0_h1_discrete", "u0_l2_analytic", "max_energy_residual",
+    "global_defect_discrete", "global_defect_analytic", "increment_sum",
+    "increment_normalized", "gap_l2", "pressure_ratio_max",
+    "divergence_max_rel", "local_energy_min", "coupling.cn_ratio",
+    "coupling.cn_pass", "coupling.cnle_bound", "coupling.cnle_pass",
+    "coupling.cnab_bound", "coupling.cnab_dt_pass", "coupling.ratio_dt_h3",
+    "coupling.bound_32nu"]
+CNAB_KEYS = [
+    "cnab.monotone", "cnab.first_violation", "cnab.weighted_ok",
+    "cnab.max_state_sq", "cnab.increment_within_32max", "first_step.lhs",
+    "first_step.rhs", "first_step.value"]
+ARRAY_KEYS = {"energy_residuals", "pressure_ratios", "picard_iters",
+              "step_residuals"}
+
+
+def test_report_artifact_layout(cn_runs, cnab_runs, level):
+    spaces = level(3)
+    cn = build_report(cn_runs[1], spaces, u0_norm=tg_like().l2_norm())
+    with np.errstate(all="ignore"):
+        cnab = build_report(cnab_runs["stable"], spaces,
+                            with_local_energy=False)
+    for rep, keys, json_only in (
+            (cn, REPORT_KEYS, {"local_energy"}),
+            (cnab, REPORT_KEYS + CNAB_KEYS, {"cnab_xi"})):
+        lines = rep.to_tab_text().splitlines()
+        assert [line.split("\t")[0] for line in lines] == keys
+        assert set(json.loads(rep.to_json())) == (set(keys) | ARRAY_KEYS
+                                                  | json_only)
+    # a report without local energy still prints its (absent) minimum
+    assert "local_energy_min\tNone" in cnab.to_tab_text().splitlines()
+    assert json.loads(cnab.to_json())["local_energy_min"] is None

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -502,5 +503,4 @@ def test_cnab_ratio_reported_raw():
     assert abs(rep.ratio_dt_h3 - 0.1 / 0.125) < 1e-12
     assert abs(rep.bound_32nu - 1.0 / 3.2) < 1e-12
     assert rep.cnab_dt_pass  # dt = 0.1 <= 4 c1^2 / nu = 160
-    as_dict = rep.as_dict()
-    assert set(as_dict) >= {"cn_ratio", "cnle_bound", "ratio_dt_h3"}
+    assert set(asdict(rep)) >= {"cn_ratio", "cnle_bound", "ratio_dt_h3"}
