@@ -101,7 +101,8 @@ class StudySpec:
     coupling_c: float = 0.05
     strict_coupling: bool = True
 
-    def validate(self):
+    def validate(self) -> list:
+        """Check the study and return the step count of each level."""
         # study_steps divides T by coupling_c * h^alpha and rounds up
         if not 0 < self.coupling_c < np.inf:
             raise ConfigError("coupling_c must be positive and finite")
@@ -119,6 +120,8 @@ class StudySpec:
                 and not self.alpha > 0.5):
             raise ConfigError("strict coupling for CN requires alpha > 0.5")
         self.base.validate()
+        return [study_steps(self.base.T, self.coupling_c, self.alpha,
+                            element_diameter(n)) for n in self.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +258,25 @@ STUDY_COLUMNS = ("level", "n_cells", "h", "dt", "steps", "gap_l2",
 
 def study_steps(T: float, coupling_c: float, alpha: float, h: float) -> int:
     """Step count of a study level: the fewest steps over [0, T] whose
-    size stays at most coupling_c * h^alpha."""
-    return max(1, int(np.ceil(T / (coupling_c * h ** alpha))))
+    size stays at most coupling_c * h^alpha.  A size that is not positive
+    and finite (h^alpha under- or overflows for large |alpha|), or a count
+    that overflows (a tiny coupling_c), is a ConfigError."""
+    with np.errstate(over="ignore", under="ignore"):
+        dt = coupling_c * np.float64(h) ** alpha
+        steps = np.ceil(T / dt) if 0 < dt < np.inf else np.nan
+    if not steps < np.inf:
+        raise ConfigError(f"at h = {h:.6g} the step size coupling_c * "
+                          f"h^alpha = {dt:.3g} gives no finite step count")
+    return max(1, int(steps))
 
 
 def run_study(study: StudySpec, out_dir):
     """Refinement study with dt = coupling_c * h^alpha per level."""
-    study.validate()
+    level_steps = study.validate()
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     reports = []
-    for lvl, n in enumerate(study.levels):
-        steps = study_steps(study.base.T, study.coupling_c, study.alpha,
-                            element_diameter(n))
+    for lvl, (n, steps) in enumerate(zip(study.levels, level_steps)):
         spec = replace(study.base, n_cells=n, steps=steps)
         report = run_single(spec, os.path.join(out_dir, f"level_n{n}"), study)
         reports.append(report)

@@ -42,6 +42,13 @@ space builds its patterns once, on first use (`VelocitySpace.pattern`,
 `.block_pattern`, `.vector_pattern`, `PressureSpace.pattern`); the vector
 ones are the scalar one repeated in a 3 x 3 block grid, derived from it
 without a sort, in int32; the grid's slots skip its diagonal blocks.
+
+Every cell owns the same dofs: 7 scalar velocity ones, its vertex c and
+the bubbles n^3 + 6 c + t of its six elements, and 1 pressure one, its
+vertex (`cell_dofs`).  A shift by whole cells permutes them, so the two
+mass matrices are solved by their lattice Fourier blocks over that map
+(`Operators.Ms_solver` and `.Mp_solver`, `linsolve.LatticeSolver`), and
+no mass matrix is factorized.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linsolve import Factorization, SaddleConstraints, SaddleSystem
+from .linsolve import (Factorization, LatticeSolver, SaddleConstraints,
+                       SaddleSystem)
 from .mesh import KUHN_OFFSETS, PeriodicMesh
 from .quadrature import DEFAULT_DEGREE, TetRule, tet_rule
 from .trig import TrigVector
@@ -293,6 +301,15 @@ class VelocitySpace:
     dofmap: np.ndarray  # (E, 5)
 
     @property
+    def cell_dofs(self) -> np.ndarray:
+        """(n^3, 7) scalar dofs of each cell: its vertex c, then the
+        bubbles n^3 + 6 c + t of its six elements; a shift by whole cells
+        permutes the rows (`linsolve.cell_symbols`)."""
+        n_cells = self.n_scalar // 7
+        c = np.arange(n_cells)[:, None]
+        return np.concatenate([c, n_cells + 6 * c + np.arange(6)], axis=1)
+
+    @property
     def vector_dofmap(self) -> np.ndarray:
         """(E, 15) dofs of the vector basis N_a e_c, local index 5 c + a."""
         return np.concatenate([self.dofmap + c * self.n_scalar
@@ -319,14 +336,22 @@ class PressureSpace:
     dim: int
     dofmap: np.ndarray  # (E, 4)
 
+    @property
+    def cell_dofs(self) -> np.ndarray:
+        """(n^3, 1): the one dof of each cell, its vertex."""
+        return np.arange(self.dim)[:, None]
+
     @cached_property
     def pattern(self) -> _Pattern:
         return _Pattern.of(self.dofmap, self.dofmap)
 
 
 class Operators:
-    """Structural operators of a pair and their mass factorizations,
-    assembled from the pair's tables and spaces."""
+    """Structural operators of a pair, assembled from the pair's tables and
+    spaces, and the solvers of its two mass matrices by lattice Fourier
+    blocks (7 x 7 and 1 x 1 per wave vector).  Each solver is made on
+    first use: a report never solves with M_s, and made eagerly, its
+    complex blocks raised a report-rerender's peak RSS by 0.8 MB."""
 
     def __init__(self, spaces):
         t, velocity, pressure = spaces.tables, spaces.velocity, spaces.pressure
@@ -346,8 +371,15 @@ class Operators:
         ones = np.ones((spaces.mesh.n_tets, t.w_phys.size))
         self.int_s = _scalar_load(spaces, ones)
         self.int_p = _scalar_load(spaces, ones, n_funcs=N_LOCAL_P)
-        self.lu_Ms = Factorization(self.M_s)
-        self.lu_Mp = Factorization(self.Mp)
+        self._cells = velocity.cell_dofs, pressure.cell_dofs
+
+    @cached_property
+    def Ms_solver(self) -> LatticeSolver:
+        return LatticeSolver.of_matrix(self.M_s, self._cells[0])
+
+    @cached_property
+    def Mp_solver(self) -> LatticeSolver:
+        return LatticeSolver.of_matrix(self.Mp, self._cells[1])
 
 
 class FESpacePair:
@@ -478,11 +510,11 @@ def field_values(spaces, f):
     return out.reshape((-1,) + out.shape[2:])
 
 
-def _zero_mean_solve(lu, rhs, integral, n_vertices):
+def _zero_mean_solve(mass_solver, rhs, integral, n_vertices):
     """L2 projection onto the zero-mean space: x = M^-1 b minus the multiple
     of the constant function (coefficients 1 on the n_vertices vertex dofs,
     0 on bubbles) that zeroes int . x.  Exact, since M 1 = integral."""
-    x = lu.solve(rhs)
+    x = mass_solver.solve(rhs)
     x[:n_vertices] -= (integral @ x) / integral[:n_vertices].sum()
     return x
 
@@ -517,7 +549,7 @@ def project_velocity(spaces, f):
 def project_velocity_values(spaces, pointwise):
     """Zero-mean velocity projection of samples (E, Q, 3) at quad points."""
     ops = spaces.ops
-    return _zero_mean_solve(ops.lu_Ms, _scalar_load(spaces, pointwise),
+    return _zero_mean_solve(ops.Ms_solver, _scalar_load(spaces, pointwise),
                             ops.int_s, spaces.mesh.n_vertices).T.ravel()
 
 
@@ -529,7 +561,7 @@ def project_pressure(spaces, g):
 def project_pressure_values(spaces, pointwise):
     """Zero-mean pressure projection of samples already at quad points."""
     ops = spaces.ops
-    return _zero_mean_solve(ops.lu_Mp, _scalar_load(
+    return _zero_mean_solve(ops.Mp_solver, _scalar_load(
         spaces, pointwise, n_funcs=N_LOCAL_P), ops.int_p, spaces.pressure.dim)
 
 
@@ -557,7 +589,7 @@ def inf_sup_constant(spaces) -> float:
         rhs[system.slices["p"]] = Mp @ np.ravel(x)
         return Mp @ system.solve(rhs)["p"]
 
-    mu_max = _largest_eigenvalue(apply_q, spaces.ops.lu_Mp)
+    mu_max = _largest_eigenvalue(apply_q, spaces.ops.Mp_solver)
     return float(1.0 / np.sqrt(mu_max))
 
 
@@ -571,7 +603,7 @@ def inverse_constant(spaces) -> float:
     """
     MA = (spaces.ops.M_s + spaces.ops.A_s).tocsr()
     lam_max = _largest_eigenvalue(lambda x: MA @ np.ravel(x),
-                                  spaces.ops.lu_Ms)
+                                  spaces.ops.Ms_solver)
     return float(np.sqrt(lam_max) * spaces.h)
 
 
@@ -608,7 +640,7 @@ def commutator_defect(spaces, v_coeffs, phi, l: int = 1) -> CommutatorDefect:
     fgrads = vgrads * pvals[..., None, None] \
         + vvals[..., :, None] * pgrads[..., None, :]
 
-    proj = spaces.ops.lu_Ms.solve(_scalar_load(spaces, fvals)).T.ravel()
+    proj = spaces.ops.Ms_solver.solve(_scalar_load(spaces, fvals)).T.ravel()
     dvals = fvals - velocity_values(spaces, proj)
     dgrads = fgrads - velocity_gradients(spaces, proj)
 
@@ -634,8 +666,8 @@ def pressure_commutator_defect(spaces, q_coeffs, phi):
     """
     qvals = pressure_values(spaces, q_coeffs)
     fvals = qvals * field_values(spaces, phi)
-    proj = spaces.ops.lu_Mp.solve(_scalar_load(spaces, fvals,
-                                               n_funcs=N_LOCAL_P))
+    proj = spaces.ops.Mp_solver.solve(_scalar_load(spaces, fvals,
+                                                   n_funcs=N_LOCAL_P))
     dvals = fvals - pressure_values(spaces, proj)
     defect = float(np.sqrt(max(0.0, quad_integral(spaces, dvals ** 2))))
     denom = spaces.h * pressure_l2(spaces, q_coeffs) * phi.wkinf_norm(1)
@@ -643,19 +675,20 @@ def pressure_commutator_defect(spaces, q_coeffs, phi):
     return CommutatorDefect(defect=defect, order=0, ratios={0: ratio})
 
 
-def _largest_eigenvalue(apply_q, lu_H) -> float:
+def _largest_eigenvalue(apply_q, solver_H) -> float:
     """Largest eigenvalue of the pencil (Q, H) for symmetric Q given by
     its action and the sparse symmetric positive definite H of the
-    existing factorization `lu_H`.
+    existing solver `solver_H` (a `Factorization` or `LatticeSolver`).
 
-    Lanczos (ARPACK) in generalized mode, H^-1 applied through `lu_H`'s
-    guarded solve, with a fixed start vector, so reruns give the same
-    value.  Every measured constant of this module goes through here.
+    Lanczos (ARPACK) in generalized mode, H^-1 applied through
+    `solver_H`'s guarded solve, with a fixed start vector, so reruns give
+    the same value.  Every measured constant of this module goes through
+    here.
     """
-    H = lu_H.matrix
+    H = solver_H.matrix
     n = H.shape[0]
     Q = spla.LinearOperator((n, n), matvec=apply_q, dtype=float)
-    H_inv = spla.LinearOperator((n, n), matvec=lu_H.solve, dtype=float)
+    H_inv = spla.LinearOperator((n, n), matvec=solver_H.solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     lam = spla.eigsh(Q, k=1, M=H, Minv=H_inv, which="LA", v0=v0,
                      ncv=min(n - 1, 40), return_eigenvectors=False)
@@ -676,7 +709,7 @@ def commutator_constant(spaces, phi) -> float:
     trigonometric fields (phi, its square, products with its gradient).
     """
     t = spaces.tables
-    M, A, lu_M = spaces.ops.M_s, spaces.ops.A_s, spaces.ops.lu_Ms
+    M, A, M_inv = spaces.ops.M_s, spaces.ops.A_s, spaces.ops.Ms_solver
     dphi = phi.gradient().components
     pattern = spaces.velocity.pattern
     mass = _product_table(t.N, t.N)
@@ -699,8 +732,8 @@ def commutator_constant(spaces, phi) -> float:
         # (W2 + G2d - W M^-1 W^T - V M^-1 W^T - W M^-1 V^T
         #  + W M^-1 A M^-1 W^T) x
         x = np.ravel(x)
-        y = lu_M.solve(WT @ x)
-        z = lu_M.solve(VT @ x - A @ y)
+        y = M_inv.solve(WT @ x)
+        z = M_inv.solve(VT @ x - A @ y)
         return W2 @ x + G2d @ x - WV @ y - W @ z
 
     lam = _largest_eigenvalue(apply_q, Factorization(M + A)) / spaces.h ** 2
@@ -718,7 +751,7 @@ def pressure_commutator_constant(spaces, phi) -> float:
     def apply_q(x):
         # (W2 - W Mp^-1 W^T) x
         x = np.ravel(x)
-        return W2 @ x - W @ spaces.ops.lu_Mp.solve(WT @ x)
+        return W2 @ x - W @ spaces.ops.Mp_solver.solve(WT @ x)
 
-    lam = _largest_eigenvalue(apply_q, spaces.ops.lu_Mp) / spaces.h ** 2
+    lam = _largest_eigenvalue(apply_q, spaces.ops.Mp_solver) / spaces.h ** 2
     return float(np.sqrt(max(lam, 0.0)) / phi.wkinf_norm(1))

@@ -147,7 +147,7 @@ def bernoulli_projection(spaces, u, v):
                 @ _velocity_nodal(spaces, v))                # (E, 5, 5)
     local = products.reshape(len(products), -1) @ table.reshape(-1, N_LOCAL_P)
     load = _scatter(spaces.pressure.dofmap, local, n_p)
-    return _zero_mean_solve(ops.lu_Mp, load, ops.int_p, n_p)
+    return _zero_mean_solve(ops.Mp_solver, load, ops.int_p, n_p)
 
 
 def b_case3(spaces, u, v, w) -> float:
@@ -216,7 +216,7 @@ def divergence_norm(spaces, u):
     out = np.empty(len(stack))
     for rows in _row_blocks(len(stack)):
         r = spaces.ops.B @ stack[rows].T
-        s = spaces.ops.lu_Mp.solve(r)
+        s = spaces.ops.Mp_solver.solve(r)
         out[rows] = np.vecdot(np.ascontiguousarray(r.T),
                               np.ascontiguousarray(s.T))
     return np.sqrt(np.maximum(0.0, out.reshape(u.shape[:-1])))
@@ -225,7 +225,8 @@ def divergence_norm(spaces, u):
 def project_div_free(spaces, coeffs) -> np.ndarray:
     """Mass-orthogonal projection onto the discretely divergence-free,
     componentwise zero-mean velocity subspace: the step's saddle system
-    with the vector mass matrix as velocity block."""
+    with the vector mass matrix as velocity block, solved by its lattice
+    Fourier blocks (`linsolve.LatticeSolver`)."""
     M = spaces.ops.M
-    system = SaddleSystem(SaddleConstraints(spaces), M)
+    system = SaddleSystem(SaddleConstraints(spaces), M, lattice=True)
     return system.solve(system.rhs(M @ np.asarray(coeffs)))["u"]

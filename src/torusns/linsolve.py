@@ -1,5 +1,6 @@
-"""Sparse solves: every LU factorization, its two solve guards, the
-Krylov solve on a reused factor, and the constrained saddle system.
+"""Sparse solves: the lattice Fourier block solver, every LU
+factorization, their two solve guards, the Krylov solve preconditioned
+by a block solver, and the constrained saddle system.
 
 Every time step reduces to one (or, inside a Picard loop, a few) solves
 with a block matrix coupling velocity, pressure and the scalar mean
@@ -9,28 +10,49 @@ one block list; a `SaddleSystem` is a velocity block over it, applied
 and normed block by block and assembled only as the input of its own
 LU, which it keeps.
 
+The mesh is invariant under shifts by whole cells, and every cell owns
+the same dofs: its vertex and the bubbles of its six elements, 7 scalar
+velocity dofs (21 vector ones) and 1 pressure dof (`fespace`'s
+`cell_dofs`).  So the two mass matrices, and the saddle systems whose
+velocity block is a combination of M and A (the zero-advection step
+system M/dt + nu A/2 and the projection system M), are block-circulant
+over the n^3 cells, and the discrete Fourier transform over cells splits
+each exactly into one small block per lattice wave vector k (Strang and
+Fix, An Analysis of the Finite Element Method, 1973, ch. 4; Rodrigo,
+Gaspar and Lisbona, Numer. Linear Algebra Appl., 2016).  `LatticeSolver`
+reads the blocks off the rows of cell 0 of the sparse operators
+(`cell_symbols`), keeps their inverses on the rfft half of the lattice,
+and solves by one real FFT per local dof, one stacked matmul and the
+inverse FFT.  The mean constraints weigh every cell alike, so they touch
+only k = 0, whose saddle block is bordered by the 4 mean multipliers
+(26 x 26).  At n = 2-6 and 8 the block solves agree with SuperLU's
+within 1.2e-14 of the answers' maxima.  At n = 12 the step operator,
+blocks included, is made in 0.08 s where the LU of its system takes
+4.2 s, and a solve takes 6.4 ms against 21 ms (1 BLAS thread).
+
 A frozen-advection step system (every CN Picard iterate, every CNLE
 step) differs from the zero-advection system M/dt + nu A/2 of its
 trajectory only by half a convection matrix in its velocity block.  It
-is solved by GMRES on A M^-1, with M the trajectory's one LU of the
-zero-advection system (right preconditioning, Saad, Iterative Methods
-for Sparse Linear Systems, 2003; the Oseen preconditioning of Elman,
-Silvester and Wathen, Finite Elements and Fast Iterative Solvers,
-2014), so the stopping test applies to the true residual, and A is
-only applied, never assembled.  At rtol 1e-14 the Krylov answers pass
-the same guards as a direct solve, so iterative-solver tolerances do
-not pollute the identities the test-suite checks: on 39 CN (cases 1
-and 3, nu down to 0.01 at dt = 1/8), CNLE and CNAB runs at n=4-5, no
-solve fell back, GMRES took 9-23 iterations (counted on 15 runs), the
+is solved by GMRES on A M^-1, with M^-1 the trajectory's block solve of
+the zero-advection system (right preconditioning, Saad, Iterative
+Methods for Sparse Linear Systems, 2003; the Oseen preconditioning of
+Elman, Silvester and Wathen, Finite Elements and Fast Iterative Solvers,
+2014), so the stopping test applies to the true residual, and A is only
+applied, never assembled.  Each GMRES starts from the previous solve of
+its trajectory (`x0`): over seeds 0-9 of CN case 3 at n=5, 3 steps of
+dt = 1/128, a run's iterations fell from 189-210 to 106-127, with
+identical Picard counts.  At rtol 1e-14 the Krylov answers pass the
+same guards as a direct solve, so iterative-solver tolerances do not
+pollute the identities the test-suite checks: on 39 CN (cases 1 and 3,
+nu down to 0.01 at dt = 1/8), CNLE and CNAB runs at n=4-5, no solve
+fell back, GMRES took 9-23 iterations (counted on 15 runs), the
 trajectories agreed with the direct ones within 8.4e-13 (velocity) and
 6.6e-13 (pressure) relative to their maxima, Picard counts were
 identical, and the CN and CNLE energy residuals stayed below 1.0e-15
 relative.  A solve whose GMRES does not converge, or whose answer a
-guard rejects, falls back to a fresh LU of its own assembled matrix.
-A run's projection of its initial datum is solved the same way, on the
-step factor, in dt-scaled variables (`steppers._project_start`).  The
-CNAB steps, `forms.project_div_free`, the mass solves and the measured
-constants factorize and solve directly.
+guard rejects, falls back to a fresh LU of its own assembled matrix,
+and so does a block solve that fails its guard: a run makes no LU
+otherwise.
 
 At `KRYLOV_RTOL` the residual estimate of a solve ends near the
 tolerance edge, so a roundoff-level change to the operator (a reordered
@@ -58,7 +80,7 @@ takes 11.9 s against 0.33 s).
 
 Diagonal pivoting can leave a tiny pivot in a nearly singular matrix,
 and a right-hand side off its range then gets a huge solution whose
-floating-point residual is exactly 0.  Every solution, direct or
+floating-point residual is exactly 0.  Every solution, by blocks, LU or
 Krylov, is therefore checked twice (`_guard`): its residual, and its
 amplification |A|_1 |x|_1 / |b|_1, a lower bound on the condition
 number.
@@ -169,26 +191,133 @@ class Factorization:
         self.residual = _guard(self.matrix, self._norm1, x, rhs)
         return x
 
-    def krylov_solve(self, system, rhs):
+
+def cell_symbols(matrix, row_cells, col_cells) -> np.ndarray:
+    """The lattice Fourier blocks of a matrix invariant under cell shifts,
+    on the rfft half of the wave vectors: out[k, a, b] = sum_d A[row_cells[0,
+    a], col_cells[d, b]] e^(2 pi i k.d / n), shape (n, n, n//2 + 1, La, Lb),
+    for the (n^3, La) and (n^3, Lb) dofs of each cell (cell d = (i n + j)
+    n + l at lattice point (i, j, l)).  Only the rows of cell 0 are read.
+
+    A shift-invariant A maps X_b[c] = x[col_cells[c, b]] to sum_d
+    S_ab[d] X_b[c + d], with S_ab[d] the entry above, so the DFT over
+    cells, X^[k] = sum_c X[c] e^(-2 pi i k.c / n), takes it to out[k] X^[k]:
+    the conjugate of the DFT of the real stencil S."""
+    n = round(len(row_cells) ** (1 / 3))
+    rows = sp.csr_matrix(matrix)[row_cells[0]]
+    where = np.empty(matrix.shape[1], dtype=np.int64)
+    where[col_cells.ravel()] = np.arange(col_cells.size)
+    stencil = np.zeros((len(col_cells), row_cells.shape[1], col_cells.shape[1]))
+    cell, local = np.divmod(where[rows.indices], col_cells.shape[1])
+    stencil[cell, np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
+            local] = rows.data
+    return np.fft.rfftn(stencil.reshape((n, n, n) + stencil.shape[1:]),
+                        axes=(0, 1, 2)).conj()
+
+
+class LatticeSolver:
+    """Inverse of an operator invariant under cell shifts, by its lattice
+    Fourier blocks (see the module docstring), with `Factorization`'s
+    interface: `solve`, `residual` and `krylov_solve`.
+
+    `matrix` is the operator inverted, a sparse matrix or a
+    `SaddleSystem`; only the guards apply it.  `cells` (n^3, L) are its
+    dofs per cell, and `symbol` its blocks (`cell_symbols`), inverted
+    here.  A 1 x 1 symbol, here the pressure mass's, is that of a
+    symmetric matrix: real, inverted and applied in real arithmetic.
+
+    A `border` (dofs, block) holds the dofs outside the cells, the mean
+    multipliers, which act on the k = 0 mode only, and the real k = 0
+    block bordered by their rows and columns, which replaces the plain
+    k = 0 block.  The multipliers are scaled by n^3 in it, the DFT's
+    factor on a field that is the same on every cell.
+
+    `make_factor` makes the SuperLU `Factorization` of the operator that
+    a solve failing its guard falls back to.
+    """
+
+    def __init__(self, matrix, norm1, cells, symbol, make_factor,
+                 border=None):
+        self.matrix, self._norm1, self.cells = matrix, norm1, cells
+        self._make_factor, self._border = make_factor, None
+        if border is not None:
+            dofs, block = border
+            self._border = dofs, np.linalg.inv(block)
+            # the bordered block replaces it; eye keeps the batch regular
+            symbol[0, 0, 0] = np.eye(symbol.shape[-1])
+        self._inverse = (1.0 / symbol.real if symbol.shape[-1] == 1
+                         else np.linalg.inv(symbol))
+
+    @classmethod
+    def of_matrix(cls, matrix, cells):
+        """The solver of a sparse shift-invariant matrix on the dofs
+        `cells`, every one of its dofs."""
+        norm1 = float(np.bincount(matrix.indices, np.abs(matrix.data),
+                                  minlength=matrix.shape[1]).max())
+        return cls(matrix, norm1, cells, cell_symbols(matrix, cells, cells),
+                   lambda: Factorization(matrix))
+
+    def _apply(self, rhs):
+        """The block solve, unguarded, of one right-hand side or a stack."""
+        cells, N, L = self.cells, *self.cells.shape
+        n = round(N ** (1 / 3))
+        b = rhs.reshape(len(rhs), -1)
+        X = np.fft.rfftn(b[cells].reshape((n, n, n, L, -1)), axes=(0, 1, 2))
+        if L == 1:
+            Y = self._inverse * X
+        else:
+            Y = self._inverse @ X
+        x = np.empty_like(b)
+        if self._border is not None:
+            dofs, inverse = self._border
+            z = inverse @ np.concatenate([X[0, 0, 0].real, b[dofs]])
+            Y[0, 0, 0] = z[:L]
+            x[dofs] = z[L:] / N
+        x[cells] = np.fft.irfftn(Y, s=(n, n, n), axes=(0, 1, 2)).reshape(
+            N, L, -1)
+        return x.reshape(rhs.shape)
+
+    @cached_property
+    def factor(self) -> Factorization:
+        """The fallback LU of the operator, made on first use."""
+        return self._make_factor()
+
+    def solve(self, rhs):
+        """Solve for one right-hand side or a column stack of them by the
+        blocks, guarded column by column against `matrix` (see `_guard`);
+        if the guard rejects the answer, by `factor`.  The residual norms
+        are kept in `residual`."""
+        rhs = np.asarray(rhs, dtype=float)
+        x = self._apply(rhs)
+        try:
+            self.residual = _guard(self.matrix, self._norm1, x, rhs)
+        except LinearSolveError:
+            x = self.factor.solve(rhs)
+            self.residual = self.factor.residual
+        return x
+
+    def krylov_solve(self, system, rhs, x0=None):
         """Solve system x = rhs for one right-hand side by GMRES on
-        system M^-1, with M this factor's matrix, and return x and its
-        residual norm |Ax - b|.
+        system M^-1, with M this solver's operator, from the guess `x0`
+        (zero if None), and return x and its residual norm |Ax - b|.
 
         `system` is a `SaddleSystem`, used only through its `@` and its
-        |A|_1.  The answer passes the same guards as `solve`, against
-        `system`.  Raises LinearSolveError if GMRES does not converge
-        within KRYLOV_MAX_CYCLES cycles or a guard rejects its answer.
+        |A|_1.  GMRES runs on y = M x, so it starts from M x0.  The answer
+        passes the same guards as `solve`, against `system`.  Raises
+        LinearSolveError if GMRES does not converge within
+        KRYLOV_MAX_CYCLES cycles or a guard rejects its answer.
         """
         rhs = np.asarray(rhs, dtype=float)
-        lu = self._lu
         operator = spla.LinearOperator(
-            system.shape, matvec=lambda y: system @ lu.solve(y), dtype=float)
+            system.shape, matvec=lambda y: system @ self._apply(y),
+            dtype=float)
         y, info = spla.gmres(operator, rhs, rtol=KRYLOV_RTOL, atol=0.0,
+                             x0=None if x0 is None else self.matrix @ x0,
                              restart=KRYLOV_RESTART,
                              maxiter=KRYLOV_MAX_CYCLES)
         if info != 0:
             raise LinearSolveError(f"GMRES did not converge (info {info})")
-        x = lu.solve(y)
+        x = self._apply(y)
         return x, float(_guard(system, system.norm1, x, rhs))
 
 
@@ -208,7 +337,8 @@ class SaddleConstraints:
     mean multipliers) componentwise mean-free, and beta, the pressure-
     mean multiplier, removes the constant pressure (B annihilates it).
     `matrix` (CSC), the saddle matrix with a zero velocity block, and its
-    |.| `column_sums` are shared by the systems of one trajectory."""
+    |.| `column_sums` are shared by the systems of one trajectory, and
+    so are the per-cell dofs of the layout, velocity components first."""
 
     def __init__(self, spaces):
         ops = spaces.ops
@@ -216,6 +346,10 @@ class SaddleConstraints:
         Cu = sp.csr_matrix((np.tile(ops.int_s, 3), np.arange(n_u),
                             ops.int_s.size * np.arange(4)))  # means of u_c
         self._blocks = ops.B, Cu, sp.csc_matrix(ops.int_p[:, None])
+        cells = spaces.velocity.cell_dofs
+        self._cells = (np.concatenate([cells + c * ops.int_s.size
+                                       for c in range(3)], axis=1),
+                       spaces.pressure.cell_dofs)
         off = n_u + n_p
         self.slices = {"u": slice(0, n_u), "p": slice(n_u, off),
                        "alpha": slice(off, off + 3),
@@ -239,16 +373,44 @@ class SaddleConstraints:
     def column_sums(self) -> np.ndarray:
         return _column_sums(self.matrix)
 
+    def lattice_solver(self, system) -> LatticeSolver:
+        """The block solver of `system`, whose velocity block F must be
+        invariant under cell shifts: per wave vector k, the 22 x 22 block
+        [[F^, -B^*], [B^, 0]] on a cell's 21 velocity and 1 pressure dofs,
+        and at k = 0 that block bordered by the mean rows, on the velocity
+        weights W (21 x 3, one column per component) and the pressure
+        weight m of one cell."""
+        B, Cu, mp_col = self._blocks
+        u, p = self._cells
+        L = u.shape[1] + 1
+        F, Bk = cell_symbols(system.F, u, u), cell_symbols(B, p, u)[..., 0, :]
+        symbol = np.zeros(F.shape[:3] + (L, L), dtype=complex)
+        symbol[..., :-1, :-1] = F
+        symbol[..., :-1, -1] = -Bk.conj()
+        symbol[..., -1, :-1] = Bk
+        block = np.zeros((L + 4, L + 4))
+        block[:L, :L] = symbol[0, 0, 0].real
+        W = Cu[:, u[0]].toarray().T
+        block[:L - 1, L:L + 3], block[L:L + 3, :L - 1] = W, W.T
+        block[L - 1, L + 3] = block[L + 3, L - 1] = mp_col[p[0, 0], 0]
+        return LatticeSolver(
+            system, system.norm1, np.concatenate([u, p + u.size], axis=1),
+            symbol, lambda: system.factor,
+            border=(np.arange(self.shape[0] - 4, self.shape[0]), block))
+
 
 class SaddleSystem:
     """The saddle system with velocity block F (CSR) over `constraints`.
 
     It is applied (`@`), and its |A|_1 taken, block by block; the
     assembled matrix is made only as the input of its own LU, on first
-    use of `factor`, and that factor is reused by every later solve."""
+    use of `factor`, and that factor is reused by every later solve.  A
+    `lattice` system, whose F is invariant under cell shifts (M, or
+    M/dt + nu A/2), is solved by its Fourier blocks instead (`solver`),
+    and factorized only if a block solve fails its guard."""
 
-    def __init__(self, constraints: SaddleConstraints, F):
-        self.constraints, self.F = constraints, F
+    def __init__(self, constraints: SaddleConstraints, F, lattice=False):
+        self.constraints, self.F, self.lattice = constraints, F, lattice
         self.slices, self.shape = constraints.slices, constraints.shape
 
     def __matmul__(self, x):
@@ -282,24 +444,32 @@ class SaddleSystem:
         """The LU factor of the assembled matrix, made on first use."""
         return Factorization(self.constraints.assemble(self.F))
 
-    def solve(self, rhs, preconditioner=None) -> SaddleSolution:
+    @cached_property
+    def solver(self):
+        """The direct solver, made on first use: the `LatticeSolver` of a
+        `lattice` system, else `factor`."""
+        if self.lattice:
+            return self.constraints.lattice_solver(self)
+        return self.factor
+
+    def solve(self, rhs, preconditioner=None, x0=None) -> SaddleSolution:
         """Guarded solve (see `_guard`) for a full right-hand side built
         by `rhs`.
 
-        With a `preconditioner` (the Factorization of a nearby matrix of
-        the same layout) the system is solved by
-        `preconditioner.krylov_solve`; if that fails, or without one,
-        by this system's own `factor`.
+        With a `preconditioner` (the `LatticeSolver` of a nearby system
+        of the same layout) the system is solved by
+        `preconditioner.krylov_solve` from the guess `x0`; if that fails,
+        or without one, by this system's own `solver`.
         """
         x = None
         if preconditioner is not None:
             try:
-                x, resid = preconditioner.krylov_solve(self, rhs)
+                x, resid = preconditioner.krylov_solve(self, rhs, x0)
             except LinearSolveError:
                 pass
         if x is None:
-            x = self.factor.solve(rhs)
-            resid = float(self.factor.residual)
+            x = self.solver.solve(rhs)
+            resid = float(self.solver.residual)
         return SaddleSolution(x=x, slices=self.slices,
                               residual=resid
                               / max(1.0, float(np.linalg.norm(rhs))))

@@ -17,10 +17,13 @@ exists; both are defined with the symmetrized (case 1) convective form.
 Each solved velocity is discretely divergence-free and componentwise
 mean-free, enforced through the constraint rows of the saddle system.
 
-A trajectory makes one step factorization, of the zero-advection
-(CNAB) system: CNAB solves with it directly, and every frozen-advection
-solve of CN and CNLE, and the projection of the initial datum, run GMRES
-preconditioned with it (see `linsolve`).
+A trajectory makes no LU factorization.  Its zero-advection (CNAB)
+system is invariant under cell shifts and is solved by its lattice
+Fourier blocks (`linsolve.LatticeSolver`): CNAB solves with them
+directly, and every frozen-advection solve of CN and CNLE runs GMRES
+preconditioned with them, each from the previous solve's answer.  The
+initial datum is projected by the blocks of its own system, with
+velocity block M (`forms.project_div_free`).
 All its saddle systems share one set of constraint blocks
 (`linsolve.SaddleConstraints`) and differ only in their velocity block:
 an iterate assembles its convection from the per-type tensors of
@@ -37,8 +40,7 @@ import numpy as np
 
 from . import forms
 from .fespace import project_velocity, velocity_l2
-from .linsolve import (LinearSolveError, SaddleConstraints, SaddleSolution,
-                       SaddleSystem, _guard)
+from .linsolve import SaddleConstraints, SaddleSolution, SaddleSystem
 
 SCHEMES = ("CN", "CNLE", "CNAB")
 
@@ -131,8 +133,9 @@ class StepOperator:
     """The parts of the midpoint step shared by every step of one
     trajectory: the saddle systems' constraint blocks, F0 = M/dt +
     nu A/2, the explicit right-hand side, the frozen-advection systems,
-    and the history-independent CNAB system, whose one factorization is
-    made here and preconditions every frozen-advection solve.
+    and the history-independent CNAB system, whose block solver is made
+    here and preconditions every frozen-advection solve, each GMRES
+    starting from the answer of the trajectory's previous solve.
 
     A frozen system's velocity block is conv/2 + F0 on the convection's
     pattern: F0's own for case 1 (diag(S, S, S)), and for cases 2 and 3
@@ -150,17 +153,20 @@ class StepOperator:
                                + 0.5 * nu * self.A.data)
         self.constraints = SaddleConstraints(spaces)
         # its applied matrix and column sums, made now rather than in a
-        # step, and before the factorization: made after it, the peak RSS
-        # of a cnab-explicit run rose 0.4 MB (median over 30 hash seeds)
+        # step, and before the block solver's symbols: made inside the
+        # solver, after them, they raised the peak RSS of a cnab-explicit
+        # run by 0.7 MB (median of 6 runs)
         self.constraints.column_sums
         # the CNAB system: its matrix does not depend on the history
-        self.explicit_system = SaddleSystem(self.constraints, self.F0)
+        self.explicit_system = SaddleSystem(self.constraints, self.F0,
+                                            lattice=True)
         if config.case == 1:
             self._pattern, self._F0_slots = block, slice(None)
         else:
             self._pattern = velocity.vector_pattern
             self._F0_slots = self._pattern.diagonal.ravel()
-        self.preconditioner = self.explicit_system.factor
+        self.preconditioner = self.explicit_system.solver
+        self._start = None     # the answer of the previous frozen solve
 
     def explicit_rhs(self, u_prev):
         """M u/dt - nu A u/2: the momentum right-hand side without
@@ -183,11 +189,14 @@ class StepOperator:
 
     def solve_frozen(self, advect, u_prev) -> SaddleSolution:
         """Solve `frozen_system` once, by GMRES preconditioned with the
-        trajectory's factor (a fresh factorization if that fails, freed
-        on return, before the next Picard iterate assembles its
-        system)."""
+        trajectory's block solver, from the answer of the previous solve
+        (a fresh factorization if GMRES fails, freed on return, before
+        the next Picard iterate assembles its system)."""
         system, rhs = self.frozen_system(advect, u_prev)
-        return system.solve(rhs, preconditioner=self.preconditioner)
+        sol = system.solve(rhs, preconditioner=self.preconditioner,
+                           x0=self._start)
+        self._start = sol.x
+        return sol
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +254,9 @@ def step_cnle(op: StepOperator, u_prev, u_prev2) -> StepResult:
 
 
 def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
-    """One step with explicit two-level convection, solved with the
-    trajectory's one factorization of `op.explicit_system`; `conv_prev2`
-    is N(u^{m-2}), the previous step's `convection`."""
+    """One step with explicit two-level convection, solved by the
+    trajectory's block solver of `op.explicit_system`; `conv_prev2` is
+    N(u^{m-2}), the previous step's `convection`."""
     conv_prev = forms.convection_rhs(op.spaces, u_prev)
     conv = 1.5 * conv_prev - 0.5 * conv_prev2
     system = op.explicit_system
@@ -260,56 +269,24 @@ def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
 # trajectories
 # ---------------------------------------------------------------------------
 
-def _project_start(op: StepOperator, coeffs) -> np.ndarray:
-    """`forms.project_div_free` of `coeffs`, by GMRES preconditioned with
-    the trajectory's step factor.
-
-    The projection's saddle system, with velocity block M, is solved in
-    dt-scaled variables: its momentum rows divided by dt and p and alpha
-    scaled by 1/dt, its velocity block is M/dt, which differs from the
-    factored M/dt + nu A/2 only by nu A/2.  Unscaled, the two blocks
-    differ by a factor 1/dt and GMRES stagnates (at n=5, dt = 1/128, on
-    5 of 5 random-trig seeds); scaled, it took 6-42 iterations on seeds
-    0-4 at n=2-8, dt = 1/128 to 1 and nu = 0.01 to 1, and u agreed with
-    the LU projection within 1.7e-13 relative.  Scaled back, the answer
-    must pass the solve guards against the unscaled system, as a direct
-    solve does, since the scaled system's guard checks the constraint
-    rows 1/dt times more loosely.  If GMRES does not converge, or the
-    guard rejects its answer, the projection falls back to
-    `forms.project_div_free`'s LU."""
-    dt, M = op.config.dt, op.spaces.ops.M
-    system = SaddleSystem(op.constraints, M)
-    rhs = system.rhs(M @ np.asarray(coeffs))
-    try:
-        x, _ = op.preconditioner.krylov_solve(
-            SaddleSystem(op.constraints, (1.0 / dt) * M), (1.0 / dt) * rhs)
-        for name in ("p", "alpha"):
-            x[system.slices[name]] *= dt
-        _guard(system, system.norm1, x, rhs)
-    except LinearSolveError:
-        return forms.project_div_free(op.spaces, coeffs)
-    return x[system.slices["u"]]
-
-
 def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     """Advance a full trajectory from the datum u0.
 
     `u0` is trigonometric data (a TrigVector).  The starting state is its
     mass-orthogonal projection onto the discretely divergence-free,
-    mean-free subspace (`_project_start`, with the step factor), so the
-    pressure term cancels in the energy balance from the very first step.
+    mean-free subspace (`forms.project_div_free`), so the pressure term
+    cancels in the energy balance from the very first step.
     """
-    # the datum's samples are dropped before the step factor exists: made
-    # after it, they raised a cn3-picard run's peak RSS by 0.7 MB (median
-    # over 10 hash seeds)
-    coeffs = project_velocity(spaces, u0)
+    # the datum's samples and the projection's system are freed before
+    # the step operator is made, so the peak holds one set at a time
+    start = forms.project_div_free(spaces, project_velocity(spaces, u0))
     op = StepOperator(spaces, config)
     N = config.N
     u = np.zeros((N + 1, 3 * spaces.n_scalar))
     p = np.zeros((N, spaces.pressure.dim))
     iters = np.zeros(N, dtype=int)
     resids = np.zeros(N)
-    u[0] = _project_start(op, coeffs)
+    u[0] = start
     conv_prev = None     # CNAB: convection of the state before u[m - 1]
     for m in range(1, N + 1):
         try:

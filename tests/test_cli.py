@@ -136,6 +136,24 @@ def test_bad_step_rule_rejected_before_solve(tmp_path, study, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("levels, study", [
+    ("11,12", "alpha = 1e5\n"),
+    ("2,3", "alpha = -1e5\n"),
+    ("2,3", "coupling_c = 1e-320\n"),
+], ids=["h-power-underflows", "h-power-underflows-negative-alpha",
+        "step-count-overflows"])
+def test_level_step_size_rejected_before_solve(tmp_path, levels, study):
+    # h^alpha underflows to 0 (h < 1 from n = 11 on), and T over a step
+    # size near the smallest subnormal overflows: a division by zero and
+    # an infinite step count before each level's size was checked
+    body = BASE_CFG.replace("scheme = CN", "scheme = CNAB")
+    cfg = write_cfg(tmp_path, body + f"\n[study]\nlevels = {levels}\n"
+                                     "strict_coupling = false\n" + study)
+    out = tmp_path / "st"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_single_level_study_rejected(tmp_path):
     cfg = write_cfg(tmp_path, BASE_CFG + "\n[study]\nlevels = 2\n"
                                          "alpha = 0.6\ncoupling_c = 0.1\n")

@@ -218,7 +218,7 @@ def test_blocked_passes_match_the_whole_stacks(level, N):
     assert np.array_equal(norms.increment_l2,
                           norm(ops.M_s, np.diff(u, axis=0)))
     r = ops.B @ u.T
-    s = ops.lu_Mp.solve(r)
+    s = ops.Mp_solver.solve(r)
     assert np.array_equal(
         divergence_norm(spaces, u),
         np.sqrt(np.maximum(0.0, np.vecdot(np.ascontiguousarray(r.T),

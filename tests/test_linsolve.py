@@ -11,9 +11,9 @@ from torusns.fespace import (build_spaces, commutator_constant,
                              project_velocity, velocity_l2)
 from torusns.forms import project_div_free
 from torusns.linsolve import (AMPLIFICATION_LIMIT, RESIDUAL_REL_TOL,
-                              Factorization, LinearSolveError,
-                              SaddleConstraints, SaddleSystem,
-                              _column_sums)
+                              Factorization, LatticeSolver, LinearSolveError,
+                              SaddleConstraints, SaddleSystem, _column_sums,
+                              _guard)
 from torusns.mesh import build_torus_mesh
 from torusns.steppers import SchemeConfig, StepOperator, run, step_cn
 from torusns.trig import TrigPoly, sine_shear, tg_like
@@ -119,7 +119,7 @@ def test_amplification_far_below_guard_limit(level):
               step_systems(spaces, u).values()]
     ops = spaces.ops
     solves += [(lu, rng.standard_normal((lu.matrix.shape[0], 3)))
-               for lu in (ops.lu_Ms, ops.lu_Mp)]
+               for lu in (ops.Ms_solver, ops.Mp_solver)]
     for factor, b in solves:
         x = factor.solve(b)
         ratio = (spla.norm(factor.matrix, 1) * np.abs(x).sum(axis=0)
@@ -156,10 +156,12 @@ def test_every_factorization_goes_through_factorization(monkeypatch):
                         + TrigPoly.cosine((1, 0, 0)))
     inverse_constant(spaces)
     inf_sup_constant(spaces)
-    # the two space mass matrices, one step system per run, the projection,
     # the commutator constant's Gram matrix and the inf-sup constant's
-    assert len(callers) == 8
+    # saddle system; the mass matrices, the runs' step systems and the
+    # projection are solved by lattice blocks
+    assert len(callers) == 2
     assert set(callers) == {("Factorization", "__init__")}
+
 
 
 def frozen_step(spaces, case, dt, nu):
@@ -192,6 +194,71 @@ def test_krylov_solve_matches_the_direct_solve(level, case, dt, nu):
     assert np.linalg.norm(A @ x - rhs) <= tol
     assert (spla.norm(A, 1) * np.abs(x).sum()
             <= AMPLIFICATION_LIMIT * np.abs(rhs).sum())
+
+
+def lattice_systems(spaces):
+    """The four shift-invariant systems a run solves by lattice blocks:
+    name -> (block solver, the matrix its LU would factorize)."""
+    ops = spaces.ops
+    step = StepOperator(spaces, SchemeConfig(scheme="CN", case=1, nu=0.1,
+                                             T=1 / 16, N=1)).explicit_system
+    projection = SaddleSystem(SaddleConstraints(spaces), ops.M, lattice=True)
+    return {"step": (step.solver, assembled(step)),
+            "projection": (projection.solver, assembled(projection)),
+            "M_s": (ops.Ms_solver, ops.M_s), "Mp": (ops.Mp_solver, ops.Mp)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lattice_blocks_match_the_lu(level, n):
+    # odd and even n: only an even n has an rfft Nyquist plane; one
+    # right-hand side and a stack of three
+    rng = np.random.default_rng(n)
+    for name, (solver, A) in lattice_systems(level(n)).items():
+        for b in (rng.standard_normal(A.shape[0]),
+                  rng.standard_normal((A.shape[0], 3))):
+            want = Factorization(A).solve(b)
+            x = solver.solve(b)
+            assert x.shape == b.shape
+            err = np.abs(x - want).max(axis=0)
+            assert np.all(err <= 1e-12 * np.abs(want).max(axis=0)), name
+            assert np.all(solver.residual
+                          <= RESIDUAL_REL_TOL * np.linalg.norm(b, axis=0))
+
+
+@pytest.mark.parametrize("name", ["step", "projection", "M_s", "Mp"])
+def test_wrong_block_solve_falls_back_to_the_lu(level, monkeypatch, name):
+    solver, A = lattice_systems(level(3))[name]
+    b = np.random.default_rng(1).standard_normal(A.shape[0])
+    want = Factorization(A).solve(b)
+    apply = LatticeSolver._apply
+    monkeypatch.setattr(LatticeSolver, "_apply",
+                        lambda self, rhs: 1.01 * apply(self, rhs))
+    with pytest.raises(LinearSolveError, match="residual"):
+        _guard(A, spla.norm(A, 1), solver._apply(b), b)
+    x = solver.solve(b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+    _guard(A, spla.norm(A, 1), x, b)
+    assert solver.residual == solver.factor.residual
+
+
+def test_warm_started_gmres_takes_fewer_iterations(level, monkeypatch):
+    # from the answer of a system 1e-6 away, as a late Picard iterate's
+    # is from the next, GMRES takes 4 iterations against 6 (one more
+    # preconditioner application each, for the answer)
+    spaces = level(3)
+    op, system, rhs = frozen_step(spaces, 3, 1 / 128, 0.1)
+    u = project_div_free(spaces, project_velocity(spaces, tg_like()))
+    u *= 4.0 / velocity_l2(spaces, u)         # frozen_step's state
+    nearby, near_rhs = op.frozen_system((1 + 1e-6) * u, u)
+    guess, _ = op.preconditioner.krylov_solve(nearby, near_rhs)
+    applied, apply = [], LatticeSolver._apply
+    monkeypatch.setattr(LatticeSolver, "_apply",
+                        lambda self, y: applied.append(1) or apply(self, y))
+    cold, _ = op.preconditioner.krylov_solve(system, rhs)
+    n_cold = len(applied)
+    warm, _ = op.preconditioner.krylov_solve(system, rhs, x0=guess)
+    assert len(applied) - n_cold < n_cold
+    assert np.abs(warm - cold).max() <= 1e-12 * np.abs(cold).max()
 
 
 @pytest.mark.parametrize("answer", ["preconditioner", "nan"])

@@ -6,14 +6,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from torusns import forms, steppers
+from torusns import forms, linsolve
 from torusns.cli import RunSpec, run_single
 from torusns.fespace import (pressure_values, project_velocity, velocity_h1,
                              velocity_h1_semi, velocity_l2, velocity_values)
 from torusns.forms import (b_form, convection_rhs, divergence_norm,
                            project_div_free, rotation_matrix,
                            transport_matrix)
-from torusns.linsolve import Factorization, LinearSolveError, SaddleSystem
+from torusns.linsolve import (Factorization, LatticeSolver, LinearSolveError,
+                              SaddleConstraints, SaddleSystem)
 from torusns.steppers import (ConfigError, SchemeConfig, StepOperator,
                               StepperError, check_coupling, run, step_cn,
                               step_cnab)
@@ -270,27 +271,32 @@ def count_factorizations(monkeypatch):
                                           ("CNLE", 1), ("CNAB", 1)])
 def test_trajectory_makes_one_step_factorization(level, monkeypatch,
                                                  scheme, case):
-    # the zero-advection system, that the projection of the datum and
-    # every Picard iterate and CNLE step are preconditioned with
+    # the zero-advection system, that every Picard iterate and CNLE step
+    # is preconditioned with, is solved by its lattice blocks, and so are
+    # the projection of the datum and the mass solves: no LU at all, and
+    # no SuperLU call outside `Factorization` either
     spaces = level(2)
     made = count_factorizations(monkeypatch)
+    splu_calls, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: (
+        splu_calls.append(1) or splu(*args, **kwargs)))
     traj = run(SchemeConfig(scheme=scheme, case=case, nu=0.3, T=0.5, N=4),
                spaces, tg_like())
     assert traj.picard_iters[0] > 1
-    assert len(made) == 1
+    assert len(made) == 0
+    assert splu_calls == []
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_run_projects_the_datum_with_the_step_factor(level, tmp_path,
                                                      monkeypatch, seed):
-    # the cn3-picard shape (n=5, dt = 1/128), where GMRES on the unscaled
-    # projection system stagnated on every seed: a run factorizes the two
-    # space mass matrices and its step system, and nothing else
+    # the cn3-picard shape (n=5, dt = 1/128): a run solves its mass,
+    # projection and step systems by lattice blocks, and factorizes none
     spec = RunSpec(n_cells=5, scheme="CN", case=3, T=1 / 128, steps=1,
                    datum="random-trig", seed=seed, with_local_energy=False)
     made = count_factorizations(monkeypatch)
     run_single(spec, tmp_path)
-    assert len(made) == 3
+    assert len(made) == 0
     with np.load(tmp_path / "trajectory.npz") as stored:
         start = stored["u"][0]
     spaces = level(5)
@@ -298,23 +304,31 @@ def test_run_projects_the_datum_with_the_step_factor(level, tmp_path,
     assert np.abs(start - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("failure", ["gmres", "guard"])
+@pytest.mark.parametrize("failure", ["blocks", "guard"])
 def test_datum_projection_falls_back_to_its_own_factorization(
         level, monkeypatch, failure):
+    # a block solve whose answer is wrong, or whose guard rejects it,
+    # gives the LU answer of the projection system, made once
     spaces = level(3)
-    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=1, nu=0.1,
-                                           T=1 / 16, N=1))
     c = project_velocity(spaces, tg_like())
-    want = project_div_free(spaces, c)
-    if failure == "gmres":
-        monkeypatch.setattr(spla, "gmres",
-                            lambda A, b, **kwargs: (np.zeros_like(b), 60))
+    M = spaces.ops.M
+    system = SaddleSystem(SaddleConstraints(spaces), M)
+    want = system.solve(system.rhs(M @ c))["u"]
+    if failure == "blocks":
+        apply = LatticeSolver._apply
+        monkeypatch.setattr(LatticeSolver, "_apply",
+                            lambda self, rhs: 1.01 * apply(self, rhs))
     else:
-        def reject(*args):
-            raise LinearSolveError("rejected")
-        monkeypatch.setattr(steppers, "_guard", reject)
+        guard, rejected = linsolve._guard, []
+
+        def reject_once(*args):
+            if not rejected:
+                rejected.append(1)
+                raise LinearSolveError("rejected")
+            return guard(*args)
+        monkeypatch.setattr(linsolve, "_guard", reject_once)
     made = count_factorizations(monkeypatch)
-    assert np.array_equal(steppers._project_start(op, c), want)
+    assert np.array_equal(project_div_free(spaces, c), want)
     assert len(made) == 1
 
 
