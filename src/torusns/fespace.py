@@ -47,8 +47,9 @@ Every cell owns the same dofs: 7 scalar velocity ones, its vertex c and
 the bubbles n^3 + 6 c + t of its six elements, and 1 pressure one, its
 vertex (`cell_dofs`).  A shift by whole cells permutes them, so the two
 mass matrices are solved by their lattice Fourier blocks over that map
-(`Operators.Ms_solver` and `.Mp_solver`, `linsolve.LatticeSolver`), and
-no mass matrix is factorized.
+(`Operators.Ms_solver` and `.Mp_solver`, `linsolve.LatticeSolver`), the
+four measured constants are extreme eigenvalues of such blocks
+(`linsolve.cell_symbols`), and nothing here is factorized.
 """
 
 from __future__ import annotations
@@ -58,10 +59,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .linsolve import (Factorization, LatticeSolver, SaddleConstraints,
-                       SaddleSystem)
+from .linsolve import LatticeSolver, cell_symbols
 from .mesh import KUHN_OFFSETS, PeriodicMesh
 from .quadrature import DEFAULT_DEGREE, TetRule, tet_rule
 from .trig import TrigVector
@@ -569,42 +568,49 @@ def project_pressure_values(spaces, pointwise):
 # measured structural constants
 # ---------------------------------------------------------------------------
 
+def _adjoint(blocks):
+    return blocks.conj().swapaxes(-1, -2)
+
+
+def _largest_eigenvalue(pencil, rows) -> float:
+    """Largest eigenvalue of a pencil (Q, H) of real symmetric operators,
+    H positive definite: `pencil` maps the blocks of a row of
+    `cell_symbols` to Q^ and H^ = C C^* (Cholesky), and `eigvalsh` takes
+    C^-1 Q^ C^-*.  The rfft half of the waves holds every eigenvalue: the
+    blocks of a real operator at -k are the conjugates of those at k."""
+    def top(Q, H):
+        C = np.linalg.inv(np.linalg.cholesky(H))
+        return np.linalg.eigvalsh(C @ Q @ _adjoint(C)).max()
+    return float(max(top(*pencil(*blocks)) for _, blocks in rows))
+
+
 def inf_sup_constant(spaces) -> float:
     """Smallest ratio |pi_h(grad q)|_2 / |q|_2 over the zero-mean
     pressure space: sqrt(lambda_min) of the pencil (K, Mp) there, with
-    K = B M^-1 B^T.
-
-    K annihilates the constant, so Lanczos runs in shift-invert form: it
-    returns 1/sqrt(mu_max) of (Mp K^+ Mp, Mp), mu = 1/lambda.  K^+ g is the
-    pressure block of the saddle system with velocity block M and g on the
-    divergence rows: the velocity-mean multipliers stay zero (B kills the
-    constant velocity), and the pressure-mean multiplier takes g's
-    constant part, which leaves the constant pressure with mu = 0.
-    """
-    system = SaddleSystem(SaddleConstraints(spaces), spaces.ops.M)
-    Mp = spaces.ops.Mp
-
-    def apply_q(x):
-        rhs = np.zeros(system.shape[0])
-        rhs[system.slices["p"]] = Mp @ np.ravel(x)
-        return Mp @ system.solve(rhs)["p"]
-
-    mu_max = _largest_eigenvalue(apply_q, spaces.ops.Mp_solver)
-    return float(1.0 / np.sqrt(mu_max))
+    K = B M^-1 B^T.  With one pressure dof per cell, K and Mp are 1 x 1
+    per lattice wave vector k, and the zero-mean pressures are the waves
+    k != 0 (k = 0 is the constant, which B annihilates): lambda_min is the
+    least K^ / Mp^ there, on the rfft half (`_largest_eigenvalue`)."""
+    ops, p = spaces.ops, spaces.pressure.cell_dofs
+    u = np.hstack([spaces.velocity.cell_dofs + c * spaces.n_scalar
+                   for c in range(3)])
+    lam = np.inf
+    for waves, (B, M, Mp) in cell_symbols((ops.B, ops.M, ops.Mp),
+                                          [(p, u), (u, u), (p, p)]):
+        K = (B @ np.linalg.solve(M, _adjoint(B)))[:, 0, 0].real
+        lam = min(lam, (K / Mp[:, 0, 0].real)[waves.any(axis=1)].min())
+    return float(np.sqrt(lam))
 
 
 def inverse_constant(spaces) -> float:
-    """h times the largest H1/L2 ratio over the velocity space.
-
-    The ratio is the same for every vector component, so the eigenvalue
-    problem is solved on the scalar space: the largest eigenvalue of the
-    pencil (M_s + A_s, M_s), by sparse Lanczos.  The returned product
-    stays bounded under refinement on this quasi-uniform family.
-    """
-    MA = (spaces.ops.M_s + spaces.ops.A_s).tocsr()
-    lam_max = _largest_eigenvalue(lambda x: MA @ np.ravel(x),
-                                  spaces.ops.Ms_solver)
-    return float(np.sqrt(lam_max) * spaces.h)
+    """h times the largest H1/L2 ratio over the velocity space, the same
+    for every component: h sqrt of the largest eigenvalue of the scalar
+    pencil (M_s + A_s, M_s), 7 x 7 per lattice wave vector.  It stays
+    bounded under refinement on this quasi-uniform family."""
+    u = spaces.velocity.cell_dofs
+    lam = _largest_eigenvalue(lambda M, A: (M + A, M), cell_symbols(
+        (spaces.ops.M_s, spaces.ops.A_s), [(u, u)] * 2))
+    return float(np.sqrt(lam) * spaces.h)
 
 
 # ---------------------------------------------------------------------------
@@ -675,24 +681,10 @@ def pressure_commutator_defect(spaces, q_coeffs, phi):
     return CommutatorDefect(defect=defect, order=0, ratios={0: ratio})
 
 
-def _largest_eigenvalue(apply_q, solver_H) -> float:
-    """Largest eigenvalue of the pencil (Q, H) for symmetric Q given by
-    its action and the sparse symmetric positive definite H of the
-    existing solver `solver_H` (a `Factorization` or `LatticeSolver`).
-
-    Lanczos (ARPACK) in generalized mode, H^-1 applied through
-    `solver_H`'s guarded solve, with a fixed start vector, so reruns give
-    the same value.  Every measured constant of this module goes through
-    here.
-    """
-    H = solver_H.matrix
-    n = H.shape[0]
-    Q = spla.LinearOperator((n, n), matvec=apply_q, dtype=float)
-    H_inv = spla.LinearOperator((n, n), matvec=solver_H.solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    lam = spla.eigsh(Q, k=1, M=H, Minv=H_inv, which="LA", v0=v0,
-                     ncv=min(n - 1, 40), return_eigenvectors=False)
-    return float(lam[0])
+def _shift_axes(phi):
+    """The axes along which phi is constant: its forms are invariant
+    under the cell shifts along them."""
+    return tuple(a for a in range(3) if all(k[a] == 0 for k in phi.modes))
 
 
 def commutator_constant(spaces, phi) -> float:
@@ -703,55 +695,50 @@ def commutator_constant(spaces, phi) -> float:
     h^2 |v|_{H1}^2, normalized by |phi|_{W2,inf}.  The supremum is
     attained by rough fields, for which the h-scaling of the defect is
     an element-local mechanism, so this measured constant is the
-    level-robust version of the per-field ratios.  The form is applied
-    through sparse operators and two mass solves, never formed densely;
-    its four weighted matrices take weights of at most five scalar
-    trigonometric fields (phi, its square, products with its gradient).
-    """
-    t = spaces.tables
-    M, A, M_inv = spaces.ops.M_s, spaces.ops.A_s, spaces.ops.Ms_solver
-    dphi = phi.gradient().components
-    pattern = spaces.velocity.pattern
+    level-robust version of the per-field ratios.  The form is
+    W2 + G2d - (W + V) M^-1 W^T - W M^-1 V^T + W M^-1 A M^-1 W^T, by
+    blocks over the shifts of `_shift_axes` (y and z for phi = 2 + cos x:
+    n^2 blocks of size 7 n).  Its four weighted matrices take weights of
+    at most five scalar trigonometric fields (phi, its square, products
+    with its gradient)."""
+    t, u = spaces.tables, spaces.velocity.cell_dofs
+    dphi, pattern = phi.gradient().components, spaces.velocity.pattern
     mass = _product_table(t.N, t.N)
     stiffness = _product_table(t.grad, t.grad).sum(-1, keepdims=True)
     mixed = _product_table(t.N, t.grad)                # N_a d_k N_b
-    W, W2 = (_weighted_matrix(spaces, [w], mass, pattern)
-             for w in (phi, phi * phi))
-    # grad(N_a phi) = phi grad N_a + N_a grad phi against grad N_b, itself
-    V = _weighted_matrix(spaces, [phi, *dphi],
-                         np.concatenate([stiffness, mixed], -1), pattern)
-    G2d = _weighted_matrix(
-        spaces, [phi * phi, *(phi * d for d in dphi),
-                 sum(d * d for d in dphi)],
-        np.concatenate([stiffness, mixed + _product_table(t.grad, t.N), mass],
-                       -1), pattern)
-    WT, VT = W.T.tocsr(), V.T.tocsr()
-    WV = (W + V).tocsr()
 
-    def apply_q(x):
-        # (W2 + G2d - W M^-1 W^T - V M^-1 W^T - W M^-1 V^T
-        #  + W M^-1 A M^-1 W^T) x
-        x = np.ravel(x)
-        y = M_inv.solve(WT @ x)
-        z = M_inv.solve(VT @ x - A @ y)
-        return W2 @ x + G2d @ x - WV @ y - W @ z
+    def matrices():
+        yield from (spaces.ops.M_s, spaces.ops.A_s)
+        for w in (phi, phi * phi):
+            yield _weighted_matrix(spaces, [w], mass, pattern)
+        # grad(N_a phi) = phi grad N_a + N_a grad phi against grad N_b, itself
+        yield _weighted_matrix(spaces, [phi, *dphi],
+                               np.concatenate([stiffness, mixed], -1), pattern)
+        yield _weighted_matrix(
+            spaces, [phi * phi, *(phi * d for d in dphi),
+                     sum(d * d for d in dphi)],
+            np.concatenate([stiffness, mixed + _product_table(t.grad, t.N),
+                            mass], -1), pattern)
 
-    lam = _largest_eigenvalue(apply_q, Factorization(M + A)) / spaces.h ** 2
-    return float(np.sqrt(max(lam, 0.0)) / phi.wkinf_norm(2))
+    def pencil(M, A, W, W2, V, G2d):
+        X = np.linalg.solve(M, _adjoint(W))                 # M^-1 W^*
+        VX = V @ X
+        Q = W2 + G2d - W @ X - VX - _adjoint(VX) + _adjoint(X) @ A @ X
+        return Q, M + A
+
+    lam = _largest_eigenvalue(pencil, cell_symbols(
+        matrices(), [(u, u)] * 6, _shift_axes(phi)))
+    return float(np.sqrt(max(lam, 0.0) / spaces.h ** 2) / phi.wkinf_norm(2))
 
 
 def pressure_commutator_constant(spaces, phi) -> float:
-    """Worst-case L2 ratio |q phi - K(q phi)|_2 / (h |q|_2 |phi|_W1inf)."""
-    Np = spaces.tables.N[:, :, :N_LOCAL_P]
-    mass = _product_table(Np, Np)
-    W, W2 = (_weighted_matrix(spaces, [w], mass, spaces.pressure.pattern)
-             for w in (phi, phi * phi))
-    WT = W.T.tocsr()
-
-    def apply_q(x):
-        # (W2 - W Mp^-1 W^T) x
-        x = np.ravel(x)
-        return W2 @ x - W @ spaces.ops.Mp_solver.solve(WT @ x)
-
-    lam = _largest_eigenvalue(apply_q, spaces.ops.Mp_solver) / spaces.h ** 2
-    return float(np.sqrt(max(lam, 0.0)) / phi.wkinf_norm(1))
+    """Worst-case L2 ratio |q phi - K(q phi)|_2 / (h |q|_2 |phi|_W1inf):
+    the largest eigenvalue of (W2 - W Mp^-1 W^T, Mp), by blocks as in
+    `commutator_constant`."""
+    Np, p = spaces.tables.N[:, :, :N_LOCAL_P], spaces.pressure.cell_dofs
+    W, W2 = (_weighted_matrix(spaces, [w], _product_table(Np, Np),
+                              spaces.pressure.pattern) for w in (phi, phi * phi))
+    lam = _largest_eigenvalue(
+        lambda Mp, W, W2: (W2 - W @ np.linalg.solve(Mp, _adjoint(W)), Mp),
+        cell_symbols((spaces.ops.Mp, W, W2), [(p, p)] * 3, _shift_axes(phi)))
+    return float(np.sqrt(max(lam, 0.0) / spaces.h ** 2) / phi.wkinf_norm(1))

@@ -4,11 +4,10 @@ by a block solver, and the constrained saddle system.
 
 Every time step reduces to one (or, inside a Picard loop, a few) solves
 with a block matrix coupling velocity, pressure and the scalar mean
-multipliers; the divergence-free projection and the inf-sup constant
-solve the same layout.  `SaddleConstraints` owns that layout and its
-one block list; a `SaddleSystem` is a velocity block over it, applied
-and normed block by block and assembled only as the input of its own
-LU, which it keeps.
+multipliers; the divergence-free projection solves the same layout.
+`SaddleConstraints` owns that layout and its one block list; a
+`SaddleSystem` is a velocity block over it, applied and normed block by
+block and assembled only as the input of its own LU, which it keeps.
 
 The mesh is invariant under shifts by whole cells, and every cell owns
 the same dofs: its vertex and the bubbles of its six elements, 7 scalar
@@ -19,16 +18,18 @@ system M/dt + nu A/2 and the projection system M), are block-circulant
 over the n^3 cells, and the discrete Fourier transform over cells splits
 each exactly into one small block per lattice wave vector k (Strang and
 Fix, An Analysis of the Finite Element Method, 1973, ch. 4; Rodrigo,
-Gaspar and Lisbona, Numer. Linear Algebra Appl., 2016).  `LatticeSolver`
-reads the blocks off the rows of cell 0 of the sparse operators
-(`cell_symbols`), keeps their inverses on the rfft half of the lattice,
-and solves by one real FFT per local dof, one stacked matmul and the
-inverse FFT.  The mean constraints weigh every cell alike, so they touch
-only k = 0, whose saddle block is bordered by the 4 mean multipliers
-(26 x 26).  At n = 2-6 and 8 the block solves agree with SuperLU's
-within 1.2e-14 of the answers' maxima.  At n = 12 the step operator,
-blocks included, is made in 0.08 s where the LU of its system takes
-4.2 s, and a solve takes 6.4 ms against 21 ms (1 BLAS thread).
+Gaspar and Lisbona, Numer. Linear Algebra Appl., 2016).  `cell_symbols`
+reads the stencil of an operator off the rows of cell 0, once, and
+evaluates its blocks at any wave vectors: `LatticeSolver` keeps their
+inverses on the whole rfft half of the lattice and solves by one real
+FFT per local dof, one stacked matmul and the inverse FFT, and
+`fespace`'s measured constants take them one row of waves at a time.
+The mean constraints weigh every cell alike, so they touch only k = 0,
+whose saddle block is bordered by the 4 mean multipliers (26 x 26).  At
+n = 2-6 and 8 the block solves agree with SuperLU's within 1.2e-14 of
+the answers' maxima.  At n = 12 the step operator, blocks included, is
+made in 0.08 s where the LU of its system takes 4.2 s, and a solve takes
+6.4 ms against 21 ms (1 BLAS thread).
 
 A frozen-advection step system (every CN Picard iterate, every CNLE
 step) differs from the zero-advection system M/dt + nu A/2 of its
@@ -62,21 +63,19 @@ iterations against 10, which moved u by 2.6e-13 and p by 6.1e-13 of
 their maxima while other runs moved by 5e-15.  Any comparison of
 trajectories that is meant to see roundoff only must allow for this.
 
-Every matrix factorized here has a (nearly) symmetric sparsity pattern
-(the saddle systems, the two mass matrices and the H1 Gram matrix
-M_s + A_s of the velocity commutator constant), so `Factorization`
-orders it by minimum degree on the pattern of A^T + A and prefers
-diagonal pivots, accepting one down to 0.1 of its column's largest
-entry: the symmetric-mode settings of the SuperLU Users' Guide (Li,
-Demmel et al.).
-SuperLU's default, COLAMD on A^T A with partial pivoting, gives the
-largest factor of an n=5 case-3 run 3.56 M nonzeros in L + U, against
-0.38 M; at n=8 the case-3 step factorizes in 12.4 s against 0.73 s, and
-the divergence-free projection in 38.6 s against 0.33 s (1 BLAS
-thread).  Threshold 0 is barely faster (0.61 s) but lets the smallest
-pivot ratio min|U_ii|/max|U_ii| fall 28 times lower (8.6e-7 against
-2.4e-5); threshold 1 loses the ordering's gain (the n=8 projection
-takes 11.9 s against 0.33 s).
+Every matrix factorized here, only ever as a fallback, has a (nearly)
+symmetric sparsity pattern (the saddle systems and the two mass
+matrices), so `Factorization` orders it by minimum degree on the pattern
+of A^T + A and prefers diagonal pivots, accepting one down to 0.1 of its
+column's largest entry: the symmetric-mode settings of the SuperLU
+Users' Guide (Li, Demmel et al.).  SuperLU's default, COLAMD on A^T A
+with partial pivoting, gives the largest factor of an n=5 case-3 run
+3.56 M nonzeros in L + U, against 0.38 M; at n=8 the case-3 step
+factorizes in 12.4 s against 0.73 s, and the divergence-free projection
+in 38.6 s against 0.33 s (1 BLAS thread).  Threshold 0 is barely faster
+(0.61 s) but lets the smallest pivot ratio min|U_ii|/max|U_ii| fall 28
+times lower (8.6e-7 against 2.4e-5); threshold 1 loses the ordering's
+gain (the n=8 projection takes 11.9 s against 0.33 s).
 
 Diagonal pivoting can leave a tiny pivot in a nearly singular matrix,
 and a right-hand side off its range then gets a huge solution whose
@@ -192,27 +191,47 @@ class Factorization:
         return x
 
 
-def cell_symbols(matrix, row_cells, col_cells) -> np.ndarray:
-    """The lattice Fourier blocks of a matrix invariant under cell shifts,
-    on the rfft half of the wave vectors: out[k, a, b] = sum_d A[row_cells[0,
-    a], col_cells[d, b]] e^(2 pi i k.d / n), shape (n, n, n//2 + 1, La, Lb),
-    for the (n^3, La) and (n^3, Lb) dofs of each cell (cell d = (i n + j)
-    n + l at lattice point (i, j, l)).  Only the rows of cell 0 are read.
+def cell_symbols(matrices, cells, axes=(0, 1, 2), by_row=True):
+    """The lattice Fourier blocks of matrices invariant under the cell
+    shifts along `axes`: pairs of wave vectors k (K, d) on the rfft half
+    of the n^d lattice (last axis 0..n//2, as `np.fft.rfftn`; d = 0 has
+    one empty wave), one first index at a time (all at once without
+    `by_row`), and each matrix's blocks out[k, a, b] = sum_o A[R[0, a],
+    C[o, b]] e^(2 pi i k.o / n), (K, La, Lb).  `cells` pairs with each
+    matrix its row and column dofs (n^3, L) per mesh cell (i n + j) n + l;
+    a lattice cell, R or C, holds those of the mesh cells along the other
+    axes.  The rows of cell 0 are read once, into a stencil S[o] at the
+    (at most 3^d) cell offsets o where they have entries; `map` then drops
+    the matrix.  A shift-invariant A maps X_b[c] = x[C[c, b]] to sum_o
+    S_ab[o] X_b[c + o], so the DFT X^[k] = sum_c X[c] e^(-2 pi i k.c / n)
+    takes it to out[k] X^[k]."""
+    n, d = round(len(cells[0][0]) ** (1 / 3)), len(axes)
+    order = (*axes, *(a for a in range(3) if a not in axes), 3)
 
-    A shift-invariant A maps X_b[c] = x[col_cells[c, b]] to sum_d
-    S_ab[d] X_b[c + d], with S_ab[d] the entry above, so the DFT over
-    cells, X^[k] = sum_c X[c] e^(-2 pi i k.c / n), takes it to out[k] X^[k]:
-    the conjugate of the DFT of the real stencil S."""
+    def stencil(matrix, row_col):
+        R, C = (c.reshape(n, n, n, -1).transpose(order).reshape(n ** d, -1)
+                for c in row_col)
+        A = sp.csr_matrix(matrix)[R[0]][:, C.ravel()].tocoo()
+        offsets, cell = np.unique(A.col // C.shape[1], return_inverse=True)
+        S = np.zeros((len(offsets), R.shape[1], C.shape[1]))
+        S[cell, A.row, A.col % C.shape[1]] = A.data
+        return offsets // n ** np.arange(d - 1, -1, -1)[:, None] % n, S
+
+    stencils = list(map(stencil, matrices, cells))
+    shape = (n,) * (d - 1) + (n // 2 + 1,) if d else ()
+    waves = np.indices(shape).reshape(d, int(np.prod(shape))).T
+    for row in np.split(waves, shape[0] if d and by_row else 1):
+        yield row, [(np.exp(2j * np.pi / n * ((row @ o) % n))
+                     @ S.reshape(len(S), -1)).reshape((len(row),) + S.shape[1:])
+                    for o, S in stencils]
+
+
+def _half_symbols(matrix, row_cells, col_cells) -> np.ndarray:
+    """`cell_symbols` on the whole rfft half: (n, n, n//2 + 1, La, Lb)."""
     n = round(len(row_cells) ** (1 / 3))
-    rows = sp.csr_matrix(matrix)[row_cells[0]]
-    where = np.empty(matrix.shape[1], dtype=np.int64)
-    where[col_cells.ravel()] = np.arange(col_cells.size)
-    stencil = np.zeros((len(col_cells), row_cells.shape[1], col_cells.shape[1]))
-    cell, local = np.divmod(where[rows.indices], col_cells.shape[1])
-    stencil[cell, np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
-            local] = rows.data
-    return np.fft.rfftn(stencil.reshape((n, n, n) + stencil.shape[1:]),
-                        axes=(0, 1, 2)).conj()
+    _, (out,) = next(cell_symbols([matrix], [(row_cells, col_cells)],
+                                  by_row=False))
+    return out.reshape((n, n, n // 2 + 1) + out.shape[1:])
 
 
 class LatticeSolver:
@@ -222,18 +241,15 @@ class LatticeSolver:
 
     `matrix` is the operator inverted, a sparse matrix or a
     `SaddleSystem`; only the guards apply it.  `cells` (n^3, L) are its
-    dofs per cell, and `symbol` its blocks (`cell_symbols`), inverted
-    here.  A 1 x 1 symbol, here the pressure mass's, is that of a
-    symmetric matrix: real, inverted and applied in real arithmetic.
-
-    A `border` (dofs, block) holds the dofs outside the cells, the mean
-    multipliers, which act on the k = 0 mode only, and the real k = 0
-    block bordered by their rows and columns, which replaces the plain
-    k = 0 block.  The multipliers are scaled by n^3 in it, the DFT's
-    factor on a field that is the same on every cell.
-
-    `make_factor` makes the SuperLU `Factorization` of the operator that
-    a solve failing its guard falls back to.
+    dofs per cell, and `symbol` its blocks on the rfft half, inverted
+    here; a 1 x 1 symbol, the pressure mass's, is real and is inverted
+    and applied in real arithmetic.  A `border` (dofs, block) holds the
+    dofs outside the cells, the mean multipliers, which act on k = 0
+    only, and the real k = 0 block bordered by their rows and columns,
+    which replaces the plain one; the multipliers are scaled by n^3 in
+    it, the DFT's factor on a field that is the same on every cell.
+    `make_factor` makes the SuperLU `Factorization` that a solve failing
+    its guard falls back to.
     """
 
     def __init__(self, matrix, norm1, cells, symbol, make_factor,
@@ -254,7 +270,7 @@ class LatticeSolver:
         `cells`, every one of its dofs."""
         norm1 = float(np.bincount(matrix.indices, np.abs(matrix.data),
                                   minlength=matrix.shape[1]).max())
-        return cls(matrix, norm1, cells, cell_symbols(matrix, cells, cells),
+        return cls(matrix, norm1, cells, _half_symbols(matrix, cells, cells),
                    lambda: Factorization(matrix))
 
     def _apply(self, rhs):
@@ -263,10 +279,7 @@ class LatticeSolver:
         n = round(N ** (1 / 3))
         b = rhs.reshape(len(rhs), -1)
         X = np.fft.rfftn(b[cells].reshape((n, n, n, L, -1)), axes=(0, 1, 2))
-        if L == 1:
-            Y = self._inverse * X
-        else:
-            Y = self._inverse @ X
+        Y = self._inverse * X if L == 1 else self._inverse @ X
         x = np.empty_like(b)
         if self._border is not None:
             dofs, inverse = self._border
@@ -346,9 +359,8 @@ class SaddleConstraints:
         Cu = sp.csr_matrix((np.tile(ops.int_s, 3), np.arange(n_u),
                             ops.int_s.size * np.arange(4)))  # means of u_c
         self._blocks = ops.B, Cu, sp.csc_matrix(ops.int_p[:, None])
-        cells = spaces.velocity.cell_dofs
-        self._cells = (np.concatenate([cells + c * ops.int_s.size
-                                       for c in range(3)], axis=1),
+        u = spaces.velocity.cell_dofs
+        self._cells = (np.hstack([u + c * ops.int_s.size for c in range(3)]),
                        spaces.pressure.cell_dofs)
         off = n_u + n_p
         self.slices = {"u": slice(0, n_u), "p": slice(n_u, off),
@@ -383,9 +395,9 @@ class SaddleConstraints:
         B, Cu, mp_col = self._blocks
         u, p = self._cells
         L = u.shape[1] + 1
-        F, Bk = cell_symbols(system.F, u, u), cell_symbols(B, p, u)[..., 0, :]
-        symbol = np.zeros(F.shape[:3] + (L, L), dtype=complex)
-        symbol[..., :-1, :-1] = F
+        Bk = _half_symbols(B, p, u)[..., 0, :]
+        symbol = np.zeros(Bk.shape[:3] + (L, L), dtype=complex)
+        symbol[..., :-1, :-1] = _half_symbols(system.F, u, u)
         symbol[..., :-1, -1] = -Bk.conj()
         symbol[..., -1, :-1] = Bk
         block = np.zeros((L + 4, L + 4))

@@ -181,23 +181,24 @@ def _dense_inf_sup_constant(spaces):
 
 
 def test_inf_sup_constant(level):
-    vals = [inf_sup_constant(level(n)) for n in (2, 3, 4)]
+    # odd and even n: with and without an rfft Nyquist plane
+    vals = [inf_sup_constant(level(n)) for n in (2, 3, 4, 5)]
     assert min(vals) > 0.1
     assert abs(vals[1] - vals[0]) / vals[0] < 0.5
-    for n, val in zip((2, 3), vals):
+    for n, val in zip((2, 3, 4, 5), vals):
         ref = _dense_inf_sup_constant(level(n))
         assert abs(val - ref) <= 1e-13 * ref
         assert inf_sup_constant(level(n)) == val
 
 
 def test_inverse_constant(level):
-    prods = [inverse_constant(level(n)) for n in (2, 3, 4)]
+    prods = [inverse_constant(level(n)) for n in (2, 3, 4, 5)]
     assert (max(prods) - min(prods)) / max(prods) < 0.25
     ratio_2 = prods[0] / level(2).h
     ratio_4 = prods[2] / level(4).h
     assert 1.5 < ratio_4 / ratio_2 < 2.5
-    # dense reference for the Lanczos value
-    for n, prod in zip((2, 3), prods):
+    # dense reference for the lattice-block value
+    for n, prod in zip((2, 3, 4, 5), prods):
         M, A = level(n).ops.M_s.toarray(), level(n).ops.A_s.toarray()
         ref = np.sqrt(sla.eigvalsh(M + A, M)[-1]) * level(n).h
         assert abs(prod - ref) <= 1e-13 * ref
@@ -370,16 +371,22 @@ def _dense_commutator_constants(spaces, pts, phi):
 
 
 def test_commutator_constants_match_dense_reference(level, quad_points):
-    for n in (2, 3):
+    # PHI varies along x only (blocks over the y-z shifts); the others
+    # along x and y (over the z shifts) and along every axis (one block)
+    cases = [(2, PHI), (3, PHI),
+             (2, TrigPoly.constant(2.0) + TrigPoly.cosine((1, 1, 0))),
+             (2, TrigPoly.constant(3.0) + TrigPoly.cosine((1, 0, 0))
+              + TrigPoly.sine((0, 1, 1)))]
+    for n, phi in cases:
         spaces = level(n)
         ref_v, ref_p = _dense_commutator_constants(spaces,
-                                                   quad_points(spaces), PHI)
-        c_v = commutator_constant(spaces, PHI)
-        c_p = pressure_commutator_constant(spaces, PHI)
+                                                   quad_points(spaces), phi)
+        c_v = commutator_constant(spaces, phi)
+        c_p = pressure_commutator_constant(spaces, phi)
         assert abs(c_v - ref_v) <= 1e-12 * ref_v
         assert abs(c_p - ref_p) <= 1e-12 * ref_p
-        assert commutator_constant(spaces, PHI) == c_v
-        assert pressure_commutator_constant(spaces, PHI) == c_p
+        assert commutator_constant(spaces, phi) == c_v
+        assert pressure_commutator_constant(spaces, phi) == c_p
 
 
 
