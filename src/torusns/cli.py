@@ -14,8 +14,8 @@ slaved to the mesh size (dt = C h^alpha) and tabulates the diagnostics
 per level; `report` re-renders diagnostics from a stored trajectory;
 `check` runs the structural identity suite.
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure,
-3 check failure.
+Exit codes: 0 success, 1 configuration error (an output directory
+that cannot be written included), 2 solver failure, 3 check failure.
 """
 
 from __future__ import annotations
@@ -401,6 +401,9 @@ def main(argv=None) -> int:
             rerender_report(args.traj, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:   # an --out that cannot be made or written
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StepperError, LinearSolveError) as exc:
         step = getattr(exc, "step", None)

@@ -309,6 +309,12 @@ class VelocitySpace:
         return np.concatenate([c, n_cells + 6 * c + np.arange(6)], axis=1)
 
     @property
+    def vector_cell_dofs(self) -> np.ndarray:
+        """(n^3, 21) vector dofs of each cell, component by component."""
+        return np.hstack([self.cell_dofs + c * self.n_scalar
+                          for c in range(3)])
+
+    @property
     def vector_dofmap(self) -> np.ndarray:
         """(E, 15) dofs of the vector basis N_a e_c, local index 5 c + a."""
         return np.concatenate([self.dofmap + c * self.n_scalar
@@ -355,10 +361,8 @@ class Operators:
     def __init__(self, spaces):
         t, velocity, pressure = spaces.tables, spaces.velocity, spaces.pressure
         scalar, Np = velocity.pattern, t.N[:, :, :N_LOCAL_P]
-        # scalar mass (velocity component block), vector mass
-        # diag(M_s, M_s, M_s), scalar stiffness and pressure mass
+        # scalar mass and stiffness (velocity component blocks), pressure mass
         self.M_s = scalar.assemble(_local_matrices(spaces, t.N, t.N))
-        self.M = velocity.block_pattern.matrix(np.tile(self.M_s.data, 3))
         self.A_s = scalar.assemble(_local_matrices(spaces, t.grad, t.grad))
         self.Mp = pressure.pattern.assemble(_local_matrices(spaces, Np, Np))
         # (q, div v), pressure tests x velocity dofs:
@@ -587,17 +591,19 @@ def _largest_eigenvalue(pencil, rows) -> float:
 def inf_sup_constant(spaces) -> float:
     """Smallest ratio |pi_h(grad q)|_2 / |q|_2 over the zero-mean
     pressure space: sqrt(lambda_min) of the pencil (K, Mp) there, with
-    K = B M^-1 B^T.  With one pressure dof per cell, K and Mp are 1 x 1
-    per lattice wave vector k, and the zero-mean pressures are the waves
-    k != 0 (k = 0 is the constant, which B annihilates): lambda_min is the
-    least K^ / Mp^ there, on the rfft half (`_largest_eigenvalue`)."""
+    K = B M^-1 B^T = sum_c B_c M_s^-1 B_c^T over the velocity components.
+    With one pressure dof per cell, K and Mp are 1 x 1 per lattice wave
+    vector k, and the zero-mean pressures are the waves k != 0 (k = 0 is
+    the constant, which B annihilates): lambda_min is the least K^ / Mp^
+    there, on the rfft half (`_largest_eigenvalue`)."""
     ops, p = spaces.ops, spaces.pressure.cell_dofs
-    u = np.hstack([spaces.velocity.cell_dofs + c * spaces.n_scalar
-                   for c in range(3)])
+    u, u_s = spaces.velocity.vector_cell_dofs, spaces.velocity.cell_dofs
     lam = np.inf
-    for waves, (B, M, Mp) in cell_symbols((ops.B, ops.M, ops.Mp),
-                                          [(p, u), (u, u), (p, p)]):
-        K = (B @ np.linalg.solve(M, _adjoint(B)))[:, 0, 0].real
+    for waves, (B, M, Mp) in cell_symbols((ops.B, ops.M_s, ops.Mp),
+                                          [(p, u), (u_s, u_s), (p, p)]):
+        Bc = B.reshape(len(B), 3, -1)              # (K, component, 7)
+        K = np.einsum("kca,kac->k", Bc,
+                      np.linalg.solve(M, _adjoint(Bc))).real
         lam = min(lam, (K / Mp[:, 0, 0].real)[waves.any(axis=1)].min())
     return float(np.sqrt(lam))
 

@@ -227,6 +227,6 @@ def project_div_free(spaces, coeffs) -> np.ndarray:
     componentwise zero-mean velocity subspace: the step's saddle system
     with the vector mass matrix as velocity block, solved by its lattice
     Fourier blocks (`linsolve.LatticeSolver`)."""
-    M = spaces.ops.M
+    M = spaces.velocity.block_pattern.matrix(np.tile(spaces.ops.M_s.data, 3))
     system = SaddleSystem(SaddleConstraints(spaces), M, lattice=True)
     return system.solve(system.rhs(M @ np.asarray(coeffs)))["u"]

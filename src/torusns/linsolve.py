@@ -114,20 +114,19 @@ class LinearSolveError(RuntimeError):
 
 
 def _column_norms(a):
-    """Euclidean norm of a vector, or of each column of a stack."""
-    a = np.ascontiguousarray(np.asarray(a).T)
-    return np.sqrt(np.vecdot(a, a))
+    """Euclidean norm of a vector, or of each column of a stack, scaled by
+    the column's largest entry so that no square overflows."""
+    scale = np.abs(a).max(axis=0)
+    a = np.ascontiguousarray((a / np.where(scale > 0, scale, 1.0)).T)
+    return scale * np.sqrt(np.vecdot(a, a))
 
 
 def _column_sums(matrix) -> np.ndarray:
-    """The column sums of |A|, whose largest is |A|_1, straight from the
-    arrays of a CSC matrix (one `np.add.reduceat` over the non-empty
-    columns, which `spla.norm` gets only after forming abs(A) and a
-    sparse sum).  Duplicate entries, which no matrix here holds, add."""
-    indptr, sums = matrix.indptr, np.zeros(matrix.shape[1])
-    full = np.diff(indptr) > 0
-    sums[full] = np.add.reduceat(np.abs(matrix.data), indptr[:-1][full])
-    return sums
+    """The column sums of |A|, whose largest is |A|_1: one `np.bincount`
+    over the column indices of its CSR form.  Duplicate entries, which no
+    matrix here holds, add."""
+    A = sp.csr_matrix(matrix)
+    return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[1])
 
 
 def _guard(matrix, norm1, x, rhs):
@@ -139,23 +138,23 @@ def _guard(matrix, norm1, x, rhs):
     exceed AMPLIFICATION_LIMIT * |b|_1 (`norm1` is |A|_1).  The last is
     a lower bound on the 1-norm condition number, so it cannot fire on
     a matrix whose condition number is below the limit; it catches the
-    tiny pivot whose huge solution has a zero residual.  A violation
-    signals a (numerically) singular matrix and raises LinearSolveError.
-    Columns whose right-hand side is not finite are passed through.
+    tiny pivot whose huge solution has a zero residual.  A violation, or
+    a NaN residual or amplification, signals a (numerically) singular
+    matrix and raises LinearSolveError.  Columns whose right-hand side
+    has an entry that is not finite are passed through.
     """
-    resid = _column_norms(matrix @ x - rhs)
-    norm_rhs = _column_norms(rhs)
-    if np.any(~np.all(np.isfinite(x), axis=0)
-              & np.all(np.isfinite(rhs), axis=0)):
+    finite = np.all(np.isfinite(rhs), axis=0)
+    if np.any(finite & ~np.all(np.isfinite(x), axis=0)):
         raise LinearSolveError("solution is not finite")
-    bad = np.isfinite(norm_rhs) & (
-        resid > RESIDUAL_REL_TOL * np.maximum(norm_rhs, 1e-300))
+    resid = _column_norms(matrix @ x - rhs)
+    bad = finite & ~(resid <= RESIDUAL_REL_TOL
+                     * np.maximum(_column_norms(rhs), 1e-300))
     if np.any(bad):
         raise LinearSolveError(f"residual {np.max(resid[bad]):.3e} "
                                f"exceeds {RESIDUAL_REL_TOL:.0e} * |rhs|")
     amplification = (norm1 * np.abs(x).sum(axis=0)
                      / np.maximum(np.abs(rhs).sum(axis=0), 1e-300))
-    bad = np.isfinite(norm_rhs) & (amplification > AMPLIFICATION_LIMIT)
+    bad = finite & ~(amplification <= AMPLIFICATION_LIMIT)
     if np.any(bad):
         raise LinearSolveError(
             f"residual guard: |A||x| = {np.max(amplification[bad]):.1e}"
@@ -171,8 +170,8 @@ class Factorization:
     """
 
     def __init__(self, matrix):
+        self._norm1 = float(_column_sums(matrix).max())
         self.matrix = matrix.tocsc()
-        self._norm1 = float(_column_sums(self.matrix).max())
         try:
             self._lu = spla.splu(self.matrix, permc_spec=ORDERING,
                                  diag_pivot_thresh=PIVOT_THRESHOLD)
@@ -268,9 +267,8 @@ class LatticeSolver:
     def of_matrix(cls, matrix, cells):
         """The solver of a sparse shift-invariant matrix on the dofs
         `cells`, every one of its dofs."""
-        norm1 = float(np.bincount(matrix.indices, np.abs(matrix.data),
-                                  minlength=matrix.shape[1]).max())
-        return cls(matrix, norm1, cells, _half_symbols(matrix, cells, cells),
+        return cls(matrix, float(_column_sums(matrix).max()), cells,
+                   _half_symbols(matrix, cells, cells),
                    lambda: Factorization(matrix))
 
     def _apply(self, rhs):
@@ -349,7 +347,7 @@ class SaddleConstraints:
     makes the velocity discretely divergence-free, alpha (the velocity-
     mean multipliers) componentwise mean-free, and beta, the pressure-
     mean multiplier, removes the constant pressure (B annihilates it).
-    `matrix` (CSC), the saddle matrix with a zero velocity block, and its
+    `matrix` (CSR), the saddle matrix with a zero velocity block, and its
     |.| `column_sums` are shared by the systems of one trajectory, and
     so are the per-cell dofs of the layout, velocity components first."""
 
@@ -359,14 +357,15 @@ class SaddleConstraints:
         Cu = sp.csr_matrix((np.tile(ops.int_s, 3), np.arange(n_u),
                             ops.int_s.size * np.arange(4)))  # means of u_c
         self._blocks = ops.B, Cu, sp.csc_matrix(ops.int_p[:, None])
-        u = spaces.velocity.cell_dofs
-        self._cells = (np.hstack([u + c * ops.int_s.size for c in range(3)]),
+        self._cells = (spaces.velocity.vector_cell_dofs,
                        spaces.pressure.cell_dofs)
         off = n_u + n_p
         self.slices = {"u": slice(0, n_u), "p": slice(n_u, off),
                        "alpha": slice(off, off + 3),
                        "beta": slice(off + 3, off + 4)}
         self.shape = (off + 4, off + 4)
+        self.matrix = self.assemble(None).tocsr()
+        self.column_sums = _column_sums(self.matrix)
 
     def assemble(self, F) -> sp.csc_matrix:
         """The saddle matrix with velocity block F (None: zero)."""
@@ -375,15 +374,6 @@ class SaddleConstraints:
                         [B, None, None, mp_col],
                         [Cu, None, None, None],
                         [None, mp_col.T, None, None]], format="csc")
-
-    @cached_property
-    def matrix(self) -> sp.csc_matrix:
-        """Made on first use (a system only factorized never applies it)."""
-        return self.assemble(None)
-
-    @cached_property
-    def column_sums(self) -> np.ndarray:
-        return _column_sums(self.matrix)
 
     def lattice_solver(self, system) -> LatticeSolver:
         """The block solver of `system`, whose velocity block F must be
@@ -434,10 +424,9 @@ class SaddleSystem:
     @property
     def norm1(self) -> float:
         """|A|_1, the largest column sum of |A|."""
-        F = self.F
-        return float((self.constraints.column_sums
-                      + np.bincount(F.indices, np.abs(F.data),
-                                    minlength=self.shape[1])).max())
+        sums = self.constraints.column_sums.copy()
+        sums[self.slices["u"]] += _column_sums(self.F)
+        return float(sums.max())
 
     def rhs(self, rhs_u) -> np.ndarray:
         """The full right-hand side: rhs_u on the momentum rows, zero on
@@ -448,8 +437,8 @@ class SaddleSystem:
 
     def residual(self, x, rhs) -> float:
         """|Ax - b| / max(1, |b|)."""
-        return float(np.linalg.norm(self @ x - rhs)
-                     / max(1.0, float(np.linalg.norm(rhs))))
+        return float(_column_norms(self @ x - rhs)
+                     / max(1.0, _column_norms(rhs)))
 
     @cached_property
     def factor(self) -> Factorization:
@@ -482,6 +471,5 @@ class SaddleSystem:
         if x is None:
             x = self.solver.solve(rhs)
             resid = float(self.solver.residual)
-        return SaddleSolution(x=x, slices=self.slices,
-                              residual=resid
-                              / max(1.0, float(np.linalg.norm(rhs))))
+        return SaddleSolution(x=x, slices=self.slices, residual=resid
+                              / max(1.0, _column_norms(rhs)))

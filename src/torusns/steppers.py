@@ -25,11 +25,12 @@ preconditioned with them, each from the previous solve's answer.  The
 initial datum is projected by the blocks of its own system, with
 velocity block M (`forms.project_div_free`).
 All its saddle systems share one set of constraint blocks
-(`linsolve.SaddleConstraints`) and differ only in their velocity block:
-an iterate assembles its convection from the per-type tensors of
-`forms` into a fixed pattern and adds F0's entries to half of it in
-place, so no iterate samples a field, converts a sparse format or
-builds a block matrix.
+(`linsolve.SaddleConstraints`) and differ only in their velocity block
+F, which also fixes the right-hand side, Crank-Nicolson's (2M/dt - F)
+u^{m-1} (less CNAB's explicit convection): an iterate assembles its
+convection from the per-type tensors of `forms` into a fixed pattern,
+halves it and adds F0's entries in place, so no iterate samples a
+field, converts a sparse format or builds a block matrix.
 """
 
 from __future__ import annotations
@@ -132,60 +133,50 @@ class StepResult:
 class StepOperator:
     """The parts of the midpoint step shared by every step of one
     trajectory: the saddle systems' constraint blocks, F0 = M/dt +
-    nu A/2, the explicit right-hand side, the frozen-advection systems,
-    and the history-independent CNAB system, whose block solver is made
-    here and preconditions every frozen-advection solve, each GMRES
-    starting from the answer of the trajectory's previous solve.
+    nu A/2, the frozen-advection systems, and the history-independent
+    CNAB system, whose block solver is made here and preconditions every
+    frozen-advection solve, each GMRES starting from the answer of the
+    trajectory's previous solve.
 
-    A frozen system's velocity block is conv/2 + F0 on the convection's
-    pattern: F0's own for case 1 (diag(S, S, S)), and for cases 2 and 3
-    the 3 x 3 block grid of the scalar pattern, F0's slots on it found
-    once, here."""
+    Every system F u^m = (2M/dt - F) u^{m-1} takes its right-hand side
+    from its velocity block F (`midpoint_rhs`).  A frozen system's F is
+    conv/2 + F0 in the convection's own data array and pattern: F0's for
+    case 1 (diag(S, S, S)), and for cases 2 and 3 the 3 x 3 block grid of
+    the scalar pattern, F0's slots on it found once, here."""
 
     def __init__(self, spaces, config):
         self.spaces = spaces
         self.config = config
         dt, nu = config.dt, config.nu
         ops, velocity = spaces.ops, spaces.velocity
-        block = velocity.block_pattern
-        self.A = block.matrix(np.tile(ops.A_s.data, 3))
-        self.F0 = block.matrix((1.0 / dt) * ops.M.data
-                               + 0.5 * nu * self.A.data)
+        self.F0 = velocity.block_pattern.matrix(
+            np.tile((1.0 / dt) * ops.M_s.data + 0.5 * nu * ops.A_s.data, 3))
         self.constraints = SaddleConstraints(spaces)
-        # its applied matrix and column sums, made now rather than in a
-        # step, and before the block solver's symbols: made inside the
-        # solver, after them, they raised the peak RSS of a cnab-explicit
-        # run by 0.7 MB (median of 6 runs)
-        self.constraints.column_sums
         # the CNAB system: its matrix does not depend on the history
         self.explicit_system = SaddleSystem(self.constraints, self.F0,
                                             lattice=True)
-        if config.case == 1:
-            self._pattern, self._F0_slots = block, slice(None)
-        else:
-            self._pattern = velocity.vector_pattern
-            self._F0_slots = self._pattern.diagonal.ravel()
+        self._F0_slots = (slice(None) if config.case == 1
+                          else velocity.vector_pattern.diagonal.ravel())
         self.preconditioner = self.explicit_system.solver
         self._start = None     # the answer of the previous frozen solve
 
-    def explicit_rhs(self, u_prev):
-        """M u/dt - nu A u/2: the momentum right-hand side without
-        convection."""
-        dt, nu = self.config.dt, self.config.nu
-        return ((1.0 / dt) * (self.spaces.ops.M @ u_prev)
-                - 0.5 * nu * (self.A @ u_prev))
+    def midpoint_rhs(self, F, u_prev):
+        """(2/dt) M u - F u, M u by M_s on the three components at once:
+        the momentum right-hand side of velocity block F, less convection."""
+        Mu = (self.spaces.ops.M_s @ np.reshape(u_prev, (3, -1)).T).T.ravel()
+        return (2.0 / self.config.dt) * Mu - F @ u_prev
 
     def frozen_system(self, advect, u_prev):
         """Midpoint step with the advecting field frozen: its system and
         full right-hand side.  The unknown enters through the midpoint,
-        hence the factor 1/2 on the convection; F0's entries are added
-        in place to half the convection's data, one new array."""
-        conv = forms.convection_matrix(self.spaces, self.config.case, advect)
-        data = 0.5 * conv.data
-        data[self._F0_slots] += self.F0.data
-        system = SaddleSystem(self.constraints, self._pattern.matrix(data))
-        rhs_u = self.explicit_rhs(u_prev) - 0.5 * (conv @ u_prev)
-        return system, system.rhs(rhs_u)
+        hence the factor 1/2 on the convection: its data are halved in
+        place and F0's entries added to them, so F is the convection
+        matrix itself."""
+        F = forms.convection_matrix(self.spaces, self.config.case, advect)
+        F.data *= 0.5
+        F.data[self._F0_slots] += self.F0.data
+        system = SaddleSystem(self.constraints, F)
+        return system, system.rhs(self.midpoint_rhs(F, u_prev))
 
     def solve_frozen(self, advect, u_prev) -> SaddleSolution:
         """Solve `frozen_system` once, by GMRES preconditioned with the
@@ -260,7 +251,7 @@ def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
     conv_prev = forms.convection_rhs(op.spaces, u_prev)
     conv = 1.5 * conv_prev - 0.5 * conv_prev2
     system = op.explicit_system
-    sol = system.solve(system.rhs(op.explicit_rhs(np.asarray(u_prev)) - conv))
+    sol = system.solve(system.rhs(op.midpoint_rhs(system.F, u_prev) - conv))
     return StepResult(u=sol["u"], p=sol["p"], iterations=1,
                       residual=sol.residual, convection=conv_prev)
 

@@ -24,6 +24,17 @@ def level():
 
 
 @pytest.fixture(scope="session")
+def vector_mass():
+    """The vector mass matrix diag(M_s, M_s, M_s) of a pair's spaces, on
+    the componentwise block pattern."""
+    def build(spaces):
+        return spaces.velocity.block_pattern.matrix(
+            np.tile(spaces.ops.M_s.data, 3))
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def quad_points():
     """The quadrature points of a space's elements, (E, Q, 3): element
     6 c + t is Kuhn type t of the cube at vertex c, so its points are that

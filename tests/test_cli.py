@@ -205,6 +205,40 @@ def test_picard_failure_exit_code(tmp_path):
                  str(tmp_path / "x")]) == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("T, nu, steps", [("1e-300", "0.2", "1"),
+                                         ("0.5", "1e300", "2")])
+def test_overflowing_step_is_a_solver_failure(tmp_path, T, nu, steps):
+    # dt = 1e-300 or nu = 1e300 puts entries near 1e300 into the step
+    # matrix and its right-hand side; the solve guards must reject the
+    # answer
+    body = BASE_CFG.replace("T = 0.5", f"T = {T}") \
+                   .replace("nu = 0.2", f"nu = {nu}") \
+                   .replace("steps = 4", f"steps = {steps}") \
+                   .replace("sine-shear", "tg-like")
+    cfg = write_cfg(tmp_path, body)
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("command", ["run", "study", "report"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    # --out below a regular file cannot be made: one line, exit 1
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[study]\nlevels = 2,3\n")
+    stored = tmp_path / "stored"
+    if command == "report":
+        assert main(["run", "--config", cfg, "--out", str(stored)]) \
+            == EXIT_OK
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["--traj", str(stored)] if command == "report" else \
+        ["--config", cfg]
+    assert main([command, *args, "--out", str(blocker / "x")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
 def test_check_command():
     assert main(["check"]) == EXIT_OK
 

@@ -95,29 +95,43 @@ def test_zero_residual_blow_up_raises():
         factor.solve(np.array([0.0, 1.0]))
 
 
-def step_systems(spaces, u):
+def test_guard_judges_right_hand_sides_near_overflow():
+    # |b|_2 of entries near 1e300 overflows if the entries are squared:
+    # a wrong answer must still fail, and so must one whose product
+    # overflows, which leaves a residual that is not a number
+    A = sp.csr_matrix(1e300 * np.eye(3))
+    x, b = np.ones(3), np.full(3, 1e300)
+    _guard(A, 1e300, x, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for wrong, rhs in ((0.5 * x, b), (1e10 * x, 1e8 * b)):
+            with pytest.raises(LinearSolveError, match="residual"):
+                _guard(A, 1e300, wrong, rhs)
+
+
+def step_systems(spaces, u, M):
     """Matrix and right-hand side of the case-3 CN step (dt = 1/128),
-    the CNAB step and the divergence-free projection at u."""
+    the CNAB step and the divergence-free projection (vector mass M) at
+    u."""
     op = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
                                            T=1 / 128, N=1))
     step, rhs = op.frozen_system(u, u)
     cnab = op.explicit_system
-    M = spaces.ops.M
     projection = SaddleSystem(SaddleConstraints(spaces), M)
     return {"step": (assembled(step), rhs),
-            "cnab": (assembled(cnab), cnab.rhs(op.explicit_rhs(u))),
+            "cnab": (assembled(cnab),
+                     cnab.rhs(op.midpoint_rhs(cnab.F, u))),
             "projection": (assembled(projection),
                            projection.rhs(M @ u))}
 
 
-def test_amplification_far_below_guard_limit(level):
+def test_amplification_far_below_guard_limit(level, vector_mass):
     # |A|_1 |x|_1 / |b|_1 on real solves stays six decades below the
     # guard's 1e12 (measured at most 3.6e2, on the projection)
     spaces = level(3)
     u = project_velocity(spaces, tg_like())
     rng = np.random.default_rng(5)
     solves = [(Factorization(A), b) for A, b in
-              step_systems(spaces, u).values()]
+              step_systems(spaces, u, vector_mass(spaces)).values()]
     ops = spaces.ops
     solves += [(lu, rng.standard_normal((lu.matrix.shape[0], 3)))
                for lu in (ops.Ms_solver, ops.Mp_solver)]
@@ -128,11 +142,12 @@ def test_amplification_far_below_guard_limit(level):
         assert np.max(ratio) <= 1e6
 
 
-def test_step_factor_fill_is_small(level):
+def test_step_factor_fill_is_small(level, vector_mass):
     # minimum degree on A^T + A: 33 627 entries in L + U, against
     # 283 176 with SuperLU's default COLAMD ordering
     spaces = level(3)
-    A, _ = step_systems(spaces, project_velocity(spaces, tg_like()))["step"]
+    A, _ = step_systems(spaces, project_velocity(spaces, tg_like()),
+                        vector_mass(spaces))["step"]
     assert Factorization(A)._lu.nnz < 80_000
 
 
@@ -198,24 +213,27 @@ def test_krylov_solve_matches_the_direct_solve(level, case, dt, nu):
             <= AMPLIFICATION_LIMIT * np.abs(rhs).sum())
 
 
-def lattice_systems(spaces):
-    """The four shift-invariant systems a run solves by lattice blocks:
-    name -> (block solver, the matrix its LU would factorize)."""
+def lattice_systems(spaces, M):
+    """The four shift-invariant systems a run solves by lattice blocks
+    (the projection's with vector mass M): name -> (block solver, the
+    matrix its LU would factorize)."""
     ops = spaces.ops
     step = StepOperator(spaces, SchemeConfig(scheme="CN", case=1, nu=0.1,
                                              T=1 / 16, N=1)).explicit_system
-    projection = SaddleSystem(SaddleConstraints(spaces), ops.M, lattice=True)
+    projection = SaddleSystem(SaddleConstraints(spaces), M, lattice=True)
     return {"step": (step.solver, assembled(step)),
             "projection": (projection.solver, assembled(projection)),
             "M_s": (ops.Ms_solver, ops.M_s), "Mp": (ops.Mp_solver, ops.Mp)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_lattice_blocks_match_the_lu(level, n):
+def test_lattice_blocks_match_the_lu(level, vector_mass, n):
     # odd and even n: only an even n has an rfft Nyquist plane; one
     # right-hand side and a stack of three
     rng = np.random.default_rng(n)
-    for name, (solver, A) in lattice_systems(level(n)).items():
+    spaces = level(n)
+    for name, (solver, A) in lattice_systems(spaces,
+                                             vector_mass(spaces)).items():
         for b in (rng.standard_normal(A.shape[0]),
                   rng.standard_normal((A.shape[0], 3))):
             want = Factorization(A).solve(b)
@@ -228,8 +246,10 @@ def test_lattice_blocks_match_the_lu(level, n):
 
 
 @pytest.mark.parametrize("name", ["step", "projection", "M_s", "Mp"])
-def test_wrong_block_solve_falls_back_to_the_lu(level, monkeypatch, name):
-    solver, A = lattice_systems(level(3))[name]
+def test_wrong_block_solve_falls_back_to_the_lu(level, vector_mass,
+                                                monkeypatch, name):
+    spaces = level(3)
+    solver, A = lattice_systems(spaces, vector_mass(spaces))[name]
     b = np.random.default_rng(1).standard_normal(A.shape[0])
     want = Factorization(A).solve(b)
     apply = LatticeSolver._apply
@@ -300,7 +320,7 @@ def test_norm1_matches_scipy(level):
 
 
 def test_case3_step_calls_no_scipy_norm(level, monkeypatch):
-    # the guards of every Picard iterate take |A|_1 from the CSC arrays
+    # the guards of every Picard iterate take |A|_1 from the CSR arrays
     spaces = level(2)
     op = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
                                            T=1 / 128, N=1))
@@ -374,7 +394,8 @@ def test_stokes_pressure_decays_under_refinement(level):
         op = StepOperator(spaces, cfg)
         u0 = project_div_free(spaces,
                               project_velocity(spaces, sine_shear()))
-        sol = solve(spaces, op.F0, op.explicit_rhs(u0))  # viscous step only
+        # viscous step only
+        sol = solve(spaces, op.F0, op.midpoint_rhs(op.F0, u0))
         norms.append(pressure_l2(spaces, sol["p"])
                      / max(1e-300, velocity_l2(spaces, sol["u"])))
     assert norms[0] > norms[1] > norms[2] or max(norms) < 1e-10

@@ -114,7 +114,7 @@ def _coupled_case3_step(op, w, u_prev):
                  [Cu, None, None, None, None],
                  [None, mp.T, None, None, None]], format="csc")
     b = np.zeros(A.shape[0])
-    b[:n_u] = op.explicit_rhs(u_prev) - 0.5 * (conv @ u_prev)
+    b[:n_u] = op.midpoint_rhs(op.F0, u_prev) - 0.5 * (conv @ u_prev)
     b[n_u + n_p:n_u + 2 * n_p] = 0.5 * (R @ u_prev)
     x = spla.spsolve(A, b)
     return x[:n_u], x[n_u:n_u + n_p]
@@ -188,7 +188,7 @@ def test_extrapolated_advection_is_linear(level):
     assert np.allclose(S2, 2.0 * S1, rtol=0, atol=1e-13 * np.abs(S1).max())
 
 
-def test_cnab_two_level_weights(level):
+def test_cnab_two_level_weights(level, vector_mass):
     # with distinct history states the step solves its momentum equation
     #   M (u^m - u^{m-1}) / dt + nu A (u^m + u^{m-1}) / 2
     #     + 3/2 N(u^{m-1}) - 1/2 N(u^{m-2}) - B^T p = Cu^T alpha,
@@ -204,7 +204,7 @@ def test_cnab_two_level_weights(level):
     assert np.array_equal(res.convection, convection_rhs(spaces, u_prev))
     ops = spaces.ops
     A = sp.kron(sp.identity(3), ops.A_s)
-    terms = [ops.M @ (res.u - u_prev) / cfg.dt,
+    terms = [vector_mass(spaces) @ (res.u - u_prev) / cfg.dt,
              0.5 * cfg.nu * (A @ (res.u + u_prev)),
              1.5 * convection_rhs(spaces, u_prev),
              -0.5 * convection_rhs(spaces, u_prev2),
@@ -306,12 +306,12 @@ def test_run_projects_the_datum_with_the_step_factor(level, tmp_path,
 
 @pytest.mark.parametrize("failure", ["blocks", "guard"])
 def test_datum_projection_falls_back_to_its_own_factorization(
-        level, monkeypatch, failure):
+        level, vector_mass, monkeypatch, failure):
     # a block solve whose answer is wrong, or whose guard rejects it,
     # gives the LU answer of the projection system, made once
     spaces = level(3)
     c = project_velocity(spaces, tg_like())
-    M = spaces.ops.M
+    M = vector_mass(spaces)
     system = SaddleSystem(SaddleConstraints(spaces), M)
     want = system.solve(system.rhs(M @ c))["u"]
     if failure == "blocks":
@@ -354,15 +354,19 @@ def test_gmres_failure_falls_back_to_a_fresh_factorization(level,
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("case", [1, 3])
-def test_frozen_system_matches_the_block_matrix(level, case, n):
+def test_frozen_system_matches_the_block_matrix(level, vector_mass, case,
+                                                n):
     # the frozen system, applied and assembled, against the saddle
     # matrix built here from F0 + conv/2 by sp.bmat, at two advecting
     # fields; both iterates share the trajectory's constraint blocks and
-    # the convection pattern's index arrays
-    spaces = level(n)
+    # the convection pattern's index arrays.  The right-hand side is
+    # (2/dt) M u - F u, and within roundoff the split form
+    # M u/dt - nu A u/2 - conv u/2
+    spaces, dt, nu = level(n), 1 / 16, 0.1
     ops, velocity = spaces.ops, spaces.velocity
-    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=case, nu=0.1,
-                                           T=1 / 16, N=1))
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=case, nu=nu,
+                                           T=dt, N=1))
+    M, A = vector_mass(spaces), sp.kron(sp.identity(3), ops.A_s)
     u_prev = project_div_free(spaces, project_velocity(spaces, tg_like()))
     pattern = velocity.block_pattern if case == 1 else velocity.vector_pattern
     Cu = sp.kron(sp.identity(3), ops.int_s[None, :])
@@ -372,7 +376,8 @@ def test_frozen_system_matches_the_block_matrix(level, case, n):
         w = project_velocity(spaces, random_trig(seed))
         system, rhs = op.frozen_system(w, u_prev)
         conv = forms.convection_matrix(spaces, case, w)
-        want = sp.bmat([[op.F0 + 0.5 * conv, -ops.B.T, Cu.T, None],
+        F = op.F0 + 0.5 * conv
+        want = sp.bmat([[F, -ops.B.T, Cu.T, None],
                         [ops.B, None, None, mp],
                         [Cu, None, None, None],
                         [None, mp.T, None, None]], format="csc")
@@ -380,9 +385,13 @@ def test_frozen_system_matches_the_block_matrix(level, case, n):
         x = rng.standard_normal(want.shape[1])
         assert (np.abs(system @ x - want @ x).max()
                 <= 1e-14 * (abs(want) @ np.abs(x)).max()), seed
-        rhs_u = op.explicit_rhs(u_prev) - 0.5 * (conv @ u_prev)
+        rhs_u = (2.0 / dt) * (M @ u_prev) - F @ u_prev
         assert np.array_equal(rhs, np.concatenate(
             [rhs_u, np.zeros(want.shape[0] - rhs_u.size)]))
+        split = (M @ u_prev / dt - 0.5 * nu * (A @ u_prev)
+                 - 0.5 * (conv @ u_prev))
+        assert (np.abs(rhs_u - split).max()
+                <= 1e-13 * np.abs(split).max()), seed
         assert system.constraints is op.constraints
         for name in ("indices", "indptr"):
             assert np.shares_memory(getattr(system.F, name),
