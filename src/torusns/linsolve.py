@@ -39,7 +39,15 @@ the zero-advection system (right preconditioning, Saad, Iterative
 Methods for Sparse Linear Systems, 2003; the Oseen preconditioning of
 Elman, Silvester and Wathen, Finite Elements and Fast Iterative Solvers,
 2014), so the stopping test applies to the true residual, and A is only
-applied, never assembled.  Each GMRES starts from the previous solve of
+applied, never assembled.  The GMRES is `_gmres`, restarted GMRES(m) in
+numpy (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): modified
+Gram-Schmidt Arnoldi, the small least-squares problem by Givens
+rotations, every norm scaled as in `_column_norms`.  A cycle ends when
+the rotations' residual estimate reaches KRYLOV_RTOL |b| (atol 0) or
+the Arnoldi vector vanishes below eps, and the answer is accepted only
+when its true residual |b - A M^-1 y| reaches KRYLOV_RTOL |b|; after
+KRYLOV_MAX_CYCLES cycles of KRYLOV_RESTART vectors it is not.  Each
+GMRES starts from the previous solve of
 its trajectory (`x0`): over seeds 0-9 of CN case 3 at n=5, 3 steps of
 dt = 1/128, a run's iterations fell from 189-210 to 106-127, with
 identical Picard counts.  At rtol 1e-14 the Krylov answers pass the
@@ -63,6 +71,13 @@ iterations against 10, which moved u by 2.6e-13 and p by 6.1e-13 of
 their maxima while other runs moved by 5e-15.  Any comparison of
 trajectories that is meant to see roundoff only must allow for this.
 
+SuperLU is the one use of `scipy.sparse.linalg`, whose import loads
+`scipy.linalg` with its own BLAS and LAPACK beside numpy's: 82-95 ms and
+8.4-8.6 MB of peak resident memory per process (five fresh processes,
+measured after `import torusns.cli`, 1 BLAS thread).  `Factorization`
+therefore imports it when it is made, so only a solve that falls back
+pays for it.
+
 Every matrix factorized here, only ever as a fallback, has a (nearly)
 symmetric sparsity pattern (the saddle systems and the two mass
 matrices), so `Factorization` orders it by minimum degree on the pattern
@@ -81,8 +96,9 @@ Diagonal pivoting can leave a tiny pivot in a nearly singular matrix,
 and a right-hand side off its range then gets a huge solution whose
 floating-point residual is exactly 0.  Every solution, by blocks, LU or
 Krylov, is therefore checked twice (`_guard`): its residual, and its
-amplification |A|_1 |x|_1 / |b|_1, a lower bound on the condition
-number.
+amplification |A|_1 (|x|_1 / |b|_1), a lower bound on the condition
+number, with both 1-norms scaled by their column's largest entry so
+that data near the float maximum do not overflow them.
 """
 
 from __future__ import annotations
@@ -92,7 +108,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 RESIDUAL_REL_TOL = 1e-11
 #: fill-reducing ordering and diagonal-pivot threshold of every LU
@@ -113,11 +128,20 @@ class LinearSolveError(RuntimeError):
     pass
 
 
+def _scaled(a):
+    """|a| divided by its largest entry, per column of a stack, and those
+    largest entries (1 where a column is zero)."""
+    a = np.abs(a)
+    scale = a.max(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    return a / scale, scale
+
+
 def _column_norms(a):
     """Euclidean norm of a vector, or of each column of a stack, scaled by
     the column's largest entry so that no square overflows."""
-    scale = np.abs(a).max(axis=0)
-    a = np.ascontiguousarray((a / np.where(scale > 0, scale, 1.0)).T)
+    a, scale = _scaled(a)
+    a = np.ascontiguousarray(a.T)
     return scale * np.sqrt(np.vecdot(a, a))
 
 
@@ -134,8 +158,10 @@ def _guard(matrix, norm1, x, rhs):
     its residual norms |Ax - b|.
 
     The solution must be finite, its residual must not exceed
-    RESIDUAL_REL_TOL * |b|, and its amplification |A|_1 |x|_1 must not
-    exceed AMPLIFICATION_LIMIT * |b|_1 (`norm1` is |A|_1).  The last is
+    RESIDUAL_REL_TOL * |b|, and its amplification |A|_1 (|x|_1 / |b|_1)
+    must not exceed AMPLIFICATION_LIMIT (`norm1` is |A|_1; the 1-norms
+    are summed over each column's largest entry, so only an
+    amplification beyond the float maximum overflows).  The last is
     a lower bound on the 1-norm condition number, so it cannot fire on
     a matrix whose condition number is below the limit; it catches the
     tiny pivot whose huge solution has a zero residual.  A violation, or
@@ -152,8 +178,10 @@ def _guard(matrix, norm1, x, rhs):
     if np.any(bad):
         raise LinearSolveError(f"residual {np.max(resid[bad]):.3e} "
                                f"exceeds {RESIDUAL_REL_TOL:.0e} * |rhs|")
-    amplification = (norm1 * np.abs(x).sum(axis=0)
-                     / np.maximum(np.abs(rhs).sum(axis=0), 1e-300))
+    (x, x_scale), (rhs, rhs_scale) = _scaled(x), _scaled(rhs)
+    with np.errstate(over="ignore"):   # inf exceeds the limit
+        amplification = norm1 * (x_scale / rhs_scale) * (
+            x.sum(axis=0) / np.maximum(rhs.sum(axis=0), 1e-300))
     bad = finite & ~(amplification <= AMPLIFICATION_LIMIT)
     if np.any(bad):
         raise LinearSolveError(
@@ -170,6 +198,8 @@ class Factorization:
     """
 
     def __init__(self, matrix):
+        import scipy.sparse.linalg as spla   # only a fallback loads SuperLU
+
         self._norm1 = float(_column_sums(matrix).max())
         self.matrix = matrix.tocsc()
         try:
@@ -319,17 +349,65 @@ class LatticeSolver:
         KRYLOV_MAX_CYCLES cycles or a guard rejects its answer.
         """
         rhs = np.asarray(rhs, dtype=float)
-        operator = spla.LinearOperator(
-            system.shape, matvec=lambda y: system @ self._apply(y),
-            dtype=float)
-        y, info = spla.gmres(operator, rhs, rtol=KRYLOV_RTOL, atol=0.0,
-                             x0=None if x0 is None else self.matrix @ x0,
-                             restart=KRYLOV_RESTART,
-                             maxiter=KRYLOV_MAX_CYCLES)
-        if info != 0:
-            raise LinearSolveError(f"GMRES did not converge (info {info})")
+        y = _gmres(lambda v: system @ self._apply(v), rhs,
+                   None if x0 is None else self.matrix @ x0)
         x = self._apply(y)
         return x, float(_guard(system, system.norm1, x, rhs))
+
+
+def _gmres(apply, b, y):
+    """Restarted GMRES for apply(y) = b from the guess y (zero if None):
+    Arnoldi by modified Gram-Schmidt, the least-squares problem by Givens
+    rotations (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
+
+    A cycle of at most KRYLOV_RESTART vectors ends when the rotations'
+    residual estimate reaches KRYLOV_RTOL |b| or the Arnoldi vector
+    vanishes (the Krylov space holds the answer), and y is returned once
+    its true residual |b - apply(y)| reaches KRYLOV_RTOL |b|.  Raises
+    LinearSolveError if it has not after KRYLOV_MAX_CYCLES cycles."""
+    tol = KRYLOV_RTOL * _column_norms(b)
+    if y is None:
+        y, r = np.zeros_like(b), b.copy()
+    else:
+        y, r = y.copy(), b - apply(y)
+    beta = _column_norms(r)
+    eps, m = np.finfo(float).eps, KRYLOV_RESTART
+    for _ in range(KRYLOV_MAX_CYCLES):
+        if not beta > tol:          # converged, or not finite
+            break
+        V, H = np.empty((m + 1, b.size)), np.zeros((m + 1, m))
+        rotations = np.zeros((m, 2))
+        g = np.zeros(m + 1)
+        V[0], g[0] = r / beta, beta
+        for j in range(m):
+            w = apply(V[j])
+            h0 = _column_norms(w)
+            for k in range(j + 1):
+                H[k, j] = V[k] @ w
+                w -= H[k, j] * V[k]
+            H[j + 1, j] = _column_norms(w)
+            breakdown = not H[j + 1, j] > eps * h0
+            if not breakdown:
+                V[j + 1] = w / H[j + 1, j]
+            for k, (c, s) in enumerate(rotations[:j]):
+                H[k:k + 2, j] = (c * H[k, j] + s * H[k + 1, j],
+                                 c * H[k + 1, j] - s * H[k, j])
+            f, h = H[j:j + 2, j]
+            rho = np.hypot(f, h)
+            c, s = rotations[j] = (f / rho, h / rho) if rho else (1.0, 0.0)
+            H[j:j + 2, j] = rho, 0.0
+            g[j:j + 2] = c * g[j], -s * g[j]
+            if breakdown or not abs(g[j + 1]) > tol:
+                break
+        # an exactly singular last column (rho = 0) is left out
+        k = j + 1 if H[j, j] else j
+        y += np.linalg.solve(H[:k, :k], g[:k]) @ V[:k]
+        r = b - apply(y)
+        beta = _column_norms(r)
+    if not beta <= tol:
+        raise LinearSolveError(f"GMRES did not converge (residual "
+                               f"{beta:.3e}, tolerance {tol:.3e})")
+    return y
 
 
 @dataclass

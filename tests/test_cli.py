@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -219,6 +223,57 @@ def test_overflowing_step_is_a_solver_failure(tmp_path, T, nu, steps):
     with np.errstate(all="ignore"):
         assert main(["run", "--config", cfg, "--out",
                      str(tmp_path / "x")]) == EXIT_SOLVER
+
+
+def _python(code, cwd):
+    """Run `code` in a fresh interpreter that imports this torusns."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(torusns.cli.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_solver_failure_is_one_line_on_stderr(tmp_path):
+    # dt = 1e-300: the guards reject the step's answer, and nothing but
+    # the failure reaches stderr, no arithmetic warning either
+    body = BASE_CFG.replace("T = 0.5", "T = 1e-300") \
+                   .replace("steps = 4", "steps = 1") \
+                   .replace("sine-shear", "tg-like")
+    cfg = write_cfg(tmp_path, body)
+    done = _python("import sys, torusns.cli; sys.exit(torusns.cli.main("
+                   f"['run', '--config', {cfg!r}, '--out', 'x']))", tmp_path)
+    assert done.returncode == EXIT_SOLVER
+    assert done.stderr.startswith("solver failure at step 1:")
+    assert done.stderr.count("\n") == 1
+
+
+def test_runs_and_reports_load_no_scipy_linalg(tmp_path):
+    # a case-3 CN run (every Picard iterate a GMRES solve), the report of
+    # its trajectory and a study: SuperLU, and with it scipy.linalg, is
+    # imported only by a factorization, which none of them makes
+    body = BASE_CFG.replace("case = 1", "case = 3") \
+                   .replace("steps = 4", "steps = 2") \
+                   .replace("sine-shear", "tg-like")
+    cfg = write_cfg(tmp_path, body + "\n[study]\nlevels = 2,3\n")
+    done = _python(f"""
+import sys
+from torusns import cli, linsolve
+gmres, calls = linsolve._gmres, []
+linsolve._gmres = lambda *args: calls.append(1) or gmres(*args)
+for args in (["run", "--config", {cfg!r}, "--out", "run"],
+             ["report", "--traj", "run", "--out", "report"],
+             ["study", "--config", {cfg!r}, "--out", "study"]):
+    assert cli.main(args) == 0
+    print(args[0], len(calls),
+          *(name in sys.modules for name in ("scipy.linalg",
+                                             "scipy.sparse.linalg")))
+""", tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["run", "report", "study"]
+    assert int(lines[0][1]) > 2
+    assert all(line[2:] == ["False", "False"] for line in lines)
 
 
 @pytest.mark.parametrize("command", ["run", "study", "report"])

@@ -1,11 +1,12 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from torusns import checks
+from torusns import checks, linsolve
 from torusns.fespace import (build_spaces, commutator_constant,
                              inf_sup_constant, inverse_constant,
                              pressure_commutator_constant, pressure_l2,
@@ -106,6 +107,24 @@ def test_guard_judges_right_hand_sides_near_overflow():
         for wrong, rhs in ((0.5 * x, b), (1e10 * x, 1e8 * b)):
             with pytest.raises(LinearSolveError, match="residual"):
                 _guard(A, 1e300, wrong, rhs)
+
+
+def test_guard_takes_the_amplification_of_overflowing_norms():
+    # |b|_1 and |A|_1 |x|_1 of entries near 1e308 both overflow, yet
+    # x = b / 1e300 is exact; a wrong answer at that scale must still
+    # fail, and so must a zero-residual answer whose amplification
+    # overflows, without a warning
+    A = sp.csr_matrix(1e300 * np.eye(3))
+    b = np.full(3, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _guard(A, 1e300, b / 1e300, b)
+        with pytest.raises(LinearSolveError, match="residual"):
+            _guard(A, 1e300, 0.5 * b / 1e300, b)
+        tiny_pivot = sp.csr_matrix(np.diag([1e300, 1e-300]))
+        with pytest.raises(LinearSolveError, match=r"\|A\|\|x\|"):
+            _guard(tiny_pivot, 1e300, np.array([0.0, 1e300]),
+                   np.array([0.0, 1.0]))
 
 
 def step_systems(spaces, u, M):
@@ -293,12 +312,88 @@ def test_krylov_answer_failing_a_guard_is_never_returned(level, monkeypatch,
     op, system, rhs = frozen_step(spaces, 1, 1 / 8, 0.01)
     direct = system.factor.solve(rhs)
 
-    def gmres(A, b, **kwargs):
+    def gmres(apply, b, y):
         return (b.copy() if answer == "preconditioner"
-                else np.full_like(b, np.nan)), 0
+                else np.full_like(b, np.nan))
 
-    monkeypatch.setattr(spla, "gmres", gmres)
+    monkeypatch.setattr(linsolve, "_gmres", gmres)
     with pytest.raises(LinearSolveError, match="residual|finite"):
+        op.preconditioner.krylov_solve(system, rhs)
+    sol = system.solve(rhs, preconditioner=op.preconditioner)
+    assert np.array_equal(sol.x, direct)
+
+
+@pytest.mark.parametrize("case, dt, nu", [(3, 1 / 128, 0.1),
+                                          (1, 1 / 8, 0.01)])
+def test_gmres_reaches_the_true_residual(level, case, dt, nu):
+    # the answer of the preconditioned system meets KRYLOV_RTOL on its
+    # own residual, and maps to the LU answer of the advected system
+    op, system, rhs = frozen_step(level(3), case, dt, nu)
+
+    def apply(y):
+        return system @ op.preconditioner._apply(y)
+    y = linsolve._gmres(apply, rhs, None)
+    assert (np.linalg.norm(rhs - apply(y))
+            <= linsolve.KRYLOV_RTOL * np.linalg.norm(rhs))
+    direct = system.factor.solve(rhs)
+    x = op.preconditioner._apply(y)
+    assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("rhs", ["step", "pressure mean"])
+def test_gmres_on_its_own_preconditioner_stops_at_once(level, rhs):
+    # the zero-advection system preconditioned by its own block solver
+    # is the identity within roundoff: one Arnoldi vector, and one more
+    # application for the true residual.  On the pressure-mean row the
+    # next Arnoldi vector vanishes below eps, the breakdown branch, which
+    # must not divide by it
+    spaces = level(3)
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=1, nu=0.1,
+                                           T=1 / 128, N=1))
+    system, solver = op.explicit_system, op.preconditioner
+    u = project_div_free(spaces, project_velocity(spaces, tg_like()))
+    if rhs == "step":
+        b = system.rhs(op.midpoint_rhs(system.F, u))
+    else:
+        b = np.zeros(system.shape[0])
+        b[system.slices["beta"]] = 1.0
+    applied = []
+
+    def apply(y):
+        applied.append(1)
+        return system @ solver._apply(y)
+    v = b / np.linalg.norm(b)
+    w = apply(v)
+    vanishing = (np.linalg.norm(w - (v @ w) * v)
+                 <= np.finfo(float).eps * np.linalg.norm(w))
+    assert vanishing == (rhs == "pressure mean")
+    applied.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = linsolve._gmres(apply, b, None)
+    assert len(applied) == 2
+    want = solver.solve(b)
+    assert np.abs(solver._apply(y) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gmres_breakdown_divides_by_no_zero():
+    # on 2 I and b = 3 e_0 the second Arnoldi vector is exactly 0
+    b = np.zeros(5)
+    b[0] = 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = linsolve._gmres(lambda v: 2.0 * v, b, None)
+    assert np.array_equal(y, b / 2.0)
+
+
+def test_short_gmres_cycles_fall_back_to_the_lu(level, monkeypatch):
+    # this advected step takes 7 iterations in one cycle; 3 cycles of 2
+    # vectors do not reach KRYLOV_RTOL, so the Krylov solve raises, and
+    # the system's own solve gives its LU answer
+    op, system, rhs = frozen_step(level(3), 1, 1 / 8, 0.01)
+    direct = system.factor.solve(rhs)
+    monkeypatch.setattr(linsolve, "KRYLOV_RESTART", 2)
+    with pytest.raises(LinearSolveError, match="GMRES did not converge"):
         op.preconditioner.krylov_solve(system, rhs)
     sol = system.solve(rhs, preconditioner=op.preconditioner)
     assert np.array_equal(sol.x, direct)
