@@ -159,7 +159,7 @@ def _local_energy_quadform(spaces) -> CheckResult:
     ke = 0.5 * (velocity_values(spaces, z) ** 2).sum(-1)
     gradsq = (velocity_gradients(spaces, z) ** 2).sum((-1, -2))
     terms = (psi_v * ke, nu * lap_v * ke, -nu * psi_v * gradsq)
-    err = sum(abs(_scalar_quadform(K, z, spaces.n_scalar)
+    err = sum(abs(_scalar_quadform([K], z, spaces.n_scalar)[0]
                   - quad_integral(spaces, want)) for K, want in zip(
         _balance_matrices(spaces, nu, psi),
         (terms[0], terms[1] + terms[2])))

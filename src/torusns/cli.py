@@ -218,7 +218,13 @@ def write_summary_csv(path, trajectory, report) -> None:
 
 def _write_report(spec, datum, trajectory, spaces, out_dir):
     """Diagnostics of a trajectory, written as report.txt and report.json;
-    returns the report."""
+    returns the report.  A trajectory that overflowed (the unstable side
+    of CNAB, say) is reported as it is, inf and nan included, and one
+    line on stderr names its first step whose state is not finite."""
+    finite = np.isfinite(trajectory.u).all(axis=1)
+    if not finite.all():
+        print(f"warning: the state is not finite from step "
+              f"{np.argmin(finite)} on", file=sys.stderr)
     report = build_report(trajectory, spaces, u0_norm=datum.l2_norm(),
                           with_local_energy=spec.with_local_energy,
                           cn_threshold=spec.cn_threshold)

@@ -176,6 +176,7 @@ def _flux_gradient_table(spaces, psis, k):
                                        if g.components[c].modes])]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _flux_and_l3(spaces, u, p, psis):
     """The flux int (|z|^2/2 + p) z . grad psi of every factor in `psis`
     and the L3 norm |z|_3, at every midpoint z = (u[m] + u[m-1])/2 of the
@@ -187,7 +188,9 @@ def _flux_and_l3(spaces, u, p, psis):
     samples at the type's points, |z|^2, the type's share of |z|_3^3, the
     flux density (|z|^2/2 + p) z in place, then one product per nonzero
     gradient block.  Every entry still adds its types' terms in type
-    order.  Without factors the pressure is not sampled."""
+    order.  Without factors the pressure is not sampled.  A state near
+    the float maximum overflows |z|^2 and the flux to inf without a
+    warning: the report records it."""
     t = spaces.tables
     N = len(u) - 1
     cube = np.zeros(N)
@@ -234,11 +237,12 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     quadrature point, otherwise the input is rejected.
 
     Every term but the cubic flux is a `_balance_matrices` form of a
-    distinct spatial factor, one factor at a time, over blocks of ROWS
-    midpoints (one sparse product each, a row's value bitwise that of the
-    whole stack); the flux and L3 go to the samples one Kuhn type at a
-    time, in blocks of BLOCK midpoints (`_flux_and_l3`).  No stack of all
-    midpoints is made.  With no tests only L3 is computed.
+    distinct spatial factor, all factors' forms at once over blocks of
+    ROWS midpoints (two products each, whose gathers the matrices share,
+    and a row's value bitwise that of the whole stack); the flux and L3
+    go to the samples one Kuhn type at a time, in blocks of BLOCK
+    midpoints (`_flux_and_l3`).  No stack of all midpoints is made.  With
+    no tests only L3 is computed.
     """
     cfg = trajectory.config
     nu, dt, N = cfg.nu, cfg.dt, trajectory.n_steps
@@ -261,12 +265,12 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     flux, l3 = _flux_and_l3(spaces, trajectory.u, trajectory.p, psis)
     if not tests:
         return np.zeros(0), l3
-    rate, diffusion = np.empty((2, len(psis), N))   # the K_t and K_x forms
-    for j, psi in enumerate(psis):
-        K_t, K_x = _balance_matrices(spaces, nu, psi)
-        for steps, _, mids in _step_blocks(trajectory.u):
-            rate[j, steps] = _scalar_quadform(K_t, mids, spaces.n_scalar)
-            diffusion[j, steps] = _scalar_quadform(K_x, mids, spaces.n_scalar)
+    # the K_t and K_x forms of every factor, on one gather per block
+    matrices = [K for psi in psis for K in _balance_matrices(spaces, nu, psi)]
+    forms = np.empty((len(matrices), N))
+    for steps, _, mids in _step_blocks(trajectory.u):
+        forms[:, steps] = _scalar_quadform(matrices, mids, spaces.n_scalar)
+    rate, diffusion = forms[0::2], forms[1::2]
     return (np.vecdot(rate[row], deta_int)
             + np.vecdot((diffusion + flux)[row], eta_int)), l3
 

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linsolve import LatticeSolver, cell_symbols
 from .mesh import KUHN_OFFSETS, PeriodicMesh
@@ -67,11 +66,14 @@ from .trig import TrigVector
 
 N_LOCAL = 5          # 4 vertex functions + 1 bubble
 N_LOCAL_P = 4
-#: blocks per sparse product of `_scalar_quadform` (eight velocity states)
-QUADFORM_ROWS = 24
+#: blocks per product of `_scalar_quadform` (four velocity states): a
+#: product gathers QUADFORM_ROWS values per matrix entry, and with 24 a
+#: report's peak memory at n=4 was 1.2 MB higher, at the same speed
+QUADFORM_ROWS = 12
 #: states per block of a report's passes over a trajectory (norms, balance
-#: forms, divergence scan): a block's rows are one `_scalar_quadform` product
-ROWS = QUADFORM_ROWS // 3
+#: forms, divergence scan): a block's rows are two `_scalar_quadform`
+#: products
+ROWS = 8
 
 #: Levi-Civita symbol, eps_{ijk} = (e_i x e_j)_k
 _EPS = np.cross(np.eye(3)[:, None], np.eye(3))
@@ -199,7 +201,7 @@ def _product_table(left, right):
     return prod.reshape(prod.shape[:2] + (-1, prod.shape[-1]))
 
 
-def _weighted_matrix(spaces, weights, table, pattern) -> sp.csr_matrix:
+def _weighted_matrix(spaces, weights, table, pattern) -> _CSR:
     """Weighted form on a square `pattern`: element entries sum_q w_q
     sum_k f_k(x_q) table[e % 6, q, A a + b, k] of K trigonometric weights
     f_k (TrigPoly, built by exact algebra), sampled here one at a time
@@ -211,6 +213,75 @@ def _weighted_matrix(spaces, weights, table, pattern) -> sp.csr_matrix:
     return pattern.assemble(_local_matrices(spaces, samples, table))
 
 
+class _CSR:
+    """A sparse matrix on a `_Pattern`, the package's one sparse type: the
+    pattern's shared CSR arrays (`indptr`, `indices`, `shape`) and its
+    own `data`, in the pattern's entry order.
+
+    `@` takes a vector (n,) or a column stack (n, k), read as the rows of
+    its transpose, so the transpose of a C stack of vectors is read in
+    place, and the answer is the transpose of a C array of rows.  Each
+    entry sums its row's products one at a time, in the order of the
+    row's entries, from zero: the order of scipy's compiled CSR loop, so
+    a column of a stack is bitwise the product with that column alone,
+    and a product is bitwise scipy's where that loop rounds each product
+    before adding it (as on x86-64).  The rows are gathered per row group
+    of the pattern (`_Pattern.groups`) and multiplied by the matrix's
+    data in that layout, gathered on the first product; the data are
+    read-only from then on, since a change would not reach the products.
+    Like a compiled loop, a product warns of no overflow or invalid
+    value: inf and NaN reach the guards."""
+
+    def __init__(self, pattern, data):
+        self.pattern, self.data = pattern, data
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        self.shape = pattern.shape
+
+    @cached_property
+    def _grouped(self):
+        """The data in the layout of `_Pattern.groups`: (L, R) per group."""
+        grouped = [self.data[slots] for _, slots, _ in self.pattern.groups]
+        self.data.flags.writeable = False
+        return grouped
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        y = _products([self], x if x.ndim == 1 else x.T)[0]
+        return y if x.ndim == 1 else y.T
+
+    @property
+    def T(self) -> "_CSR":
+        """The transpose, on the transposed pattern."""
+        transpose = self.pattern.transpose
+        return transpose.matrix(self.data[transpose.source])
+
+    def tocsc(self):
+        """This matrix as scipy's CSC matrix, the input of an LU and of
+        `torusns check`; only these import scipy."""
+        import scipy.sparse as sp
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=self.shape).tocsc()
+
+
+def _products(matrices, rows):
+    """A x for every matrix A of `matrices`, which share one pattern, and
+    every row x of `rows`, (..., n): (len(matrices), ..., m).  Per row
+    group of the pattern the rows are gathered once, and the matrices
+    share that gather (see `_CSR`)."""
+    pattern = matrices[0].pattern
+    y = np.zeros((len(matrices),) + rows.shape[:-1] + (pattern.shape[0],))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, (r, _, cols) in enumerate(pattern.groups):
+            gathered = np.take(rows, cols, axis=-1)        # (..., L, R)
+            for out, matrix in zip(y, matrices):
+                # over l, the outer axis of C-contiguous operands, einsum
+                # adds v[l, r] x[l, r] to out[r] for l in turn, and makes
+                # no array of the products
+                out[..., r] = np.einsum("lr,...lr->...r", matrix._grouped[g],
+                                        gathered)
+    return y
+
+
 class _Pattern:
     """Sparsity pattern of the matrices summed from element matrices on
     one dofmap pair: CSR `indptr` and `indices` (int32, sorted, without
@@ -218,7 +289,7 @@ class _Pattern:
     where assembly goes through it, the data `slot` of each element entry
     (int32, (E, A, B); the block grid's, (E, 6 A A), skips its diagonal
     blocks).  Explicit zeros stay stored, so one pattern
-    serves every matrix of the pair."""
+    serves every matrix of the pair; its matrices are `_CSR`."""
 
     def __init__(self, indptr, indices, shape, slot=None):
         for a in (indptr, indices):
@@ -244,16 +315,46 @@ class _Pattern:
     def nnz(self) -> int:
         return len(self.indices)
 
-    def matrix(self, data) -> sp.csr_matrix:
-        """The CSR matrix with entries `data`, in the pattern's order."""
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
+    def matrix(self, data) -> _CSR:
+        """The matrix with entries `data`, in the pattern's order."""
+        return _CSR(self, data)
 
-    def assemble(self, loc) -> sp.csr_matrix:
+    def assemble(self, loc) -> _CSR:
         """Sum element matrices loc[e, a, b] (any shape holding the E A B
         entries in that order) into the pattern's entries."""
         return self.matrix(np.bincount(self.slot.ravel(), np.ravel(loc),
                                        minlength=self.nnz))
+
+    @cached_property
+    def groups(self):
+        """The rows of each length L that occurs, for the products of
+        `_CSR`: (rows (R,), slots (L, R) of their entries in the data,
+        columns (L, R)), intp, entry l of row r at [l, r]; a row's entries
+        are a column of the (L, R) arrays, so a product sums over their
+        outer axis, one entry at a time."""
+        length = np.diff(self.indptr)
+        out = []
+        # the lengths that occur, without np.unique, which imports
+        # numpy.ma (13 ms) to look for a mask
+        for L in np.flatnonzero(np.bincount(length)[1:]) + 1:
+            rows = np.flatnonzero(length == L)
+            slots = self.indptr[rows] + np.arange(L, dtype=np.intp)[:, None]
+            out.append((rows, slots, self.indices[slots].astype(np.intp)))
+        return out
+
+    @cached_property
+    def transpose(self) -> "_Pattern":
+        """The pattern of the transposed matrices; its `source` holds the
+        entry of this pattern that each of its entries is."""
+        n_rows, n_cols = self.shape
+        source = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(n_rows, dtype=np.int32),
+                         np.diff(self.indptr))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(
+            self.indices, minlength=n_cols))]).astype(np.int32)
+        transpose = _Pattern(indptr, rows[source], (n_cols, n_rows))
+        transpose.source = source
+        return transpose
 
     def block_diagonal(self) -> "_Pattern":
         """The pattern of diag(S, S, S) on the vector dofs c n + i, for a
@@ -290,7 +391,7 @@ class _Pattern:
         slot = off.reshape(3, 2, E, A, A).transpose(2, 0, 3, 1, 4)
         grid = _Pattern(indptr.astype(np.int32), indices, (3 * n, 3 * n),
                         slot.reshape(E, 6 * A * A))
-        grid.diagonal = pos[c, c]
+        grid.diagonal = pos[c, c].astype(np.intp)
         return grid
 
 
@@ -459,31 +560,34 @@ def _row_blocks(n_rows, size=ROWS):
     return [slice(i, min(i + size, n_rows)) for i in range(0, n_rows, size)]
 
 
-def _scalar_quadform(matrix, coeffs, n_s):
-    """Sum of c_k . (matrix c_k) over the length-n_s blocks c_k of a vector,
-    or per row of a stack.  One sparse product per QUADFORM_ROWS blocks:
-    scipy copies its transposed operand, so a whole trajectory's copies
-    and images set a report's peak memory; a column of a sparse product,
-    and a contiguous row's dot product, do not depend on the others, so
-    each row stays bit-identical to the single-vector call."""
+def _scalar_quadform(matrices, coeffs, n_s):
+    """Sum of c_k . (A c_k) over the length-n_s blocks c_k of a vector, or
+    per row of a stack, for each matrix A of `matrices` (on one pattern):
+    (len(matrices),) + the stack's shape less its last axis.  One product
+    per QUADFORM_ROWS blocks, which reads the blocks in place and gathers
+    them once for all the matrices (`_products`), so a trajectory is
+    never copied whole; a row of a product, and a contiguous row's dot
+    product, do not depend on the others, so each row stays bit-identical
+    to the single-vector call.  The form of a state near the float
+    maximum overflows to inf without a warning: the report records it."""
     c = np.asarray(coeffs)
     blocks = c.reshape(-1, n_s)
-    out = np.empty(len(blocks))
+    out = np.empty((len(matrices), len(blocks)))
     for rows in _row_blocks(len(blocks), QUADFORM_ROWS):
         b = blocks[rows]
-        images = np.ascontiguousarray((matrix @ b.T).T)
-        out[rows] = np.vecdot(b, images)
-    return out.reshape(c.shape[:-1] + (-1,)).sum(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:, rows] = np.vecdot(b, _products(matrices, b))
+    return out.reshape((len(matrices),) + c.shape[:-1] + (-1,)).sum(-1)
 
 
 def velocity_l2(spaces, coeffs):
     return np.sqrt(np.maximum(0.0, _scalar_quadform(
-        spaces.ops.M_s, coeffs, spaces.n_scalar)))
+        [spaces.ops.M_s], coeffs, spaces.n_scalar)[0]))
 
 
 def velocity_h1_semi(spaces, coeffs):
     return np.sqrt(np.maximum(0.0, _scalar_quadform(
-        spaces.ops.A_s, coeffs, spaces.n_scalar)))
+        [spaces.ops.A_s], coeffs, spaces.n_scalar)[0]))
 
 
 def velocity_h1(spaces, coeffs):
@@ -493,7 +597,7 @@ def velocity_h1(spaces, coeffs):
 
 def pressure_l2(spaces, coeffs):
     return np.sqrt(np.maximum(0.0, _scalar_quadform(
-        spaces.ops.Mp, coeffs, spaces.pressure.dim)))
+        [spaces.ops.Mp], coeffs, spaces.pressure.dim)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,11 @@ of `torusns check`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fespace import (_EPS, N_LOCAL, N_LOCAL_P, _evaluate, _row_blocks,
-                      _scatter, _velocity_nodal, _zero_mean_solve,
-                      quad_integral, velocity_gradients, velocity_h1_semi,
-                      velocity_l2, velocity_values)
+from .fespace import (_CSR, _EPS, N_LOCAL, N_LOCAL_P, _evaluate,
+                      _row_blocks, _scatter, _velocity_nodal,
+                      _zero_mean_solve, quad_integral, velocity_gradients,
+                      velocity_h1_semi, velocity_l2, velocity_values)
 from .linsolve import SaddleConstraints, SaddleSystem
 
 
@@ -65,7 +64,7 @@ def _element_matrices(nodal, tensor):
     return loc
 
 
-def transport_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
+def transport_matrix(spaces, advect_coeffs) -> _CSR:
     """Scalar antisymmetric transport operator for a frozen field.
 
     S[a, b] = 0.5 * [(u.grad N_b, N_a) - (u.grad N_a, N_b)] with u the
@@ -85,7 +84,7 @@ def _curl(spaces, coeffs):
                      curl_N.reshape(6, -1, 3 * N_LOCAL, 3))[:, :, 0]
 
 
-def rotation_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
+def rotation_matrix(spaces, advect_coeffs) -> _CSR:
     """Full rotational operator ((curl u) x ., .) on vector coefficients.
 
     Entry ((i, a), (j, b)) is eps_{imj} (w_m N_b, N_a), w = curl u; 0 if i = j.
@@ -94,7 +93,7 @@ def rotation_matrix(spaces, advect_coeffs) -> sp.csr_matrix:
         _velocity_nodal(spaces, advect_coeffs), spaces.tables.rotation))
 
 
-def convection_matrix(spaces, case: int, advect_coeffs) -> sp.csr_matrix:
+def convection_matrix(spaces, case: int, advect_coeffs) -> _CSR:
     """Operator C with (C z)_i = b_h(u, z, phi_i) for frozen advecting u.
 
     For case 3 this is only the rotational part: the projected
@@ -175,10 +174,14 @@ def convection_rhs(spaces, u) -> np.ndarray:
     """Vector of the case-1 form b_h(u, u, phi_i) over all velocity test
     functions: the explicit convection of the schemes that use it.  Each
     element's transport matrix acts on the element's own nodal values,
-    and the products are summed per component, with no global matrix."""
+    and the products are summed per component, with no global matrix.
+    The quadratic terms of a state that grows without bound (an
+    overdriven CNAB run) overflow to inf here, silently: the report
+    records the overflow, and the run names its first step."""
     nodal = _velocity_nodal(spaces, u)                          # (E, 3, 5)
-    loc = _element_matrices(nodal, spaces.tables.transport)
-    local = nodal @ loc.reshape(-1, N_LOCAL, N_LOCAL).transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loc = _element_matrices(nodal, spaces.tables.transport)
+        local = nodal @ loc.reshape(-1, N_LOCAL, N_LOCAL).transpose(0, 2, 1)
     return _scatter(spaces.velocity.dofmap, local, spaces.n_scalar).ravel()
 
 

@@ -8,7 +8,7 @@ fields: the state energies |u^m|, the midpoint dissipation
 |grad u^{m,1/2}|, the increments |u^m - u^{m-1}| and the pressures
 |p^m|.  `trajectory_norms` evaluates the states and the pressures with
 one stacked norm call each, and the midpoints and increments block by
-block (`_step_blocks`): a block of ROWS steps is one sparse product of
+block (`_step_blocks`): a block of ROWS steps is two sparse products of
 the norm, and only one block's midpoints and increments exist at a time.
 A row of a stack is bitwise the single-vector norm, so the blocks change
 no value.

@@ -71,12 +71,16 @@ iterations against 10, which moved u by 2.6e-13 and p by 6.1e-13 of
 their maxima while other runs moved by 5e-15.  Any comparison of
 trajectories that is meant to see roundoff only must allow for this.
 
-SuperLU is the one use of `scipy.sparse.linalg`, whose import loads
-`scipy.linalg` with its own BLAS and LAPACK beside numpy's: 82-95 ms and
-8.4-8.6 MB of peak resident memory per process (five fresh processes,
-measured after `import torusns.cli`, 1 BLAS thread).  `Factorization`
-therefore imports it when it is made, so only a solve that falls back
-pays for it.
+Every product here is the package's own (`fespace._CSR`, and the
+saddle blocks applied one by one, `SaddleConstraints.apply`), so scipy
+is imported only for an LU, that is only by a solve that falls back (and
+by `torusns check`): `Factorization` imports SuperLU when it is made,
+and its input is converted, and the saddle matrix assembled
+(`SaddleConstraints.assemble`), as scipy's.  `scipy.sparse` costs
+0.13-0.21 s and 19 MB of resident memory per process, and
+`scipy.sparse.linalg`, which loads `scipy.linalg` with its own BLAS and
+LAPACK beside numpy's, 44-71 ms and 10 MB more (five fresh processes,
+measured after `import torusns.cli`, 1 BLAS thread).
 
 Every matrix factorized here, only ever as a fallback, has a (nearly)
 symmetric sparsity pattern (the saddle systems and the two mass
@@ -107,7 +111,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 RESIDUAL_REL_TOL = 1e-11
 #: fill-reducing ordering and diagonal-pivot threshold of every LU
@@ -146,11 +149,18 @@ def _column_norms(a):
 
 
 def _column_sums(matrix) -> np.ndarray:
-    """The column sums of |A|, whose largest is |A|_1: one `np.bincount`
-    over the column indices of its CSR form.  Duplicate entries, which no
-    matrix here holds, add."""
-    A = sp.csr_matrix(matrix)
-    return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[1])
+    """The column sums of |A|, whose largest is |A|_1, of a CSR matrix
+    (`fespace._CSR`, or scipy's): one `np.bincount` over its column
+    indices.  Duplicate entries, which no matrix here holds, add."""
+    return np.bincount(matrix.indices, np.abs(matrix.data),
+                       minlength=matrix.shape[1])
+
+
+def _ordered_sum(a):
+    """Sum over the last axis, one entry at a time from zero, as a row of
+    a compiled CSR product is summed (`np.cumsum` is sequential, and
+    + 0.0 turns the -0.0 of all-(-0.0) terms into that sum's +0.0)."""
+    return np.cumsum(a, axis=-1)[..., -1] + 0.0
 
 
 def _guard(matrix, norm1, x, rhs):
@@ -200,8 +210,8 @@ class Factorization:
     def __init__(self, matrix):
         import scipy.sparse.linalg as spla   # only a fallback loads SuperLU
 
-        self._norm1 = float(_column_sums(matrix).max())
         self.matrix = matrix.tocsc()
+        self._norm1 = float(_column_sums(self.matrix.tocsr()).max())
         try:
             self._lu = spla.splu(self.matrix, permc_spec=ORDERING,
                                  diag_pivot_thresh=PIVOT_THRESHOLD)
@@ -240,10 +250,20 @@ def cell_symbols(matrices, cells, axes=(0, 1, 2), by_row=True):
     def stencil(matrix, row_col):
         R, C = (c.reshape(n, n, n, -1).transpose(order).reshape(n ** d, -1)
                 for c in row_col)
-        A = sp.csr_matrix(matrix)[R[0]][:, C.ravel()].tocoo()
-        offsets, cell = np.unique(A.col // C.shape[1], return_inverse=True)
+        # the entries of the rows of cell 0, at their columns' place in C
+        where = np.full(matrix.shape[1], -1)
+        where[C.ravel()] = np.arange(C.size)
+        entries = np.concatenate([np.arange(matrix.indptr[r],
+                                            matrix.indptr[r + 1])
+                                  for r in R[0]])
+        row = np.repeat(np.arange(R.shape[1]), np.diff(matrix.indptr)[R[0]])
+        col = where[matrix.indices[entries]]
+        kept = col >= 0
+        offsets, cell = np.unique(col[kept] // C.shape[1],
+                                  return_inverse=True)
         S = np.zeros((len(offsets), R.shape[1], C.shape[1]))
-        S[cell, A.row, A.col % C.shape[1]] = A.data
+        S[cell, row[kept], col[kept] % C.shape[1]] = matrix.data[
+            entries[kept]]
         return offsets // n ** np.arange(d - 1, -1, -1)[:, None] % n, S
 
     stencils = list(map(stencil, matrices, cells))
@@ -302,20 +322,25 @@ class LatticeSolver:
                    lambda: Factorization(matrix))
 
     def _apply(self, rhs):
-        """The block solve, unguarded, of one right-hand side or a stack."""
+        """The block solve, unguarded, of one right-hand side or a stack.
+        Like a compiled solve it warns of no overflow or invalid value: a
+        right-hand side that is not finite gives an answer that is not,
+        which the guards judge."""
         cells, N, L = self.cells, *self.cells.shape
         n = round(N ** (1 / 3))
         b = rhs.reshape(len(rhs), -1)
-        X = np.fft.rfftn(b[cells].reshape((n, n, n, L, -1)), axes=(0, 1, 2))
-        Y = self._inverse * X if L == 1 else self._inverse @ X
         x = np.empty_like(b)
-        if self._border is not None:
-            dofs, inverse = self._border
-            z = inverse @ np.concatenate([X[0, 0, 0].real, b[dofs]])
-            Y[0, 0, 0] = z[:L]
-            x[dofs] = z[L:] / N
-        x[cells] = np.fft.irfftn(Y, s=(n, n, n), axes=(0, 1, 2)).reshape(
-            N, L, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.fft.rfftn(b[cells].reshape((n, n, n, L, -1)),
+                             axes=(0, 1, 2))
+            Y = self._inverse * X if L == 1 else self._inverse @ X
+            if self._border is not None:
+                dofs, inverse = self._border
+                z = inverse @ np.concatenate([X[0, 0, 0].real, b[dofs]])
+                Y[0, 0, 0] = z[:L]
+                x[dofs] = z[L:] / N
+            x[cells] = np.fft.irfftn(Y, s=(n, n, n), axes=(0, 1, 2)).reshape(
+                N, L, -1)
         return x.reshape(rhs.shape)
 
     @cached_property
@@ -425,16 +450,18 @@ class SaddleConstraints:
     makes the velocity discretely divergence-free, alpha (the velocity-
     mean multipliers) componentwise mean-free, and beta, the pressure-
     mean multiplier, removes the constant pressure (B annihilates it).
-    `matrix` (CSR), the saddle matrix with a zero velocity block, and its
-    |.| `column_sums` are shared by the systems of one trajectory, and
-    so are the per-cell dofs of the layout, velocity components first."""
+    The blocks (B, its transpose, and the mean weights int_s of each
+    velocity component and int_p of the pressure) are applied directly
+    (`apply`), and the saddle matrix is assembled only as the input of an
+    LU (`assemble`).  They, the |.| `column_sums` of the saddle matrix
+    with a zero velocity block, and the per-cell dofs of the layout,
+    velocity components first, are shared by the systems of one
+    trajectory."""
 
     def __init__(self, spaces):
         ops = spaces.ops
         n_p, n_u = ops.B.shape
-        Cu = sp.csr_matrix((np.tile(ops.int_s, 3), np.arange(n_u),
-                            ops.int_s.size * np.arange(4)))  # means of u_c
-        self._blocks = ops.B, Cu, sp.csc_matrix(ops.int_p[:, None])
+        self._blocks = ops.B, ops.B.T, ops.int_s, ops.int_p
         self._cells = (spaces.velocity.vector_cell_dofs,
                        spaces.pressure.cell_dofs)
         off = n_u + n_p
@@ -442,13 +469,45 @@ class SaddleConstraints:
                        "alpha": slice(off, off + 3),
                        "beta": slice(off + 3, off + 4)}
         self.shape = (off + 4, off + 4)
-        self.matrix = self.assemble(None).tocsr()
-        self.column_sums = _column_sums(self.matrix)
+        w_s, w_p = np.abs(ops.int_s), np.abs(ops.int_p)
+        self.column_sums = np.concatenate([
+            _column_sums(ops.B) + np.tile(w_s, 3),
+            _column_sums(self._blocks[1]) + w_p,
+            np.full(3, w_s.sum()), [w_p.sum()]])
 
-    def assemble(self, F) -> sp.csc_matrix:
-        """The saddle matrix with velocity block F (None: zero)."""
-        B, Cu, mp_col = self._blocks
-        return sp.bmat([[F, -B.T, Cu.T, None],
+    def apply(self, F, x) -> np.ndarray:
+        """The saddle matrix with velocity block F applied to a vector x,
+        or to each column of a stack, block by block; each row is summed
+        in the order of its row in `assemble`, except that F's part is
+        added last."""
+        B, BT, int_s, int_p = self._blocks
+        s = self.slices
+        rows = x.T                               # (n,), or (k, n)
+        u, p, alpha, beta = (rows[..., s[k]]
+                             for k in ("u", "p", "alpha", "beta"))
+        y = np.empty_like(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y[..., s["u"]] = ((int_s * alpha[..., None]).reshape(u.shape)
+                              - (BT @ p.T).T + (F @ u.T).T)
+            y[..., s["p"]] = (B @ u.T).T + int_p * beta
+            y[..., s["alpha"]] = _ordered_sum(
+                int_s * u.reshape(u.shape[:-1] + (3, -1)))
+            y[..., s["beta"]] = _ordered_sum(int_p * p)[..., None]
+        return y.T
+
+    def assemble(self, F):
+        """The saddle matrix with velocity block F (None: zero), as
+        scipy's CSC matrix: the input of an LU, so scipy is imported
+        here."""
+        import scipy.sparse as sp
+
+        B, _, int_s, int_p = self._blocks
+        n_u = B.shape[1]
+        Cu = sp.csr_matrix((np.tile(int_s, 3), np.arange(n_u),
+                            int_s.size * np.arange(4)))  # means of u_c
+        mp_col = sp.csc_matrix(int_p[:, None])
+        B = B.tocsc()
+        return sp.bmat([[None if F is None else F.tocsc(), -B.T, Cu.T, None],
                         [B, None, None, mp_col],
                         [Cu, None, None, None],
                         [None, mp_col.T, None, None]], format="csc")
@@ -460,7 +519,7 @@ class SaddleConstraints:
         and at k = 0 that block bordered by the mean rows, on the velocity
         weights W (21 x 3, one column per component) and the pressure
         weight m of one cell."""
-        B, Cu, mp_col = self._blocks
+        B, _, int_s, int_p = self._blocks
         u, p = self._cells
         L = u.shape[1] + 1
         Bk = _half_symbols(B, p, u)[..., 0, :]
@@ -470,9 +529,10 @@ class SaddleConstraints:
         symbol[..., -1, :-1] = Bk
         block = np.zeros((L + 4, L + 4))
         block[:L, :L] = symbol[0, 0, 0].real
-        W = Cu[:, u[0]].toarray().T
+        W = np.zeros((L - 1, 3))
+        W[np.arange(L - 1), u[0] // int_s.size] = int_s[u[0] % int_s.size]
         block[:L - 1, L:L + 3], block[L:L + 3, :L - 1] = W, W.T
-        block[L - 1, L + 3] = block[L + 3, L - 1] = mp_col[p[0, 0], 0]
+        block[L - 1, L + 3] = block[L + 3, L - 1] = int_p[p[0, 0]]
         return LatticeSolver(
             system, system.norm1, np.concatenate([u, p + u.size], axis=1),
             symbol, lambda: system.factor,
@@ -480,7 +540,8 @@ class SaddleConstraints:
 
 
 class SaddleSystem:
-    """The saddle system with velocity block F (CSR) over `constraints`.
+    """The saddle system with velocity block F (`fespace._CSR`) over
+    `constraints`.
 
     It is applied (`@`), and its |A|_1 taken, block by block; the
     assembled matrix is made only as the input of its own LU, on first
@@ -494,10 +555,7 @@ class SaddleSystem:
         self.slices, self.shape = constraints.slices, constraints.shape
 
     def __matmul__(self, x):
-        u = self.slices["u"]
-        y = self.constraints.matrix @ x
-        y[u] += self.F @ x[u]
-        return y
+        return self.constraints.apply(self.F, x)
 
     @property
     def norm1(self) -> float:

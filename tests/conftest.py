@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from torusns.cli import study_steps
 from torusns.diagnostics import build_report
@@ -21,6 +22,20 @@ def level():
         return cache[n]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def as_scipy():
+    """A matrix of the package (`fespace._CSR`) as scipy's CSR matrix,
+    for the tests that take scipy's methods or arithmetic on it; a scipy
+    matrix passes through."""
+    def convert(matrix):
+        if sp.issparse(matrix):
+            return matrix
+        return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                             shape=matrix.shape)
+
+    return convert
 
 
 @pytest.fixture(scope="session")

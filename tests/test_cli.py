@@ -276,6 +276,56 @@ for args in (["run", "--config", {cfg!r}, "--out", "run"],
     assert all(line[2:] == ["False", "False"] for line in lines)
 
 
+def test_runs_and_reports_import_no_scipy(tmp_path):
+    # the products of a run, a report and a study are the package's own:
+    # only a fallback LU or `torusns check` imports scipy
+    body = BASE_CFG.replace("case = 1", "case = 3") \
+                   .replace("steps = 4", "steps = 2") \
+                   .replace("sine-shear", "tg-like")
+    cfg = write_cfg(tmp_path, body + "\n[study]\nlevels = 2,3\n")
+    done = _python(f"""
+import sys
+from torusns import cli
+for args in (["run", "--config", {cfg!r}, "--out", "run"],
+             ["report", "--traj", "run", "--out", "report"],
+             ["study", "--config", {cfg!r}, "--out", "study"]):
+    assert cli.main(args) == 0
+    print(args[0], *sorted(name for name in sys.modules
+                           if name.split(".")[0] == "scipy"))
+""", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["run", "report", "study"]
+
+
+def test_overflowing_run_is_one_line_on_stderr(tmp_path):
+    # the unstable CNAB settings: the state overflows within the run,
+    # which still exits 0 with its artifacts, and stderr holds one line
+    # that names the first step whose state is not finite, no arithmetic
+    # warning
+    cfg = write_cfg(tmp_path, """\
+[run]
+scheme = CNAB
+case = 1
+nu = 0.005
+T = 128
+steps = 64
+n_cells = 3
+c1 = 5
+datum = tg-like
+""")
+    done = _python("import sys, torusns.cli; sys.exit(torusns.cli.main("
+                   f"['run', '--config', {cfg!r}, '--out', 'x']))", tmp_path)
+    assert done.returncode == EXIT_OK, done.stderr
+    u = np.load(tmp_path / "x" / "trajectory.npz")["u"]
+    first = int(np.argmin(np.isfinite(u).all(axis=1)))
+    assert 0 < first < len(u) - 1
+    assert done.stderr == (f"warning: the state is not finite from step "
+                           f"{first} on\n")
+    doc = json.loads((tmp_path / "x" / "report.json").read_text(),
+                     parse_constant=float)
+    assert np.isnan(doc["max_energy_residual"])
+
+
 @pytest.mark.parametrize("command", ["run", "study", "report"])
 def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
     # --out below a regular file cannot be made: one line, exit 1

@@ -465,13 +465,13 @@ def flip_stiffness(spaces, nu, psi):
     t = spaces.tables
     stiffness = _product_table(t.grad, t.grad).sum(-1, keepdims=True)
     S = _weighted_matrix(spaces, [psi], stiffness, spaces.velocity.pattern)
-    return K_t, K_x + 2.0 * nu * S
+    return K_t, K_x.pattern.matrix(K_x.data + 2.0 * nu * S.data)
 
 
 def scale_rate(spaces, nu, psi):
     """K_t one part in 1e9 too large."""
     K_t, K_x = _balance_matrices(spaces, nu, psi)
-    return (1.0 + 1e-9) * K_t, K_x
+    return K_t.pattern.matrix((1.0 + 1e-9) * K_t.data), K_x
 
 
 @pytest.mark.parametrize("corrupt", [flip_stiffness, scale_rate])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from torusns.fespace import (QUADFORM_ROWS, _Pattern, _scalar_load,
                              project_velocity_values, quad_integral,
                              velocity_gradients, velocity_h1,
                              velocity_h1_semi, velocity_l2, velocity_values)
-from torusns.forms import divergence_norm
+from torusns.forms import convection_matrix, divergence_norm
 from torusns.mesh import build_torus_mesh
+from torusns.steppers import SchemeConfig, StepOperator
 from torusns.trig import (BOX_VOLUME, TrigPoly, TrigVector, preset_field,
                           random_trig, sine_shear, tg_like)
 
@@ -119,17 +121,17 @@ def _bordered_solve(M, integral, b):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_zero_mean_projection_matches_bordered_solve(level, n):
+def test_zero_mean_projection_matches_bordered_solve(level, as_scipy, n):
     spaces = level(n)
     ops = spaces.ops
     u = random_trig(4, 2)
     f = TrigVector([c + m for c, m in zip(u.components, (1.0, -2.0, 0.5))])
     g = TrigPoly.cosine((1, 0, 0)) + 0.3
     x = project_velocity(spaces, f)
-    x_ref = _bordered_solve(ops.M_s, ops.int_s, _scalar_load(
+    x_ref = _bordered_solve(as_scipy(ops.M_s), ops.int_s, _scalar_load(
         spaces, field_values(spaces, f))).T.ravel()
     q = project_pressure(spaces, g)
-    q_ref = _bordered_solve(ops.Mp, ops.int_p, _scalar_load(
+    q_ref = _bordered_solve(as_scipy(ops.Mp), ops.int_p, _scalar_load(
         spaces, field_values(spaces, g), n_funcs=4))
     for got, want, mean in ((x, x_ref, x.reshape(3, -1) @ ops.int_s),
                             (q, q_ref, ops.int_p @ q)):
@@ -167,31 +169,32 @@ def test_pressure_energy_from_below(level):
     assert sin_e[0] < sin_e[1] < sin_e[2] < target + 1e-10
 
 
-def _dense_inf_sup_constant(spaces):
+def _dense_inf_sup_constant(spaces, as_scipy):
     """Reference: sqrt of the smallest eigenvalue of the dense pencil
     (sum_c B_c M_s^-1 B_c^T, Mp) on a basis of the zero-mean pressures."""
     n_s, ops = spaces.n_scalar, spaces.ops
-    M = ops.M_s.toarray()
+    M = as_scipy(ops.M_s).toarray()
     K = sum(B_c @ np.linalg.solve(M, B_c.T) for B_c in (
-        ops.B[:, c * n_s:(c + 1) * n_s].toarray() for c in range(3)))
+        as_scipy(ops.B)[:, c * n_s:(c + 1) * n_s].toarray()
+        for c in range(3)))
     Z = sla.null_space(ops.int_p[None, :])
     lam = sla.eigvalsh(Z.T @ (0.5 * (K + K.T)) @ Z,
-                       Z.T @ ops.Mp.toarray() @ Z)[0]
+                       Z.T @ as_scipy(ops.Mp).toarray() @ Z)[0]
     return np.sqrt(lam)
 
 
-def test_inf_sup_constant(level):
+def test_inf_sup_constant(level, as_scipy):
     # odd and even n: with and without an rfft Nyquist plane
     vals = [inf_sup_constant(level(n)) for n in (2, 3, 4, 5)]
     assert min(vals) > 0.1
     assert abs(vals[1] - vals[0]) / vals[0] < 0.5
     for n, val in zip((2, 3, 4, 5), vals):
-        ref = _dense_inf_sup_constant(level(n))
+        ref = _dense_inf_sup_constant(level(n), as_scipy)
         assert abs(val - ref) <= 1e-13 * ref
         assert inf_sup_constant(level(n)) == val
 
 
-def test_inverse_constant(level):
+def test_inverse_constant(level, as_scipy):
     prods = [inverse_constant(level(n)) for n in (2, 3, 4, 5)]
     assert (max(prods) - min(prods)) / max(prods) < 0.25
     ratio_2 = prods[0] / level(2).h
@@ -199,7 +202,8 @@ def test_inverse_constant(level):
     assert 1.5 < ratio_4 / ratio_2 < 2.5
     # dense reference for the lattice-block value
     for n, prod in zip((2, 3, 4, 5), prods):
-        M, A = level(n).ops.M_s.toarray(), level(n).ops.A_s.toarray()
+        M, A = (as_scipy(level(n).ops.M_s).toarray(),
+                as_scipy(level(n).ops.A_s).toarray())
         ref = np.sqrt(sla.eigvalsh(M + A, M)[-1]) * level(n).h
         assert abs(prod - ref) <= 1e-13 * ref
 
@@ -293,7 +297,7 @@ def _gram_of_products(spaces, pv, pg):
     return _coo_scatter(loc, dof, dof)
 
 
-def test_kernels_match_gathered_einsum(level):
+def test_kernels_match_gathered_einsum(level, as_scipy):
     for n in (2, 3):
         spaces = level(n)
         w, N, g = _gathered(spaces)
@@ -309,8 +313,8 @@ def test_kernels_match_gathered_einsum(level):
                   np.einsum("iea,eqac->eqic", u[:, dof], g)),
                  (pressure_gradients(spaces, q),
                   np.einsum("ea,eqac->eqc", q[dof_p], g[:, :, :4])),
-                 (spaces.ops.A_s.toarray(), A_s.toarray()),
-                 (spaces.ops.B.toarray(), B.toarray()))
+                 (as_scipy(spaces.ops.A_s).toarray(), A_s.toarray()),
+                 (as_scipy(spaces.ops.B).toarray(), B.toarray()))
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -333,6 +337,8 @@ def test_vector_patterns_match_the_sorted_ones(level):
         assert grid.slot.dtype == np.int32
         assert np.array_equal(grid.slot, want.slot[:, off])
         assert not np.isin(grid.slot, grid.diagonal).any()
+        # a frozen system adds F0 through these slots: no cast per add
+        assert grid.diagonal.dtype == np.intp
         for c in range(3):
             assert np.array_equal(grid.indices[grid.diagonal[c]],
                                   scalar.indices + c * scalar.shape[0])
@@ -347,7 +353,61 @@ def test_vector_patterns_match_the_sorted_ones(level):
         assert not block.indptr.flags.writeable
 
 
-def _dense_commutator_constants(spaces, pts, phi):
+def _product_operands(spaces):
+    """name -> (the package's operator, its scipy matrix A) for every
+    product a run or a report makes: the mass and stiffness matrices, B
+    and B^T, the case-1 and case-3 convection matrices and a frozen case-3
+    saddle system, applied block by block."""
+    ops = spaces.ops
+    w = project_velocity(spaces, random_trig(3))
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
+                                           T=1 / 16, N=1))
+    system, _ = op.frozen_system(w, w)
+    matrices = {"M_s": ops.M_s, "A_s": ops.A_s, "Mp": ops.Mp, "B": ops.B,
+                "B^T": ops.B.T,
+                "F case 1": convection_matrix(spaces, 1, w),
+                "F case 3": convection_matrix(spaces, 3, w)}
+    out = {name: (A, A.tocsc().tocsr()) for name, A in matrices.items()}
+    out["saddle"] = (system, system.constraints.assemble(system.F).tocsr())
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_products_match_scipy(level, n):
+    # within 1e-15 of the largest |A||x|, for a vector and 3- and
+    # 24-column stacks; every column of a stack is bitwise the product
+    # with that column alone, which the norms' bitwise rows rest on
+    rng = np.random.default_rng(n)
+    for name, (A, want) in _product_operands(level(n)).items():
+        x = rng.standard_normal(want.shape[1])
+        got = A @ x
+        assert got.shape == (want.shape[0],)
+        scale = (abs(want) @ np.abs(x)).max()
+        assert np.abs(got - want @ x).max() <= 1e-15 * scale, name
+        for k in (3, 24):
+            X = rng.standard_normal((want.shape[1], k))
+            got = A @ X
+            assert got.shape == (want.shape[0], k)
+            scale = (abs(want) @ np.abs(X)).max()
+            assert np.abs(got - want @ X).max() <= 1e-15 * scale, name
+            for j in range(k):
+                assert np.array_equal(got[:, j], A @ X[:, j]), (name, j)
+
+
+def test_products_warn_of_no_overflow(level):
+    # like a compiled loop: inf and NaN propagate, silently
+    spaces = level(2)
+    M = spaces.ops.M_s
+    x = np.full(M.shape[1], 1e308)
+    x[0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = M @ x
+    assert np.isnan(y[M.indices[:M.indptr[1]]]).all()
+    assert np.isinf(y).any()
+
+
+def _dense_commutator_constants(spaces, pts, phi, as_scipy):
     """Reference: both constants from dense pencils and eigvalsh, on the
     gathered tables and quadrature points.  The pressure basis is the
     vertex part of the scalar velocity basis."""
@@ -357,12 +417,13 @@ def _dense_commutator_constants(spaces, pts, phi):
     V = _weighted_scalar_matrix(spaces, pv, grad_left=True, grad_right=True,
                                 weight_grad=pg).toarray()
     G = _gram_of_products(spaces, pv, pg).toarray()
-    M, A = spaces.ops.M_s.toarray(), spaces.ops.A_s.toarray()
+    M, A = (as_scipy(spaces.ops.M_s).toarray(),
+            as_scipy(spaces.ops.A_s).toarray())
     MW = np.linalg.solve(M, W.T)
     Q = W2 - W @ MW + G - V @ MW - MW.T @ V.T + MW.T @ A @ MW
     lam_v = sla.eigvalsh(0.5 * (Q + Q.T), spaces.h ** 2 * (M + A))[-1]
     nv = spaces.pressure.dim
-    Mp = spaces.ops.Mp.toarray()
+    Mp = as_scipy(spaces.ops.Mp).toarray()
     Wp = W[:nv, :nv]
     Qp = W2[:nv, :nv] - Wp @ np.linalg.solve(Mp, Wp.T)
     lam_p = sla.eigvalsh(0.5 * (Qp + Qp.T), spaces.h ** 2 * Mp)[-1]
@@ -370,7 +431,8 @@ def _dense_commutator_constants(spaces, pts, phi):
             np.sqrt(lam_p) / phi.wkinf_norm(1))
 
 
-def test_commutator_constants_match_dense_reference(level, quad_points):
+def test_commutator_constants_match_dense_reference(level, quad_points,
+                                                     as_scipy):
     # PHI varies along x only (blocks over the y-z shifts); the others
     # along x and y (over the z shifts) and along every axis (one block)
     cases = [(2, PHI), (3, PHI),
@@ -379,8 +441,8 @@ def test_commutator_constants_match_dense_reference(level, quad_points):
               + TrigPoly.sine((0, 1, 1)))]
     for n, phi in cases:
         spaces = level(n)
-        ref_v, ref_p = _dense_commutator_constants(spaces,
-                                                   quad_points(spaces), phi)
+        ref_v, ref_p = _dense_commutator_constants(
+            spaces, quad_points(spaces), phi, as_scipy)
         c_v = commutator_constant(spaces, phi)
         c_p = pressure_commutator_constant(spaces, phi)
         assert abs(c_v - ref_v) <= 1e-12 * ref_v

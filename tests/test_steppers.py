@@ -92,7 +92,7 @@ def test_cn_case3_solves_the_case2_system(cn_runs):
     assert not np.array_equal(cn_runs[3].p, cn_runs[2].p)
 
 
-def _coupled_case3_step(op, w, u_prev):
+def _coupled_case3_step(op, w, u_prev, as_scipy):
     """Reference: the case-3 frozen-advection step with the projected
     dynamic pressure kappa as an unknown.  Mp kappa = R (u + u_prev) / 2
     with (R z)_j = (psi_j, w.z), and -B^T kappa / 2 in the momentum rows;
@@ -105,12 +105,13 @@ def _coupled_case3_step(op, w, u_prev):
                      for e in np.eye(n_u)])
     R = sp.csr_matrix(np.einsum("jeq,keq,q->jk", psi, wphi,
                                 spaces.tables.w_phys))
-    conv = rotation_matrix(spaces, w)
+    conv = as_scipy(rotation_matrix(spaces, w))
+    B = as_scipy(ops.B)
     Cu = sp.kron(sp.identity(3), ops.int_s[None, :])
     mp = sp.csr_matrix(ops.int_p[:, None])
-    A = sp.bmat([[op.F0 + 0.5 * conv, -ops.B.T, -0.5 * ops.B.T, Cu.T, None],
-                 [ops.B, None, None, None, mp],
-                 [-0.5 * R, None, ops.Mp, None, None],
+    A = sp.bmat([[as_scipy(op.F0) + 0.5 * conv, -B.T, -0.5 * B.T, Cu.T, None],
+                 [B, None, None, None, mp],
+                 [-0.5 * R, None, as_scipy(ops.Mp), None, None],
                  [Cu, None, None, None, None],
                  [None, mp.T, None, None, None]], format="csc")
     b = np.zeros(A.shape[0])
@@ -120,7 +121,7 @@ def _coupled_case3_step(op, w, u_prev):
     return x[:n_u], x[n_u:n_u + n_p]
 
 
-def test_case3_step_matches_the_coupled_kappa_system(level):
+def test_case3_step_matches_the_coupled_kappa_system(level, as_scipy):
     # a tolerance this loose ends Picard after its first iterate, so the
     # step is one frozen-advection solve with w = u_prev
     spaces = level(2)
@@ -131,7 +132,7 @@ def test_case3_step_matches_the_coupled_kappa_system(level):
                               project_velocity(spaces, random_trig(5)))
     res = step_cn(op, u_prev)
     assert res.iterations == 1
-    u_ref, p_ref = _coupled_case3_step(op, u_prev, u_prev)
+    u_ref, p_ref = _coupled_case3_step(op, u_prev, u_prev, as_scipy)
     assert np.abs(res.u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
     assert np.abs(res.p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
 
@@ -179,16 +180,16 @@ def test_two_level_schemes_start_with_cn(level):
         assert np.array_equal(a.p, b.p)
 
 
-def test_extrapolated_advection_is_linear(level):
+def test_extrapolated_advection_is_linear(level, as_scipy):
     spaces = level(2)
     rng = np.random.default_rng(6)
     u = rng.standard_normal(3 * spaces.n_scalar)
-    S1 = transport_matrix(spaces, u).toarray()
-    S2 = transport_matrix(spaces, 3.0 * u - u).toarray()
+    S1 = as_scipy(transport_matrix(spaces, u)).toarray()
+    S2 = as_scipy(transport_matrix(spaces, 3.0 * u - u)).toarray()
     assert np.allclose(S2, 2.0 * S1, rtol=0, atol=1e-13 * np.abs(S1).max())
 
 
-def test_cnab_two_level_weights(level, vector_mass):
+def test_cnab_two_level_weights(level, vector_mass, as_scipy):
     # with distinct history states the step solves its momentum equation
     #   M (u^m - u^{m-1}) / dt + nu A (u^m + u^{m-1}) / 2
     #     + 3/2 N(u^{m-1}) - 1/2 N(u^{m-2}) - B^T p = Cu^T alpha,
@@ -203,7 +204,7 @@ def test_cnab_two_level_weights(level, vector_mass):
                     convection_rhs(spaces, u_prev2))
     assert np.array_equal(res.convection, convection_rhs(spaces, u_prev))
     ops = spaces.ops
-    A = sp.kron(sp.identity(3), ops.A_s)
+    A = sp.kron(sp.identity(3), as_scipy(ops.A_s))
     terms = [vector_mass(spaces) @ (res.u - u_prev) / cfg.dt,
              0.5 * cfg.nu * (A @ (res.u + u_prev)),
              1.5 * convection_rhs(spaces, u_prev),
@@ -356,8 +357,8 @@ def test_gmres_failure_falls_back_to_a_fresh_factorization(level,
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("case", [1, 3])
-def test_frozen_system_matches_the_block_matrix(level, vector_mass, case,
-                                                n):
+def test_frozen_system_matches_the_block_matrix(level, vector_mass,
+                                                as_scipy, case, n):
     # the frozen system, applied and assembled, against the saddle
     # matrix built here from F0 + conv/2 by sp.bmat, at two advecting
     # fields; both iterates share the trajectory's constraint blocks and
@@ -368,7 +369,7 @@ def test_frozen_system_matches_the_block_matrix(level, vector_mass, case,
     ops, velocity = spaces.ops, spaces.velocity
     op = StepOperator(spaces, SchemeConfig(scheme="CN", case=case, nu=nu,
                                            T=dt, N=1))
-    M, A = vector_mass(spaces), sp.kron(sp.identity(3), ops.A_s)
+    M, A = vector_mass(spaces), sp.kron(sp.identity(3), as_scipy(ops.A_s))
     u_prev = project_div_free(spaces, project_velocity(spaces, tg_like()))
     pattern = velocity.block_pattern if case == 1 else velocity.vector_pattern
     Cu = sp.kron(sp.identity(3), ops.int_s[None, :])
@@ -377,10 +378,11 @@ def test_frozen_system_matches_the_block_matrix(level, vector_mass, case,
     for seed in (4, 5):
         w = project_velocity(spaces, random_trig(seed))
         system, rhs = op.frozen_system(w, u_prev)
-        conv = forms.convection_matrix(spaces, case, w)
-        F = op.F0 + 0.5 * conv
-        want = sp.bmat([[F, -ops.B.T, Cu.T, None],
-                        [ops.B, None, None, mp],
+        conv = as_scipy(forms.convection_matrix(spaces, case, w))
+        F = as_scipy(op.F0) + 0.5 * conv
+        B = as_scipy(ops.B)
+        want = sp.bmat([[F, -B.T, Cu.T, None],
+                        [B, None, None, mp],
                         [Cu, None, None, None],
                         [None, mp.T, None, None]], format="csc")
         assert (system.constraints.assemble(system.F) != want).nnz == 0, seed
