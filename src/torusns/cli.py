@@ -6,7 +6,7 @@ sections, key = value).  A run writes, into the output directory:
     summary.csv      per step: t, |u|_2, |grad u_mid|_2, |p|_2, energy residual
     report.txt       flat name<TAB>value diagnostics
     report.json      diagnostics with per-step arrays
-    trajectory.npz   raw coefficient history
+    trajectory.npz   raw coefficient history and the datum's exact L2 norm
     runmeta.ini      echo of the spec plus version and wall time
 
 `study` repeats a run over a list of mesh levels with the step size
@@ -31,14 +31,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .checks import run_checks
 from .diagnostics import build_report
 from .fespace import build_spaces
 from .linsolve import LinearSolveError
 from .mesh import build_torus_mesh, element_diameter
 from .steppers import (ConfigError, DiscreteTrajectory, SchemeConfig,
                        StepperError, run)
-from .trig import preset_field
+from .trig import check_preset, preset_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -74,13 +73,23 @@ class RunSpec:
             if f.name != "N"})
 
     def validate(self):
+        """Check the settings; builds no datum (see `datum_field`)."""
         if self.n_cells < 2:
             raise ConfigError("n_cells must be >= 2")
         if not 0 < self.cn_threshold < np.inf:
             raise ConfigError("cn_threshold must be positive and finite")
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.scheme_config()
+        try:
+            check_preset(self.datum)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def datum_field(self):
+        """The run's datum, checked to be divergence-free and mean-free."""
         try:
             field = preset_field(self.datum, self.seed, self.degree)
         except ValueError as exc:
@@ -216,7 +225,7 @@ def write_summary_csv(path, trajectory, report) -> None:
             fh.write(",".join([str(m)] + [_fmt(v) for v in values]) + "\n")
 
 
-def _write_report(spec, datum, trajectory, spaces, out_dir):
+def _write_report(spec, trajectory, spaces, out_dir):
     """Diagnostics of a trajectory, written as report.txt and report.json;
     returns the report.  A trajectory that overflowed (the unstable side
     of CNAB, say) is reported as it is, inf and nan included, and one
@@ -225,7 +234,8 @@ def _write_report(spec, datum, trajectory, spaces, out_dir):
     if not finite.all():
         print(f"warning: the state is not finite from step "
               f"{np.argmin(finite)} on", file=sys.stderr)
-    report = build_report(trajectory, spaces, u0_norm=datum.l2_norm(),
+    report = build_report(trajectory, spaces,
+                          u0_norm=trajectory.u0_l2_analytic,
                           with_local_energy=spec.with_local_energy,
                           cn_threshold=spec.cn_threshold)
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
@@ -237,14 +247,15 @@ def _write_report(spec, datum, trajectory, spaces, out_dir):
 
 def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
     """Execute one run and write its artifact set; returns the report."""
-    datum = spec.validate()
+    spec.validate()
+    datum = spec.datum_field()
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     mesh = build_torus_mesh(spec.n_cells)
     spaces = build_spaces(mesh)
     config = spec.scheme_config()
     trajectory = run(config, spaces, datum)
-    report = _write_report(spec, datum, trajectory, spaces, out_dir)
+    report = _write_report(spec, trajectory, spaces, out_dir)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), trajectory,
                       report)
     np.savez(os.path.join(out_dir, "trajectory.npz"),
@@ -317,12 +328,14 @@ def run_study(study: StudySpec, out_dir):
 
 
 def _load_trajectory(path, spec: RunSpec, spaces) -> DiscreteTrajectory:
-    """The trajectory `run_single` stored for `spec`; a ConfigError if the
-    file cannot be read, lacks an array or does not fit the spec."""
+    """The trajectory `run_single` stored for `spec`, the datum's exact L2
+    norm included; a ConfigError if the file cannot be read, lacks an
+    array (one stored before the norm was lacks it: run it again), holds
+    one that is not real numbers or does not fit the spec."""
     N = spec.steps
     shapes = {"times": (N + 1,), "u": (N + 1, 3 * spaces.n_scalar),
               "p": (N, spaces.pressure.dim), "picard_iters": (N,),
-              "residuals": (N,)}
+              "residuals": (N,), "u0_l2_analytic": ()}
     try:
         with np.load(path) as data:
             arrays = {key: data[key] for key in shapes}
@@ -331,19 +344,25 @@ def _load_trajectory(path, spec: RunSpec, spaces) -> DiscreteTrajectory:
     if any(arrays[key].shape != shape for key, shape in shapes.items()):
         raise ConfigError(f"trajectory {path} does not fit n_cells = "
                           f"{spec.n_cells} and steps = {N}")
+    if any(array.dtype.kind not in "iuf" for array in arrays.values()):
+        raise ConfigError(f"trajectory {path} holds an array that is not "
+                          "real numbers")
+    # the float the run had, so the report's arithmetic is the run's
+    arrays["u0_l2_analytic"] = float(arrays["u0_l2_analytic"])
     return DiscreteTrajectory(config=spec.scheme_config(), **arrays)
 
 
 def rerender_report(traj_dir, out_dir):
-    """Rebuild diagnostics from a stored trajectory."""
+    """Rebuild diagnostics from a stored trajectory alone: the report
+    reads the datum's norm from it, so no datum is built."""
     spec, _ = parse_config(os.path.join(traj_dir, "runmeta.ini"))
-    datum = spec.validate()
+    spec.validate()
     mesh = build_torus_mesh(spec.n_cells)
     spaces = build_spaces(mesh)
     trajectory = _load_trajectory(
         os.path.join(traj_dir, "trajectory.npz"), spec, spaces)
     os.makedirs(out_dir, exist_ok=True)
-    return _write_report(spec, datum, trajectory, spaces, out_dir)
+    return _write_report(spec, trajectory, spaces, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +419,8 @@ def main(argv=None) -> int:
                                                     seed=args.seed))
             run_study(study, args.out)
         elif args.command == "check":
+            # the suite's module is loaded by this command only
+            from .checks import run_checks
             results = run_checks()
             if not all(r.passed for r in results):
                 return EXIT_CHECK

@@ -105,6 +105,8 @@ class DiscreteTrajectory:
     p: np.ndarray            # (N, n_p) pressure coefficients, p[m-1] = p^m
     picard_iters: np.ndarray  # (N,)
     residuals: np.ndarray     # (N,) assembled step residuals (relative)
+    # the datum's exact L2 norm; None for a trajectory made without one
+    u0_l2_analytic: float | None = None
 
     @property
     def n_steps(self) -> int:
@@ -263,10 +265,12 @@ def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
 def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     """Advance a full trajectory from the datum u0.
 
-    `u0` is trigonometric data (a TrigVector).  The starting state is its
-    mass-orthogonal projection onto the discretely divergence-free,
-    mean-free subspace (`forms.project_div_free`), so the pressure term
-    cancels in the energy balance from the very first step.
+    `u0` is trigonometric data (a TrigVector), whose exact L2 norm
+    (Parseval on its coefficients) the trajectory keeps.  The starting
+    state is its mass-orthogonal projection onto the discretely
+    divergence-free, mean-free subspace (`forms.project_div_free`), so
+    the pressure term cancels in the energy balance from the very first
+    step.
     """
     # the datum's samples and the projection's system are freed before
     # the step operator is made, so the peak holds one set at a time
@@ -298,7 +302,8 @@ def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
         iters[m - 1], resids[m - 1] = res.iterations, res.residual
     times = config.dt * np.arange(N + 1)
     return DiscreteTrajectory(config=config, times=times, u=u, p=p,
-                              picard_iters=iters, residuals=resids)
+                              picard_iters=iters, residuals=resids,
+                              u0_l2_analytic=u0.l2_norm())
 
 
 # ---------------------------------------------------------------------------

@@ -243,11 +243,14 @@ _PRESETS = {
 }
 
 
+def check_preset(name: str) -> None:
+    """A ValueError that lists the presets, unless `name` is one."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; "
+                         f"choose from {sorted(_PRESETS)}")
+
+
 def preset_field(name: str, seed: int = 0, degree: int = 2) -> TrigVector:
     """Named initial-datum presets; all are mean-free and divergence-free."""
-    try:
-        factory = _PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; "
-                         f"choose from {sorted(_PRESETS)}") from None
-    return factory(seed, degree)
+    check_preset(name)
+    return _PRESETS[name](seed, degree)

@@ -14,6 +14,7 @@ from torusns.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, CSV_COLUMNS,
                          rerender_report, run_study)
 from torusns.mesh import build_torus_mesh
 from torusns.steppers import DiscreteTrajectory
+from torusns.trig import preset_field
 
 
 def write_cfg(tmp_path, body, name="cfg.ini"):
@@ -88,15 +89,22 @@ def test_config_roundtrip(tmp_path):
     assert parse_config(path) == (spec, study)
 
 
-def test_report_rerender_matches(tmp_path):
-    cfg = write_cfg(tmp_path, BASE_CFG)
+@pytest.mark.parametrize("datum", ["sine-shear", "random-trig"])
+def test_report_rerender_matches(tmp_path, datum):
+    # the report reads the datum's norm from the trajectory, bitwise the
+    # norm of the datum the run started from
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("sine-shear", datum))
     out = tmp_path / "out"
     main(["run", "--config", cfg, "--out", str(out)])
     re_out = tmp_path / "re"
     assert main(["report", "--traj", str(out),
                  "--out", str(re_out)]) == EXIT_OK
-    assert (out / "report.json").read_bytes() \
-        == (re_out / "report.json").read_bytes()
+    for name in ("report.txt", "report.json"):
+        assert (out / name).read_bytes() == (re_out / name).read_bytes()
+    with np.load(out / "trajectory.npz") as stored:
+        norm = stored["u0_l2_analytic"]
+    assert norm.shape == () and norm.dtype == np.float64
+    assert float(norm) == preset_field(datum).l2_norm()
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -297,6 +305,46 @@ for args in (["run", "--config", {cfg!r}, "--out", "run"],
     assert done.stdout.split() == ["run", "report", "study"]
 
 
+def test_report_imports_no_numpy_random(tmp_path):
+    # a random-trig run draws its datum with numpy.random; the report of
+    # its trajectory builds no datum, so it never imports numpy.random
+    # (nor, through it, hashlib and libcrypto).  Neither loads the
+    # self-check suite, which only `torusns check` runs.
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("sine-shear", "random-trig"))
+    for args in (["run", "--config", cfg, "--out", "run"],
+                 ["report", "--traj", "run", "--out", "report"]):
+        done = _python(f"""
+import sys
+from torusns import cli
+assert cli.main({args!r}) == 0
+print("numpy.random" in sys.modules, "torusns.checks" in sys.modules)
+""", tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [str(args[0] == "run"), "False"]
+
+
+def test_datum_is_built_once_per_run(tmp_path, monkeypatch):
+    # a run builds its datum once, a report none and a study one per
+    # level: the settings check builds none
+    built = []
+
+    def preset_field_spy(*args):
+        built.append(args)
+        return preset_field(*args)
+
+    monkeypatch.setattr(torusns.cli, "preset_field", preset_field_spy)
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[study]\nlevels = 2,3\n")
+    counts = []
+    for args in (["run", "--config", cfg, "--out", str(tmp_path / "run")],
+                 ["report", "--traj", str(tmp_path / "run"),
+                  "--out", str(tmp_path / "report")],
+                 ["study", "--config", cfg, "--out", str(tmp_path / "st")]):
+        built.clear()
+        assert main(args) == EXIT_OK
+        counts.append(len(built))
+    assert counts == [1, 0, 2]
+
+
 def test_overflowing_run_is_one_line_on_stderr(tmp_path):
     # the unstable CNAB settings: the state overflows within the run,
     # which still exits 0 with its artifacts, and stderr holds one line
@@ -438,6 +486,17 @@ def test_bad_run_parameter_rejected_before_solve(tmp_path, datum, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "study"])
+def test_negative_seed_rejected_before_solve(tmp_path, command):
+    # a datum seed is a non-negative integer: the settings check, which
+    # builds no datum, rejects it before a study makes its directory
+    body = BASE_CFG.replace("sine-shear", "random-trig") + "seed = -1\n"
+    cfg = write_cfg(tmp_path, body + "\n[study]\nlevels = 2,3\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body", [
     BASE_CFG.replace("[run]\n", ""),             # no section header
     BASE_CFG + "steps = 8\n",                    # duplicate key
@@ -485,7 +544,8 @@ def test_pressure_without_velocity_is_a_solver_failure(tmp_path, capsys,
             config=config, times=config.dt * np.arange(N + 1),
             u=np.zeros((N + 1, 3 * spaces.n_scalar)),
             p=np.ones((N, spaces.pressure.dim)),
-            picard_iters=np.zeros(N, dtype=int), residuals=np.zeros(N))
+            picard_iters=np.zeros(N, dtype=int), residuals=np.zeros(N),
+            u0_l2_analytic=datum.l2_norm())
 
     monkeypatch.setattr(torusns.cli, "run", run_stub)
     cfg = write_cfg(tmp_path, BASE_CFG)
@@ -518,16 +578,27 @@ def _reshape_trajectory(path):
     np.savez(path, **arrays)
 
 
-def _strip_trajectory(path):
+def _strip_trajectory(key):
+    """Damage that drops the array `key`."""
+    def damage(path):
+        with np.load(path) as data:
+            arrays = dict(data)
+        del arrays[key]
+        np.savez(path, **arrays)
+    return damage
+
+
+def _norm_as_text(path):
     with np.load(path) as data:
         arrays = dict(data)
-    del arrays["p"]
+    arrays["u0_l2_analytic"] = arrays["u0_l2_analytic"].astype(str)
     np.savez(path, **arrays)
 
 
 def _resize_steps(**lengths):
-    """Damage that gives the named per-state or per-step arrays of the
-    4-step run (5 times, 4 Picard counts and residuals) other lengths."""
+    """Damage that gives the named arrays of the 4-step run (5 times, 4
+    Picard counts and residuals, the datum's norm a 0-d array) other
+    lengths."""
     def damage(path):
         with np.load(path) as data:
             arrays = dict(data)
@@ -539,13 +610,16 @@ def _resize_steps(**lengths):
 
 @pytest.mark.parametrize("damage", [
     _drop_trajectory, _garble_trajectory, _truncate_trajectory,
-    _array_for_trajectory, _reshape_trajectory, _strip_trajectory,
+    _array_for_trajectory, _reshape_trajectory, _strip_trajectory("p"),
+    _strip_trajectory("u0_l2_analytic"), _resize_steps(u0_l2_analytic=1),
+    _norm_as_text,
     _resize_steps(times=4), _resize_steps(times=6),
     _resize_steps(picard_iters=3), _resize_steps(residuals=5),
     _resize_steps(times=1, picard_iters=8, residuals=1)],
     ids=["missing", "garbage", "truncated", "npy-array", "mis-shaped",
-         "missing-key", "times-short", "times-long", "picard-short",
-         "residuals-long", "step-arrays"])
+         "missing-key", "norm-missing", "norm-shaped", "norm-text",
+         "times-short", "times-long", "picard-short", "residuals-long",
+         "step-arrays"])
 def test_report_on_bad_trajectory_is_a_config_error(tmp_path, capsys,
                                                     damage):
     cfg = write_cfg(tmp_path, BASE_CFG)
