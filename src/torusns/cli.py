@@ -245,10 +245,14 @@ def _write_report(spec, trajectory, spaces, out_dir):
     return report
 
 
-def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None):
-    """Execute one run and write its artifact set; returns the report."""
+def run_single(spec: RunSpec, out_dir, study: StudySpec | None = None,
+               datum=None):
+    """Execute one run and write its artifact set; returns the report.
+    A study passes the `datum`, built once for all its levels; without it
+    the run builds its own (`RunSpec.datum_field`)."""
     spec.validate()
-    datum = spec.datum_field()
+    if datum is None:
+        datum = spec.datum_field()
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     mesh = build_torus_mesh(spec.n_cells)
@@ -288,14 +292,17 @@ def study_steps(T: float, coupling_c: float, alpha: float, h: float) -> int:
 
 
 def run_study(study: StudySpec, out_dir):
-    """Refinement study with dt = coupling_c * h^alpha per level."""
+    """Refinement study with dt = coupling_c * h^alpha per level.  Every
+    level shares the datum's preset, seed and degree, so it is built once."""
     level_steps = study.validate()
+    datum = study.base.datum_field()
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     reports = []
     for lvl, (n, steps) in enumerate(zip(study.levels, level_steps)):
         spec = replace(study.base, n_cells=n, steps=steps)
-        report = run_single(spec, os.path.join(out_dir, f"level_n{n}"), study)
+        report = run_single(spec, os.path.join(out_dir, f"level_n{n}"), study,
+                            datum)
         reports.append(report)
         rows.append((lvl, n, report.h, report.dt, steps, report.gap_l2,
                      report.increment_sum,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import forms
 from .fespace import (_product_table, _samples_of_type, _scalar_quadform,
-                      _weighted_matrix, field_values)
+                      _values_of_type, _weighted_matrix)
 from .interpolants import (TrajectoryNorms, _step_blocks, gap_l2,
                            increment_sum, trajectory_norms)
 from .steppers import (CouplingReport, DiscreteTrajectory, StepperError,
@@ -168,8 +168,7 @@ def _flux_gradient_table(spaces, psis, k):
     constant factor has no block)."""
     t = spaces.tables
     gradients = [psi.gradient() for psi in psis]
-    samples = [g.value_on(spaces.mesh.vertices, t.offsets[k])
-               for g in gradients]                          # (n_k, Q, 3)
+    samples = [_values_of_type(spaces, g, k) for g in gradients]  # (n_k, Q, 3)
     return [(c, np.array(rows), np.stack(
         [(samples[j][..., c] * t.w_phys).ravel() for j in rows]))
         for c in range(3) if (rows := [j for j, g in enumerate(gradients)
@@ -249,7 +248,9 @@ def local_energy_residuals(trajectory: DiscreteTrajectory, spaces,
     # tests sharing a spatial factor share its matrices and flux row
     psis = list(dict.fromkeys(test.psi for test in tests))
     row = [psis.index(test.psi) for test in tests]
-    psi_min = [field_values(spaces, psi).min() for psi in psis]
+    # each factor's least value at the points, one Kuhn type at a time
+    psi_min = [min(_values_of_type(spaces, psi, k).min() for k in range(6))
+               for psi in psis]
     for test, i in zip(tests, row):
         if psi_min[i] < 0.0:
             raise ValueError(f"test {test.name}: spatial factor is negative")

@@ -25,15 +25,21 @@ fields at a time.  The E-major evaluators (`velocity_values` and its
 kin) write those blocks into the stride-6 element layout.
 Trigonometric data are evaluated the same way: every quadrature point is
 an element corner plus one of its type's reference offsets, and the
-corners of each type's elements are the mesh vertices, in order, so
-`field_values` makes one factored complex product per type
-(`TrigPoly.value_on`) instead of a cos and a sin per mode and point, and
-writes it into its slice of the preallocated result.
+corners of each type's elements are the mesh vertices, in order, so a
+type's samples are one factored complex product (`_values_of_type`,
+`TrigPoly.value_on`) instead of a cos and a sin per mode and point.
+The projections of data (through `_scalar_load`), the weighted forms
+and the local energy balance's test factors (`diagnostics`) sample one
+type at a time and drop its samples once contracted; only
+`field_values`, for the pointwise forms that read every point at once
+(the commutator defects, `torusns check`), writes all six types into one
+(E, Q[, 3]) array.  A type's samples are the same matmul operand either
+way, so the numbers are bitwise those of the whole-mesh stack.
 Every weighted form (the commutator constants' matrices and the local
 energy balance's) goes through `_weighted_matrix`: its caller builds K
 trigonometric weights by exact algebra (products, gradient components,
-Laplacian), and it samples them into one (E, Q, K) stack against a
-per-type product table of basis values and gradients.
+Laplacian), and it samples them one type's (E/6, Q, K) block at a time
+against a per-type product table of basis values and gradients.
 
 Every global matrix is summed from element matrices through a `_Pattern`:
 the CSR structure of one dofmap pair, with the data slot of every element
@@ -62,7 +68,7 @@ import numpy as np
 from .linsolve import LatticeSolver, cell_symbols
 from .mesh import KUHN_OFFSETS, PeriodicMesh
 from .quadrature import DEFAULT_DEGREE, TetRule, tet_rule
-from .trig import TrigVector
+from .trig import TrigPoly, TrigVector
 
 N_LOCAL = 5          # 4 vertex functions + 1 bubble
 N_LOCAL_P = 4
@@ -179,15 +185,19 @@ def _local_matrices(spaces, left, right):
     right[e % 6, q, b, k], one matmul per Kuhn type.
 
     The left side is either sampled per point, (E, Q, A, K), or a per-type
-    table (6, Q, A, K) used for every cube; the right side is always a
-    per-type table (6, Q, B, K).
+    table (6, Q, A, K) used for every cube, or a function of the type t
+    returning that type's samples, (E/6, Q, A, K), so that one type's
+    exist at a time; the right side is always a per-type table
+    (6, Q, B, K).
     """
     E = spaces.mesh.n_tets
-    weights = np.repeat(spaces.tables.w_phys, left.shape[3])  # (q, k) axis
-
-    loc = np.empty((E, left.shape[2], right.shape[2]))
+    loc = None
     for t in range(6):
-        s = left[t::6] if len(left) == E else left[t:t + 1]
+        s = (left(t) if callable(left) else
+             left[t::6] if len(left) == E else left[t:t + 1])
+        if loc is None:
+            loc = np.empty((E, s.shape[2], right.shape[2]))
+            weights = np.repeat(spaces.tables.w_phys, s.shape[3])  # (q, k)
         s = s.transpose(0, 2, 1, 3).reshape(len(s), s.shape[2], -1)
         r = right[t].transpose(1, 0, 2).reshape(right.shape[2], -1)
         loc[t::6] = s @ (r * weights).T           # (n, A, QK) @ (QK, B)
@@ -204,12 +214,15 @@ def _product_table(left, right):
 def _weighted_matrix(spaces, weights, table, pattern) -> _CSR:
     """Weighted form on a square `pattern`: element entries sum_q w_q
     sum_k f_k(x_q) table[e % 6, q, A a + b, k] of K trigonometric weights
-    f_k (TrigPoly, built by exact algebra), sampled here one at a time
-    into an (E, Q, K) stack, and a per-type product table (6, Q, A A, K)."""
-    samples = np.empty((spaces.mesh.n_tets, spaces.tables.w_phys.size,
+    f_k (TrigPoly, built by exact algebra), sampled here one Kuhn type at
+    a time into an (E/6, Q, 1, K) stack, and a per-type product table
+    (6, Q, A A, K)."""
+    def samples(t):
+        out = np.empty((spaces.mesh.n_vertices, spaces.tables.w_phys.size,
                         1, len(weights)))
-    for k, f in enumerate(weights):
-        samples[:, :, 0, k] = field_values(spaces, f)
+        for k, f in enumerate(weights):
+            out[:, :, 0, k] = _values_of_type(spaces, f, t)
+        return out
     return pattern.assemble(_local_matrices(spaces, samples, table))
 
 
@@ -471,10 +484,13 @@ class Operators:
         d_c_N_a = t.grad.transpose(0, 1, 3, 2).reshape(6, -1, 3 * N_LOCAL, 1)
         self.B = _Pattern.of(pressure.dofmap, velocity.vector_dofmap
                              ).assemble(_local_matrices(spaces, Np, d_c_N_a))
-        # integral of each scalar velocity and each pressure basis fn
-        ones = np.ones((spaces.mesh.n_tets, t.w_phys.size))
-        self.int_s = _scalar_load(spaces, ones)
-        self.int_p = _scalar_load(spaces, ones, n_funcs=N_LOCAL_P)
+        # integral of each scalar velocity and each pressure basis fn,
+        # from a per-type table of ones
+        ones = np.ones((6, t.w_phys.size, 1, 1))
+        self.int_s = _scatter(velocity.dofmap, _local_matrices(
+            spaces, ones, t.N)[:, 0], velocity.n_scalar)
+        self.int_p = _scatter(pressure.dofmap, _local_matrices(
+            spaces, ones, Np)[:, 0], pressure.dim)
         self._cells = velocity.cell_dofs, pressure.cell_dofs
 
     @cached_property
@@ -604,16 +620,24 @@ def pressure_l2(spaces, coeffs):
 # L2 projections
 # ---------------------------------------------------------------------------
 
+def _values_of_type(spaces, f, k):
+    """Values of trigonometric data at the quadrature points of the
+    Kuhn-type-k elements, (E/6, Q) for a TrigPoly, (E/6, Q, 3) for a
+    TrigVector: element 6 c + k, of corner vertex c, is row c, so they are
+    one factored product (`TrigPoly.value_on`) at the mesh vertices."""
+    return f.value_on(spaces.mesh.vertices, spaces.tables.offsets[k])
+
+
 def field_values(spaces, f):
     """Values of trigonometric data at the quadrature points: (E, Q) for a
-    TrigPoly, (E, Q, 3) for a TrigVector, one factored product per Kuhn
-    type written into its slice of one preallocated (E/6, 6, Q[, 3]) array."""
-    t, corners = spaces.tables, spaces.mesh.vertices
-    out = np.empty((len(corners),) + t.offsets.shape[:2]
+    TrigPoly, (E, Q, 3) for a TrigVector, one type's block
+    (`_values_of_type`) at a time written into its slice of one
+    preallocated (E/6, 6, Q[, 3]) array."""
+    t = spaces.tables
+    out = np.empty((spaces.mesh.n_vertices,) + t.offsets.shape[:2]
                    + ((3,) if isinstance(f, TrigVector) else ()))
     for k in range(6):
-        # element 6 c + k, of corner vertex c, is row c of type k's block
-        out[:, k] = f.value_on(corners, t.offsets[k])
+        out[:, k] = _values_of_type(spaces, f, k)
     return out.reshape((-1,) + out.shape[2:])
 
 
@@ -636,37 +660,54 @@ def _scatter(dofmap, local, n):
 
 
 def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
-    """Load vectors (f_c, N_a) from pointwise samples (E, Q) or (E, Q, C):
-    shape (n,) or (n, C)."""
-    f = np.asarray(pointwise)
-    samples = f.reshape(f.shape[:2] + (-1, 1))               # (E, Q, C, 1)
+    """Load vectors (f_c, N_a) from pointwise samples (E, Q) or (E, Q, C),
+    shape (n,) or (n, C), or from trigonometric data, a TrigPoly (C = 1)
+    or a TrigVector (C = 3), sampled one Kuhn type at a time
+    (`_values_of_type`), bitwise the load of their `field_values`."""
+    if isinstance(pointwise, (TrigPoly, TrigVector)):
+        shape = (3,) if isinstance(pointwise, TrigVector) else ()
+
+        def samples(t):
+            # contiguous, as in field_values: a TrigPoly's values are the
+            # real part of a complex product, a strided view, and so a
+            # different matmul operand
+            values = np.ascontiguousarray(
+                _values_of_type(spaces, pointwise, t))
+            return values.reshape(values.shape[:2] + (-1, 1))
+    else:
+        f = np.asarray(pointwise)
+        samples, shape = f.reshape(f.shape[:2] + (-1, 1)), f.shape[2:]
     loc = _local_matrices(spaces, samples,
                           spaces.tables.N[:, :, :n_funcs])   # (E, C, A)
     dof, n = ((spaces.velocity.dofmap, spaces.n_scalar) if n_funcs == N_LOCAL
               else (spaces.pressure.dofmap, spaces.pressure.dim))
-    return _scatter(dof, loc, n).T.reshape((n,) + f.shape[2:])
+    return _scatter(dof, loc, n).T.reshape((n,) + shape)
 
 
 def project_velocity(spaces, f):
     """Best L2 approximation of a TrigVector in the zero-mean space; a
-    nonzero mean of the input is simply removed."""
-    return project_velocity_values(spaces, field_values(spaces, f))
+    nonzero mean of the input is simply removed.  The data are sampled
+    one Kuhn type at a time (`_scalar_load`)."""
+    return project_velocity_values(spaces, f)
 
 
 def project_velocity_values(spaces, pointwise):
-    """Zero-mean velocity projection of samples (E, Q, 3) at quad points."""
+    """Zero-mean velocity projection of samples (E, Q, 3) at quad points,
+    or of a TrigVector (see `_scalar_load`)."""
     ops = spaces.ops
     return _zero_mean_solve(ops.Ms_solver, _scalar_load(spaces, pointwise),
                             ops.int_s, spaces.mesh.n_vertices).T.ravel()
 
 
 def project_pressure(spaces, g):
-    """Best L2 approximation of a scalar field in the zero-mean space."""
-    return project_pressure_values(spaces, field_values(spaces, g))
+    """Best L2 approximation of a scalar field (TrigPoly) in the zero-mean
+    space, sampled one Kuhn type at a time as in `project_velocity`."""
+    return project_pressure_values(spaces, g)
 
 
 def project_pressure_values(spaces, pointwise):
-    """Zero-mean pressure projection of samples already at quad points."""
+    """Zero-mean pressure projection of samples already at quad points,
+    or of a TrigPoly (see `_scalar_load`)."""
     ops = spaces.ops
     return _zero_mean_solve(ops.Mp_solver, _scalar_load(
         spaces, pointwise, n_funcs=N_LOCAL_P), ops.int_p, spaces.pressure.dim)

@@ -175,13 +175,17 @@ def convection_rhs(spaces, u) -> np.ndarray:
     functions: the explicit convection of the schemes that use it.  Each
     element's transport matrix acts on the element's own nodal values,
     and the products are summed per component, with no global matrix.
+    One Kuhn type's element matrices exist at a time.
     The quadratic terms of a state that grows without bound (an
     overdriven CNAB run) overflow to inf here, silently: the report
     records the overflow, and the run names its first step."""
     nodal = _velocity_nodal(spaces, u)                          # (E, 3, 5)
+    flat = nodal.reshape(len(nodal), -1)
+    local = np.empty(nodal.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        loc = _element_matrices(nodal, spaces.tables.transport)
-        local = nodal @ loc.reshape(-1, N_LOCAL, N_LOCAL).transpose(0, 2, 1)
+        for t, tensor in enumerate(spaces.tables.transport):
+            loc = (flat[t::6] @ tensor).reshape(-1, N_LOCAL, N_LOCAL)
+            local[t::6] = nodal[t::6] @ loc.transpose(0, 2, 1)
     return _scatter(spaces.velocity.dofmap, local, spaces.n_scalar).ravel()
 
 
@@ -229,7 +233,10 @@ def project_div_free(spaces, coeffs) -> np.ndarray:
     """Mass-orthogonal projection onto the discretely divergence-free,
     componentwise zero-mean velocity subspace: the step's saddle system
     with the vector mass matrix as velocity block, solved by its lattice
-    Fourier blocks (`linsolve.LatticeSolver`)."""
+    Fourier blocks (`linsolve.LatticeSolver`).  Only this call holds the
+    system and its solver, so both are freed when it returns."""
     M = spaces.velocity.block_pattern.matrix(np.tile(spaces.ops.M_s.data, 3))
-    system = SaddleSystem(SaddleConstraints(spaces), M, lattice=True)
-    return system.solve(system.rhs(M @ np.asarray(coeffs)))["u"]
+    constraints = SaddleConstraints(spaces)
+    system = SaddleSystem(constraints, M)
+    return system.solve(system.rhs(M @ np.asarray(coeffs)),
+                        solver=constraints.lattice_solver(system))["u"]

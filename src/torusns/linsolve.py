@@ -298,7 +298,8 @@ class LatticeSolver:
     which replaces the plain one; the multipliers are scaled by n^3 in
     it, the DFT's factor on a field that is the same on every cell.
     `make_factor` makes the SuperLU `Factorization` that a solve failing
-    its guard falls back to.
+    its guard falls back to.  Whoever solves with it holds it (see
+    `SaddleSystem`).
     """
 
     def __init__(self, matrix, norm1, cells, symbol, make_factor,
@@ -518,7 +519,7 @@ class SaddleConstraints:
         [[F^, -B^*], [B^, 0]] on a cell's 21 velocity and 1 pressure dofs,
         and at k = 0 that block bordered by the mean rows, on the velocity
         weights W (21 x 3, one column per component) and the pressure
-        weight m of one cell."""
+        weight m of one cell.  The caller holds it (see `SaddleSystem`)."""
         B, _, int_s, int_p = self._blocks
         u, p = self._cells
         L = u.shape[1] + 1
@@ -546,12 +547,17 @@ class SaddleSystem:
     It is applied (`@`), and its |A|_1 taken, block by block; the
     assembled matrix is made only as the input of its own LU, on first
     use of `factor`, and that factor is reused by every later solve.  A
-    `lattice` system, whose F is invariant under cell shifts (M, or
-    M/dt + nu A/2), is solved by its Fourier blocks instead (`solver`),
-    and factorized only if a block solve fails its guard."""
+    system whose F is invariant under cell shifts (M, or M/dt + nu A/2)
+    is solved by its Fourier blocks instead, by the `LatticeSolver` of
+    `SaddleConstraints.lattice_solver`, and factorized only if a block
+    solve fails its guard.  That solver refers to this system, so the
+    code that solves with it holds it (a trajectory's `StepOperator`, the
+    projection), and nothing caches it here: a cached one would close a
+    reference cycle, which keeps the system, its blocks and the solver's
+    inverses resident until a full collection, in a run until it ends."""
 
-    def __init__(self, constraints: SaddleConstraints, F, lattice=False):
-        self.constraints, self.F, self.lattice = constraints, F, lattice
+    def __init__(self, constraints: SaddleConstraints, F):
+        self.constraints, self.F = constraints, F
         self.slices, self.shape = constraints.slices, constraints.shape
 
     def __matmul__(self, x):
@@ -581,22 +587,16 @@ class SaddleSystem:
         """The LU factor of the assembled matrix, made on first use."""
         return Factorization(self.constraints.assemble(self.F))
 
-    @cached_property
-    def solver(self):
-        """The direct solver, made on first use: the `LatticeSolver` of a
-        `lattice` system, else `factor`."""
-        if self.lattice:
-            return self.constraints.lattice_solver(self)
-        return self.factor
-
-    def solve(self, rhs, preconditioner=None, x0=None) -> SaddleSolution:
+    def solve(self, rhs, solver=None, preconditioner=None,
+              x0=None) -> SaddleSolution:
         """Guarded solve (see `_guard`) for a full right-hand side built
         by `rhs`.
 
         With a `preconditioner` (the `LatticeSolver` of a nearby system
         of the same layout) the system is solved by
         `preconditioner.krylov_solve` from the guess `x0`; if that fails,
-        or without one, by this system's own `solver`.
+        or without one, by `solver`, this system's own block solver, else
+        by `factor`.
         """
         x = None
         if preconditioner is not None:
@@ -605,7 +605,8 @@ class SaddleSystem:
             except LinearSolveError:
                 pass
         if x is None:
-            x = self.solver.solve(rhs)
-            resid = float(self.solver.residual)
+            solver = self.factor if solver is None else solver
+            x = solver.solve(rhs)
+            resid = float(solver.residual)
         return SaddleSolution(x=x, slices=self.slices, residual=resid
                               / max(1.0, _column_norms(rhs)))

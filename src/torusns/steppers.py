@@ -136,9 +136,10 @@ class StepOperator:
     """The parts of the midpoint step shared by every step of one
     trajectory: the saddle systems' constraint blocks, F0 = M/dt +
     nu A/2, the frozen-advection systems, and the history-independent
-    CNAB system, whose block solver is made here and preconditions every
-    frozen-advection solve, each GMRES starting from the answer of the
-    trajectory's previous solve.
+    CNAB system with its block solver (`solver`), made and held here,
+    which solves every CNAB step and preconditions every frozen-advection
+    solve, each GMRES starting from the answer of the trajectory's
+    previous solve.
 
     Every system F u^m = (2M/dt - F) u^{m-1} takes its right-hand side
     from its velocity block F (`midpoint_rhs`).  A frozen system's F is
@@ -155,11 +156,11 @@ class StepOperator:
             np.tile((1.0 / dt) * ops.M_s.data + 0.5 * nu * ops.A_s.data, 3))
         self.constraints = SaddleConstraints(spaces)
         # the CNAB system: its matrix does not depend on the history
-        self.explicit_system = SaddleSystem(self.constraints, self.F0,
-                                            lattice=True)
+        self.explicit_system = SaddleSystem(self.constraints, self.F0)
         self._F0_slots = (slice(None) if config.case == 1
                           else velocity.vector_pattern.diagonal.ravel())
-        self.preconditioner = self.explicit_system.solver
+        # its block solver, held here only (see `linsolve.SaddleSystem`)
+        self.solver = self.constraints.lattice_solver(self.explicit_system)
         self._start = None     # the answer of the previous frozen solve
 
     def midpoint_rhs(self, F, u_prev):
@@ -186,7 +187,7 @@ class StepOperator:
         (a fresh factorization if GMRES fails, freed on return, before
         the next Picard iterate assembles its system)."""
         system, rhs = self.frozen_system(advect, u_prev)
-        sol = system.solve(rhs, preconditioner=self.preconditioner,
+        sol = system.solve(rhs, preconditioner=self.solver,
                            x0=self._start)
         self._start = sol.x
         return sol
@@ -247,13 +248,14 @@ def step_cnle(op: StepOperator, u_prev, u_prev2) -> StepResult:
 
 
 def step_cnab(op: StepOperator, u_prev, conv_prev2) -> StepResult:
-    """One step with explicit two-level convection, solved by the
-    trajectory's block solver of `op.explicit_system`; `conv_prev2` is
-    N(u^{m-2}), the previous step's `convection`."""
+    """One step with explicit two-level convection, solved directly by
+    the trajectory's block solver of `op.explicit_system`, `op.solver`;
+    `conv_prev2` is N(u^{m-2}), the previous step's `convection`."""
     conv_prev = forms.convection_rhs(op.spaces, u_prev)
     conv = 1.5 * conv_prev - 0.5 * conv_prev2
     system = op.explicit_system
-    sol = system.solve(system.rhs(op.midpoint_rhs(system.F, u_prev) - conv))
+    sol = system.solve(system.rhs(op.midpoint_rhs(system.F, u_prev) - conv),
+                       solver=op.solver)
     return StepResult(u=sol["u"], p=sol["p"], iterations=1,
                       residual=sol.residual, convection=conv_prev)
 

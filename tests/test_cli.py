@@ -324,8 +324,8 @@ print("numpy.random" in sys.modules, "torusns.checks" in sys.modules)
 
 
 def test_datum_is_built_once_per_run(tmp_path, monkeypatch):
-    # a run builds its datum once, a report none and a study one per
-    # level: the settings check builds none
+    # a run builds its datum once, a report none and a study once for
+    # all its levels: the settings check builds none
     built = []
 
     def preset_field_spy(*args):
@@ -342,7 +342,7 @@ def test_datum_is_built_once_per_run(tmp_path, monkeypatch):
         built.clear()
         assert main(args) == EXIT_OK
         counts.append(len(built))
-    assert counts == [1, 0, 2]
+    assert counts == [1, 0, 1]
 
 
 def test_overflowing_run_is_one_line_on_stderr(tmp_path):
@@ -400,7 +400,7 @@ def test_increment_verdict_reads_increment_sum(tmp_path, monkeypatch):
     # gap_l2 falls while increment_sum grows: only the gap verdict holds
     fake = iter([(0.4, 1.0), (0.2, 3.0)])
 
-    def run_single_stub(spec, out_dir, study=None):
+    def run_single_stub(spec, out_dir, study=None, datum=None):
         gap, inc = next(fake)
         return SimpleNamespace(
             h=1.0, dt=0.1, gap_l2=gap, increment_sum=inc,
@@ -425,7 +425,7 @@ def test_study_step_count_uses_the_mesh_h(tmp_path, monkeypatch):
         seen.append(h)
         return 1
 
-    def run_single_stub(spec, out_dir, study=None):
+    def run_single_stub(spec, out_dir, study=None, datum=None):
         return SimpleNamespace(
             h=1.0, dt=0.1, gap_l2=0.0, increment_sum=0.0,
             local_energy_min=0.0, pressure_ratio_max=0.0,

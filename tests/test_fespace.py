@@ -7,7 +7,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from torusns.checks import remove_mean
-from torusns.fespace import (QUADFORM_ROWS, _Pattern, _scalar_load,
+from torusns.fespace import (QUADFORM_ROWS, _local_matrices, _Pattern,
+                             _product_table, _scalar_load, _weighted_matrix,
                              build_spaces, commutator_defect,
                              commutator_constant, field_values,
                              inf_sup_constant, inverse_constant,
@@ -453,9 +454,10 @@ def test_commutator_constants_match_dense_reference(level, quad_points,
 
 
 def test_commutator_constant_holds_no_per_point_basis_array(level):
-    # every weighted form samples its K scalar weights into one (E, Q, K)
-    # stack and contracts it with per-type tables: no (E, Q, 5, 3) array of
-    # basis gradients times phi.  numpy reports its buffers to tracemalloc.
+    # every weighted form samples its K scalar weights one Kuhn type at a
+    # time and contracts them with per-type tables: no (E, Q, 5, 3) array
+    # of basis gradients times phi.  numpy reports its buffers to
+    # tracemalloc.
     spaces = level(6)
     tracemalloc.start()
     try:
@@ -479,3 +481,60 @@ def test_field_values_holds_one_types_block_beside_its_result(level):
     finally:
         tracemalloc.stop()
     assert peak < 2 * values.nbytes
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("datum", ["random-trig", "tg-like"])
+def test_projection_of_data_sampled_per_type_is_bitwise(level, n, datum):
+    # one Kuhn type's samples at a time give the same operands, so the
+    # same numbers, as the whole (E, Q, 3) stack of field_values
+    spaces = level(n)
+    f = preset_field(datum, 3, 2)
+    assert np.array_equal(project_velocity(spaces, f), project_velocity_values(
+        spaces, field_values(spaces, f)))
+    g = f.components[0] + TrigPoly.constant(0.5)
+    assert np.array_equal(project_pressure(spaces, g), project_pressure_values(
+        spaces, field_values(spaces, g)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_basis_integrals_from_the_type_table(level, n):
+    # the integrals of the basis functions, from a (6, Q, 1, 1) table of
+    # ones, are bitwise the loads of an (E, Q) array of ones
+    spaces = level(n)
+    ones = np.ones((spaces.mesh.n_tets, spaces.tables.w_phys.size))
+    assert np.array_equal(spaces.ops.int_s, _scalar_load(spaces, ones))
+    assert np.array_equal(spaces.ops.int_p,
+                          _scalar_load(spaces, ones, n_funcs=4))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_weighted_matrix_matches_its_e_major_form(level, n):
+    # the weights sampled one type at a time against the whole (E, Q, 1, K)
+    # stack the per-type rows used to be cut from
+    spaces = level(n)
+    t, pattern = spaces.tables, spaces.velocity.pattern
+    weights = [PHI, PHI * PHI, PHI.gradient().components[0]]
+    table = np.concatenate([_product_table(t.N, t.N)] * 2
+                           + [_product_table(t.N, t.grad)[..., :1]], -1)
+    stack = np.stack([field_values(spaces, f) for f in weights],
+                     -1)[:, :, None]
+    want = pattern.assemble(_local_matrices(spaces, stack, table))
+    got = _weighted_matrix(spaces, weights, table, pattern)
+    assert np.array_equal(got.data, want.data)
+
+
+def test_projection_of_data_holds_no_whole_sample_stack(level):
+    # a velocity datum's load takes one Kuhn type's samples at a time: the
+    # peak stays below one (E, Q, 3) float64 stack (the mass solver is made
+    # before measuring, as a run's first projection would make it)
+    spaces = level(6)
+    f = preset_field("random-trig", 1, 2)
+    project_velocity(spaces, f)
+    tracemalloc.start()
+    try:
+        project_velocity(spaces, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spaces.mesh.n_tets * spaces.tables.w_phys.size * 3

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from torusns import checks
-from torusns.fespace import (_EPS, _Pattern, _velocity_nodal, build_spaces,
+from torusns.fespace import (_EPS, N_LOCAL, _Pattern, _scatter,
+                             _velocity_nodal, build_spaces,
                              pressure_gradients, project_pressure_values,
                              project_velocity, quad_integral,
                              velocity_gradients, velocity_h1, velocity_l2,
@@ -391,3 +392,16 @@ def test_unknown_case_rejected(level):
     u = rand_coeffs(spaces, 90)
     with pytest.raises(ValueError):
         b_form(spaces, 4, u, u, u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_convection_rhs_matches_the_two_step_formula(level, n):
+    # every element matrix first, then each acting on its element's nodal
+    # values: the per-type loop gives the same numbers bitwise
+    spaces = level(n)
+    u = rand_coeffs(spaces, n)
+    nodal = _velocity_nodal(spaces, u)
+    loc = _element_matrices(nodal, spaces.tables.transport)
+    local = nodal @ loc.reshape(-1, N_LOCAL, N_LOCAL).transpose(0, 2, 1)
+    want = _scatter(spaces.velocity.dofmap, local, spaces.n_scalar).ravel()
+    assert np.array_equal(convection_rhs(spaces, u), want)

@@ -220,7 +220,7 @@ def test_krylov_solve_matches_the_direct_solve(level, case, dt, nu):
     op, system, rhs = frozen_step(spaces, case, dt, nu)
     A = assembled(system)
     direct = Factorization(A).solve(rhs)
-    x, resid = op.preconditioner.krylov_solve(system, rhs)
+    x, resid = op.solver.krylov_solve(system, rhs)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     # both guards, checked here rather than trusted: the residual is
     # that of the system's own product, and the assembled matrix's,
@@ -239,11 +239,13 @@ def lattice_systems(spaces, M):
     (the projection's with vector mass M): name -> (block solver, the
     matrix its LU would factorize)."""
     ops = spaces.ops
-    step = StepOperator(spaces, SchemeConfig(scheme="CN", case=1, nu=0.1,
-                                             T=1 / 16, N=1)).explicit_system
-    projection = SaddleSystem(SaddleConstraints(spaces), M, lattice=True)
-    return {"step": (step.solver, assembled(step)),
-            "projection": (projection.solver, assembled(projection)),
+    op = StepOperator(spaces, SchemeConfig(scheme="CN", case=1, nu=0.1,
+                                           T=1 / 16, N=1))
+    constraints = SaddleConstraints(spaces)
+    projection = SaddleSystem(constraints, M)
+    return {"step": (op.solver, assembled(op.explicit_system)),
+            "projection": (constraints.lattice_solver(projection),
+                           assembled(projection)),
             "M_s": (ops.Ms_solver, ops.M_s), "Mp": (ops.Mp_solver, ops.Mp)}
 
 
@@ -293,13 +295,13 @@ def test_warm_started_gmres_takes_fewer_iterations(level, monkeypatch):
     u = project_div_free(spaces, project_velocity(spaces, tg_like()))
     u *= 4.0 / velocity_l2(spaces, u)         # frozen_step's state
     nearby, near_rhs = op.frozen_system((1 + 1e-6) * u, u)
-    guess, _ = op.preconditioner.krylov_solve(nearby, near_rhs)
+    guess, _ = op.solver.krylov_solve(nearby, near_rhs)
     applied, apply = [], LatticeSolver._apply
     monkeypatch.setattr(LatticeSolver, "_apply",
                         lambda self, y: applied.append(1) or apply(self, y))
-    cold, _ = op.preconditioner.krylov_solve(system, rhs)
+    cold, _ = op.solver.krylov_solve(system, rhs)
     n_cold = len(applied)
-    warm, _ = op.preconditioner.krylov_solve(system, rhs, x0=guess)
+    warm, _ = op.solver.krylov_solve(system, rhs, x0=guess)
     assert len(applied) - n_cold < n_cold
     assert np.abs(warm - cold).max() <= 1e-12 * np.abs(cold).max()
 
@@ -320,8 +322,8 @@ def test_krylov_answer_failing_a_guard_is_never_returned(level, monkeypatch,
 
     monkeypatch.setattr(linsolve, "_gmres", gmres)
     with pytest.raises(LinearSolveError, match="residual|finite"):
-        op.preconditioner.krylov_solve(system, rhs)
-    sol = system.solve(rhs, preconditioner=op.preconditioner)
+        op.solver.krylov_solve(system, rhs)
+    sol = system.solve(rhs, preconditioner=op.solver)
     assert np.array_equal(sol.x, direct)
 
 
@@ -333,12 +335,12 @@ def test_gmres_reaches_the_true_residual(level, case, dt, nu):
     op, system, rhs = frozen_step(level(3), case, dt, nu)
 
     def apply(y):
-        return system @ op.preconditioner._apply(y)
+        return system @ op.solver._apply(y)
     y = linsolve._gmres(apply, rhs, None)
     assert (np.linalg.norm(rhs - apply(y))
             <= linsolve.KRYLOV_RTOL * np.linalg.norm(rhs))
     direct = system.factor.solve(rhs)
-    x = op.preconditioner._apply(y)
+    x = op.solver._apply(y)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
@@ -352,7 +354,7 @@ def test_gmres_on_its_own_preconditioner_stops_at_once(level, rhs):
     spaces = level(3)
     op = StepOperator(spaces, SchemeConfig(scheme="CN", case=1, nu=0.1,
                                            T=1 / 128, N=1))
-    system, solver = op.explicit_system, op.preconditioner
+    system, solver = op.explicit_system, op.solver
     u = project_div_free(spaces, project_velocity(spaces, tg_like()))
     if rhs == "step":
         b = system.rhs(op.midpoint_rhs(system.F, u))
@@ -396,8 +398,8 @@ def test_short_gmres_cycles_fall_back_to_the_lu(level, monkeypatch):
     direct = system.factor.solve(rhs)
     monkeypatch.setattr(linsolve, "KRYLOV_RESTART", 2)
     with pytest.raises(LinearSolveError, match="GMRES did not converge"):
-        op.preconditioner.krylov_solve(system, rhs)
-    sol = system.solve(rhs, preconditioner=op.preconditioner)
+        op.solver.krylov_solve(system, rhs)
+    sol = system.solve(rhs, preconditioner=op.solver)
     assert np.array_equal(sol.x, direct)
 
 

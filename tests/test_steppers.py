@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -340,7 +342,7 @@ def test_gmres_failure_falls_back_to_a_fresh_factorization(level,
     cfg = SchemeConfig(scheme="CN", case=3, nu=0.1, T=1 / 16, N=1)
     u0 = project_div_free(spaces, project_velocity(spaces, tg_like()))
     direct_op = StepOperator(spaces, cfg)
-    direct_op.preconditioner = None      # every solve factorizes
+    direct_op.solver = None      # every solve factorizes
     direct = step_cn(direct_op, u0)
 
     op = StepOperator(spaces, cfg)
@@ -532,3 +534,46 @@ def test_cnab_ratio_reported_raw():
     assert abs(rep.bound_32nu - 1.0 / 3.2) < 1e-12
     assert rep.cnab_dt_pass  # dt = 0.1 <= 4 c1^2 / nu = 160
     assert set(asdict(rep)) >= {"cn_ratio", "cnle_bound", "ratio_dt_h3"}
+
+
+@pytest.mark.parametrize("scheme, case", [("CN", 3), ("CNAB", 1)])
+def test_run_leaves_no_cycle_garbage(tmp_path, scheme, case):
+    # nothing of a run sits in a reference cycle: a full collection after
+    # it finds no object of the package, so the saddle systems and their
+    # block solvers were freed as soon as their holders were
+    spec = RunSpec(n_cells=3, scheme=scheme, case=case, nu=0.1, T=1 / 32,
+                   steps=4, datum="random-trig", seed=2)
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_single(spec, tmp_path)
+        gc.collect()
+        found = {type(o).__module__ + "." + type(o).__qualname__
+                 for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not {name for name in found if name.startswith("torusns.")}
+
+
+def test_projection_system_is_freed_on_return(level, monkeypatch):
+    # with the collector off, only reference counts free: the projection's
+    # system and its block solver are gone once project_div_free returns
+    spaces = level(2)
+    made = []
+    init = SaddleSystem.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SaddleSystem, "__init__", spy)
+    u = project_velocity(spaces, tg_like())
+    gc.disable()
+    try:
+        project_div_free(spaces, u)
+        alive = [ref() is not None for ref in made]
+    finally:
+        gc.enable()
+    assert alive == [False]
