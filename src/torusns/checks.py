@@ -17,7 +17,7 @@ from .diagnostics import (_balance_matrices, _flux_and_l3,
                           default_test_family, energy_residuals)
 from .fespace import (_scalar_quadform, build_spaces, field_values,
                       pressure_gradients, pressure_values,
-                      project_velocity, project_velocity_values, quad_integral,
+                      project_velocity, quad_integral,
                       velocity_gradients, velocity_h1, velocity_l2,
                       velocity_values)
 from .interpolants import gap_l2, trajectory_norms
@@ -76,7 +76,7 @@ def remove_mean(spaces, coeffs):
 def _projection_idempotence(spaces) -> CheckResult:
     rng = np.random.default_rng(42)
     c = remove_mean(spaces, rng.standard_normal(3 * spaces.n_scalar))
-    again = project_velocity_values(spaces, velocity_values(spaces, c))
+    again = project_velocity(spaces, velocity_values(spaces, c))
     err = np.abs(again - c).max() / max(1.0, np.abs(c).max())
     return CheckResult("projection_idempotence", err < 1e-10, err, 1e-10)
 

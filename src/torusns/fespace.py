@@ -668,11 +668,7 @@ def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
         shape = (3,) if isinstance(pointwise, TrigVector) else ()
 
         def samples(t):
-            # contiguous, as in field_values: a TrigPoly's values are the
-            # real part of a complex product, a strided view, and so a
-            # different matmul operand
-            values = np.ascontiguousarray(
-                _values_of_type(spaces, pointwise, t))
+            values = _values_of_type(spaces, pointwise, t)
             return values.reshape(values.shape[:2] + (-1, 1))
     else:
         f = np.asarray(pointwise)
@@ -685,32 +681,21 @@ def _scalar_load(spaces, pointwise, n_funcs=N_LOCAL):
 
 
 def project_velocity(spaces, f):
-    """Best L2 approximation of a TrigVector in the zero-mean space; a
-    nonzero mean of the input is simply removed.  The data are sampled
-    one Kuhn type at a time (`_scalar_load`)."""
-    return project_velocity_values(spaces, f)
-
-
-def project_velocity_values(spaces, pointwise):
-    """Zero-mean velocity projection of samples (E, Q, 3) at quad points,
-    or of a TrigVector (see `_scalar_load`)."""
+    """Best L2 approximation in the zero-mean space of a TrigVector,
+    sampled one Kuhn type at a time, or of samples (E, Q, 3) at the
+    quadrature points (`_scalar_load`); a nonzero mean of the input is
+    simply removed."""
     ops = spaces.ops
-    return _zero_mean_solve(ops.Ms_solver, _scalar_load(spaces, pointwise),
+    return _zero_mean_solve(ops.Ms_solver, _scalar_load(spaces, f),
                             ops.int_s, spaces.mesh.n_vertices).T.ravel()
 
 
 def project_pressure(spaces, g):
-    """Best L2 approximation of a scalar field (TrigPoly) in the zero-mean
-    space, sampled one Kuhn type at a time as in `project_velocity`."""
-    return project_pressure_values(spaces, g)
-
-
-def project_pressure_values(spaces, pointwise):
-    """Zero-mean pressure projection of samples already at quad points,
-    or of a TrigPoly (see `_scalar_load`)."""
+    """Best L2 approximation in the zero-mean space of a TrigPoly, or of
+    samples (E, Q) at the quadrature points, as in `project_velocity`."""
     ops = spaces.ops
     return _zero_mean_solve(ops.Mp_solver, _scalar_load(
-        spaces, pointwise, n_funcs=N_LOCAL_P), ops.int_p, spaces.pressure.dim)
+        spaces, g, n_funcs=N_LOCAL_P), ops.int_p, spaces.pressure.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -38,38 +38,47 @@ is solved by GMRES on A M^-1, with M^-1 the trajectory's block solve of
 the zero-advection system (right preconditioning, Saad, Iterative
 Methods for Sparse Linear Systems, 2003; the Oseen preconditioning of
 Elman, Silvester and Wathen, Finite Elements and Fast Iterative Solvers,
-2014), so the stopping test applies to the true residual, and A is only
-applied, never assembled.  The GMRES is `_gmres`, restarted GMRES(m) in
-numpy (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): modified
-Gram-Schmidt Arnoldi, the small least-squares problem by Givens
-rotations, every norm scaled as in `_column_norms`.  A cycle ends when
-the rotations' residual estimate reaches KRYLOV_RTOL |b| (atol 0) or
-the Arnoldi vector vanishes below eps, and the answer is accepted only
-when its true residual |b - A M^-1 y| reaches KRYLOV_RTOL |b|; after
-KRYLOV_MAX_CYCLES cycles of KRYLOV_RESTART vectors it is not.  Each
-GMRES starts from the previous solve of
-its trajectory (`x0`): over seeds 0-9 of CN case 3 at n=5, 3 steps of
-dt = 1/128, a run's iterations fell from 189-210 to 106-127, with
-identical Picard counts.  At rtol 1e-14 the Krylov answers pass the
-same guards as a direct solve, so iterative-solver tolerances do not
-pollute the identities the test-suite checks: on 39 CN (cases 1 and 3,
-nu down to 0.01 at dt = 1/8), CNLE and CNAB runs at n=4-5, no solve
-fell back, GMRES took 9-23 iterations (counted on 15 runs), the
-trajectories agreed with the direct ones within 8.4e-13 (velocity) and
-6.6e-13 (pressure) relative to their maxima, Picard counts were
-identical, and the CN and CNLE energy residuals stayed below 1.0e-15
-relative.  A solve whose GMRES does not converge, or whose answer a
-guard rejects, falls back to a fresh LU of its own assembled matrix,
-and so does a block solve that fails its guard: a run makes no LU
-otherwise.
+2014), so the residual GMRES minimizes is the true one, and A is only
+applied, never assembled.  The GMRES is `_gmres`, one cycle of GMRES(m)
+in numpy (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986):
+modified Gram-Schmidt Arnoldi, the small least-squares problem by Givens
+rotations, every norm scaled as in `_column_norms`.  The cycle ends when
+the rotations' residual estimate reaches KRYLOV_RTOL |b| (atol 0), when
+the Arnoldi vector vanishes below eps, or on its KRYLOV_MAX_ITERATIONS-th
+vector.  Its answer is then judged only by the guards that judge every
+block and LU answer (`_guard`, against the system's own product), and an
+answer they reject falls back to a fresh LU of the system's assembled
+matrix, as does a block solve that fails its guard: a run makes no LU
+otherwise.  Each GMRES starts from the previous solve of its trajectory
+(`x0`): over seeds 0-9 of CN case 3 at n=5, 3 steps of dt = 1/128, a
+run's iterations fell from 189-210 to 106-127, with identical Picard
+counts.  At rtol 1e-14 the Krylov answers pass the same guards as a
+direct solve, so iterative-solver tolerances do not pollute the
+identities the test-suite checks: on 39 CN (cases 1 and 3, nu down to
+0.01 at dt = 1/8), CNLE and CNAB runs at n=4-5, no solve fell back,
+GMRES took 9-23 iterations (counted on 15 runs), the trajectories agreed
+with the direct ones within 8.4e-13 (velocity) and 6.6e-13 (pressure)
+relative to their maxima, Picard counts were identical, and the CN and
+CNLE energy residuals stayed below 1.0e-15 relative.
 
-At `KRYLOV_RTOL` the residual estimate of a solve ends near the
-tolerance edge, so a roundoff-level change to the operator (a reordered
-sum in its assembly, say) can end a solve an iteration or two earlier
-or later: on CN case 3 at n=5 (seed 3), one Picard iterate took 12
-iterations against 10, which moved u by 2.6e-13 and p by 6.1e-13 of
-their maxima while other runs moved by 5e-15.  Any comparison of
-trajectories that is meant to see roundoff only must allow for this.
+KRYLOV_RTOL sits at the edge of what the arithmetic reaches, so one
+cycle is judged by the guards (RESIDUAL_REL_TOL = 1e-11) instead of
+being restarted until its true residual reaches KRYLOV_RTOL |b|.  With
+such restarts, over seeds 0-31 of CN case 3 at n=5 (3 steps of dt =
+1/128), 669 of 672 solves ended in one cycle and 3 restarted, their true
+residual after it at most 1.006e-14 |b|, and 1 of 234 solves of CNAB at
+n=5 (64 steps) restarted; one cycle moves those four runs by at most
+1.4e-13 (u) and 6.5e-13 (p) of their maxima and leaves the other 60
+byte-identical.  At n = 24 (CN case 1, 34 steps) one solve's estimate
+never reached KRYLOV_RTOL, and its fallback LU took 93% of the run and
+set its 3 GB peak; its one-cycle answer, at 3.2e-14 |b|, passes the
+guards.  Ending near that edge, a solve can also take an iteration or
+two more or fewer after a roundoff-level change to the operator (a
+reordered sum in its assembly, say): on CN case 3 at n=5 (seed 3), one
+Picard iterate took 12 iterations against 10, which moved u by 2.6e-13
+and p by 6.1e-13 of their maxima while other runs moved by 5e-15.  Any
+comparison of trajectories that is meant to see roundoff only must allow
+for this.
 
 Every product here is the package's own (`fespace._CSR`, and the
 saddle blocks applied one by one, `SaddleConstraints.apply`), so scipy
@@ -119,12 +128,11 @@ PIVOT_THRESHOLD = 0.1
 #: largest accepted |A|_1 |x|_1 / |b|_1 of a solve; the step, projection
 #: and mass solves stay below 3e4 up to n=8
 AMPLIFICATION_LIMIT = 1e12
-#: GMRES on a reused factor: relative tolerance on the true residual,
-#: Krylov dimension per cycle and number of cycles; the step systems
-#: converge in 9-23 iterations, within one cycle
+#: GMRES preconditioned by a block solver: relative tolerance on the
+#: rotations' residual estimate, and the most Arnoldi vectors of its one
+#: cycle; the step systems converge in 9-23 iterations
 KRYLOV_RTOL = 1e-14
-KRYLOV_RESTART = 60
-KRYLOV_MAX_CYCLES = 3
+KRYLOV_MAX_ITERATIONS = 60
 
 
 class LinearSolveError(RuntimeError):
@@ -364,15 +372,14 @@ class LatticeSolver:
         return x
 
     def krylov_solve(self, system, rhs, x0=None):
-        """Solve system x = rhs for one right-hand side by GMRES on
-        system M^-1, with M this solver's operator, from the guess `x0`
+        """Solve system x = rhs for one right-hand side by one GMRES cycle
+        on system M^-1, with M this solver's operator, from the guess `x0`
         (zero if None), and return x and its residual norm |Ax - b|.
 
         `system` is a `SaddleSystem`, used only through its `@` and its
-        |A|_1.  GMRES runs on y = M x, so it starts from M x0.  The answer
-        passes the same guards as `solve`, against `system`.  Raises
-        LinearSolveError if GMRES does not converge within
-        KRYLOV_MAX_CYCLES cycles or a guard rejects its answer.
+        |A|_1.  GMRES runs on y = M x, so it starts from M x0.  Its answer
+        is judged only by the guards of `solve`, against `system`, which
+        raise LinearSolveError if they reject it.
         """
         rhs = np.asarray(rhs, dtype=float)
         y = _gmres(lambda v: system @ self._apply(v), rhs,
@@ -382,58 +389,50 @@ class LatticeSolver:
 
 
 def _gmres(apply, b, y):
-    """Restarted GMRES for apply(y) = b from the guess y (zero if None):
+    """One GMRES cycle for apply(y) = b from the guess y (zero if None):
     Arnoldi by modified Gram-Schmidt, the least-squares problem by Givens
     rotations (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
 
-    A cycle of at most KRYLOV_RESTART vectors ends when the rotations'
-    residual estimate reaches KRYLOV_RTOL |b| or the Arnoldi vector
-    vanishes (the Krylov space holds the answer), and y is returned once
-    its true residual |b - apply(y)| reaches KRYLOV_RTOL |b|.  Raises
-    LinearSolveError if it has not after KRYLOV_MAX_CYCLES cycles."""
+    The cycle ends when the rotations' residual estimate reaches
+    KRYLOV_RTOL |b|, when the Arnoldi vector vanishes (the Krylov space
+    holds the answer), or on its KRYLOV_MAX_ITERATIONS-th vector, and its
+    iterate is returned: the caller's guards judge it."""
     tol = KRYLOV_RTOL * _column_norms(b)
     if y is None:
-        y, r = np.zeros_like(b), b.copy()
+        y, r = np.zeros_like(b), b
     else:
-        y, r = y.copy(), b - apply(y)
-    beta = _column_norms(r)
-    eps, m = np.finfo(float).eps, KRYLOV_RESTART
-    for _ in range(KRYLOV_MAX_CYCLES):
-        if not beta > tol:          # converged, or not finite
-            break
-        V, H = np.empty((m + 1, b.size)), np.zeros((m + 1, m))
-        rotations = np.zeros((m, 2))
-        g = np.zeros(m + 1)
-        V[0], g[0] = r / beta, beta
-        for j in range(m):
-            w = apply(V[j])
-            h0 = _column_norms(w)
-            for k in range(j + 1):
-                H[k, j] = V[k] @ w
-                w -= H[k, j] * V[k]
-            H[j + 1, j] = _column_norms(w)
-            breakdown = not H[j + 1, j] > eps * h0
-            if not breakdown:
-                V[j + 1] = w / H[j + 1, j]
-            for k, (c, s) in enumerate(rotations[:j]):
-                H[k:k + 2, j] = (c * H[k, j] + s * H[k + 1, j],
-                                 c * H[k + 1, j] - s * H[k, j])
-            f, h = H[j:j + 2, j]
-            rho = np.hypot(f, h)
-            c, s = rotations[j] = (f / rho, h / rho) if rho else (1.0, 0.0)
-            H[j:j + 2, j] = rho, 0.0
-            g[j:j + 2] = c * g[j], -s * g[j]
-            if breakdown or not abs(g[j + 1]) > tol:
-                break
-        # an exactly singular last column (rho = 0) is left out
-        k = j + 1 if H[j, j] else j
-        y += np.linalg.solve(H[:k, :k], g[:k]) @ V[:k]
         r = b - apply(y)
-        beta = _column_norms(r)
-    if not beta <= tol:
-        raise LinearSolveError(f"GMRES did not converge (residual "
-                               f"{beta:.3e}, tolerance {tol:.3e})")
-    return y
+    beta = _column_norms(r)
+    if beta <= tol:
+        return y
+    eps, m = np.finfo(float).eps, KRYLOV_MAX_ITERATIONS
+    V, H = np.empty((m + 1, b.size)), np.zeros((m + 1, m))
+    rotations = np.zeros((m, 2))
+    g = np.zeros(m + 1)
+    V[0], g[0] = r / beta, beta
+    for j in range(m):
+        w = apply(V[j])
+        h0 = _column_norms(w)
+        for k in range(j + 1):
+            H[k, j] = V[k] @ w
+            w -= H[k, j] * V[k]
+        H[j + 1, j] = _column_norms(w)
+        breakdown = not H[j + 1, j] > eps * h0
+        if not breakdown:
+            V[j + 1] = w / H[j + 1, j]
+        for k, (c, s) in enumerate(rotations[:j]):
+            H[k:k + 2, j] = (c * H[k, j] + s * H[k + 1, j],
+                             c * H[k + 1, j] - s * H[k, j])
+        f, h = H[j:j + 2, j]
+        rho = np.hypot(f, h)
+        c, s = rotations[j] = (f / rho, h / rho) if rho else (1.0, 0.0)
+        H[j:j + 2, j] = rho, 0.0
+        g[j:j + 2] = c * g[j], -s * g[j]
+        if breakdown or not abs(g[j + 1]) > tol:
+            break
+    # an exactly singular last column (rho = 0) is left out
+    k = j + 1 if H[j, j] else j
+    return y + np.linalg.solve(H[:k, :k], g[:k]) @ V[:k]
 
 
 @dataclass
@@ -594,9 +593,9 @@ class SaddleSystem:
 
         With a `preconditioner` (the `LatticeSolver` of a nearby system
         of the same layout) the system is solved by
-        `preconditioner.krylov_solve` from the guess `x0`; if that fails,
-        or without one, by `solver`, this system's own block solver, else
-        by `factor`.
+        `preconditioner.krylov_solve` from the guess `x0`; if the guards
+        reject its answer, or without one, by `solver`, this system's own
+        block solver, else by `factor`.
         """
         x = None
         if preconditioner is not None:

@@ -184,8 +184,8 @@ class StepOperator:
     def solve_frozen(self, advect, u_prev) -> SaddleSolution:
         """Solve `frozen_system` once, by GMRES preconditioned with the
         trajectory's block solver, from the answer of the previous solve
-        (a fresh factorization if GMRES fails, freed on return, before
-        the next Picard iterate assembles its system)."""
+        (a fresh factorization if the guards reject its answer, freed on
+        return, before the next Picard iterate assembles its system)."""
         system, rhs = self.frozen_system(advect, u_prev)
         sol = system.solve(rhs, preconditioner=self.solver,
                            x0=self._start)

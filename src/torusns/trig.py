@@ -115,13 +115,15 @@ class TrigPoly:
 
     # -- evaluation ---------------------------------------------------
     def value_on(self, base, offsets) -> np.ndarray:
-        """(B, Q) values f(base[b] + offsets[q]), one complex product."""
+        """(B, Q) values f(base[b] + offsets[q]): the real part of one
+        complex product, copied contiguous, so the product is freed."""
         if not self.modes:
             return np.zeros((len(base), len(offsets)))
         k = np.array(list(self.modes), dtype=float)           # (K, 3)
         c = np.array(list(self.modes.values()))
         left = np.exp(1j * (base @ k.T)) * c
-        return (left @ np.exp(1j * (k @ offsets.T))).real
+        return np.ascontiguousarray(
+            (left @ np.exp(1j * (k @ offsets.T))).real)
 
     def value(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)

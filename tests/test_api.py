@@ -1,8 +1,10 @@
 """Every public top-level function and class of the package, and every
 public method of its classes, is used by the package itself, apart from
-the measurements only the tests call."""
+the measurements only the tests call; and every module constant is read
+by the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import torusns
@@ -45,3 +47,32 @@ def test_every_public_definition_is_referenced():
                     and name not in TEST_ONLY)
     assert not unused, f"public API with no caller in the package: {unused}"
     assert TEST_ONLY <= defined.keys(), "stale allowlist entries"
+
+
+def test_every_module_constant_is_read():
+    # an UPPER_CASE name assigned at a module's top level must be loaded
+    # somewhere in the package, by name or as a module attribute: a
+    # constant whose last reader is deleted is deleted with it
+    constant = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+    assigned, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and constant.match(name.id)):
+                        assigned[name.id] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    unread = sorted(f"{path}:{name}" for name, path in assigned.items()
+                    if name not in read)
+    assert assigned, "no module constant found"
+    assert not unread, f"module constants nothing reads: {unread}"

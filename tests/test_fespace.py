@@ -15,8 +15,7 @@ from torusns.fespace import (QUADFORM_ROWS, _local_matrices, _Pattern,
                              pressure_commutator_constant,
                              pressure_commutator_defect, pressure_gradients,
                              pressure_l2, pressure_values, project_pressure,
-                             project_pressure_values, project_velocity,
-                             project_velocity_values, quad_integral,
+                             project_velocity, quad_integral,
                              velocity_gradients, velocity_h1,
                              velocity_h1_semi, velocity_l2, velocity_values)
 from torusns.forms import convection_matrix, divergence_norm
@@ -52,7 +51,7 @@ def test_projection_idempotent_on_members(level):
     spaces = level(3)
     rng = np.random.default_rng(5)
     c = remove_mean(spaces, rng.standard_normal(3 * spaces.n_scalar))
-    again = project_velocity_values(spaces, velocity_values(spaces, c))
+    again = project_velocity(spaces, velocity_values(spaces, c))
     assert np.abs(again - c).max() < 1e-12 * max(1.0, np.abs(c).max()) * 100
 
 
@@ -148,7 +147,7 @@ def test_pressure_projection(level):
     rng = np.random.default_rng(8)
     q = rng.standard_normal(spaces.pressure.dim)
     q -= spaces.ops.int_p @ q / BOX_VOLUME
-    again = project_pressure_values(spaces, pressure_values(spaces, q))
+    again = project_pressure(spaces, pressure_values(spaces, q))
     assert np.abs(again - q).max() < 1e-12 * np.abs(q).max() * 100
 
 
@@ -490,10 +489,10 @@ def test_projection_of_data_sampled_per_type_is_bitwise(level, n, datum):
     # same numbers, as the whole (E, Q, 3) stack of field_values
     spaces = level(n)
     f = preset_field(datum, 3, 2)
-    assert np.array_equal(project_velocity(spaces, f), project_velocity_values(
+    assert np.array_equal(project_velocity(spaces, f), project_velocity(
         spaces, field_values(spaces, f)))
     g = f.components[0] + TrigPoly.constant(0.5)
-    assert np.array_equal(project_pressure(spaces, g), project_pressure_values(
+    assert np.array_equal(project_pressure(spaces, g), project_pressure(
         spaces, field_values(spaces, g)))
 
 

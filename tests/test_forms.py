@@ -4,7 +4,7 @@ import pytest
 from torusns import checks
 from torusns.fespace import (_EPS, N_LOCAL, _Pattern, _scatter,
                              _velocity_nodal, build_spaces,
-                             pressure_gradients, project_pressure_values,
+                             pressure_gradients, project_pressure,
                              project_velocity, quad_integral,
                              velocity_gradients, velocity_h1, velocity_l2,
                              velocity_values)
@@ -95,9 +95,9 @@ def test_bernoulli_projection_matches_the_sampled_product(level):
         spaces = level(n)
         u, v = (project_velocity(spaces, random_trig(seed, 2))
                 for seed in (31, 32))
-        want = project_pressure_values(spaces, (velocity_values(spaces, u)
-                                                * velocity_values(spaces, v)
-                                                ).sum(-1))
+        want = project_pressure(spaces, (velocity_values(spaces, u)
+                                          * velocity_values(spaces, v)
+                                          ).sum(-1))
         got = bernoulli_projection(spaces, u, v)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

@@ -347,8 +347,8 @@ def test_gmres_reaches_the_true_residual(level, case, dt, nu):
 @pytest.mark.parametrize("rhs", ["step", "pressure mean"])
 def test_gmres_on_its_own_preconditioner_stops_at_once(level, rhs):
     # the zero-advection system preconditioned by its own block solver
-    # is the identity within roundoff: one Arnoldi vector, and one more
-    # application for the true residual.  On the pressure-mean row the
+    # is the identity within roundoff: one Arnoldi vector, one
+    # application, and no other product.  On the pressure-mean row the
     # next Arnoldi vector vanishes below eps, the breakdown branch, which
     # must not divide by it
     spaces = level(3)
@@ -375,7 +375,7 @@ def test_gmres_on_its_own_preconditioner_stops_at_once(level, rhs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         y = linsolve._gmres(apply, b, None)
-    assert len(applied) == 2
+    assert len(applied) == 1
     want = solver.solve(b)
     assert np.abs(solver._apply(y) - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -391,16 +391,38 @@ def test_gmres_breakdown_divides_by_no_zero():
 
 
 def test_short_gmres_cycles_fall_back_to_the_lu(level, monkeypatch):
-    # this advected step takes 7 iterations in one cycle; 3 cycles of 2
-    # vectors do not reach KRYLOV_RTOL, so the Krylov solve raises, and
-    # the system's own solve gives its LU answer
+    # this advected step takes 7 iterations in one cycle; a cycle of 2
+    # vectors leaves a residual the guard rejects, so the Krylov solve
+    # raises, and the system's own solve gives its LU answer
     op, system, rhs = frozen_step(level(3), 1, 1 / 8, 0.01)
     direct = system.factor.solve(rhs)
-    monkeypatch.setattr(linsolve, "KRYLOV_RESTART", 2)
-    with pytest.raises(LinearSolveError, match="GMRES did not converge"):
+    monkeypatch.setattr(linsolve, "KRYLOV_MAX_ITERATIONS", 2)
+    with pytest.raises(LinearSolveError, match="residual"):
         op.solver.krylov_solve(system, rhs)
     sol = system.solve(rhs, preconditioner=op.solver)
     assert np.array_equal(sol.x, direct)
+
+
+def test_stagnating_gmres_answer_is_accepted_by_the_guards(level,
+                                                           monkeypatch):
+    # no residual estimate reaches KRYLOV_RTOL = 1e-17, so the cycle ends
+    # on its last vector (no Arnoldi vector vanishes here); the guards
+    # pass that answer, and no solve falls back to an LU
+    op, system, rhs = frozen_step(level(3), 1, 1 / 8, 0.01)
+    direct = Factorization(assembled(system)).solve(rhs)
+    monkeypatch.setattr(linsolve, "KRYLOV_RTOL", 1e-17)
+    gmres, applied = linsolve._gmres, []
+
+    def counting(apply, b, y):
+        return gmres(lambda v: applied.append(1) or apply(v), b, y)
+    monkeypatch.setattr(linsolve, "_gmres", counting)
+    factorized, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs:
+                        factorized.append(1) or splu(*args, **kwargs))
+    sol = system.solve(rhs, preconditioner=op.solver)
+    assert len(applied) == linsolve.KRYLOV_MAX_ITERATIONS
+    assert factorized == []
+    assert np.abs(sol.x - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_norm1_matches_scipy(level):
