@@ -108,19 +108,37 @@ def _convection_tensor(spaces) -> CheckResult:
     return CheckResult("convection_tensor", err < 1e-12, err, 1e-12)
 
 
+def _dense(matrix) -> np.ndarray:
+    """A CSR matrix (`fespace._CSR`) as a dense array, from its arrays."""
+    out = np.zeros(matrix.shape)
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    out[rows, matrix.indices] = matrix.data
+    return out
+
+
 def _saddle_apply(spaces) -> CheckResult:
     """A case-3 frozen-advection system, applied and normed block by
-    block, against its assembled matrix A: `system @ x` at a random x
-    relative to the largest |A||x|, and |A|_1 relative to scipy's
-    abs(A).sum(axis=0).max()."""
+    block, against the dense saddle matrix A built here from its blocks,
+    [[F, -B^T, W^T, 0], [B, 0, 0, m], [W, 0, 0, 0], [0, m^T, 0, 0]] with
+    W = diag(int_s, int_s, int_s) and m = int_p: `system @ x` at a random
+    x relative to the largest |A||x|, and |A|_1 relative to the largest
+    column sum of |A|."""
     op = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
                                            T=1 / 128, N=1))
     w = project_velocity(spaces, random_trig(41, 2))
     system, _ = op.frozen_system(w, w)
-    A = system.constraints.assemble(system.F)
+    ops = spaces.ops
+    n_p, n_u = ops.B.shape
+    B, W = _dense(ops.B), np.kron(np.eye(3), ops.int_s)
+    u, p, a = slice(0, n_u), slice(n_u, n_u + n_p), slice(n_u + n_p, -1)
+    A = np.zeros((n_u + n_p + 4,) * 2)
+    A[u, u], A[u, p], A[p, u] = _dense(system.F), -B.T, B
+    A[u, a], A[a, u] = W.T, W
+    A[p, -1] = A[-1, p] = ops.int_p
     x = np.random.default_rng(13).standard_normal(A.shape[1])
-    norm1 = abs(A).sum(axis=0).max()
-    err = max(np.abs(system @ x - A @ x).max() / (abs(A) @ np.abs(x)).max(),
+    norm1 = np.abs(A).sum(axis=0).max()
+    err = max(np.abs(system @ x - A @ x).max()
+              / (np.abs(A) @ np.abs(x)).max(),
               abs(system.norm1 - norm1) / norm1)
     return CheckResult("saddle_apply", err < 1e-14, err, 1e-14)
 

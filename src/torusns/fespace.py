@@ -268,13 +268,6 @@ class _CSR:
         transpose = self.pattern.transpose
         return transpose.matrix(self.data[transpose.source])
 
-    def tocsc(self):
-        """This matrix as scipy's CSC matrix, the input of an LU and of
-        `torusns check`; only these import scipy."""
-        import scipy.sparse as sp
-        return sp.csr_matrix((self.data, self.indices, self.indptr),
-                             shape=self.shape).tocsc()
-
 
 def _products(matrices, rows):
     """A x for every matrix A of `matrices`, which share one pattern, and

@@ -1,13 +1,13 @@
-"""Sparse solves: the lattice Fourier block solver, every LU
-factorization, their two solve guards, the Krylov solve preconditioned
-by a block solver, and the constrained saddle system.
+"""Sparse solves: the lattice Fourier block solver, its two solve
+guards, the Krylov solve preconditioned by a block solver, and the
+constrained saddle system.
 
 Every time step reduces to one (or, inside a Picard loop, a few) solves
 with a block matrix coupling velocity, pressure and the scalar mean
 multipliers; the divergence-free projection solves the same layout.
 `SaddleConstraints` owns that layout and its one block list; a
 `SaddleSystem` is a velocity block over it, applied and normed block by
-block and assembled only as the input of its own LU, which it keeps.
+block, and never assembled.
 
 The mesh is invariant under shifts by whole cells, and every cell owns
 the same dofs: its vertex and the bubbles of its six elements, 7 scalar
@@ -46,20 +46,21 @@ rotations, every norm scaled as in `_column_norms`.  The cycle ends when
 the rotations' residual estimate reaches KRYLOV_RTOL |b| (atol 0), when
 the Arnoldi vector vanishes below eps, or on its KRYLOV_MAX_ITERATIONS-th
 vector.  Its answer is then judged only by the guards that judge every
-block and LU answer (`_guard`, against the system's own product), and an
-answer they reject falls back to a fresh LU of the system's assembled
-matrix, as does a block solve that fails its guard: a run makes no LU
-otherwise.  Each GMRES starts from the previous solve of its trajectory
-(`x0`): over seeds 0-9 of CN case 3 at n=5, 3 steps of dt = 1/128, a
-run's iterations fell from 189-210 to 106-127, with identical Picard
-counts.  At rtol 1e-14 the Krylov answers pass the same guards as a
-direct solve, so iterative-solver tolerances do not pollute the
-identities the test-suite checks: on 39 CN (cases 1 and 3, nu down to
-0.01 at dt = 1/8), CNLE and CNAB runs at n=4-5, no solve fell back,
-GMRES took 9-23 iterations (counted on 15 runs), the trajectories agreed
-with the direct ones within 8.4e-13 (velocity) and 6.6e-13 (pressure)
-relative to their maxima, Picard counts were identical, and the CN and
-CNLE energy residuals stayed below 1.0e-15 relative.
+block answer (`_guard`, against the system's own product), and an answer
+they reject, Krylov or block, raises LinearSolveError: nothing is
+factorized, and the run fails (exit code 2 at the command line) with one
+line that names the solve.  Each GMRES starts from the previous solve of
+its trajectory (`x0`): over seeds 0-9 of CN case 3 at n=5, 3 steps of
+dt = 1/128, a run's iterations fell from 189-210 to 106-127, with
+identical Picard counts.  At rtol 1e-14 the Krylov answers pass the same
+guards as a direct solve, so iterative-solver tolerances do not pollute
+the identities the test-suite checks: on 39 CN (cases 1 and 3, nu down
+to 0.01 at dt = 1/8), CNLE and CNAB runs at n=4-5, the guards rejected
+no answer, GMRES took 9-23 iterations (counted on 15 runs), the
+trajectories agreed with the direct ones within 8.4e-13 (velocity) and
+6.6e-13 (pressure) relative to their maxima, Picard counts were
+identical, and the CN and CNLE energy residuals stayed below 1.0e-15
+relative.
 
 KRYLOV_RTOL sits at the edge of what the arithmetic reaches, so one
 cycle is judged by the guards (RESIDUAL_REL_TOL = 1e-11) instead of
@@ -70,9 +71,8 @@ residual after it at most 1.006e-14 |b|, and 1 of 234 solves of CNAB at
 n=5 (64 steps) restarted; one cycle moves those four runs by at most
 1.4e-13 (u) and 6.5e-13 (p) of their maxima and leaves the other 60
 byte-identical.  At n = 24 (CN case 1, 34 steps) one solve's estimate
-never reached KRYLOV_RTOL, and its fallback LU took 93% of the run and
-set its 3 GB peak; its one-cycle answer, at 3.2e-14 |b|, passes the
-guards.  Ending near that edge, a solve can also take an iteration or
+never reached KRYLOV_RTOL; its one-cycle answer, at 3.2e-14 |b|, passes
+the guards.  Ending near that edge, a solve can also take an iteration or
 two more or fewer after a roundoff-level change to the operator (a
 reordered sum in its assembly, say): on CN case 3 at n=5 (seed 3), one
 Picard iterate took 12 iterations against 10, which moved u by 2.6e-13
@@ -80,51 +80,26 @@ and p by 6.1e-13 of their maxima while other runs moved by 5e-15.  Any
 comparison of trajectories that is meant to see roundoff only must allow
 for this.
 
-Every product here is the package's own (`fespace._CSR`, and the
-saddle blocks applied one by one, `SaddleConstraints.apply`), so scipy
-is imported only for an LU, that is only by a solve that falls back (and
-by `torusns check`): `Factorization` imports SuperLU when it is made,
-and its input is converted, and the saddle matrix assembled
-(`SaddleConstraints.assemble`), as scipy's.  `scipy.sparse` costs
-0.13-0.21 s and 19 MB of resident memory per process, and
-`scipy.sparse.linalg`, which loads `scipy.linalg` with its own BLAS and
-LAPACK beside numpy's, 44-71 ms and 10 MB more (five fresh processes,
-measured after `import torusns.cli`, 1 BLAS thread).
+Every product here is the package's own (`fespace._CSR`, and the saddle
+blocks applied one by one, `SaddleConstraints.apply`), and nothing is
+factorized, so no module of the package imports scipy.
 
-Every matrix factorized here, only ever as a fallback, has a (nearly)
-symmetric sparsity pattern (the saddle systems and the two mass
-matrices), so `Factorization` orders it by minimum degree on the pattern
-of A^T + A and prefers diagonal pivots, accepting one down to 0.1 of its
-column's largest entry: the symmetric-mode settings of the SuperLU
-Users' Guide (Li, Demmel et al.).  SuperLU's default, COLAMD on A^T A
-with partial pivoting, gives the largest factor of an n=5 case-3 run
-3.56 M nonzeros in L + U, against 0.38 M; at n=8 the case-3 step
-factorizes in 12.4 s against 0.73 s, and the divergence-free projection
-in 38.6 s against 0.33 s (1 BLAS thread).  Threshold 0 is barely faster
-(0.61 s) but lets the smallest pivot ratio min|U_ii|/max|U_ii| fall 28
-times lower (8.6e-7 against 2.4e-5); threshold 1 loses the ordering's
-gain (the n=8 projection takes 11.9 s against 0.33 s).
-
-Diagonal pivoting can leave a tiny pivot in a nearly singular matrix,
-and a right-hand side off its range then gets a huge solution whose
-floating-point residual is exactly 0.  Every solution, by blocks, LU or
-Krylov, is therefore checked twice (`_guard`): its residual, and its
-amplification |A|_1 (|x|_1 / |b|_1), a lower bound on the condition
-number, with both 1-norms scaled by their column's largest entry so
-that data near the float maximum do not overflow them.
+A nearly singular system can have a huge solution whose floating-point
+residual is exactly 0: a tiny pivot of a block inverse does that to a
+right-hand side off its range.  Every solution, by blocks or Krylov, is
+therefore checked twice (`_guard`): its residual, and its amplification
+|A|_1 (|x|_1 / |b|_1), a lower bound on the condition number, with both
+1-norms scaled by their column's largest entry so that data near the
+float maximum do not overflow them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 RESIDUAL_REL_TOL = 1e-11
-#: fill-reducing ordering and diagonal-pivot threshold of every LU
-ORDERING = "MMD_AT_PLUS_A"
-PIVOT_THRESHOLD = 0.1
 #: largest accepted |A|_1 |x|_1 / |b|_1 of a solve; the step, projection
 #: and mass solves stay below 3e4 up to n=8
 AMPLIFICATION_LIMIT = 1e12
@@ -158,8 +133,8 @@ def _column_norms(a):
 
 def _column_sums(matrix) -> np.ndarray:
     """The column sums of |A|, whose largest is |A|_1, of a CSR matrix
-    (`fespace._CSR`, or scipy's): one `np.bincount` over its column
-    indices.  Duplicate entries, which no matrix here holds, add."""
+    (`fespace._CSR`): one `np.bincount` over its column indices.
+    Duplicate entries, which no matrix here holds, add."""
     return np.bincount(matrix.indices, np.abs(matrix.data),
                        minlength=matrix.shape[1])
 
@@ -206,36 +181,6 @@ def _guard(matrix, norm1, x, rhs):
             f"residual guard: |A||x| = {np.max(amplification[bad]):.1e}"
             f" |b| exceeds {AMPLIFICATION_LIMIT:.0e} |b|")
     return resid
-
-
-class Factorization:
-    """LU factor of a sparse matrix, reusable across right-hand sides.
-
-    Ordered by minimum degree on A^T + A with diagonal pivots preferred
-    down to PIVOT_THRESHOLD (see the module docstring).
-    """
-
-    def __init__(self, matrix):
-        import scipy.sparse.linalg as spla   # only a fallback loads SuperLU
-
-        self.matrix = matrix.tocsc()
-        self._norm1 = float(_column_sums(self.matrix.tocsr()).max())
-        try:
-            self._lu = spla.splu(self.matrix, permc_spec=ORDERING,
-                                 diag_pivot_thresh=PIVOT_THRESHOLD)
-        except RuntimeError as exc:  # singular factorization
-            raise LinearSolveError(f"factorization failed: {exc}") from exc
-
-    def solve(self, rhs):
-        """Solve for one right-hand side or a column stack of them.
-
-        Guarded column by column (see `_guard`); the residual norms are
-        kept in `residual`.
-        """
-        rhs = np.asarray(rhs, dtype=float)
-        x = self._lu.solve(rhs)
-        self.residual = _guard(self.matrix, self._norm1, x, rhs)
-        return x
 
 
 def cell_symbols(matrices, cells, axes=(0, 1, 2), by_row=True):
@@ -293,8 +238,8 @@ def _half_symbols(matrix, row_cells, col_cells) -> np.ndarray:
 
 class LatticeSolver:
     """Inverse of an operator invariant under cell shifts, by its lattice
-    Fourier blocks (see the module docstring), with `Factorization`'s
-    interface: `solve`, `residual` and `krylov_solve`.
+    Fourier blocks (see the module docstring): `solve`, with the
+    `residual` of its last answer, and `krylov_solve`.
 
     `matrix` is the operator inverted, a sparse matrix or a
     `SaddleSystem`; only the guards apply it.  `cells` (n^3, L) are its
@@ -305,15 +250,12 @@ class LatticeSolver:
     only, and the real k = 0 block bordered by their rows and columns,
     which replaces the plain one; the multipliers are scaled by n^3 in
     it, the DFT's factor on a field that is the same on every cell.
-    `make_factor` makes the SuperLU `Factorization` that a solve failing
-    its guard falls back to.  Whoever solves with it holds it (see
-    `SaddleSystem`).
+    Whoever solves with it holds it (see `SaddleSystem`).
     """
 
-    def __init__(self, matrix, norm1, cells, symbol, make_factor,
-                 border=None):
+    def __init__(self, matrix, norm1, cells, symbol, border=None):
         self.matrix, self._norm1, self.cells = matrix, norm1, cells
-        self._make_factor, self._border = make_factor, None
+        self._border = None
         if border is not None:
             dofs, block = border
             self._border = dofs, np.linalg.inv(block)
@@ -327,8 +269,7 @@ class LatticeSolver:
         """The solver of a sparse shift-invariant matrix on the dofs
         `cells`, every one of its dofs."""
         return cls(matrix, float(_column_sums(matrix).max()), cells,
-                   _half_symbols(matrix, cells, cells),
-                   lambda: Factorization(matrix))
+                   _half_symbols(matrix, cells, cells))
 
     def _apply(self, rhs):
         """The block solve, unguarded, of one right-hand side or a stack.
@@ -352,23 +293,14 @@ class LatticeSolver:
                 N, L, -1)
         return x.reshape(rhs.shape)
 
-    @cached_property
-    def factor(self) -> Factorization:
-        """The fallback LU of the operator, made on first use."""
-        return self._make_factor()
-
     def solve(self, rhs):
         """Solve for one right-hand side or a column stack of them by the
-        blocks, guarded column by column against `matrix` (see `_guard`);
-        if the guard rejects the answer, by `factor`.  The residual norms
-        are kept in `residual`."""
+        blocks, guarded column by column against `matrix` (see `_guard`,
+        which raises LinearSolveError if it rejects the answer).  The
+        residual norms are kept in `residual`."""
         rhs = np.asarray(rhs, dtype=float)
         x = self._apply(rhs)
-        try:
-            self.residual = _guard(self.matrix, self._norm1, x, rhs)
-        except LinearSolveError:
-            x = self.factor.solve(rhs)
-            self.residual = self.factor.residual
+        self.residual = _guard(self.matrix, self._norm1, x, rhs)
         return x
 
     def krylov_solve(self, system, rhs, x0=None):
@@ -378,14 +310,19 @@ class LatticeSolver:
 
         `system` is a `SaddleSystem`, used only through its `@` and its
         |A|_1.  GMRES runs on y = M x, so it starts from M x0.  Its answer
-        is judged only by the guards of `solve`, against `system`, which
-        raise LinearSolveError if they reject it.
+        is judged only by the guards of `solve`, against `system`; if they
+        reject it, the LinearSolveError names the Arnoldi vectors used.
         """
         rhs = np.asarray(rhs, dtype=float)
-        y = _gmres(lambda v: system @ self._apply(v), rhs,
-                   None if x0 is None else self.matrix @ x0)
+        y, used = _gmres(lambda v: system @ self._apply(v), rhs,
+                         None if x0 is None else self.matrix @ x0)
         x = self._apply(y)
-        return x, float(_guard(system, system.norm1, x, rhs))
+        try:
+            return x, float(_guard(system, system.norm1, x, rhs))
+        except LinearSolveError as exc:
+            raise LinearSolveError(f"GMRES, {used} of "
+                                   f"{KRYLOV_MAX_ITERATIONS} vectors: "
+                                   f"{exc}") from exc
 
 
 def _gmres(apply, b, y):
@@ -396,7 +333,8 @@ def _gmres(apply, b, y):
     The cycle ends when the rotations' residual estimate reaches
     KRYLOV_RTOL |b|, when the Arnoldi vector vanishes (the Krylov space
     holds the answer), or on its KRYLOV_MAX_ITERATIONS-th vector, and its
-    iterate is returned: the caller's guards judge it."""
+    iterate is returned with the number of Arnoldi vectors used (0 if
+    the guess is accepted at once): the caller's guards judge it."""
     tol = KRYLOV_RTOL * _column_norms(b)
     if y is None:
         y, r = np.zeros_like(b), b
@@ -404,7 +342,7 @@ def _gmres(apply, b, y):
         r = b - apply(y)
     beta = _column_norms(r)
     if beta <= tol:
-        return y
+        return y, 0
     eps, m = np.finfo(float).eps, KRYLOV_MAX_ITERATIONS
     V, H = np.empty((m + 1, b.size)), np.zeros((m + 1, m))
     rotations = np.zeros((m, 2))
@@ -432,7 +370,7 @@ def _gmres(apply, b, y):
             break
     # an exactly singular last column (rho = 0) is left out
     k = j + 1 if H[j, j] else j
-    return y + np.linalg.solve(H[:k, :k], g[:k]) @ V[:k]
+    return y + np.linalg.solve(H[:k, :k], g[:k]) @ V[:k], j + 1
 
 
 @dataclass
@@ -452,11 +390,10 @@ class SaddleConstraints:
     mean multiplier, removes the constant pressure (B annihilates it).
     The blocks (B, its transpose, and the mean weights int_s of each
     velocity component and int_p of the pressure) are applied directly
-    (`apply`), and the saddle matrix is assembled only as the input of an
-    LU (`assemble`).  They, the |.| `column_sums` of the saddle matrix
-    with a zero velocity block, and the per-cell dofs of the layout,
-    velocity components first, are shared by the systems of one
-    trajectory."""
+    (`apply`), and the saddle matrix is never assembled.  They, the |.|
+    `column_sums` of the saddle matrix with a zero velocity block, and
+    the per-cell dofs of the layout, velocity components first, are
+    shared by the systems of one trajectory."""
 
     def __init__(self, spaces):
         ops = spaces.ops
@@ -477,9 +414,8 @@ class SaddleConstraints:
 
     def apply(self, F, x) -> np.ndarray:
         """The saddle matrix with velocity block F applied to a vector x,
-        or to each column of a stack, block by block; each row is summed
-        in the order of its row in `assemble`, except that F's part is
-        added last."""
+        or to each column of a stack, block by block; F's part is added
+        last to each momentum row."""
         B, BT, int_s, int_p = self._blocks
         s = self.slices
         rows = x.T                               # (n,), or (k, n)
@@ -494,23 +430,6 @@ class SaddleConstraints:
                 int_s * u.reshape(u.shape[:-1] + (3, -1)))
             y[..., s["beta"]] = _ordered_sum(int_p * p)[..., None]
         return y.T
-
-    def assemble(self, F):
-        """The saddle matrix with velocity block F (None: zero), as
-        scipy's CSC matrix: the input of an LU, so scipy is imported
-        here."""
-        import scipy.sparse as sp
-
-        B, _, int_s, int_p = self._blocks
-        n_u = B.shape[1]
-        Cu = sp.csr_matrix((np.tile(int_s, 3), np.arange(n_u),
-                            int_s.size * np.arange(4)))  # means of u_c
-        mp_col = sp.csc_matrix(int_p[:, None])
-        B = B.tocsc()
-        return sp.bmat([[None if F is None else F.tocsc(), -B.T, Cu.T, None],
-                        [B, None, None, mp_col],
-                        [Cu, None, None, None],
-                        [None, mp_col.T, None, None]], format="csc")
 
     def lattice_solver(self, system) -> LatticeSolver:
         """The block solver of `system`, whose velocity block F must be
@@ -535,21 +454,20 @@ class SaddleConstraints:
         block[L - 1, L + 3] = block[L + 3, L - 1] = int_p[p[0, 0]]
         return LatticeSolver(
             system, system.norm1, np.concatenate([u, p + u.size], axis=1),
-            symbol, lambda: system.factor,
-            border=(np.arange(self.shape[0] - 4, self.shape[0]), block))
+            symbol, border=(np.arange(self.shape[0] - 4, self.shape[0]),
+                            block))
 
 
 class SaddleSystem:
     """The saddle system with velocity block F (`fespace._CSR`) over
     `constraints`.
 
-    It is applied (`@`), and its |A|_1 taken, block by block; the
-    assembled matrix is made only as the input of its own LU, on first
-    use of `factor`, and that factor is reused by every later solve.  A
-    system whose F is invariant under cell shifts (M, or M/dt + nu A/2)
-    is solved by its Fourier blocks instead, by the `LatticeSolver` of
-    `SaddleConstraints.lattice_solver`, and factorized only if a block
-    solve fails its guard.  That solver refers to this system, so the
+    It is applied (`@`), and its |A|_1 taken, block by block; it is
+    never assembled.  A system whose F is invariant under cell shifts (M,
+    or M/dt + nu A/2) is solved by its Fourier blocks, by the
+    `LatticeSolver` of `SaddleConstraints.lattice_solver`; any other, a
+    frozen-advection step's, by GMRES preconditioned with the block
+    solver of such a system.  That solver refers to this system, so the
     code that solves with it holds it (a trajectory's `StepOperator`, the
     projection), and nothing caches it here: a cached one would close a
     reference cycle, which keeps the system, its blocks and the solver's
@@ -581,30 +499,20 @@ class SaddleSystem:
         return float(_column_norms(self @ x - rhs)
                      / max(1.0, _column_norms(rhs)))
 
-    @cached_property
-    def factor(self) -> Factorization:
-        """The LU factor of the assembled matrix, made on first use."""
-        return Factorization(self.constraints.assemble(self.F))
-
     def solve(self, rhs, solver=None, preconditioner=None,
               x0=None) -> SaddleSolution:
         """Guarded solve (see `_guard`) for a full right-hand side built
-        by `rhs`.
+        by `rhs`, by the one solver the caller passes.
 
         With a `preconditioner` (the `LatticeSolver` of a nearby system
         of the same layout) the system is solved by
-        `preconditioner.krylov_solve` from the guess `x0`; if the guards
-        reject its answer, or without one, by `solver`, this system's own
-        block solver, else by `factor`.
+        `preconditioner.krylov_solve` from the guess `x0`, and otherwise
+        by `solver`, this system's own block solver.  An answer the
+        guards reject raises LinearSolveError.
         """
-        x = None
         if preconditioner is not None:
-            try:
-                x, resid = preconditioner.krylov_solve(self, rhs, x0)
-            except LinearSolveError:
-                pass
-        if x is None:
-            solver = self.factor if solver is None else solver
+            x, resid = preconditioner.krylov_solve(self, rhs, x0)
+        else:
             x = solver.solve(rhs)
             resid = float(solver.residual)
         return SaddleSolution(x=x, slices=self.slices, residual=resid

@@ -10,20 +10,21 @@ Three schemes advance a trajectory on the uniform net t_m = m*dt:
 * CNLE -- linearly implicit: the advecting field is extrapolated as
   (3 u^{m-1} - u^{m-2}) / 2 and the step is a single solve.
 * CNAB -- convection fully explicit (3/2, -1/2 combination); the step
-  matrix is time-independent and its factorization is reused.
+  matrix is time-independent, and its block solver is made once.
 
 CNLE and CNAB take their first step with CN so the two-level history
 exists; both are defined with the symmetrized (case 1) convective form.
 Each solved velocity is discretely divergence-free and componentwise
 mean-free, enforced through the constraint rows of the saddle system.
 
-A trajectory makes no LU factorization.  Its zero-advection (CNAB)
-system is invariant under cell shifts and is solved by its lattice
-Fourier blocks (`linsolve.LatticeSolver`): CNAB solves with them
-directly, and every frozen-advection solve of CN and CNLE runs GMRES
-preconditioned with them, each from the previous solve's answer.  The
-initial datum is projected by the blocks of its own system, with
-velocity block M (`forms.project_div_free`).
+A trajectory factorizes nothing.  Its zero-advection (CNAB) system is
+invariant under cell shifts and is solved by its lattice Fourier blocks
+(`linsolve.LatticeSolver`): CNAB solves with them directly, and every
+frozen-advection solve of CN and CNLE runs GMRES preconditioned with
+them, each from the previous solve's answer.  The initial datum is
+projected by the blocks of its own system, with velocity block M
+(`forms.project_div_free`).  An answer the guards reject raises
+`linsolve.LinearSolveError`, which ends the run.
 All its saddle systems share one set of constraint blocks
 (`linsolve.SaddleConstraints`) and differ only in their velocity block
 F, which also fixes the right-hand side, Crank-Nicolson's (2M/dt - F)
@@ -41,7 +42,8 @@ import numpy as np
 
 from . import forms
 from .fespace import project_velocity, velocity_l2
-from .linsolve import SaddleConstraints, SaddleSolution, SaddleSystem
+from .linsolve import (LinearSolveError, SaddleConstraints, SaddleSolution,
+                       SaddleSystem)
 
 SCHEMES = ("CN", "CNLE", "CNAB")
 
@@ -183,9 +185,8 @@ class StepOperator:
 
     def solve_frozen(self, advect, u_prev) -> SaddleSolution:
         """Solve `frozen_system` once, by GMRES preconditioned with the
-        trajectory's block solver, from the answer of the previous solve
-        (a fresh factorization if the guards reject its answer, freed on
-        return, before the next Picard iterate assembles its system)."""
+        trajectory's block solver, from the answer of the previous solve;
+        an answer the guards reject raises LinearSolveError."""
         system, rhs = self.frozen_system(advect, u_prev)
         sol = system.solve(rhs, preconditioner=self.solver,
                            x0=self._start)
@@ -276,7 +277,10 @@ def run(config: SchemeConfig, spaces, u0) -> DiscreteTrajectory:
     """
     # the datum's samples and the projection's system are freed before
     # the step operator is made, so the peak holds one set at a time
-    start = forms.project_div_free(spaces, project_velocity(spaces, u0))
+    try:
+        start = forms.project_div_free(spaces, project_velocity(spaces, u0))
+    except LinearSolveError as exc:
+        raise LinearSolveError(f"datum projection: {exc}") from exc
     op = StepOperator(spaces, config)
     N = config.N
     u = np.zeros((N + 1, 3 * spaces.n_scalar))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from torusns.cli import study_steps
 from torusns.diagnostics import build_report
@@ -36,6 +37,44 @@ def as_scipy():
                              shape=matrix.shape)
 
     return convert
+
+
+@pytest.fixture(scope="session")
+def saddle_matrix(as_scipy):
+    """The assembled matrix of a saddle system (`linsolve.SaddleSystem`),
+    built from its velocity block F and its constraint blocks by
+    `sp.bmat` as scipy's CSC matrix, in the layout [u, p, alpha, beta]:
+    [[F, -B^T, W^T, 0], [B, 0, 0, m], [W, 0, 0, 0], [0, m^T, 0, 0]], with
+    W = diag(int_s, int_s, int_s) and m = int_p; the reference of the
+    tests of products, norms and solves."""
+    def assemble(system):
+        B, _, int_s, int_p = system.constraints._blocks
+        B, n_u = as_scipy(B).tocsc(), B.shape[1]
+        W = sp.csr_matrix((np.tile(int_s, 3), np.arange(n_u),
+                           int_s.size * np.arange(4)))
+        m = sp.csc_matrix(int_p[:, None])
+        return sp.bmat([[as_scipy(system.F).tocsc(), -B.T, W.T, None],
+                        [B, None, None, m],
+                        [W, None, None, None],
+                        [None, m.T, None, None]], format="csc")
+
+    return assemble
+
+
+@pytest.fixture(scope="session")
+def lu_solve(as_scipy):
+    """The reference solve of a sparse matrix (scipy's or the package's)
+    for one right-hand side or a column stack, by SuperLU: minimum-degree
+    ordering on A^T + A, diagonal pivots preferred down to 0.1 of their
+    column's largest entry (the symmetric-mode settings of the SuperLU
+    Users' Guide, which keep the saddle systems' fill small).  Unguarded:
+    a test that wants the guards calls `linsolve._guard` on the answer."""
+    def solve(matrix, rhs):
+        lu = spla.splu(as_scipy(matrix).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.1)
+        return lu.solve(np.asarray(rhs, dtype=float))
+
+    return solve
 
 
 @pytest.fixture(scope="session")

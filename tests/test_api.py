@@ -76,3 +76,20 @@ def test_every_module_constant_is_read():
                     if name not in read)
     assert assigned, "no module constant found"
     assert not unread, f"module constants nothing reads: {unread}"
+
+
+def test_no_module_imports_scipy():
+    # the package needs numpy alone: no `import scipy...` or `from
+    # scipy... import` anywhere in it, function-local ones included
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported at {found}"

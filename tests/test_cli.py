@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import torusns.cli
+from torusns import linsolve
 from torusns.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, CSV_COLUMNS,
                          RunSpec, StudySpec, emit_config, main, parse_config,
                          rerender_report, run_study)
@@ -243,8 +246,9 @@ def _python(code, cwd):
 
 
 def test_solver_failure_is_one_line_on_stderr(tmp_path):
-    # dt = 1e-300: the guards reject the step's answer, and nothing but
-    # the failure reaches stderr, no arithmetic warning either
+    # dt = 1e-300: the guards reject the step's GMRES answer, and nothing
+    # but the failure, with the vectors GMRES used, reaches stderr, no
+    # arithmetic warning either
     body = BASE_CFG.replace("T = 0.5", "T = 1e-300") \
                    .replace("steps = 4", "steps = 1") \
                    .replace("sine-shear", "tg-like")
@@ -253,13 +257,43 @@ def test_solver_failure_is_one_line_on_stderr(tmp_path):
                    f"['run', '--config', {cfg!r}, '--out', 'x']))", tmp_path)
     assert done.returncode == EXIT_SOLVER
     assert done.stderr.startswith("solver failure at step 1:")
+    assert re.search(r": GMRES, \d+ of 60 vectors: ", done.stderr)
     assert done.stderr.count("\n") == 1
 
 
-def test_runs_and_reports_load_no_scipy_linalg(tmp_path):
+def test_diverging_picard_run_exits_on_its_first_rejected_answer(
+        tmp_path, capsys, monkeypatch):
+    # CN case 3 at nu = 0.001, dt = 1: the first Picard iterate's GMRES
+    # cycle ends on its 60th vector with a residual the guards reject,
+    # and that one rejection ends the run
+    body = BASE_CFG.replace("case = 1", "case = 3") \
+                   .replace("nu = 0.2", "nu = 0.001") \
+                   .replace("T = 0.5", "T = 2.0") \
+                   .replace("steps = 4", "steps = 2") \
+                   .replace("n_cells = 2", "n_cells = 4") \
+                   .replace("sine-shear", "random-trig")
+    cfg = write_cfg(tmp_path, body + "picard_max_iters = 50\n")
+    guard, rejected = linsolve._guard, []
+
+    def counting(*args):
+        try:
+            return guard(*args)
+        except linsolve.LinearSolveError:
+            rejected.append(1)
+            raise
+    monkeypatch.setattr(linsolve, "_guard", counting)
+    assert main(["run", "--config", cfg, "--out",
+                 str(tmp_path / "x")]) == EXIT_SOLVER
+    assert len(rejected) == 1
+    assert re.match(r"solver failure at step 1: step 1 failed: GMRES, 60 of "
+                    r"60 vectors: residual \S+ exceeds 1e-11 \* \|rhs\|\n$",
+                    capsys.readouterr().err)
+
+
+def test_runs_and_reports_import_no_scipy(tmp_path):
     # a case-3 CN run (every Picard iterate a GMRES solve), the report of
-    # its trajectory and a study: SuperLU, and with it scipy.linalg, is
-    # imported only by a factorization, which none of them makes
+    # its trajectory, a study and the self-checks: their products and
+    # solves are the package's own, and none imports a scipy module
     body = BASE_CFG.replace("case = 1", "case = 3") \
                    .replace("steps = 4", "steps = 2") \
                    .replace("sine-shear", "tg-like")
@@ -269,40 +303,22 @@ import sys
 from torusns import cli, linsolve
 gmres, calls = linsolve._gmres, []
 linsolve._gmres = lambda *args: calls.append(1) or gmres(*args)
+seen = []
 for args in (["run", "--config", {cfg!r}, "--out", "run"],
              ["report", "--traj", "run", "--out", "report"],
-             ["study", "--config", {cfg!r}, "--out", "study"]):
+             ["study", "--config", {cfg!r}, "--out", "study"],
+             ["check"]):
     assert cli.main(args) == 0
-    print(args[0], len(calls),
-          *(name in sys.modules for name in ("scipy.linalg",
-                                             "scipy.sparse.linalg")))
+    seen.append((args[0], len(calls), sorted(
+        name for name in sys.modules if name.split(".")[0] == "scipy")))
+print(repr(seen))
 """, tmp_path)
     assert done.returncode == 0, done.stderr
-    lines = [line.split() for line in done.stdout.splitlines()]
-    assert [line[0] for line in lines] == ["run", "report", "study"]
-    assert int(lines[0][1]) > 2
-    assert all(line[2:] == ["False", "False"] for line in lines)
-
-
-def test_runs_and_reports_import_no_scipy(tmp_path):
-    # the products of a run, a report and a study are the package's own:
-    # only a fallback LU or `torusns check` imports scipy
-    body = BASE_CFG.replace("case = 1", "case = 3") \
-                   .replace("steps = 4", "steps = 2") \
-                   .replace("sine-shear", "tg-like")
-    cfg = write_cfg(tmp_path, body + "\n[study]\nlevels = 2,3\n")
-    done = _python(f"""
-import sys
-from torusns import cli
-for args in (["run", "--config", {cfg!r}, "--out", "run"],
-             ["report", "--traj", "run", "--out", "report"],
-             ["study", "--config", {cfg!r}, "--out", "study"]):
-    assert cli.main(args) == 0
-    print(args[0], *sorted(name for name in sys.modules
-                           if name.split(".")[0] == "scipy"))
-""", tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["run", "report", "study"]
+    seen = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert [command for command, _, _ in seen] == ["run", "report",
+                                                   "study", "check"]
+    assert seen[0][1] > 2
+    assert all(modules == [] for _, _, modules in seen)
 
 
 def test_report_imports_no_numpy_random(tmp_path):

@@ -353,7 +353,7 @@ def test_vector_patterns_match_the_sorted_ones(level):
         assert not block.indptr.flags.writeable
 
 
-def _product_operands(spaces):
+def _product_operands(spaces, as_scipy, saddle_matrix):
     """name -> (the package's operator, its scipy matrix A) for every
     product a run or a report makes: the mass and stiffness matrices, B
     and B^T, the case-1 and case-3 convection matrices and a frozen case-3
@@ -367,18 +367,19 @@ def _product_operands(spaces):
                 "B^T": ops.B.T,
                 "F case 1": convection_matrix(spaces, 1, w),
                 "F case 3": convection_matrix(spaces, 3, w)}
-    out = {name: (A, A.tocsc().tocsr()) for name, A in matrices.items()}
-    out["saddle"] = (system, system.constraints.assemble(system.F).tocsr())
+    out = {name: (A, as_scipy(A)) for name, A in matrices.items()}
+    out["saddle"] = (system, saddle_matrix(system).tocsr())
     return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_products_match_scipy(level, n):
+def test_products_match_scipy(level, as_scipy, saddle_matrix, n):
     # within 1e-15 of the largest |A||x|, for a vector and 3- and
     # 24-column stacks; every column of a stack is bitwise the product
     # with that column alone, which the norms' bitwise rows rest on
     rng = np.random.default_rng(n)
-    for name, (A, want) in _product_operands(level(n)).items():
+    for name, (A, want) in _product_operands(level(n), as_scipy,
+                                             saddle_matrix).items():
         x = rng.standard_normal(want.shape[1])
         got = A @ x
         assert got.shape == (want.shape[0],)

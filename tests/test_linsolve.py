@@ -1,4 +1,3 @@
-import sys
 import warnings
 
 import numpy as np
@@ -7,18 +6,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from torusns import checks, linsolve
-from torusns.fespace import (build_spaces, commutator_constant,
-                             inf_sup_constant, inverse_constant,
-                             pressure_commutator_constant, pressure_l2,
-                             project_velocity, velocity_l2)
+from torusns.fespace import pressure_l2, project_velocity, velocity_l2
 from torusns.forms import project_div_free
 from torusns.linsolve import (AMPLIFICATION_LIMIT, RESIDUAL_REL_TOL,
-                              Factorization, LatticeSolver, LinearSolveError,
+                              LatticeSolver, LinearSolveError,
                               SaddleConstraints, SaddleSystem, _column_sums,
                               _guard)
-from torusns.mesh import build_torus_mesh
-from torusns.steppers import SchemeConfig, StepOperator, run, step_cn
-from torusns.trig import TrigPoly, sine_shear, tg_like
+from torusns.steppers import SchemeConfig, StepOperator, step_cn
+from torusns.trig import sine_shear, tg_like
 
 
 def make_operator(level, n, dt=0.125, nu=0.5):
@@ -27,14 +22,13 @@ def make_operator(level, n, dt=0.125, nu=0.5):
     return spaces, StepOperator(spaces, cfg)
 
 
-def assembled(system):
-    """The assembled matrix of a saddle system, the input of its LU."""
-    return system.constraints.assemble(system.F)
-
-
 def solve(spaces, F, rhs_u):
-    system = SaddleSystem(SaddleConstraints(spaces), F)
-    return system.solve(system.rhs(rhs_u))
+    """The saddle system with shift-invariant velocity block F, solved by
+    its lattice blocks."""
+    constraints = SaddleConstraints(spaces)
+    system = SaddleSystem(constraints, F)
+    return system.solve(system.rhs(rhs_u),
+                        solver=constraints.lattice_solver(system))
 
 
 def test_zero_rhs_gives_zero(level):
@@ -70,30 +64,36 @@ def test_solution_is_discretely_divergence_free(level):
 
 def test_singular_matrix_aborts(level):
     # a zero velocity block leaves most velocity directions unconstrained
-    spaces = level(2)
-    n_u = 3 * spaces.n_scalar
-    rhs = np.random.default_rng(2).standard_normal(n_u)
+    # (SuperLU fails to factorize it): GMRES preconditioned by the step's
+    # blocks finds no answer the guards accept
+    spaces, op = make_operator(level, 2)
+    rhs = np.random.default_rng(2).standard_normal(3 * spaces.n_scalar)
+    zero = op.F0.pattern.matrix(np.zeros(op.F0.pattern.nnz))
+    system = SaddleSystem(op.constraints, zero)
     with pytest.raises(LinearSolveError):
-        solve(spaces, sp.csr_matrix((n_u, n_u)), rhs)
+        system.solve(system.rhs(rhs), preconditioner=op.solver)
 
 
-def test_column_stack_with_one_bad_column_raises():
+def test_column_stack_with_one_bad_column_raises(lu_solve):
     # nearly singular: the second pivot is 1.4e-17, so a right-hand side
     # off the range gets a solution of size 7.6e16 with a zero residual
-    factor = Factorization(sp.csc_matrix(np.array([[0.1, 0.3], [0.3, 0.9]])))
+    A = sp.csr_matrix(np.array([[0.1, 0.3], [0.3, 0.9]]))
+    norm1 = _column_sums(A).max()
     good = np.array([[0.4, 0.1], [1.2, 0.3]])
-    factor.solve(good)
-    assert np.all(factor.residual <= 1e-11 * np.linalg.norm(good, axis=0))
+    resid = _guard(A, norm1, lu_solve(A, good), good)
+    assert np.all(resid <= 1e-11 * np.linalg.norm(good, axis=0))
+    bad = np.column_stack([good, [1.0, 0.0]])
     with pytest.raises(LinearSolveError, match="residual"):
-        factor.solve(np.column_stack([good, [1.0, 0.0]]))
+        _guard(A, norm1, lu_solve(A, bad), bad)
 
 
-def test_zero_residual_blow_up_raises():
+def test_zero_residual_blow_up_raises(lu_solve):
     # x = [0, 1e14] solves this exactly in floating point: only the
     # amplification |A||x| / |b| shows the tiny pivot
-    factor = Factorization(sp.csc_matrix(np.diag([1.0, 1e-14])))
+    A = sp.csr_matrix(np.diag([1.0, 1e-14]))
+    b = np.array([0.0, 1.0])
     with pytest.raises(LinearSolveError, match="residual"):
-        factor.solve(np.array([0.0, 1.0]))
+        _guard(A, _column_sums(A).max(), lu_solve(A, b), b)
 
 
 def test_guard_judges_right_hand_sides_near_overflow():
@@ -127,79 +127,40 @@ def test_guard_takes_the_amplification_of_overflowing_norms():
                    np.array([0.0, 1.0]))
 
 
-def step_systems(spaces, u, M):
-    """Matrix and right-hand side of the case-3 CN step (dt = 1/128),
-    the CNAB step and the divergence-free projection (vector mass M) at
-    u."""
+def step_systems(spaces, u, M, saddle_matrix):
+    """Assembled matrix and right-hand side of the case-3 CN step (dt =
+    1/128), the CNAB step and the divergence-free projection (vector mass
+    M) at u."""
     op = StepOperator(spaces, SchemeConfig(scheme="CN", case=3, nu=0.1,
                                            T=1 / 128, N=1))
     step, rhs = op.frozen_system(u, u)
     cnab = op.explicit_system
     projection = SaddleSystem(SaddleConstraints(spaces), M)
-    return {"step": (assembled(step), rhs),
-            "cnab": (assembled(cnab),
+    return {"step": (saddle_matrix(step), rhs),
+            "cnab": (saddle_matrix(cnab),
                      cnab.rhs(op.midpoint_rhs(cnab.F, u))),
-            "projection": (assembled(projection),
+            "projection": (saddle_matrix(projection),
                            projection.rhs(M @ u))}
 
 
-def test_amplification_far_below_guard_limit(level, vector_mass,
-                                             as_scipy):
+def test_amplification_far_below_guard_limit(level, vector_mass, as_scipy,
+                                             saddle_matrix, lu_solve):
     # |A|_1 |x|_1 / |b|_1 on real solves stays six decades below the
     # guard's 1e12 (measured at most 3.6e2, on the projection)
     spaces = level(3)
     u = project_velocity(spaces, tg_like())
     rng = np.random.default_rng(5)
-    solves = [(Factorization(A), b) for A, b in
-              step_systems(spaces, u, vector_mass(spaces)).values()]
+    solves = [(A, b, lu_solve(A, b)) for A, b in step_systems(
+        spaces, u, vector_mass(spaces), saddle_matrix).values()]
     ops = spaces.ops
-    solves += [(lu, rng.standard_normal((lu.matrix.shape[0], 3)))
-               for lu in (ops.Ms_solver, ops.Mp_solver)]
-    for factor, b in solves:
-        x = factor.solve(b)
-        ratio = (spla.norm(as_scipy(factor.matrix), 1)
+    for solver in (ops.Ms_solver, ops.Mp_solver):
+        b = rng.standard_normal((solver.matrix.shape[0], 3))
+        solves.append((solver.matrix, b, solver.solve(b)))
+    for A, b, x in solves:
+        ratio = (spla.norm(as_scipy(A), 1)
                  * np.abs(x).sum(axis=0)
                  / np.abs(b).sum(axis=0))
         assert np.max(ratio) <= 1e6
-
-
-def test_step_factor_fill_is_small(level, vector_mass):
-    # minimum degree on A^T + A: 33 627 entries in L + U, against
-    # 283 176 with SuperLU's default COLAMD ordering
-    spaces = level(3)
-    A, _ = step_systems(spaces, project_velocity(spaces, tg_like()),
-                        vector_mass(spaces))["step"]
-    assert Factorization(A)._lu.nnz < 80_000
-
-
-def test_every_factorization_goes_through_factorization(monkeypatch):
-    callers = []
-    splu = spla.splu
-
-    def spy(*args, **kwargs):
-        frame = sys._getframe(1)
-        callers.append((type(frame.f_locals.get("self")).__name__,
-                        frame.f_code.co_name))
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", spy)
-    spaces = build_spaces(build_torus_mesh(2))
-    for scheme in ("CN", "CNLE", "CNAB"):
-        run(SchemeConfig(scheme=scheme, case=1, nu=0.5, T=0.25, N=3),
-            spaces, tg_like())
-    project_div_free(spaces, np.random.default_rng(3).standard_normal(
-        3 * spaces.n_scalar))
-    phi = TrigPoly.constant(2.0) + TrigPoly.cosine((1, 0, 0))
-    commutator_constant(spaces, phi)
-    pressure_commutator_constant(spaces, phi)
-    inverse_constant(spaces)
-    inf_sup_constant(spaces)
-    # the mass matrices, the runs' step systems and the projection are
-    # solved by lattice blocks, and the four constants are eigenvalues of
-    # lattice blocks: SuperLU is reached only from a failed guard or a
-    # failed GMRES, and none fails here
-    assert callers == []
-
 
 
 def frozen_step(spaces, case, dt, nu):
@@ -215,11 +176,12 @@ def frozen_step(spaces, case, dt, nu):
 
 @pytest.mark.parametrize("case, dt, nu", [(3, 1 / 128, 0.1),
                                           (1, 1 / 8, 0.01)])
-def test_krylov_solve_matches_the_direct_solve(level, case, dt, nu):
+def test_krylov_solve_matches_the_direct_solve(level, saddle_matrix,
+                                               lu_solve, case, dt, nu):
     spaces = level(3)
     op, system, rhs = frozen_step(spaces, case, dt, nu)
-    A = assembled(system)
-    direct = Factorization(A).solve(rhs)
+    A = saddle_matrix(system)
+    direct = lu_solve(A, rhs)
     x, resid = op.solver.krylov_solve(system, rhs)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     # both guards, checked here rather than trusted: the residual is
@@ -234,32 +196,33 @@ def test_krylov_solve_matches_the_direct_solve(level, case, dt, nu):
             <= AMPLIFICATION_LIMIT * np.abs(rhs).sum())
 
 
-def lattice_systems(spaces, M):
+def lattice_systems(spaces, M, saddle_matrix):
     """The four shift-invariant systems a run solves by lattice blocks
-    (the projection's with vector mass M): name -> (block solver, the
-    matrix its LU would factorize)."""
+    (the projection's with vector mass M): name -> (block solver, its
+    assembled matrix)."""
     ops = spaces.ops
     op = StepOperator(spaces, SchemeConfig(scheme="CN", case=1, nu=0.1,
                                            T=1 / 16, N=1))
     constraints = SaddleConstraints(spaces)
     projection = SaddleSystem(constraints, M)
-    return {"step": (op.solver, assembled(op.explicit_system)),
+    return {"step": (op.solver, saddle_matrix(op.explicit_system)),
             "projection": (constraints.lattice_solver(projection),
-                           assembled(projection)),
+                           saddle_matrix(projection)),
             "M_s": (ops.Ms_solver, ops.M_s), "Mp": (ops.Mp_solver, ops.Mp)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_lattice_blocks_match_the_lu(level, vector_mass, n):
+def test_lattice_blocks_match_the_lu(level, vector_mass, saddle_matrix,
+                                    lu_solve, n):
     # odd and even n: only an even n has an rfft Nyquist plane; one
     # right-hand side and a stack of three
     rng = np.random.default_rng(n)
     spaces = level(n)
-    for name, (solver, A) in lattice_systems(spaces,
-                                             vector_mass(spaces)).items():
+    for name, (solver, A) in lattice_systems(
+            spaces, vector_mass(spaces), saddle_matrix).items():
         for b in (rng.standard_normal(A.shape[0]),
                   rng.standard_normal((A.shape[0], 3))):
-            want = Factorization(A).solve(b)
+            want = lu_solve(A, b)
             x = solver.solve(b)
             assert x.shape == b.shape
             err = np.abs(x - want).max(axis=0)
@@ -269,21 +232,20 @@ def test_lattice_blocks_match_the_lu(level, vector_mass, n):
 
 
 @pytest.mark.parametrize("name", ["step", "projection", "M_s", "Mp"])
-def test_wrong_block_solve_falls_back_to_the_lu(level, vector_mass,
-                                                monkeypatch, as_scipy, name):
+def test_wrong_block_solve_is_rejected(level, vector_mass, saddle_matrix,
+                                       monkeypatch, name):
+    # an answer 1% off fails the residual guard, which raises: no other
+    # solve replaces it
     spaces = level(3)
-    solver, A = lattice_systems(spaces, vector_mass(spaces))[name]
+    solver, A = lattice_systems(spaces, vector_mass(spaces),
+                                saddle_matrix)[name]
     b = np.random.default_rng(1).standard_normal(A.shape[0])
-    want = Factorization(A).solve(b)
+    solver.solve(b)
     apply = LatticeSolver._apply
     monkeypatch.setattr(LatticeSolver, "_apply",
                         lambda self, rhs: 1.01 * apply(self, rhs))
     with pytest.raises(LinearSolveError, match="residual"):
-        _guard(A, spla.norm(as_scipy(A), 1), solver._apply(b), b)
-    x = solver.solve(b)
-    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-    _guard(A, spla.norm(as_scipy(A), 1), x, b)
-    assert solver.residual == solver.factor.residual
+        solver.solve(b)
 
 
 def test_warm_started_gmres_takes_fewer_iterations(level, monkeypatch):
@@ -314,32 +276,34 @@ def test_krylov_answer_failing_a_guard_is_never_returned(level, monkeypatch,
     # a non-finite y
     spaces = level(3)
     op, system, rhs = frozen_step(spaces, 1, 1 / 8, 0.01)
-    direct = system.factor.solve(rhs)
 
     def gmres(apply, b, y):
         return (b.copy() if answer == "preconditioner"
-                else np.full_like(b, np.nan))
+                else np.full_like(b, np.nan)), 1
 
     monkeypatch.setattr(linsolve, "_gmres", gmres)
     with pytest.raises(LinearSolveError, match="residual|finite"):
         op.solver.krylov_solve(system, rhs)
-    sol = system.solve(rhs, preconditioner=op.solver)
-    assert np.array_equal(sol.x, direct)
+    with pytest.raises(LinearSolveError,
+                       match="^GMRES, 1 of 60 vectors: (residual|solution)"):
+        system.solve(rhs, preconditioner=op.solver)
 
 
 @pytest.mark.parametrize("case, dt, nu", [(3, 1 / 128, 0.1),
                                           (1, 1 / 8, 0.01)])
-def test_gmres_reaches_the_true_residual(level, case, dt, nu):
+def test_gmres_reaches_the_true_residual(level, saddle_matrix, lu_solve,
+                                        case, dt, nu):
     # the answer of the preconditioned system meets KRYLOV_RTOL on its
     # own residual, and maps to the LU answer of the advected system
     op, system, rhs = frozen_step(level(3), case, dt, nu)
 
     def apply(y):
         return system @ op.solver._apply(y)
-    y = linsolve._gmres(apply, rhs, None)
+    y, used = linsolve._gmres(apply, rhs, None)
+    assert 0 < used < linsolve.KRYLOV_MAX_ITERATIONS
     assert (np.linalg.norm(rhs - apply(y))
             <= linsolve.KRYLOV_RTOL * np.linalg.norm(rhs))
-    direct = system.factor.solve(rhs)
+    direct = lu_solve(saddle_matrix(system), rhs)
     x = op.solver._apply(y)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
 
@@ -374,8 +338,8 @@ def test_gmres_on_its_own_preconditioner_stops_at_once(level, rhs):
     applied.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = linsolve._gmres(apply, b, None)
-    assert len(applied) == 1
+        y, used = linsolve._gmres(apply, b, None)
+    assert len(applied) == used == 1
     want = solver.solve(b)
     assert np.abs(solver._apply(y) - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -386,53 +350,50 @@ def test_gmres_breakdown_divides_by_no_zero():
     b[0] = 3.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = linsolve._gmres(lambda v: 2.0 * v, b, None)
+        y, used = linsolve._gmres(lambda v: 2.0 * v, b, None)
     assert np.array_equal(y, b / 2.0)
+    assert used == 1
 
 
-def test_short_gmres_cycles_fall_back_to_the_lu(level, monkeypatch):
+def test_short_gmres_cycles_are_rejected(level, monkeypatch):
     # this advected step takes 7 iterations in one cycle; a cycle of 2
-    # vectors leaves a residual the guard rejects, so the Krylov solve
-    # raises, and the system's own solve gives its LU answer
+    # vectors leaves a residual the guard rejects, and the system's solve
+    # raises with the vectors used
     op, system, rhs = frozen_step(level(3), 1, 1 / 8, 0.01)
-    direct = system.factor.solve(rhs)
     monkeypatch.setattr(linsolve, "KRYLOV_MAX_ITERATIONS", 2)
-    with pytest.raises(LinearSolveError, match="residual"):
-        op.solver.krylov_solve(system, rhs)
-    sol = system.solve(rhs, preconditioner=op.solver)
-    assert np.array_equal(sol.x, direct)
+    with pytest.raises(LinearSolveError,
+                       match="^GMRES, 2 of 2 vectors: residual"):
+        system.solve(rhs, preconditioner=op.solver)
 
 
 def test_stagnating_gmres_answer_is_accepted_by_the_guards(level,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           saddle_matrix,
+                                                           lu_solve):
     # no residual estimate reaches KRYLOV_RTOL = 1e-17, so the cycle ends
-    # on its last vector (no Arnoldi vector vanishes here); the guards
-    # pass that answer, and no solve falls back to an LU
+    # on its last vector (no Arnoldi vector vanishes here), and the
+    # guards pass that answer
     op, system, rhs = frozen_step(level(3), 1, 1 / 8, 0.01)
-    direct = Factorization(assembled(system)).solve(rhs)
+    direct = lu_solve(saddle_matrix(system), rhs)
     monkeypatch.setattr(linsolve, "KRYLOV_RTOL", 1e-17)
     gmres, applied = linsolve._gmres, []
 
     def counting(apply, b, y):
         return gmres(lambda v: applied.append(1) or apply(v), b, y)
     monkeypatch.setattr(linsolve, "_gmres", counting)
-    factorized, splu = [], spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs:
-                        factorized.append(1) or splu(*args, **kwargs))
     sol = system.solve(rhs, preconditioner=op.solver)
     assert len(applied) == linsolve.KRYLOV_MAX_ITERATIONS
-    assert factorized == []
     assert np.abs(sol.x - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
-def test_norm1_matches_scipy(level):
+def test_norm1_matches_scipy(level, saddle_matrix):
     # a case-3 frozen system, a plain saddle system, and a matrix with
     # empty columns (first, inner and last)
     spaces = level(3)
     op, system, _ = frozen_step(spaces, 3, 1 / 128, 0.1)
     gappy = sp.csc_matrix(np.array([[0.0, 2.0, 0.0, -5.0, 0.0],
                                     [0.0, -3.0, 0.0, 0.5, 0.0]]))
-    for matrix in (assembled(system), assembled(op.explicit_system),
+    for matrix in (saddle_matrix(system), saddle_matrix(op.explicit_system),
                    gappy):
         want = spla.norm(matrix, 1)
         assert (abs(_column_sums(matrix.tocsr()).max() - want)
@@ -459,25 +420,25 @@ def test_case3_step_calls_no_scipy_norm(level, monkeypatch):
     assert calls == []
 
 
-def test_blockwise_residual_matches_the_assembled_one(level):
+def test_blockwise_residual_matches_the_assembled_one(level, saddle_matrix):
     # at a random (non-solution) x the residual is O(1), so the two
     # evaluation orders agree to roundoff relative to it
     spaces = level(3)
     op, system, rhs = frozen_step(spaces, 3, 1 / 128, 0.1)
     x = np.random.default_rng(11).standard_normal(rhs.size)
-    want = (np.linalg.norm(assembled(system) @ x - rhs)
+    want = (np.linalg.norm(saddle_matrix(system) @ x - rhs)
             / max(1.0, np.linalg.norm(rhs)))
     assert abs(system.residual(x, rhs) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("case", [1, 3])
-def test_norm1_from_the_blocks(level, case, n):
+def test_norm1_from_the_blocks(level, saddle_matrix, case, n):
     # |A|_1 from the constraint blocks' column sums and F's, against
     # scipy's on the assembled matrix, for a frozen and the CNAB system
     op, system, _ = frozen_step(level(n), case, 1 / 128, 0.1)
     for s in (system, op.explicit_system):
-        want = spla.norm(assembled(s), 1)
+        want = spla.norm(saddle_matrix(s), 1)
         assert abs(s.norm1 - want) <= 1e-14 * want
 
 

@@ -15,8 +15,7 @@ from torusns.fespace import (pressure_values, project_velocity, velocity_h1,
 from torusns.forms import (b_form, convection_rhs, divergence_norm,
                            project_div_free, rotation_matrix,
                            transport_matrix)
-from torusns.linsolve import (Factorization, LatticeSolver, LinearSolveError,
-                              SaddleConstraints, SaddleSystem)
+from torusns.linsolve import LatticeSolver, LinearSolveError, SaddleSystem
 from torusns.steppers import (ConfigError, SchemeConfig, StepOperator,
                               StepperError, check_coupling, run, step_cn,
                               step_cnab)
@@ -258,48 +257,35 @@ def test_cnab_assembles_each_convection_once(level, monkeypatch):
     assert len(calls) == N
 
 
-def count_factorizations(monkeypatch):
-    made = []
-    init = Factorization.__init__
-
-    def spy(self, *args, **kwargs):
-        made.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Factorization, "__init__", spy)
-    return made
-
-
 @pytest.mark.parametrize("scheme, case", [("CN", 1), ("CN", 3),
                                           ("CNLE", 1), ("CNAB", 1)])
 def test_trajectory_makes_one_step_factorization(level, monkeypatch,
                                                  scheme, case):
     # the zero-advection system, that every Picard iterate and CNLE step
-    # is preconditioned with, is solved by its lattice blocks, and so are
-    # the projection of the datum and the mass solves: no LU at all, and
-    # no SuperLU call outside `Factorization` either
+    # is preconditioned with, has its lattice blocks inverted once per
+    # trajectory, and the projection of the datum its own: no other
+    # saddle system is inverted, and nothing is factorized (no module of
+    # the package imports scipy, test_api)
     spaces = level(2)
-    made = count_factorizations(monkeypatch)
-    splu_calls, splu = [], spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: (
-        splu_calls.append(1) or splu(*args, **kwargs)))
+    inverted, init = [], LatticeSolver.__init__
+
+    def spy(self, matrix, *args, **kwargs):
+        inverted.append(type(matrix).__name__)
+        init(self, matrix, *args, **kwargs)
+    monkeypatch.setattr(LatticeSolver, "__init__", spy)
     traj = run(SchemeConfig(scheme=scheme, case=case, nu=0.3, T=0.5, N=4),
                spaces, tg_like())
     assert traj.picard_iters[0] > 1
-    assert len(made) == 0
-    assert splu_calls == []
+    assert inverted.count("SaddleSystem") == 2
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_run_projects_the_datum_with_the_step_factor(level, tmp_path,
-                                                     monkeypatch, seed):
+def test_run_projects_the_datum_with_the_step_factor(level, tmp_path, seed):
     # the cn3-picard shape (n=5, dt = 1/128): a run solves its mass,
     # projection and step systems by lattice blocks, and factorizes none
     spec = RunSpec(n_cells=5, scheme="CN", case=3, T=1 / 128, steps=1,
                    datum="random-trig", seed=seed, with_local_energy=False)
-    made = count_factorizations(monkeypatch)
     run_single(spec, tmp_path)
-    assert len(made) == 0
     with np.load(tmp_path / "trajectory.npz") as stored:
         start = stored["u"][0]
     spaces = level(5)
@@ -309,59 +295,50 @@ def test_run_projects_the_datum_with_the_step_factor(level, tmp_path,
 
 
 @pytest.mark.parametrize("failure", ["blocks", "guard"])
-def test_datum_projection_falls_back_to_its_own_factorization(
-        level, vector_mass, monkeypatch, failure):
-    # a block solve whose answer is wrong, or whose guard rejects it,
-    # gives the LU answer of the projection system, made once
+def test_rejected_datum_projection_is_a_solver_failure(level, monkeypatch,
+                                                       failure):
+    # a saddle block solve of the projection whose answer is wrong, or
+    # whose guard rejects it, ends the run before its first step, named
+    # by the solve
     spaces = level(3)
-    c = project_velocity(spaces, tg_like())
-    M = vector_mass(spaces)
-    system = SaddleSystem(SaddleConstraints(spaces), M)
-    want = system.solve(system.rhs(M @ c))["u"]
     if failure == "blocks":
         apply = LatticeSolver._apply
-        monkeypatch.setattr(LatticeSolver, "_apply",
-                            lambda self, rhs: 1.01 * apply(self, rhs))
+        monkeypatch.setattr(LatticeSolver, "_apply", lambda self, rhs: (
+            1.01 if isinstance(self.matrix, SaddleSystem) else 1.0)
+            * apply(self, rhs))
     else:
-        guard, rejected = linsolve._guard, []
+        guard = linsolve._guard
 
-        def reject_once(*args):
-            if not rejected:
-                rejected.append(1)
+        def reject(matrix, *args):
+            if isinstance(matrix, SaddleSystem):
                 raise LinearSolveError("rejected")
-            return guard(*args)
-        monkeypatch.setattr(linsolve, "_guard", reject_once)
-    made = count_factorizations(monkeypatch)
-    assert np.array_equal(project_div_free(spaces, c), want)
-    assert len(made) == 1
+            return guard(matrix, *args)
+        monkeypatch.setattr(linsolve, "_guard", reject)
+    with pytest.raises(LinearSolveError,
+                       match="^datum projection: (residual|rejected)"):
+        run(SchemeConfig(scheme="CN", case=1, nu=0.1, T=1 / 16, N=1),
+            spaces, tg_like())
 
 
-def test_gmres_failure_falls_back_to_a_fresh_factorization(level,
-                                                           monkeypatch):
+def test_gmres_failure_is_a_step_failure(level, monkeypatch):
+    # a GMRES answer the guards reject ends the run at its step; no other
+    # solve replaces it
     spaces = level(3)
-    cfg = SchemeConfig(scheme="CN", case=3, nu=0.1, T=1 / 16, N=1)
-    u0 = project_div_free(spaces, project_velocity(spaces, tg_like()))
-    direct_op = StepOperator(spaces, cfg)
-    direct_op.solver = None      # every solve factorizes
-    direct = step_cn(direct_op, u0)
-
-    op = StepOperator(spaces, cfg)
-    made = count_factorizations(monkeypatch)
+    cfg = SchemeConfig(scheme="CN", case=3, nu=0.1, T=1 / 16, N=2)
 
     def gmres(apply, b, y):
         raise LinearSolveError("rejected")
     monkeypatch.setattr(linsolve, "_gmres", gmres)
-    res = step_cn(op, u0)
-    assert len(made) == res.iterations == direct.iterations
-    assert np.array_equal(res.u, direct.u)
-    assert np.array_equal(res.p, direct.p)
-    assert res.residual == direct.residual
+    with pytest.raises(StepperError, match="^step 1 failed: rejected$") as err:
+        run(cfg, spaces, tg_like())
+    assert err.value.step == 1
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("case", [1, 3])
 def test_frozen_system_matches_the_block_matrix(level, vector_mass,
-                                                as_scipy, case, n):
+                                                as_scipy, saddle_matrix,
+                                                case, n):
     # the frozen system, applied and assembled, against the saddle
     # matrix built here from F0 + conv/2 by sp.bmat, at two advecting
     # fields; both iterates share the trajectory's constraint blocks and
@@ -388,7 +365,7 @@ def test_frozen_system_matches_the_block_matrix(level, vector_mass,
                         [B, None, None, mp],
                         [Cu, None, None, None],
                         [None, mp.T, None, None]], format="csc")
-        assert (system.constraints.assemble(system.F) != want).nnz == 0, seed
+        assert (saddle_matrix(system) != want).nnz == 0, seed
         x = rng.standard_normal(want.shape[1])
         assert (np.abs(system @ x - want @ x).max()
                 <= 1e-14 * (abs(want) @ np.abs(x)).max()), seed
