@@ -1,4 +1,3 @@
-import ast
 import json
 import os
 import re
@@ -290,10 +289,10 @@ def test_diverging_picard_run_exits_on_its_first_rejected_answer(
                     capsys.readouterr().err)
 
 
-def test_runs_and_reports_import_no_scipy(tmp_path):
+def test_runs_and_reports_load_no_scipy_linalg(tmp_path):
     # a case-3 CN run (every Picard iterate a GMRES solve), the report of
-    # its trajectory, a study and the self-checks: their products and
-    # solves are the package's own, and none imports a scipy module
+    # its trajectory and a study: every solve is the package's own GMRES
+    # or block solve, so neither scipy.linalg nor scipy.sparse.linalg loads
     body = BASE_CFG.replace("case = 1", "case = 3") \
                    .replace("steps = 4", "steps = 2") \
                    .replace("sine-shear", "tg-like")
@@ -303,22 +302,44 @@ import sys
 from torusns import cli, linsolve
 gmres, calls = linsolve._gmres, []
 linsolve._gmres = lambda *args: calls.append(1) or gmres(*args)
-seen = []
+for args in (["run", "--config", {cfg!r}, "--out", "run"],
+             ["report", "--traj", "run", "--out", "report"],
+             ["study", "--config", {cfg!r}, "--out", "study"]):
+    assert cli.main(args) == 0
+    print(args[0], len(calls),
+          *(name in sys.modules for name in ("scipy.linalg",
+                                             "scipy.sparse.linalg")))
+""", tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["run", "report", "study"]
+    assert int(lines[0][1]) > 2
+    assert all(line[2:] == ["False", "False"] for line in lines)
+
+
+def test_runs_and_reports_import_no_scipy(tmp_path):
+    # the products and solves of a run, a report, a study and the
+    # self-checks are the package's own: none imports a scipy module
+    body = BASE_CFG.replace("case = 1", "case = 3") \
+                   .replace("steps = 4", "steps = 2") \
+                   .replace("sine-shear", "tg-like")
+    cfg = write_cfg(tmp_path, body + "\n[study]\nlevels = 2,3\n")
+    done = _python(f"""
+import sys
+from torusns import cli
 for args in (["run", "--config", {cfg!r}, "--out", "run"],
              ["report", "--traj", "run", "--out", "report"],
              ["study", "--config", {cfg!r}, "--out", "study"],
              ["check"]):
     assert cli.main(args) == 0
-    seen.append((args[0], len(calls), sorted(
-        name for name in sys.modules if name.split(".")[0] == "scipy")))
-print(repr(seen))
+    print("loaded", args[0], *sorted(name for name in sys.modules
+                                     if name.split(".")[0] == "scipy"))
 """, tmp_path)
     assert done.returncode == 0, done.stderr
-    seen = ast.literal_eval(done.stdout.splitlines()[-1])
-    assert [command for command, _, _ in seen] == ["run", "report",
-                                                   "study", "check"]
-    assert seen[0][1] > 2
-    assert all(modules == [] for _, _, modules in seen)
+    # `torusns check` prints its own report to stdout too
+    loaded = [line.split()[1:] for line in done.stdout.splitlines()
+              if line.startswith("loaded ")]
+    assert loaded == [["run"], ["report"], ["study"], ["check"]]
 
 
 def test_report_imports_no_numpy_random(tmp_path):
